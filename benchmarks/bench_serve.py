@@ -160,7 +160,7 @@ def run_recorder(args, endpoint) -> dict:
         k_max=args.k_max,
         seed=args.seed,
         sweep=grid,
-        workers=1,  # the daemon's sharded scheme
+        workers=1,  # inline; the daemon's backend draws the same stream
         ledger=False,
     )
     bit_identical_library = _sweep_equals_series(cold["sweep"][0], series)

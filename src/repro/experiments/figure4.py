@@ -107,7 +107,7 @@ def run_series(
     engine: str = "batched",
     direct_check_at: float | None = None,
     direct_shots: int = 4000,
-    workers: int | None = None,
+    workers: int = 1,
     max_slab: int | None = None,
     executor=None,
     mem_budget: int | None = None,
@@ -122,23 +122,20 @@ def run_series(
     ``"reference"`` oracle. Both produce identical series for the same
     seed — the engines differ only in wall-clock.
 
-    ``workers`` shards the strata of *this one code* across a process
-    pool (``repro.sim.shard``): sampled strata and the exact k = 1
-    enumeration split into ``max_slab``-bounded chunks with
-    deterministic seeds, so the series is identical for any worker
-    count (but uses the sharded draw scheme — pass ``workers=1`` to get
-    the same numbers as ``workers=N`` serially). ``executor`` runs the
-    same chunks on a different backend (``repro.sim.cluster`` TCP
-    workers) with bit-identical series, and ``mem_budget`` sizes the
-    chunks adaptively; either opts into the sharded scheme too.
+    Sampled strata, the exact k = 1 enumeration and the direct check
+    split into ``max_slab``-bounded chunks with deterministic seeds
+    (``repro.sim.shard``), run inline at ``workers=1`` or across a
+    pool of ``workers`` processes, so the series is identical for any
+    worker count. ``executor`` runs the same chunks on a different
+    backend (``repro.sim.cluster`` TCP workers) with bit-identical
+    series, and ``mem_budget`` sizes the chunks adaptively.
 
     ``direct_check_at`` additionally runs ``direct_shots`` of plain
-    Bernoulli Monte-Carlo at that physical rate on the same engine (the
-    vectorized ``sample_injections_model_batch`` path) — an end-to-end
-    consistency check of the subset decomposition, qsample-style.
+    Bernoulli Monte-Carlo at that physical rate on the same engine — an
+    end-to-end consistency check of the subset decomposition, qsample-style.
 
     ``model`` selects the noise model (``repro.sim.noisemodels`` seam):
-    ``None`` keeps the historical E1_1 streams bit-for-bit; any other
+    ``None`` is E1_1 (and bit-identical to passing it); any other
     model reweights strata, draws, and the direct check accordingly
     (the direct check then runs ``model.with_p(direct_check_at)``).
 
@@ -166,11 +163,6 @@ def run_series(
     ledger_obj = resolve_ledger(ledger)
     series_key = None
     if ledger_obj is not None:
-        scheme = (
-            "sharded"
-            if (workers is not None or executor is not None or mem_budget is not None)
-            else "serial"
-        )
         series_key = store_keys.series_key(
             store_keys.protocol_digest(protocol),
             model,
@@ -178,7 +170,6 @@ def run_series(
             k_max=k_max,
             seed=seed,
             exact_k1=exact_k1,
-            scheme=scheme,
             max_slab=max_slab,
             mem_budget=mem_budget,
             direct_check_at=direct_check_at,
@@ -226,10 +217,10 @@ def run_series(
             # rescaled to the requested check strength.
             direct_check_at = None
         if direct_check_at is not None:
-            # Reuse the sampler's open chunk executor on the sharded
-            # path (one handshake/compile per worker for the whole
-            # series); the plan — and therefore the tallies — is the
-            # same one a fresh session would run.
+            # Reuse the sampler's open chunk executor (one
+            # handshake/compile per worker for the whole series); the
+            # plan — and therefore the tallies — is the same one a
+            # fresh session would run.
             direct_model = (
                 model.with_p(direct_check_at)
                 if model is not None
@@ -240,11 +231,7 @@ def run_series(
                 direct_model,
                 direct_shots,
                 rng=np.random.default_rng(seed + 1),
-                workers=workers,
-                max_slab=max_slab,
-                executor=executor,
-                mem_budget=mem_budget,
-                evaluator=sampler.evaluator if sampler._sharded else None,
+                evaluator=sampler.evaluator,
             )
     series = Figure4Series(
         code=code_key,
@@ -368,7 +355,6 @@ def run_figure4(
     engine: str = "batched",
     workers: int = 1,
     direct_check_at: float | None = None,
-    shard: str = "auto",
     max_slab: int | None = None,
     executor=None,
     mem_budget: int | None = None,
@@ -377,28 +363,16 @@ def run_figure4(
 ) -> list[Figure4Series]:
     """Regenerate all Fig. 4 series.
 
-    ``workers > 1`` parallelizes the sweep; ``shard`` picks the axis:
-
-    * ``"codes"`` — one code per pool task (the PR-1 behaviour; good
-      when many codes are requested and each is cheap),
-    * ``"intra"`` — codes run sequentially but every code's strata shard
-      across the pool (``repro.sim.shard``; good when one large code
-      dominates the wall-clock — it saturates all cores instead of one),
-    * ``"auto"`` (default) — ``"intra"`` when parallelism is requested
-      for a single code (``workers > 1``), else ``"codes"``.
-
-    Results come back in input order. Per-code series are seeded
-    independently, so ``"codes"`` sharding is identical to the
-    sequential run (and to previous releases); explicit ``"intra"``
-    always uses the sharded draw scheme — ``workers=1`` runs the same
-    chunk plan inline — so its results are identical for any worker
-    count, but differ from the ``"codes"`` stream. ``"auto"`` never
-    changes a plain ``workers=1`` run's numbers — except that a cluster
-    ``executor`` (or ``mem_budget``) opts into the sharded scheme like
-    explicit ``"intra"`` does, so compare a ``--cluster`` run against
-    ``shard="intra", workers=1``, not against the legacy stream.
-    ``max_slab`` bounds the configurations materialized per chunk on
-    the intra path.
+    Every series runs the same chunk plans whatever the parallelism, so
+    the results depend only on the inputs, never on ``workers`` or the
+    backend. The parallelism axis follows from the inputs: with more
+    than one code, ``workers > 1`` and no ``executor``, whole codes go
+    to a spawn pool (each series runs ``workers=1`` inline — good when
+    many codes are requested); otherwise codes run in turn and each
+    code's chunks shard across ``workers`` processes or the
+    ``executor`` backend (good when one large code dominates the
+    wall-clock). Results come back in input order. ``max_slab`` bounds
+    the configurations materialized per chunk.
 
     ``ledger`` threads the results ledger through every series (see
     :func:`run_series`): covered (code, p) points replay from recorded
@@ -408,24 +382,7 @@ def run_figure4(
     ledger instance itself crosses the spawn-pool boundary as a path.
     """
     codes = FIGURE4_CODES if codes is None else codes
-    if shard not in ("auto", "codes", "intra"):
-        raise ValueError(f"unknown shard axis {shard!r}")
-    if shard == "auto":
-        # Only opt into the sharded draw scheme when intra-code
-        # parallelism is actually requested; a plain workers=1 run keeps
-        # the legacy stream whatever the code count. A cluster executor
-        # *is* intra-code parallelism — the remote workers shard each
-        # code's strata — so it selects "intra" regardless of the local
-        # worker count.
-        shard = (
-            "intra"
-            if (len(codes) == 1 and workers > 1) or executor is not None
-            else "codes"
-        )
-    # Explicit "intra" uses the sharded scheme at every worker count
-    # (workers=1 runs the same chunk plan inline), so the pool size never
-    # changes the series; "codes" keeps the legacy per-series streams.
-    intra_workers = workers if shard == "intra" else None
+    per_code = len(codes) > 1 and workers > 1 and executor is None
     tasks = [
         (
             code,
@@ -434,7 +391,7 @@ def run_figure4(
             seed,
             engine,
             direct_check_at,
-            intra_workers,
+            1 if per_code else workers,
             max_slab,
             executor,
             mem_budget,
@@ -443,7 +400,7 @@ def run_figure4(
         )
         for code in codes
     ]
-    if shard == "codes" and workers > 1 and len(codes) > 1:
+    if per_code:
         with multiprocessing.get_context("spawn").Pool(
             min(workers, len(codes))
         ) as pool:

@@ -176,7 +176,6 @@ def request_key(
             k_max=norm["k_max"],
             seed=norm["seed"],
             exact_k1=norm["exact_k1"],
-            scheme="sharded",
             max_slab=max_slab,
             mem_budget=mem_budget,
             direct_check_at=norm["direct_check_at"],

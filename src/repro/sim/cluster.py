@@ -114,7 +114,6 @@ from ..net.auth import (
 from ..net.endpoint import (
     AddressAllowlist,
     Endpoint,
-    _warn_legacy_address,
     ambient_token,
     parse_endpoint,
     parse_endpoints,
@@ -150,7 +149,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ClusterProtocolError",
     "ClusterError",
-    "parse_hostports",
     "send_frame",
     "recv_frame",
     "ClusterWorker",
@@ -192,19 +190,6 @@ ClusterProtocolError = WireProtocolError
 
 class ClusterError(RuntimeError):
     """The cluster cannot finish the workload (e.g. every worker died)."""
-
-
-def parse_hostports(spec) -> tuple[tuple[str, int], ...]:
-    """Deprecated: ``"h1:p1,h2:p2"`` (or an iterable of same /
-    (host, port) pairs) into a tuple of ``(host, port)`` addresses.
-
-    Superseded by :func:`repro.net.parse_endpoints`, which understands
-    the full endpoint grammar (TLS, tokens) and is what every repro
-    consumer now calls; this shim survives for old callers, warns once
-    per process, and drops any security fields a spec may carry.
-    """
-    _warn_legacy_address("parse_hostports()")
-    return tuple(ep.address for ep in parse_endpoints(spec, use_env=False))
 
 
 def _negotiate_codec(peer_codecs) -> str:
@@ -329,8 +314,10 @@ class ClusterWorker:
         return worker
 
     @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
+    def address(self) -> str:
+        """The bound ``HOST:PORT`` spec coordinators connect to (without
+        any TLS or token fields)."""
+        return f"{self.host}:{self.port}"
 
     def stop(self) -> None:
         """Stop serving (unblocks ``accept``); idempotent."""
@@ -592,10 +579,9 @@ class ClusterWorker:
                 {
                     "pid": os.getpid(),
                     "locations": len(engine.locations),
-                    # Back-compat bool (any cache) + where it came from:
-                    # "memory" (LRU), "store" (disk seed), "payload"
-                    # (shipped and compiled this session).
-                    "engine_cached": source != "payload",
+                    # Where the engine came from: "memory" (LRU),
+                    # "store" (disk seed), "payload" (shipped and
+                    # compiled this session).
                     "engine_source": source,
                     "codec": codec,
                     # Security posture of this session, for wire_stats
@@ -731,7 +717,7 @@ class _WorkerLink:
     payload by hash, and the payload itself is shipped only when the
     worker answers ``need-payload`` (a worker that served this engine in
     a previous session replies ``welcome`` straight away — see
-    ``info["engine_cached"]``). With a token in play the
+    ``info["engine_source"]``). With a token in play the
     :mod:`repro.net.auth` challenge–response sits between hello and
     that reply; with ``tls=1`` on the endpoint the socket is wrapped
     before the first frame.
@@ -887,9 +873,8 @@ class ClusterEvaluator:
     addresses:
         Worker endpoints — ``"host:port[?tls=1&token=...],host:port"``
         or an iterable of specs / :class:`~repro.net.Endpoint` objects
-        (:func:`repro.net.parse_endpoints`; legacy ``(host, port)``
-        pairs still work, with one deprecation warning). Connections
-        are opened lazily on the first ``map`` and reused across calls.
+        (:func:`repro.net.parse_endpoints`). Connections are opened
+        lazily on the first ``map`` and reused across calls.
     max_slab / mem_budget:
         Chunk memory bound, forwarded to the planner *and* to every
         worker in the handshake header. ``mem_budget`` sizes the slab
@@ -1414,9 +1399,9 @@ class ClusterExecutorFactory:
     token: str | None = None
 
     def __post_init__(self):
-        # Accept every historical shape — spec strings, Endpoint objects,
-        # (host, port) pairs — but *store* canonical endpoint strings:
-        # picklable, render/parse round-trip exact, environment-lazy.
+        # Accept spec strings or Endpoint objects, but *store* canonical
+        # endpoint strings: picklable, render/parse round-trip exact,
+        # environment-lazy.
         endpoints = parse_endpoints(self.addresses, use_env=False)
         object.__setattr__(
             self, "addresses", tuple(ep.render() for ep in endpoints)

@@ -1305,7 +1305,7 @@ class ShardedEvaluator:
 def resolve_evaluator(
     engine,
     *,
-    workers: int | None = 1,
+    workers: int = 1,
     max_slab: int | None = None,
     executor=None,
     mem_budget: int | None = None,
@@ -1351,7 +1351,7 @@ def resolve_evaluator(
         return executor(engine, int(max_slab))
     return ShardedEvaluator(
         engine,
-        workers=max(1, workers or 1),
+        workers=workers,
         max_slab=int(max_slab),
         model=model,
     )

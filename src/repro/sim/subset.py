@@ -28,13 +28,14 @@ the leading coefficient of FT circuits (``f_1 = 0``) with zero variance.
 
 Execution is pluggable: :meth:`SubsetSampler.for_protocol` wires the
 sampler to a batch engine (``repro.sim.sampler``, default the bit-packed
-``"batched"`` one) that evaluates whole strata per call; the legacy
-per-shot ``failure_fn`` constructor path remains for custom judges and
-keeps its historical draw stream. With ``workers=N`` the engine-backed
-strata additionally shard *within* the code: chunk plans come from
-:class:`repro.sim.shard.StratumPlanner` (bounded ``max_slab`` memory,
-deterministic per-chunk seeds) and execute across a process pool with
-results identical for every worker count. See ``docs/sampler.md``.
+``"batched"`` one). Every engine-backed stratum runs through one draw
+stream: chunk plans from :class:`repro.sim.shard.StratumPlanner`
+(bounded ``max_slab`` memory, deterministic per-chunk seeds), executed
+inline at ``workers=1`` or across a process pool or cluster with
+results identical for every worker count and backend. The per-shot
+``failure_fn`` constructor path remains for custom judges and as the
+independent reference for the planner's exact enumerations. See
+``docs/sampler.md``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .noise import (
     draw_tables,
     materialize_stratum,
     sample_injections_fixed_k,
-    sample_injections_model_batch,
-    sample_injections_stratum,
 )
 
 __all__ = [
@@ -213,7 +212,7 @@ def direct_mc(
     *,
     rng: np.random.Generator | None = None,
     batch_size: int = 8192,
-    workers: int | None = None,
+    workers: int = 1,
     max_slab: int | None = None,
     executor=None,
     mem_budget: int | None = None,
@@ -222,92 +221,54 @@ def direct_mc(
     """Direct Monte-Carlo at a fixed physical rate on a batch engine.
 
     The classical estimator the subset decomposition replaces: every
-    location of every shot fails independently at its ``model`` rate
-    (``sample_injections_model_batch``), and the whole batch executes on
-    the engine's packed path. Useful as an end-to-end consistency check of
-    the subset estimator (the two must agree within statistics at the same
-    ``p``) and for noise models whose strata are not p-independent.
+    location of every shot fails independently at its ``model`` rate,
+    and the whole batch executes on the engine's packed path. Useful as
+    an end-to-end consistency check of the subset estimator (the two
+    must agree within statistics at the same ``p``) and for noise models
+    whose strata are not p-independent.
 
-    ``workers`` switches to the sharded path (``repro.sim.shard``): the
-    workload is chunked into at most ``max_slab``-shot slabs with
-    deterministic per-chunk seeds and fanned across a process pool —
-    identical tallies for any worker count (the draw stream then differs
-    from the serial ``workers=None`` stream, which is kept for backward
-    reproducibility). ``executor`` swaps the backend behind the same
-    chunk plan (e.g. ``repro.sim.cluster`` TCP workers — bit-identical
-    tallies again), and ``mem_budget`` sizes the slab adaptively; either
-    also opts into the sharded scheme. ``evaluator`` reuses an
-    already-open chunk executor (e.g. a sampler's live cluster session —
-    one handshake/compile per worker instead of one per call) without
-    closing it; the caller keeps ownership. The plan depends only on the
-    evaluator's ``max_slab`` and the rng draw, so a reused session
-    returns the same tallies a fresh one would.
+    The workload is planned (``repro.sim.shard``) into at most
+    ``max_slab``-shot Bernoulli chunks (default ``batch_size``) seeded
+    from one draw of ``rng``, and executed inline (``workers=1``) or
+    across a process pool — identical tallies for any worker count.
+    ``executor`` swaps the backend behind the same chunk plan (e.g.
+    ``repro.sim.cluster`` TCP workers — bit-identical tallies again),
+    and ``mem_budget`` sizes the slab adaptively. ``evaluator`` reuses
+    an already-open chunk executor (e.g. a sampler's live cluster
+    session — one handshake/compile per worker instead of one per call)
+    without closing it; the caller keeps ownership. The plan depends
+    only on the evaluator's ``max_slab`` and the rng draw, so a reused
+    session returns the same tallies a fresh one would.
     """
+    from .shard import merge_partials, resolve_evaluator
+
     rng = rng if rng is not None else np.random.default_rng()
-    if (
-        workers is not None
-        or executor is not None
-        or mem_budget is not None
-        or evaluator is not None
-    ):
-        from .shard import merge_partials, resolve_evaluator
-
-        entropy = int(rng.integers(0, 2**63))
-        owned = evaluator is None
-        if owned:
-            evaluator = resolve_evaluator(
-                engine,
-                workers=max(1, workers or 1),
-                max_slab=max_slab,
-                executor=executor,
-                mem_budget=mem_budget,
-                default_slab=batch_size,
-                model=model,
-            )
-        try:
-            with _obs_span("subset.direct_mc", shots=shots):
-                merged = merge_partials(
-                    evaluator.map(
-                        evaluator.planner.plan_bernoulli(model, shots, entropy)
-                    )
+    entropy = int(rng.integers(0, 2**63))
+    owned = evaluator is None
+    if owned:
+        evaluator = resolve_evaluator(
+            engine,
+            workers=workers,
+            max_slab=max_slab,
+            executor=executor,
+            mem_budget=mem_budget,
+            default_slab=batch_size,
+            model=model,
+        )
+    try:
+        with _obs_span("subset.direct_mc", shots=shots):
+            merged = merge_partials(
+                evaluator.map(
+                    evaluator.planner.plan_bernoulli(model, shots, entropy)
                 )
-        finally:
-            if owned:
-                evaluator.close()
-        return DirectEstimate(
-            p=float(getattr(model, "p", math.nan)),
-            trials=shots,
-            failures=merged.failures,
-        )
-    from .noise import _model_is_plain
-
-    universe = None
-    if not _model_is_plain(engine.locations, model):
-        # Compile the site universe once for the whole serial loop
-        # (rate vectors, pair adjacency, draw CDFs) instead of once per
-        # batch inside sample_injections_model_batch.
-        from .noisemodels import site_universe
-
-        universe = site_universe(engine.locations, model)
-    failures = 0
-    remaining = shots
-    while remaining > 0:
-        step = min(remaining, batch_size)
-        if universe is not None:
-            loc_idx, draw_idx = universe.sample_bernoulli(step, rng)
-        else:
-            loc_idx, draw_idx = sample_injections_model_batch(
-                engine.locations, model, step, rng
             )
-        verdicts = np.asarray(
-            engine.failures_indexed(loc_idx, draw_idx), dtype=bool
-        )
-        failures += int(verdicts.sum())
-        remaining -= step
+    finally:
+        if owned:
+            evaluator.close()
     return DirectEstimate(
         p=float(getattr(model, "p", math.nan)),
         trials=shots,
-        failures=failures,
+        failures=merged.failures,
     )
 
 
@@ -331,33 +292,32 @@ class SubsetSampler:
         Optional batch execution engine (``repro.sim.sampler``): an object
         with ``failures(list_of_injection_dicts) -> bool array`` and
         optionally ``failures_indexed(loc_idx, draw_idx)``. When given, the
-        sampler evaluates whole strata per call instead of shot-by-shot —
-        use :meth:`for_protocol` to wire one up. Engines built from the
-        same protocol produce identical tallies for the same seed, whether
-        batched or reference (the batch *generation* stream is shared).
+        sampler evaluates whole strata per call through the stratum
+        planner instead of shot-by-shot — use :meth:`for_protocol` to
+        wire one up. Engines built from the same protocol produce
+        identical tallies for the same seed, whether batched or
+        reference (the chunk *generation* stream is shared).
     batch_size:
         Largest number of configurations evaluated per engine call (bounds
         peak memory of exact k=2 enumeration).
     workers:
-        ``None`` (default) keeps the historical serial draw streams.
-        An integer switches the engine-backed strata to the sharded path
-        (``repro.sim.shard``): deterministic per-chunk seeds, results
-        identical for every worker count (including ``workers=1``), with
-        chunks fanned across a process pool when ``workers > 1``.
+        Process-pool size for the engine-backed chunk plans
+        (``repro.sim.shard``): ``1`` (default) runs them inline, larger
+        counts fan the chunks across a pool. Results are identical for
+        every worker count.
     max_slab:
-        Peak configurations materialized per chunk on the sharded path;
-        defaults to ``batch_size``.
+        Peak configurations materialized per chunk; defaults to
+        ``batch_size``.
     executor:
         Execution backend factory ``(engine, max_slab) -> evaluator``
-        for the sharded path (the ``repro.sim.shard.resolve_evaluator``
-        seam) — e.g. :class:`repro.sim.cluster.ClusterExecutorFactory`
-        to evaluate chunks on remote TCP workers. Setting it opts into
-        the sharded draw scheme; results stay bit-identical to
+        (the ``repro.sim.shard.resolve_evaluator`` seam) — e.g.
+        :class:`repro.sim.cluster.ClusterExecutorFactory` to evaluate
+        chunks on remote TCP workers. Results stay bit-identical to
         ``workers=1`` inline for any worker set.
     mem_budget:
         Per-worker slab memory budget in bytes; sizes ``max_slab``
         adaptively (:class:`repro.sim.shard.AdaptiveSlabPolicy`) when
-        ``max_slab`` is not given. Also opts into the sharded scheme.
+        ``max_slab`` is not given.
     model:
         Optional noise model (the ``repro.sim.noisemodels`` seam).
         ``None`` keeps the historical E1_1 behaviour. A *uniform* model
@@ -382,7 +342,7 @@ class SubsetSampler:
         rng: np.random.Generator | None = None,
         engine=None,
         batch_size: int = 8192,
-        workers: int | None = None,
+        workers: int = 1,
         max_slab: int | None = None,
         executor=None,
         mem_budget: int | None = None,
@@ -396,7 +356,7 @@ class SubsetSampler:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if engine is None and (
-            workers is not None or executor is not None or mem_budget is not None
+            workers != 1 or executor is not None or mem_budget is not None
         ):
             raise ValueError("workers/executor/mem_budget require an engine")
         self.model = model
@@ -443,7 +403,7 @@ class SubsetSampler:
         k_max: int = 3,
         rng: np.random.Generator | None = None,
         batch_size: int = 8192,
-        workers: int | None = None,
+        workers: int = 1,
         max_slab: int | None = None,
         executor=None,
         mem_budget: int | None = None,
@@ -456,7 +416,7 @@ class SubsetSampler:
         ``engine="batched"`` runs strata through the bit-packed engine
         (:class:`repro.sim.sampler.BatchedSampler`); ``"reference"`` keeps
         the per-shot oracle behind the identical interface. ``workers`` /
-        ``max_slab`` enable intra-code sharding; ``executor`` /
+        ``max_slab`` size the chunk pool and slabs; ``executor`` /
         ``mem_budget`` select the execution backend and adaptive slab
         sizing; ``model`` selects the noise model (see class docs);
         ``store`` is forwarded to the engine factory's artifact cache
@@ -516,7 +476,7 @@ class SubsetSampler:
         self.rng = None
         self.engine = None
         self.batch_size = 8192
-        self.workers = None
+        self.workers = 1
         self.executor = None
         self.mem_budget = None
         self.max_slab = None
@@ -542,16 +502,7 @@ class SubsetSampler:
         self.k_max = int(k_max) if k_max is not None else max(self.strata)
         return self
 
-    # -- sharded execution -----------------------------------------------------
-
-    @property
-    def _sharded(self) -> bool:
-        """Whether engine-backed strata use the sharded chunk scheme."""
-        return (
-            self.workers is not None
-            or self.executor is not None
-            or self.mem_budget is not None
-        )
+    # -- chunk execution -------------------------------------------------------
 
     @property
     def evaluator(self):
@@ -560,7 +511,7 @@ class SubsetSampler:
         A :class:`repro.sim.shard.ShardedEvaluator` by default, or
         whatever backend the ``executor`` factory builds (e.g. a
         :class:`repro.sim.cluster.ClusterEvaluator`). Created on first
-        sharded call and kept alive (one pool / one set of worker
+        engine call and kept alive (one pool / one set of worker
         connections per sampler, not per stratum batch); release with
         :meth:`close` or by using the sampler as a context manager.
         """
@@ -569,7 +520,7 @@ class SubsetSampler:
 
             self._evaluator = resolve_evaluator(
                 self.engine,
-                workers=max(1, self.workers or 1),
+                workers=self.workers,
                 max_slab=self.max_slab,
                 executor=self.executor,
                 mem_budget=self.mem_budget,
@@ -775,12 +726,10 @@ class SubsetSampler:
     def sample_stratum(self, k: int, shots: int) -> StratumStats:
         """Run ``shots`` Monte-Carlo trials in stratum ``k``.
 
-        With an engine, the whole request is drawn vectorized and evaluated
-        in ``batch_size`` slabs; the legacy ``failure_fn`` path keeps the
-        original shot-by-shot draw stream for backward reproducibility.
-        With ``workers`` set, the request is planned into ``max_slab``
-        chunks seeded from one draw of the sampler rng and executed on the
-        sharded path — tallies identical for any worker count.
+        With an engine, the request is planned into ``max_slab`` chunks
+        seeded from one draw of the sampler rng and executed by the
+        chunk evaluator — tallies identical for any worker count. The
+        ``failure_fn`` path keeps its shot-by-shot draw stream.
         """
         stats = self.strata[k]
         if stats.exact:
@@ -809,36 +758,16 @@ class SubsetSampler:
                 if self.failure_fn(injections):
                     stats.failures += 1
             return stats
-        if self._sharded:
-            # The entropy draw happens before the span opens — tracing
-            # must sit strictly outside the seed path either way (spans
-            # never consume RNG state), but keeping the order explicit
-            # makes the contract easy to audit.
-            entropy = int(self.rng.integers(0, 2**63))
-            with _obs_span("subset.stratum", k=k, shots=shots):
-                merged = self.evaluator.reduce(
-                    self.evaluator.planner.plan_stratum(k, shots, entropy)
-                )
-            stats.trials += merged.trials
-            stats.failures += merged.failures
-            return stats
-        remaining = shots
-        while remaining > 0:
-            step = min(remaining, self.batch_size)
-            if self._universe is not None:
-                loc_idx, draw_idx = self._universe.sample_stratum(
-                    k, step, self.rng
-                )
-            else:
-                loc_idx, draw_idx = sample_injections_stratum(
-                    self.locations, k, step, self.rng
-                )
-            verdicts = np.asarray(
-                self.engine.failures_indexed(loc_idx, draw_idx), dtype=bool
+        # The entropy draw happens before the span opens — tracing must
+        # sit strictly outside the seed path (spans never consume RNG
+        # state), and keeping the order explicit makes that easy to audit.
+        entropy = int(self.rng.integers(0, 2**63))
+        with _obs_span("subset.stratum", k=k, shots=shots):
+            merged = self.evaluator.reduce(
+                self.evaluator.planner.plan_stratum(k, shots, entropy)
             )
-            stats.trials += step
-            stats.failures += int(verdicts.sum())
-            remaining -= step
+        stats.trials += merged.trials
+        stats.failures += merged.failures
         return stats
 
     def sample(

@@ -1,9 +1,7 @@
 """The one endpoint grammar (``repro.net.endpoint``): parse, render,
-environment defaults, legacy-form deprecation, and the allowlist."""
+environment defaults, the removed tuple forms, and the allowlist."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -163,29 +161,34 @@ class TestEnvironmentDefaults:
 
 
 class TestLegacyForms:
-    def test_tuple_form_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        with pytest.warns(DeprecationWarning, match="endpoint spec"):
-            ep = parse_endpoint(("h", 7781))
-        assert ep.address == ("h", 7781)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use: silent
-            assert parse_endpoint(("h", 7782)).port == 7782
+    """The pre-endpoint address forms are gone, with readable errors."""
 
-    def test_parse_hostports_shim(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        from repro.sim.cluster import parse_hostports
+    @pytest.mark.parametrize(
+        "parse, spec",
+        [
+            (parse_endpoint, ("h", 7781)),
+            (parse_endpoints, [("h", 7781)]),
+            # A bare pair is iterated as two specs: "h" lacks a port.
+            (parse_endpoints, ("h", 7781)),
+        ],
+        ids=["parse_endpoint", "parse_endpoints-list", "parse_endpoints-pair"],
+    )
+    def test_tuple_form_is_a_readable_error(self, parse, spec):
+        with pytest.raises(ValueError, match="HOST:PORT"):
+            parse(spec)
 
-        with pytest.warns(DeprecationWarning):
-            pairs = parse_hostports("a:1,b:2")
-        assert pairs == (("a", 1), ("b", 2))
+    def test_parse_hostports_shim(self):
+        import repro.sim
+        import repro.sim.cluster
 
-    def test_parse_hostport_shim(self, monkeypatch):
-        monkeypatch.setattr(endpoint_module, "_legacy_warned", False)
-        from repro.serve.client import parse_hostport
+        assert not hasattr(repro.sim.cluster, "parse_hostports")
+        assert not hasattr(repro.sim, "parse_hostports")
+        assert not hasattr(endpoint_module, "_warn_legacy_address")
 
-        with pytest.warns(DeprecationWarning):
-            assert parse_hostport("10.0.0.1") == ("10.0.0.1", 7790)
+    def test_parse_hostport_shim(self):
+        import repro.serve.client
+
+        assert not hasattr(repro.serve.client, "parse_hostport")
 
 
 class TestAddressAllowlist:

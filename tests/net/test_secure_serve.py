@@ -196,7 +196,15 @@ class TestTLSFaultInjection:
         with pytest.raises((ServeError, ConnectionError)):
             ServeClient(endpoint, connect_timeout=5.0)
         # The plaintext daemon sees the ClientHello as malformed request
-        # lines — counted as errors, never as work.
+        # lines — counted as errors, never as work. The client gives up
+        # while the daemon's thread may still be mid-line (a request
+        # counted, its error not yet), so let the daemon catch up first.
+        deadline = time.monotonic() + 5.0
+        while (
+            server.stats.errors != server.stats.requests
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
         assert server.stats.computes == 0
         assert server.stats.errors == server.stats.requests
 

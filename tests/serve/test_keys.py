@@ -9,8 +9,8 @@ Ledger keys must name *what* is computed, never *how* or *where*:
 * execution knobs (engine name, worker count) and derived-per-request
   data (the sweep grid) are excluded, so one record serves every
   engine and grid;
-* anything that changes the drawn sample stream (seed, shots, scheme,
-  slab bound, chunk identity) is included.
+* anything that changes the drawn sample stream (seed, shots, slab
+  bound, chunk identity) is included.
 """
 
 import multiprocessing
@@ -51,13 +51,21 @@ class TestKeyScheme:
             dict(_series_kwargs(), k_max=2),
             dict(_series_kwargs(), seed=2026),
             dict(_series_kwargs(), exact_k1=False),
-            dict(_series_kwargs(), scheme="serial"),
             dict(_series_kwargs(), max_slab=4096),
             dict(_series_kwargs(), mem_budget=1 << 20),
             dict(_series_kwargs(), direct_check_at=1e-3),
         ]
         keys = [store_keys.series_key(digest, None, **kw) for kw in variants]
         assert len({base, *keys}) == len(variants) + 1
+
+    def test_series_key_bytes_are_pinned(self):
+        """Series keys recorded while a serial stream still existed (and
+        the plan carried ``"scheme": "sharded"``) must stay valid, so
+        existing ledgers stay warm."""
+        key = store_keys.series_key("ab" * 32, None, **_series_kwargs())
+        assert key == (
+            "753ff0af905086acc0cc53230e24bfb275c985977f1d5b9da1fe34113150a167"
+        )
 
     def test_direct_shots_only_matter_with_direct_check(self, digest):
         """``direct_shots`` is inert without ``direct_check_at`` (no

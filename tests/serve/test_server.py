@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.serve.client import ServeClient, ServeError, parse_hostport
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ReproServer
 from repro.store import keys as store_keys
 
@@ -65,11 +65,6 @@ def client(server):
 
 
 class TestWire:
-    def test_parse_hostport(self):
-        assert parse_hostport("10.0.0.1:7790") == ("10.0.0.1", 7790)
-        assert parse_hostport(":7791") == ("127.0.0.1", 7791)
-        assert parse_hostport("somehost") == ("somehost", 7790)
-
     def test_ping_and_stats(self, client):
         assert client.ping()["ok"] is True
         stats = client.stats()

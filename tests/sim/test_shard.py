@@ -241,36 +241,19 @@ class TestWorkerCountDeterminism:
         assert baseline == sharded
 
     def test_figure4_intra_shard_identical_across_workers(self):
-        """shard="intra" must use the sharded scheme at every worker
-        count, including workers=1 (the inline plan), so the series
-        never depends on the pool size."""
+        """A single code with workers > 1 shards within the code; the
+        series must equal the inline workers=1 run."""
         from repro.experiments.figure4 import run_figure4
 
         protocol = cached_protocol("steane")  # warm the synthesis cache
         assert protocol is not None
         series = {
-            w: run_figure4(
-                ["steane"], shots=400, workers=w, shard="intra"
-            )[0]
+            w: run_figure4(["steane"], shots=400, workers=w)[0]
             for w in (1, 2)
         }
         assert series[1].shots == series[2].shots
         assert [e.mean for e in series[1].estimates] == [
             e.mean for e in series[2].estimates
-        ]
-
-    def test_figure4_auto_keeps_legacy_stream_at_workers_1(self):
-        """A plain workers=1 run must reproduce the same numbers whether
-        one code or many are requested — auto only opts into the sharded
-        stream when intra parallelism is actually asked for."""
-        from repro.experiments.figure4 import run_figure4
-
-        protocol = cached_protocol("steane")
-        assert protocol is not None
-        single = run_figure4(["steane"], shots=400, workers=1)[0]
-        swept = run_figure4(["steane", "shor"], shots=400, workers=1)[0]
-        assert [e.mean for e in single.estimates] == [
-            e.mean for e in swept.estimates
         ]
 
     def test_survey_identical_across_workers(self):
@@ -356,3 +339,76 @@ class TestSamplerIntegration:
         assert sampler._evaluator is first  # one pool per sampler
         sampler.close()
         assert sampler._evaluator is None
+
+
+def _series_numbers(series):
+    direct = None if series.direct is None else (
+        series.direct.trials,
+        series.direct.failures,
+    )
+    return (
+        series.code,
+        series.shots,
+        series.f1_exact,
+        [(e.p, e.mean, e.lower, e.upper, e.tail) for e in series.estimates],
+        direct,
+    )
+
+
+class TestOneDrawStream:
+    """Every engine-backed estimator draws through the stratum planner:
+    the default arguments, ``workers=1`` inline and a pool all give the
+    same numbers."""
+
+    def test_figure4_independent_of_workers_and_axis(self):
+        from repro.experiments.figure4 import run_figure4, run_series
+
+        codes = ["steane", "shor"]
+        kwargs = dict(shots=300, direct_check_at=0.05)
+        runs = {
+            w: [_series_numbers(s) for s in run_figure4(codes, workers=w, **kwargs)]
+            for w in (1, 2)
+        }
+        assert runs[1] == runs[2]
+        inline = [
+            _series_numbers(
+                run_series(
+                    code,
+                    protocol=cached_protocol(code),
+                    workers=1,
+                    **kwargs,
+                )
+            )
+            for code in codes
+        ]
+        assert runs[1] == inline
+
+    def test_sampler_defaults_equal_workers_1(self):
+        protocol = cached_protocol("steane")
+        tallies = []
+        for extra in ({}, {"workers": 1}):
+            with SubsetSampler.for_protocol(
+                protocol, rng=np.random.default_rng(17), **extra
+            ) as sampler:
+                sampler.enumerate_k1_exact()
+                sampler.sample(1200)
+                tallies.append(
+                    {
+                        k: (stats.trials, stats.failures, stats.exact)
+                        for k, stats in sampler.strata.items()
+                    }
+                )
+        assert tallies[0] == tallies[1]
+
+    def test_direct_mc_defaults_equal_workers_1(self, steane_engine):
+        results = [
+            direct_mc(
+                steane_engine,
+                E1_1(p=0.03),
+                3000,
+                rng=np.random.default_rng(9),
+                **extra,
+            )
+            for extra in ({}, {"workers": 1})
+        ]
+        assert results[0].failures == results[1].failures

@@ -80,10 +80,10 @@ class TestParser:
             )
 
     def test_figure4_shard_axis(self):
-        args = build_parser().parse_args(["figure4"])
-        assert args.shard == "auto"
-        args = build_parser().parse_args(["figure4", "--shard", "intra"])
-        assert args.shard == "intra"
+        # The axis follows from --codes/--workers/--cluster alone.
+        assert not hasattr(build_parser().parse_args(["figure4"]), "shard")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["figure4", "--shard", "intra"])
 
     def test_cluster_worker_subcommand(self):
         args = build_parser().parse_args(
