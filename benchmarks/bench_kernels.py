@@ -53,8 +53,8 @@ def _best_of(callable_, reps: int = 3):
 
 def bench_code(code_key: str, shots: int, k: int, seed: int) -> dict:
     protocol = synthesize_protocol(get_code(code_key))
-    batched = make_sampler(protocol, engine="batched", store=False)
-    kernel = make_sampler(protocol, engine="kernel", store=False)
+    batched = make_sampler(protocol, engine="batched")
+    kernel = make_sampler(protocol, engine="kernel")
 
     loc_idx, draw_idx = sample_injections_stratum(
         batched.locations, k, shots, np.random.default_rng(seed)

@@ -24,13 +24,13 @@ chunk, i.e. peak slab memory); see ``docs/cli.md`` for the full tour.
 Every command prints human-readable output; machine-readable artifacts go
 through ``--output`` (protocol JSON) and ``--qasm`` (OpenQASM export).
 
-Expensive artifacts (synthesized protocols, compiled engines, FT
-certificates, error budgets, SAT transcripts) are cached persistently in
-the content-addressed artifact store (``repro.store``, default
-``~/.cache/repro-store``). Every pipeline subcommand takes ``--store
-PATH`` to point at a different root and ``--no-store`` to bypass caching
-entirely — results are bit-identical either way. ``python -m repro store
-ls|verify|gc`` inspects and maintains the store itself.
+Expensive artifacts (synthesized protocols, FT certificates, error
+budgets) are cached persistently in the content-addressed artifact store
+(``repro.store``, default ``~/.cache/repro-store``). Every pipeline
+subcommand takes ``--store PATH`` to point at a different root and
+``--no-store`` to bypass caching entirely — results are bit-identical
+either way. ``python -m repro store ls|verify|gc`` inspects and
+maintains the store itself.
 
 Computed *results* (sweep tallies, FT certificates, error budgets,
 direct-MC estimates) are deduplicated through a second cache, the

@@ -40,7 +40,7 @@ from ..pauli.symplectic import as_bit_matrix
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_and, encode_xor_chain
-from ..sat.cache import CachedSolver
+from ..sat.solver import Solver
 
 __all__ = ["CorrectionCircuit", "synthesize_correction", "CorrectionInfeasible"]
 
@@ -109,7 +109,7 @@ def synthesize_correction(
     basis = as_bit_matrix(detection_basis, n)
     for u in range(1, max_measurements + 1):
         encoder = _CorrectionEncoder(basis, errors, candidates, ok, u)
-        solver = CachedSolver(encoder.cnf)
+        solver = Solver(encoder.cnf)
         result = solver.solve()
         if not result.sat:
             continue

@@ -1,7 +1,7 @@
 """Append-only, content-addressed results ledger.
 
 The artifact store (``repro.store``) caches *inputs* to a computation —
-synthesized protocols, compiled engines, SAT transcripts. The ledger
+synthesized protocols. The ledger
 caches *outputs*: stratum tallies, direct-MC counts, certificates,
 budgets, and individual shard-chunk partials, all keyed by
 ``repro.store.keys`` digests of (protocol, noise model, seed plan, shot

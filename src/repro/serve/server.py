@@ -7,9 +7,8 @@ a cold CLI process pays for on every invocation:
 * **resident protocols** — synthesized once per (code, prep,
   verification) and kept (synthesis itself is artifact-store cached, so
   even the first request is warm on a primed machine);
-* **resident engines** — an LRU of compiled engines keyed by the PR 6
-  store digests (:func:`repro.store.keys.engine_key`), bounded by
-  ``engine_slots``;
+* **resident engines** — an LRU of compiled engines keyed by protocol
+  digest and engine name, bounded by ``engine_slots``;
 * **the results ledger** — every sweep/certificate/budget/direct
   answer is keyed (:func:`repro.serve.schema.request_key`) and
   persisted, so repeats — across daemon restarts, and shared with the
@@ -286,7 +285,7 @@ class ReproServer:
         from ..sim.sampler import make_sampler, resolve_engine_name
 
         name = resolve_engine_name(engine_name)
-        ekey = store_keys.engine_key(protocol, name) or f"{digest}:{name}"
+        ekey = f"{digest}:{name}"
         with self._engine_lock:
             entry = self._engines.get(ekey)
             if entry is not None:

@@ -132,7 +132,7 @@ from ..net.framing import (
 from ..net.tls import client_ssl_context, server_ssl_context
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_registry
-from ..store import available_codecs, resolve_store
+from ..store import available_codecs
 from ..store.keys import payload_digest
 from .shard import (
     AdaptiveSlabPolicy,
@@ -245,12 +245,7 @@ class ClusterWorker:
     keyed by the coordinator's payload digest, so consecutive sessions
     with the same (protocol, engine, judge) reuse the compiled protocol
     and every signature cache instead of recompiling — only the first
-    session of a digest pays the payload transfer and the compile. The
-    LRU is seeded from the ambient artifact store (``repro.store``,
-    looked up under the advertised digest) before a ``need-payload``
-    round trip, and freshly compiled engines are written back under the
-    same digest, so even a *restarted* worker process skips both the
-    transfer and the compile.
+    session of a digest pays the payload transfer and the compile.
     (Engine caches are append-only dicts, so concurrent sessions sharing
     one cached engine are safe under the GIL; at worst two sessions
     compute the same signature once each.)
@@ -493,10 +488,6 @@ class ClusterWorker:
         engine = self._cached_engine(digest)
         if engine is not None:
             return engine, "memory"
-        engine = self._engine_from_store(digest)
-        if engine is not None:
-            self._store_engine(digest, engine)
-            return engine, "store"
         send_frame(conn, ("need-payload", digest))
         reply = recv_frame(conn)
         if reply is None:
@@ -526,33 +517,7 @@ class ClusterWorker:
         protocol, engine_name, judge = pickle.loads(payload_bytes)
         engine = make_sampler(protocol, engine=engine_name, judge=judge)
         self._store_engine(digest, engine)
-        # Write the compiled engine back under the *session* digest (the
-        # key the next coordinator will advertise), so a restarted worker
-        # resolves it from disk without a payload transfer or a compile.
-        # make_sampler caches under its own recomputed key too; both
-        # writes are best-effort and usually the same entry.
-        store = resolve_store(None)
-        if store is not None:
-            store.put_object("engine", digest, engine)
         return engine, "payload"
-
-    @staticmethod
-    def _engine_from_store(digest: str):
-        """Seed the in-memory LRU from the ambient disk store: a previous
-        worker process that served this exact session digest wrote the
-        compiled engine back under it (``_resolve_engine``'s payload
-        branch), so a restart skips both the transfer and the compile."""
-        store = resolve_store(None)
-        if store is None:
-            return None
-        engine = store.get_object("engine", digest)
-        if engine is None:
-            return None
-        try:
-            engine_payload(engine)  # registered engine with a protocol?
-        except Exception:
-            return None
-        return engine
 
     def _serve_connection(self, conn: socket.socket) -> None:
         header = self._handshake(conn)
@@ -579,9 +544,8 @@ class ClusterWorker:
                 {
                     "pid": os.getpid(),
                     "locations": len(engine.locations),
-                    # Where the engine came from: "memory" (LRU),
-                    # "store" (disk seed), "payload" (shipped and
-                    # compiled this session).
+                    # Where the engine came from: "memory" (LRU) or
+                    # "payload" (shipped and compiled this session).
                     "engine_source": source,
                     "codec": codec,
                     # Security posture of this session, for wire_stats
@@ -937,10 +901,6 @@ class ClusterEvaluator:
         )
         # The digest and the shipped bytes are one artifact: the worker
         # re-hashes exactly these bytes before caching under the digest.
-        # The scheme lives in repro.store.keys — workers also use this
-        # digest as the disk-store key for the compiled engine, which is
-        # what lets a restarted worker seed its LRU from disk instead of
-        # asking for the bytes again.
         self._payload_bytes = pickle.dumps(
             engine_payload(engine), protocol=pickle.HIGHEST_PROTOCOL
         )

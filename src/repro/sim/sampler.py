@@ -967,9 +967,6 @@ _ENGINES = {
     "reference": ReferenceSampler,
 }
 
-#: Engines whose construction compiles something worth caching on disk.
-_CACHED_ENGINES = frozenset({"batched", "kernel"})
-
 
 def resolve_engine_name(engine: str) -> str:
     """Resolve the ``"auto"`` tier: ``"kernel"`` when numba is
@@ -987,21 +984,12 @@ def make_sampler(
     *,
     engine: str = "batched",
     judge: LogicalJudge | None = None,
-    store=None,
 ):
     """Engine factory: ``engine`` is ``"batched"``, ``"kernel"``,
     ``"reference"``, or ``"auto"`` (kernel tier when numba is
-    importable, else batched — see :func:`resolve_engine_name`).
-
-    With the artifact store enabled (``repro.store``), compiled batched
-    and kernel engines are cached on disk under a content key derived
-    from the canonical protocol JSON digest
-    (:func:`repro.store.keys.engine_key`), so a fresh process — a
-    spawn-pool worker, a restarted cluster worker, the next CLI
-    invocation — loads the compiled segment maps instead of recompiling
-    them. Cache hits and misses return functionally identical engines
-    (the compilation is deterministic); the reference engine is never
-    cached (it compiles nothing).
+    importable, else batched — see :func:`resolve_engine_name`). Every
+    call compiles afresh; the compilation is deterministic, so two calls
+    return functionally identical engines.
     """
     engine = resolve_engine_name(engine)
     try:
@@ -1011,20 +999,4 @@ def make_sampler(
             f"unknown engine {engine!r} (expected one of "
             f"{sorted(_ENGINES)} or 'auto')"
         ) from None
-    if engine not in _CACHED_ENGINES:
-        return cls(protocol, judge=judge)
-    from ..store import keys as store_keys
-    from ..store import resolve_store
-
-    store = resolve_store(store)
-    if store is None:
-        return cls(protocol, judge=judge)
-    key = store_keys.engine_key(protocol, engine, judge)
-    if key is None:  # unpicklable inputs can't be named stably
-        return cls(protocol, judge=judge)
-    cached = store.get_object("engine", key)
-    if type(cached) is cls:  # exact: KernelSampler subclasses BatchedSampler
-        return cached
-    sampler = cls(protocol, judge=judge)
-    store.put_object("engine", key, sampler)
-    return sampler
+    return cls(protocol, judge=judge)

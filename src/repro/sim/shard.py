@@ -1118,10 +1118,6 @@ def _init_spawn_worker(
     global _WORKER_CONTEXT
     from .sampler import make_sampler
 
-    # Spawn workers inherit the parent's environment, so the ambient
-    # artifact store (repro.store) resolves identically here: a compiled
-    # engine cached by the coordinator (or a previous pool) is loaded
-    # from disk instead of recompiled once per worker.
     _WORKER_CONTEXT = _EngineContext(
         make_sampler(protocol, engine=engine_name, judge=judge),
         max_slab,

@@ -408,7 +408,6 @@ class SubsetSampler:
         executor=None,
         mem_budget: int | None = None,
         model=None,
-        store=None,
         ledger=None,
     ) -> "SubsetSampler":
         """Build a sampler over a protocol's full location universe.
@@ -418,15 +417,11 @@ class SubsetSampler:
         the per-shot oracle behind the identical interface. ``workers`` /
         ``max_slab`` size the chunk pool and slabs; ``executor`` /
         ``mem_budget`` select the execution backend and adaptive slab
-        sizing; ``model`` selects the noise model (see class docs);
-        ``store`` is forwarded to the engine factory's artifact cache
-        (``repro.sim.sampler.make_sampler``).
+        sizing; ``model`` selects the noise model (see class docs).
         """
         from .sampler import make_sampler  # deferred: sampler imports noise
 
-        sampler_engine = make_sampler(
-            protocol, engine=engine, judge=judge, store=store
-        )
+        sampler_engine = make_sampler(protocol, engine=engine, judge=judge)
         return cls(
             None,
             protocol_locations(protocol),

@@ -1,7 +1,7 @@
 """Persistent content-addressed artifact caching (``repro.store``).
 
-The synthesis tax killer: protocols, compiled engines, SAT transcripts,
-certificates, and error budgets are cached on disk under content-derived
+The synthesis tax killer: protocols, certificates, and error budgets
+are cached on disk under content-derived
 keys, so only the first run of a configuration pays SAT time. See
 ``docs/store.md`` for the layout, key derivation, and corruption policy.
 

@@ -5,19 +5,8 @@ One digest scheme, shared by every layer that names expensive artifacts:
 * :func:`payload_digest` — SHA-256 of pickled engine-payload bytes. This
   is the digest the cluster handshake has always used (extracted here
   from ``repro.sim.cluster``): the coordinator advertises it in the
-  session header, the worker re-hashes the shipped bytes against it
-  before caching, and — new with the store — both sides use it as the
-  disk key for compiled engines, so a restarted worker can seed its
-  in-memory LRU from disk without a payload transfer.
-* :func:`engine_key` — the *store* key of a compiled engine, derived
-  from the canonical protocol JSON digest plus the engine name and
-  judge token. Deliberately **not** the payload pickle digest: pickling
-  is representation-sensitive (even pickling a compiled sampler can
-  perturb the referenced protocol's subsequent pickle bytes), whereas
-  the JSON digest is a pure function of the protocol's content. The
-  cluster additionally stores each shipped engine under its session
-  :func:`payload_digest`, so workers can still seed their LRU from disk
-  by the digest the handshake advertises.
+  session header, and the worker re-hashes the shipped bytes against it
+  before caching the compiled engine in its in-memory LRU.
 * :func:`protocol_key` — what ``synthesize_protocol`` is *about to
   compute*: the code's check matrices plus every synthesis parameter
   (and the serialization format version, so format bumps never collide).
@@ -26,14 +15,12 @@ One digest scheme, shared by every layer that names expensive artifacts:
   pickle/JSON round-trips (the JSON round-trip is pinned
   instruction-for-instruction identical), which makes it the right base
   for result keys (certificates, budgets).
-* :func:`cnf_digest` — SHA-256 over a CNF's variable count and clause
-  list, keying SAT solve transcripts.
 
 Pickle-based digests (:func:`payload_digest`, :func:`model_token`) are
 representation-sensitive: two *functionally* identical objects with
 different in-memory provenance can pickle differently. That is fine for
 cache keys — a key split costs a recompute, never a wrong result — but
-it is why result and engine keys are built on :func:`protocol_digest`
+it is why result keys are built on :func:`protocol_digest`
 (canonical JSON) rather than protocol pickles: the JSON digest is
 identical across processes, start methods, and pickle round-trips
 (verified across fork and spawn workers in ``tests/store/test_keys.py``).
@@ -48,9 +35,7 @@ import pickle
 __all__ = [
     "budget_key",
     "chunk_key",
-    "cnf_digest",
     "direct_key",
-    "engine_key",
     "ftcert_key",
     "model_token",
     "payload_digest",
@@ -79,28 +64,6 @@ def _json_key(obj) -> str:
 def payload_digest(payload_bytes: bytes) -> str:
     """Digest of pickled engine-payload bytes (the cluster session digest)."""
     return sha256_hex(payload_bytes)
-
-
-def engine_key(protocol, engine_name: str, judge=None) -> str | None:
-    """Disk key of a compiled engine; None when the judge can't be named.
-
-    Built on the canonical protocol JSON digest (stable across
-    processes and pickle round-trips), not the payload pickle — see the
-    module docstring for why. The default ``judge=None`` tokenizes to
-    ``"none"``; a custom judge is tokenized by its pickle, and an
-    unpicklable judge disables caching for that call.
-    """
-    token = model_token(judge)
-    if not token:
-        return None
-    return _json_key(
-        {
-            "artifact": "engine",
-            "protocol": protocol_digest(protocol),
-            "engine": engine_name,
-            "judge": token,
-        }
-    )
 
 
 # -- protocols ----------------------------------------------------------------
@@ -300,16 +263,3 @@ def chunk_key(protocol_digest_hex: str, model, chunk) -> str | None:
             "plan": chunk_desc,
         }
     )
-
-
-# -- SAT ----------------------------------------------------------------------
-
-
-def cnf_digest(cnf) -> str:
-    """Digest of a CNF formula (variable count + exact clause list)."""
-    hasher = hashlib.sha256()
-    hasher.update(f"v{cnf.num_vars}\n".encode("ascii"))
-    for clause in cnf.clauses:
-        hasher.update(",".join(map(str, clause)).encode("ascii"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()

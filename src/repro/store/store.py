@@ -4,9 +4,8 @@ Synthesis is the dominant cost of this reproduction (the tesseract code
 takes ~110 s of SAT solving for 0.3 s of simulation), and before this
 module every CLI invocation, CI job, and cold cluster coordinator re-paid
 it from scratch. :class:`ArtifactStore` persists the expensive artifacts
-— protocol JSON, compiled engines, SAT transcripts, certificate and
-budget results — under content-derived keys (``repro.store.keys``) in a
-flat on-disk layout::
+— protocol JSON, certificate and budget results — under content-derived
+keys (``repro.store.keys``) in a flat on-disk layout::
 
     <root>/
       objects/<kind>/<key[:2]>/<key>    one artifact per file
@@ -284,6 +283,15 @@ class ArtifactStore:
         codec are left in place (another environment can read them).
         A hit refreshes the entry's access time for LRU eviction.
         """
+        raw = self._read_verified(kind, key)
+        if raw is not None:
+            self._count_hit(kind, key)
+        return raw
+
+    def _read_verified(self, kind: str, key: str) -> bytes | None:
+        """The verified payload, or None after counting the miss (and
+        quarantining a corrupt entry). A hit is left to the caller to
+        count, once it has decoded the payload."""
         path = self._object_path(kind, key)
         try:
             blob = path.read_bytes()
@@ -291,7 +299,7 @@ class ArtifactStore:
             self.stats.count("misses")
             return None
         try:
-            raw = self._verify_blob(blob, kind, key)
+            return self._verify_blob(blob, kind, key)
         except _CodecUnavailable:
             self.stats.count("misses")
             return None
@@ -299,9 +307,10 @@ class ArtifactStore:
             self._quarantine(path, str(exc))
             self.stats.count("misses")
             return None
-        self._touch(path)
+
+    def _count_hit(self, kind: str, key: str) -> None:
+        self._touch(self._object_path(kind, key))
         self.stats.count("hits")
-        return raw
 
     def _verify_blob(self, blob: bytes, kind: str | None, key: str | None) -> bytes:
         """Parse + digest-check one entry; raises on any defect."""
@@ -376,19 +385,17 @@ class ArtifactStore:
     def get_object(self, kind: str, key: str):
         """Load + unpickle; an unpicklable entry is quarantined (it can
         never become loadable) and reported as a miss."""
-        raw = self.get_bytes(kind, key)
+        raw = self._read_verified(kind, key)
         if raw is None:
             return None
         try:
-            return pickle.loads(raw)
+            obj = pickle.loads(raw)
         except Exception:
             self._quarantine(self._object_path(kind, key), "unpicklable")
-            # get_bytes counted a hit; correct the books: this was a miss.
-            # (The registry mirror is monotone, so only the miss side is
-            # mirrored — one overcounted global hit per quarantined pickle.)
-            self.stats.hits -= 1
             self.stats.count("misses")
             return None
+        self._count_hit(kind, key)
+        return obj
 
     # -- maintenance (repro store ls / verify / gc) --------------------------
 

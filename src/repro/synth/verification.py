@@ -30,7 +30,7 @@ from ..pauli.symplectic import as_bit_matrix, span_matrix
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_xor_chain
-from ..sat.cache import CachedSolver
+from ..sat.solver import Solver
 
 __all__ = [
     "VerificationResult",
@@ -167,7 +167,7 @@ def synthesize_verification_optimal(
     basis = as_bit_matrix(detection_basis)
     for u in range(1, max_measurements + 1):
         encoder = _VerificationEncoder(basis, errors, u)
-        solver = CachedSolver(encoder.cnf)
+        solver = Solver(encoder.cnf)
         result = solver.solve()
         if not result.sat:
             continue
@@ -240,7 +240,7 @@ def enumerate_optimal_verifications(
     v = first.total_weight
     encoder = _VerificationEncoder(as_bit_matrix(detection_basis), errors, u)
     encoder.totalizer.assert_at_most(v)
-    solver = CachedSolver(encoder.cnf)
+    solver = Solver(encoder.cnf)
     found: list[VerificationResult] = []
     seen: set[tuple[bytes, ...]] = set()
     while len(found) < limit:
@@ -259,5 +259,5 @@ def enumerate_optimal_verifications(
                 var = encoder.a[i][j]
                 blocking.append(-var if result.model[var] else var)
         encoder.cnf.add_clause(blocking)
-        solver = CachedSolver(encoder.cnf)
+        solver = Solver(encoder.cnf)
     return found

@@ -152,8 +152,8 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_indexed_verdicts_identical(self, key, k):
         protocol = cached_protocol(key)
-        batched = make_sampler(protocol, engine="batched", store=False)
-        kernel = make_sampler(protocol, engine="kernel", store=False)
+        batched = make_sampler(protocol, engine="batched")
+        kernel = make_sampler(protocol, engine="kernel")
         loc_idx, draw_idx = _stratum(batched, k, 400, hash((key, k)) % 2**32)
         np.testing.assert_array_equal(
             batched.failures_indexed(loc_idx, draw_idx),
@@ -166,8 +166,8 @@ class TestEngineBitIdentity:
         code = protocol.code
         x_reducer = code.x_error_reducer()
         z_reducer = code.z_error_reducer()
-        batched = make_sampler(protocol, engine="batched", store=False)
-        kernel = make_sampler(protocol, engine="kernel", store=False)
+        batched = make_sampler(protocol, engine="batched")
+        kernel = make_sampler(protocol, engine="kernel")
         loc_idx, draw_idx = _stratum(batched, 2, 300, 17)
         got_b = batched.residual_weights_indexed(
             loc_idx, draw_idx, x_reducer, z_reducer
@@ -183,8 +183,8 @@ class TestEngineBitIdentity:
         from repro.sim.noise import sample_injections
 
         protocol = cached_protocol("steane")
-        batched = make_sampler(protocol, engine="batched", store=False)
-        kernel = make_sampler(protocol, engine="kernel", store=False)
+        batched = make_sampler(protocol, engine="batched")
+        kernel = make_sampler(protocol, engine="kernel")
         rng = np.random.default_rng(23)
         dicts = [
             sample_injections(batched.locations, 0.05, rng)
@@ -208,9 +208,7 @@ class TestEngineRegistry:
         """The headline auto contract: resolves on any interpreter."""
         resolved = resolve_engine_name("auto")
         assert resolved == ("kernel" if kernels.available() else "batched")
-        sampler = make_sampler(
-            cached_protocol("steane"), engine="auto", store=False
-        )
+        sampler = make_sampler(cached_protocol("steane"), engine="auto")
         assert isinstance(sampler, BatchedSampler)
 
     def test_concrete_names_pass_through(self):
@@ -219,39 +217,19 @@ class TestEngineRegistry:
         assert resolve_engine_name("reference") == "reference"
 
     def test_kernel_engine_is_exact_type(self):
-        sampler = make_sampler(
-            cached_protocol("steane"), engine="kernel", store=False
-        )
+        sampler = make_sampler(cached_protocol("steane"), engine="kernel")
         assert type(sampler) is KernelSampler
         assert sampler.name == "kernel"
         assert sampler.backend in ("numba", "numpy")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            make_sampler(
-                cached_protocol("steane"), engine="warp", store=False
-            )
-
-    def test_store_caches_kernel_separately_from_batched(self, tmp_path):
-        """The two cached engines live under distinct keys, and the
-        exact-type check means a batched hit never serves a kernel ask."""
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "store")
-        protocol = cached_protocol("steane")
-        batched = make_sampler(protocol, engine="batched", store=store)
-        kernel = make_sampler(protocol, engine="kernel", store=store)
-        assert type(batched) is BatchedSampler
-        assert type(kernel) is KernelSampler
-        again = make_sampler(protocol, engine="kernel", store=store)
-        assert type(again) is KernelSampler
+            make_sampler(cached_protocol("steane"), engine="warp")
 
     def test_kernel_sampler_pickles_without_backend_state(self):
         """The backend is a property resolved per process — a pickled
         engine never freezes in the tier it was built under."""
-        sampler = make_sampler(
-            cached_protocol("steane"), engine="kernel", store=False
-        )
+        sampler = make_sampler(cached_protocol("steane"), engine="kernel")
         clone = pickle.loads(pickle.dumps(sampler))
         assert type(clone) is KernelSampler
         assert clone.backend == kernels.backend_name()
@@ -308,7 +286,7 @@ class TestConsumerParity:
         protocol = cached_protocol("steane")
         estimates = {}
         for engine in ("batched", "kernel"):
-            sampler = make_sampler(protocol, engine=engine, store=False)
+            sampler = make_sampler(protocol, engine=engine)
             estimates[engine] = direct_mc(
                 sampler,
                 E1_1(p=0.02),

@@ -3,12 +3,14 @@
 The store's core contract is *latency only, never results*: every
 consumer must return bit-identical output with the store cold, warm,
 and disabled. These tests also prove the warm paths are actually served
-from disk (by planting sentinels under the expected keys) and pin the
-truncation semantics of cached certificates and the replay semantics of
-SAT transcripts.
+from disk (by planting sentinels under the expected keys), pin the
+truncation semantics of cached certificates, and check that synthesis,
+engine compilation and cluster workers never unpickle a store entry.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -17,9 +19,8 @@ from repro.core.analysis import two_fault_error_budget
 from repro.core.ftcheck import check_fault_tolerance
 from repro.core.protocol import synthesize_protocol
 from repro.core.serialize import protocol_to_json
-from repro.sat.cache import CachedSolver
-from repro.sat.cnf import CNF
-from repro.sim.sampler import BatchedSampler, make_sampler
+from repro.sim.cluster import ClusterEvaluator, ClusterWorker
+from repro.sim.sampler import make_sampler
 from repro.store import ArtifactStore, keys
 
 
@@ -62,9 +63,17 @@ class TestSynthesisCache:
         assert protocol_to_json(recovered) == protocol_to_json(cold)
 
     def test_store_on_off_bit_identical(self, store):
-        on = synthesize_protocol(get_code("steane"))
-        off = synthesize_protocol(get_code("steane"), store=False)
-        assert protocol_to_json(on) == protocol_to_json(off)
+        """Cold (synthesized and written), warm (served from the store)
+        and off all hand back byte-identical protocol JSON."""
+        for key in ("steane", "surface_3"):
+            cold = synthesize_protocol(get_code(key))
+            warm = synthesize_protocol(get_code(key))
+            off = synthesize_protocol(get_code(key), store=False)
+            assert (
+                protocol_to_json(cold)
+                == protocol_to_json(warm)
+                == protocol_to_json(off)
+            ), key
 
     def test_plus_protocol_forwards_store(self, store):
         from repro.synth.plus import synthesize_plus_protocol
@@ -74,34 +83,42 @@ class TestSynthesisCache:
         assert "protocol" in kinds
 
 
-class TestEngineCache:
-    def test_warm_engine_served_from_store(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        first = make_sampler(protocol)
-        assert isinstance(first, BatchedSampler)
-        key = keys.engine_key(protocol, "batched", None)
-        # Plant a recognizable engine under the key: a warm call must
-        # return the planted object, proving it came from disk.
-        sentinel = make_sampler(
-            synthesize_protocol(get_code("shor"), store=False), store=False
-        )
-        store.put_object("engine", key, sentinel)
-        served = make_sampler(protocol)
-        assert served.protocol.code.name == "Shor"
+class TestNoDiskUnpickling:
+    def test_synthesis_compile_and_cluster_never_unpickle(
+        self, store, monkeypatch
+    ):
+        """Trust-boundary drill: with every pickle read from the store
+        refused, synthesis (cold and warm), engine compilation and a
+        cluster session against a first and a restarted worker all
+        succeed — none of them loads an object from disk."""
 
-    def test_reference_engine_never_cached(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        make_sampler(protocol, engine="reference")
-        assert not [e for e in store.entries() if e.kind == "engine"]
+        def refuse(self, kind, key):
+            raise AssertionError(f"unpickled a {kind!r} store entry")
 
-    def test_corrupt_engine_entry_recompiled(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        make_sampler(protocol)
-        (entry,) = [e for e in store.entries() if e.kind == "engine"]
-        entry.path.write_bytes(entry.path.read_bytes()[:-7])
-        rebuilt = make_sampler(protocol)
-        assert isinstance(rebuilt, BatchedSampler)
-        assert rebuilt.protocol.code.name == "Steane"
+        monkeypatch.setattr(ArtifactStore, "get_object", refuse)
+        cold = synthesize_protocol(get_code("steane"))
+        warm = synthesize_protocol(get_code("steane"))
+        assert protocol_to_json(cold) == protocol_to_json(warm)
+        engine = make_sampler(warm)
+
+        tallies, sources = [], []
+        for _ in range(2):  # the second worker is a fresh process stand-in
+            worker = ClusterWorker("127.0.0.1", 0)
+            threading.Thread(target=worker.serve_forever, daemon=True).start()
+            try:
+                evaluator = ClusterEvaluator(
+                    engine, [worker.address], max_slab=256
+                )
+                merged = evaluator.reduce(
+                    evaluator.planner.plan_stratum(2, 1200, 42)
+                )
+                sources.append(evaluator._links[0].info["engine_source"])
+                evaluator.close()
+            finally:
+                worker.stop()
+            tallies.append((merged.trials, merged.failures))
+        assert sources == ["payload", "payload"]
+        assert tallies[0] == tallies[1]
 
 
 class TestCertificateCache:
@@ -177,96 +194,10 @@ class TestBudgetCache:
             two_fault_error_budget(protocol, max_runs=10, store=False)
 
 
-class TestCachedSolver:
-    def _tiny_cnf(self):
-        cnf = CNF()
-        x, y = cnf.new_var(), cnf.new_var()
-        cnf.add_clause([x, y])
-        cnf.add_clause([-x, y])
-        return cnf, x, y
-
-    def test_disabled_store_is_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "off")
-        cnf, x, _ = self._tiny_cnf()
-        solver = CachedSolver(cnf)
-        assert solver._solver is not None  # real solver, no transcript
-        assert solver.solve().sat is True
-
-    def test_transcript_recorded_then_replayed(self, store):
-        cnf, x, y = self._tiny_cnf()
-        first = CachedSolver(cnf, store=store)
-        results = [first.solve(), first.solve([-x]), first.solve([-y])]
-
-        second = CachedSolver(cnf, store=store)
-        replayed = [second.solve(), second.solve([-x]), second.solve([-y])]
-        assert second._solver is None  # pure replay: no solver was built
-        for a, b in zip(results, replayed):
-            assert (a.sat, a.model) == (b.sat, b.model)
-            assert (a.conflicts, a.decisions, a.propagations) == (
-                b.conflicts,
-                b.decisions,
-                b.propagations,
-            )
-
-    def test_exhausted_transcript_continues_live(self, store):
-        cnf, x, y = self._tiny_cnf()
-        first = CachedSolver(cnf, store=store)
-        first.solve()
-
-        baseline = CachedSolver(cnf, store=False)
-        expected = [baseline.solve(), baseline.solve([-x])]
-
-        second = CachedSolver(cnf, store=store)
-        got = [second.solve(), second.solve([-x])]
-        assert second._solver is not None  # materialized on exhaustion
-        for a, b in zip(expected, got):
-            assert (a.sat, a.model, a.conflicts) == (b.sat, b.model, b.conflicts)
-
-        # The extended transcript was written back: a third run replays
-        # both calls without building a solver.
-        third = CachedSolver(cnf, store=store)
-        third.solve()
-        third.solve([-x])
-        assert third._solver is None
-
-    def test_diverging_sequence_truncates_and_continues(self, store):
-        cnf, x, y = self._tiny_cnf()
-        first = CachedSolver(cnf, store=store)
-        first.solve()
-        first.solve([-x])
-
-        baseline = CachedSolver(cnf, store=False)
-        expected = [baseline.solve(), baseline.solve([-y])]
-
-        second = CachedSolver(cnf, store=store)
-        got = [second.solve(), second.solve([-y])]  # diverges at call 2
-        assert second._solver is not None
-        for a, b in zip(expected, got):
-            assert (a.sat, a.model, a.conflicts) == (b.sat, b.model, b.conflicts)
-
-    def test_synthesis_identical_with_and_without_transcripts(self, store):
-        """End-to-end: a store-served synthesis (second call replays the
-        SAT transcripts) produces byte-identical protocol JSON."""
-        code = get_code("surface_3")
-        on_cold = synthesize_protocol(code)
-        # Drop the cached protocol but keep the SAT transcripts, so the
-        # second synthesis re-runs the pipeline over transcript replay.
-        for entry in store.entries():
-            if entry.kind == "protocol":
-                entry.path.unlink()
-        on_warm = synthesize_protocol(code)
-        off = synthesize_protocol(code, store=False)
-        assert (
-            protocol_to_json(on_cold)
-            == protocol_to_json(on_warm)
-            == protocol_to_json(off)
-        )
-
-
 class TestSimulationIdentity:
     def test_curve_identical_store_on_off(self, store):
         """The figure4 pipeline (subset sampling) is bit-identical with
-        the store serving the protocol and engine versus fully disabled."""
+        the store serving the protocol versus fully disabled."""
         import numpy as np
 
         from repro.sim.subset import SubsetSampler
@@ -277,7 +208,6 @@ class TestSimulationIdentity:
                 protocol,
                 k_max=2,
                 rng=np.random.default_rng(7),
-                store=store_arg,
             ) as sampler:
                 sampler.enumerate_k1_exact()
                 sampler.sample(400)
@@ -287,6 +217,6 @@ class TestSimulationIdentity:
                 ]
 
         cold = run(None)  # populates the ambient store
-        warm = run(None)  # serves protocol + engine from it
+        warm = run(None)  # serves the protocol from it
         off = run(False)
         assert cold == warm == off

@@ -17,7 +17,6 @@ import pytest
 
 from repro.codes.catalog import get_code
 from repro.core.serialize import protocol_from_json, protocol_to_json
-from repro.sat.cnf import CNF
 from repro.store import keys
 
 from ..conftest import cached_protocol
@@ -65,72 +64,31 @@ class TestProtocolKeys:
         assert keys.budget_key("d" * 64, lambda: None) is None
 
 
-class TestEngineKey:
-    def test_stable_across_compile_and_store_activity(self, tmp_path, monkeypatch):
-        """Regression: the engine key must not drift when the protocol
-        object accumulates in-memory state (compiled engines, pickle
-        memo effects). A pickle-based key did; the JSON-digest key holds
-        through an entire synthesize -> compile -> store round trip."""
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        from repro.core.protocol import synthesize_protocol
-        from repro.sim.sampler import make_sampler
-
-        protocol = synthesize_protocol(get_code("steane"))
-        reference = keys.engine_key(protocol, "batched", None)
-        make_sampler(protocol)  # miss: compiles and pickles into the store
-        assert keys.engine_key(protocol, "batched", None) == reference
-        again = synthesize_protocol(get_code("steane"))  # warm JSON load
-        assert keys.engine_key(again, "batched", None) == reference
-        make_sampler(again)  # hit: unpickles the stored engine
-        assert keys.engine_key(again, "batched", None) == reference
-        from repro.store import ArtifactStore
-
-        engine_entries = [
-            e for e in ArtifactStore(tmp_path).entries() if e.kind == "engine"
-        ]
-        assert len(engine_entries) == 1  # one key family, no drift splits
-
-    def test_distinct_per_engine_and_judge(self):
-        protocol = cached_protocol("steane")
-        batched = keys.engine_key(protocol, "batched", None)
-        assert keys.engine_key(protocol, "reference", None) != batched
-        assert keys.engine_key(protocol, "batched", None) == batched
-
-
-def _child_engine_key(json_text, queue):
-    protocol = protocol_from_json(json_text)
-    queue.put(
-        (
-            keys.engine_key(protocol, "batched", None),
-            keys.protocol_digest(protocol),
-        )
-    )
+def _child_protocol_digest(json_text, queue):
+    queue.put(keys.protocol_digest(protocol_from_json(json_text)))
 
 
 class TestCrossProcessStability:
-    """The digests pool workers and cluster peers agree on."""
+    """The digest pool workers and cluster peers agree on: every result
+    key is built on it."""
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_engine_key_identical_in_pool_children(self, method):
+    def test_protocol_digest_identical_in_pool_children(self, method):
         protocol = cached_protocol("steane")
         json_text = protocol_to_json(protocol)
-        parent = (
-            keys.engine_key(protocol, "batched", None),
-            keys.protocol_digest(protocol),
-        )
         ctx = multiprocessing.get_context(method)
         queue = ctx.Queue()
         child = ctx.Process(
-            target=_child_engine_key, args=(json_text, queue)
+            target=_child_protocol_digest, args=(json_text, queue)
         )
         child.start()
         result = queue.get(timeout=120)
         child.join()
-        assert result == parent
+        assert result == keys.protocol_digest(protocol)
 
-    def test_engine_key_identical_in_fresh_interpreter(self, tmp_path):
+    def test_protocol_digest_identical_in_fresh_interpreter(self, tmp_path):
         """A brand-new python process (a restarted CLI, a cold cluster
-        worker) derives the same keys from the same protocol JSON."""
+        worker) derives the same digest from the same protocol JSON."""
         protocol = cached_protocol("steane")
         json_path = tmp_path / "protocol.json"
         json_path.write_text(protocol_to_json(protocol))
@@ -138,9 +96,7 @@ class TestCrossProcessStability:
             "import sys\n"
             "from repro.core.serialize import load_protocol\n"
             "from repro.store import keys\n"
-            "p = load_protocol(sys.argv[1])\n"
-            "print(keys.engine_key(p, 'batched', None))\n"
-            "print(keys.protocol_digest(p))\n"
+            "print(keys.protocol_digest(load_protocol(sys.argv[1])))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script, str(json_path)],
@@ -148,26 +104,4 @@ class TestCrossProcessStability:
             text=True,
             check=True,
         )
-        child_engine, child_digest = out.stdout.split()
-        assert child_engine == keys.engine_key(protocol, "batched", None)
-        assert child_digest == keys.protocol_digest(protocol)
-
-
-class TestCnfDigest:
-    def test_sensitive_to_clauses_and_vars(self):
-        a = CNF()
-        x, y = a.new_var(), a.new_var()
-        a.add_clause([x, y])
-        reference = keys.cnf_digest(a)
-        assert keys.cnf_digest(a) == reference
-
-        b = CNF()
-        x, y = b.new_var(), b.new_var()
-        b.add_clause([x, -y])
-        assert keys.cnf_digest(b) != reference
-
-        c = CNF()
-        x, y = c.new_var(), c.new_var()
-        c.new_var()
-        c.add_clause([x, y])
-        assert keys.cnf_digest(c) != reference
+        assert out.stdout.strip() == keys.protocol_digest(protocol)

@@ -135,8 +135,22 @@ class TestCorruption:
         store.put_bytes("budget", key, b"\x80\x05 garbage that is not a pickle")
         assert store.get_object("budget", key) is None
         assert store.stats.quarantined == 1
-        assert store.stats.hits == 0  # the provisional hit was corrected
+        assert store.stats.hits == 0
         assert store.stats.misses == 1
+
+    def test_unpicklable_entry_counted_once_in_the_registry(self, store):
+        """A well-formed blob whose payload is not a pickle is one miss
+        in the process-global registry too, never a hit."""
+        from repro.obs.metrics import get_registry
+
+        registry = get_registry()
+        names = ("store.hits", "store.misses", "store.quarantined")
+        before = [registry.counter(name).value for name in names]
+        key = "ab" * 32
+        store.put_bytes("budget", key, b"\x80\x05 garbage that is not a pickle")
+        assert store.get_object("budget", key) is None
+        after = [registry.counter(name).value for name in names]
+        assert [b - a for a, b in zip(before, after)] == [0, 1, 1]
 
     def test_unknown_codec_is_miss_not_corruption(self, store):
         key = "bb" * 32
