@@ -14,7 +14,7 @@ Quick tour::
     protocol = synthesize_protocol(get_code("steane"))
     assert check_fault_tolerance(protocol) == []
 
-See README.md for the full API and DESIGN.md for the architecture.
+See README.md for the full API and docs/architecture.md for the architecture.
 """
 
 from .codes.catalog import CATALOG, get_code

@@ -8,17 +8,18 @@ Name         Parameters    Source of the check matrices
 steane       [[7, 1, 3]]   paper Example 1 (qubit labelling as given)
 shor         [[9, 1, 3]]   Shor '95 two-level repetition construction
 surface_3    [[9, 1, 3]]   rotated distance-3 surface code
-11_1_3       [[11, 1, 3]]  seeded search stand-in (see DESIGN.md §2)
+11_1_3       [[11, 1, 3]]  seeded search stand-in (see end)
 tetrahedral  [[15, 1, 3]]  punctured quantum Reed-Muller QRM(15)
 hamming      [[15, 7, 3]]  classical [15,11,3] Hamming, self-dual CSS
-carbon       [[12, 2, 4]]  seeded search stand-in (see DESIGN.md §2)
+carbon       [[12, 2, 4]]  seeded search stand-in (see end)
 16_2_4       [[16, 2, 4]]  tesseract subcode via RM(2,4) extension
 tesseract    [[16, 6, 4]]  RM(1,4) self-dual CSS construction
 ===========  ============  ===========================================
 
 The search-found matrices are pinned as literals so that loading the catalog
 never pays the discovery cost; `tests/codes/test_catalog.py` re-verifies all
-parameters including distances.
+parameters including distances. Why parameter-equivalent stand-ins preserve
+the evaluation: docs/architecture.md, "Substitutions and modelling choices".
 """
 
 from __future__ import annotations

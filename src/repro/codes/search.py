@@ -7,7 +7,8 @@ module finds codes with the same parameters by seeded randomized search:
 sample a full-rank ``Hx``, choose ``Hz`` inside ``ker(Hx)``, and accept when
 both distances meet the target. Because the synthesis method under study is
 automatic for *any* CSS code, parameter-equivalent instances preserve the
-evaluation (documented in DESIGN.md section 2).
+evaluation (documented in docs/architecture.md, "Substitutions and
+modelling choices").
 
 The search is deterministic given the seed; `catalog.py` pins the matrices it
 found so that users never pay the search cost.

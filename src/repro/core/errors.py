@@ -3,8 +3,8 @@
 Implements the paper's ``E_X(C)`` / ``E_Z(C)``: the X (Z) parts of all
 single-fault residuals of the preparation circuit whose stabilizer-reduced
 weight is at least 2. The reduction groups are asymmetric for |0...0>_L
-(DESIGN.md section 5.1): X errors reduce modulo ``rowspan(Hx)``, Z errors
-modulo ``rowspan(Hz) + Z logicals``.
+(docs/architecture.md, "Substitutions and modelling choices"): X errors
+reduce modulo ``rowspan(Hx)``, Z errors modulo ``rowspan(Hz) + Z logicals``.
 """
 
 from __future__ import annotations

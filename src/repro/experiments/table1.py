@@ -20,7 +20,8 @@ Tesseract      [[16,6,4]]    Heu         Opt/Global
 
 Absolute numbers need not be bit-identical to the paper (our prep circuits
 and the search-found [[11,1,3]]/[[12,2,4]]/[[16,2,4]] instances differ from
-Ref. [22]'s artifacts; see DESIGN.md §6), but the structural claims are
+Ref. [22]'s artifacts; see docs/architecture.md, "Substitutions and
+modelling choices"), but the structural claims are
 asserted in the test suite: which codes need one layer, where flags are
 free, and that global never scores worse than sequential-optimal.
 """

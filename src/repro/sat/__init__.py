@@ -1,7 +1,8 @@
 """SAT substrate: CNF container, CDCL solver, and CNF encodings.
 
-This package replaces Z3 in the paper's toolchain; see DESIGN.md section 2
-for the substitution argument.
+This package replaces Z3 in the paper's toolchain; see the "Substitutions
+and modelling choices" and "SAT substrate" sections of
+docs/architecture.md.
 """
 
 from .cardinality import Totalizer

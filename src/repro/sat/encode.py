@@ -1,7 +1,7 @@
 """CNF encodings: Tseitin gates, XOR chains, cardinality constraints.
 
 These are the building blocks the synthesis encodings are assembled from
-(DESIGN.md section 5.3). All functions take signed DIMACS literals and a
+(docs/architecture.md, "SAT substrate"). All functions take signed DIMACS literals and a
 :class:`~repro.sat.cnf.CNF` to grow.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "at_least_one",
     "exactly_one",
     "implies_clause",
-    "TRUE_LIT",
 ]
 
 
@@ -34,9 +33,6 @@ def constant_literals(cnf: CNF) -> tuple[int, int]:
         var = cnf.new_var("__const_true__")
         cnf.add_unit(var)
     return var, -var
-
-
-TRUE_LIT = constant_literals  # alias documented for discoverability
 
 
 def encode_and(cnf: CNF, inputs: Sequence[int], name: str | None = None) -> int:

@@ -1,8 +1,9 @@
 """A CDCL SAT solver in pure Python.
 
-This stands in for Z3 in the paper's pipeline (DESIGN.md section 2): the
-synthesis encodings are plain Boolean CNF, and the bound iteration happens
-outside the solver, so a complete SAT solver is all that is required.
+This stands in for Z3 in the paper's pipeline (docs/architecture.md, "SAT
+substrate"): the synthesis encodings are plain Boolean CNF, and the bound
+iteration happens outside the solver, so a complete SAT solver is all that
+is required.
 
 Feature set (classic MiniSat-style architecture):
 
@@ -20,13 +21,14 @@ seconds, which matches how the authors use Z3 (many small decision queries).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
-from .cnf import CNF, internal_to_lit, lit_to_internal
+from .cnf import CNF, lit_to_internal
 
 __all__ = ["Solver", "SolveResult"]
 
 _LUBY_BASE = 128
+# Learnt clauses kept before the first database reduction; the limit
+# grows by 16 per restart.
+_MAX_LEARNTS = 4000
 
 
 def _luby(i: int) -> int:
@@ -73,12 +75,20 @@ class SolveResult:
 
 
 class Solver:
-    """CDCL solver over a :class:`~repro.sat.cnf.CNF` formula."""
+    """CDCL solver over a :class:`~repro.sat.cnf.CNF` formula.
+
+    Data layout (MiniSat's, Een & Sorensson 2003): assignments are stored
+    per internal literal, ``_assign[lit]`` in {-1 unassigned, 0 false,
+    1 true}, so a watched literal's value is a single list lookup. The
+    VSIDS order is an indexed binary max-heap of variables (``_heap`` plus
+    ``_heap_pos[var]``, -1 when absent) ordered by activity, ties to the
+    lower variable index. Every unassigned variable is in the heap.
+    """
 
     def __init__(self, cnf: CNF):
         self.num_vars = cnf.num_vars
         nv = self.num_vars + 1
-        self._values = [-1] * nv  # -1 unassigned / 0 false / 1 true
+        self._assign = [-1] * (2 * nv)
         self._level = [0] * nv
         self._reason: list[list[int] | None] = [None] * nv
         self._trail: list[int] = []  # internal literals
@@ -91,7 +101,9 @@ class Solver:
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._cla_activity: dict[int, float] = {}
-        self._heap: list[tuple[float, int]] = []
+        # All activities start at 0, so ascending index order is a heap.
+        self._heap = list(range(1, nv))
+        self._heap_pos = [-1] + list(range(nv - 1))
         self._phase = [0] * nv
         self._seen = [0] * nv
         self._ok = True
@@ -102,8 +114,6 @@ class Solver:
             if not self._add_clause([lit_to_internal(l) for l in clause]):
                 self._ok = False
                 break
-        for v in range(1, nv):
-            heappush(self._heap, (0.0, v))
 
     # -- clause management --------------------------------------------------
 
@@ -128,7 +138,7 @@ class Solver:
                 return None  # tautology
             if lit in seen:
                 continue
-            val = self._lit_value(lit)
+            val = self._assign[lit]
             if val == 1 and self._level[lit >> 1] == 0:
                 return None  # already satisfied forever
             if val == 0 and self._level[lit >> 1] == 0:
@@ -143,20 +153,14 @@ class Solver:
 
     # -- assignment ---------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        val = self._values[lit >> 1]
-        if val < 0:
-            return -1
-        return val ^ (lit & 1)
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        val = self._lit_value(lit)
-        if val == 0:
-            return False
-        if val == 1:
-            return True
+        assign = self._assign
+        val = assign[lit]
+        if val >= 0:
+            return val == 1
+        assign[lit] = 1
+        assign[lit ^ 1] = 0
         var = lit >> 1
-        self._values[var] = 1 - (lit & 1)
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -165,55 +169,58 @@ class Solver:
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
         watches = self._watches
-        values = self._values
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
+        assign = self._assign
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        level = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             false_lit = lit ^ 1
             watch_list = watches[lit]
-            i = 0
             j = 0
-            n = len(watch_list)
-            while i < n:
-                clause = watch_list[i]
-                i += 1
+            moved = 0
+            for clause in watch_list:
                 # Normalize so clause[1] is the false literal being visited.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                fvar = first >> 1
-                fval = values[fvar]
-                if fval >= 0 and (fval ^ (first & 1)) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                fval = assign[first]
+                if fval == 1:
                     watch_list[j] = clause
                     j += 1
                     continue
                 # Find a new literal to watch.
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    ovar = other >> 1
-                    oval = values[ovar]
-                    if oval < 0 or (oval ^ (other & 1)) == 1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches[clause[1] ^ 1].append(clause)
-                        found = True
+                    if assign[other] != 0:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other ^ 1].append(clause)
+                        moved += 1
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watch_list[j] = clause
-                j += 1
-                if fval >= 0:  # first is false too -> conflict
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        j += 1
-                        i += 1
-                    del watch_list[j:]
-                    return clause
-                if not self._enqueue(first, clause):
-                    raise AssertionError("enqueue of unassigned literal failed")
+                else:
+                    # Clause is unit or conflicting.
+                    watch_list[j] = clause
+                    j += 1
+                    if fval == 0:  # first is false too -> conflict
+                        # j + moved clauses were visited; keep the rest.
+                        del watch_list[j:j + moved]
+                        self._qhead = qhead
+                        self.propagations += qhead - start
+                        return clause
+                    assign[first] = 1
+                    assign[first ^ 1] = 0
+                    var = first >> 1
+                    levels[var] = level
+                    reasons[var] = clause
+                    trail.append(first)
             del watch_list[j:]
+        self._qhead = qhead
+        self.propagations += qhead - start
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -221,29 +228,43 @@ class Solver:
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning. Returns (learnt clause, backjump level)."""
         seen = self._seen
+        levels = self._level
+        reasons = self._reason
+        trail = self._trail
+        activity = self._activity
+        heap_pos = self._heap_pos
+        sift_up = self._sift_up
+        var_inc = self._var_inc
         learnt = [0]  # placeholder for the asserting literal
         counter = 0
         lit = -1
         reason: list[int] | None = conflict
-        index = len(self._trail)
+        index = len(trail)
         current_level = len(self._trail_lim)
         while True:
             if reason is None:
                 raise AssertionError("decision reached before UIP")
-            start = 0 if lit == -1 else 1
-            for k in range(start, len(reason)):
+            for k in range(0 if lit == -1 else 1, len(reason)):
                 q = reason[k]
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
-                        counter += 1
-                    else:
-                        learnt.append(q)
+                if not seen[var]:
+                    var_level = levels[var]
+                    if var_level > 0:
+                        seen[var] = 1
+                        # VSIDS bump: raise the activity, restore heap order.
+                        activity[var] += var_inc
+                        if activity[var] > 1e100:
+                            self._rescale_activity()
+                            var_inc = self._var_inc
+                        elif heap_pos[var] >= 0:
+                            sift_up(heap_pos[var])
+                        if var_level >= current_level:
+                            counter += 1
+                        else:
+                            learnt.append(q)
             while True:
                 index -= 1
-                lit = self._trail[index]
+                lit = trail[index]
                 if seen[lit >> 1]:
                     break
             var = lit >> 1
@@ -251,62 +272,136 @@ class Solver:
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[var]
+            reason = reasons[var]
         learnt[0] = lit ^ 1
         # Clause minimization: drop literals implied by the rest.
         minimized = [learnt[0]]
         for q in learnt[1:]:
-            var = q >> 1
-            red = self._reason[var]
-            if red is None or any(
-                not seen[r >> 1] and self._level[r >> 1] > 0
-                for r in red[1:]
-            ):
+            red = reasons[q >> 1]
+            if red is None:
                 minimized.append(q)
+                continue
+            for k in range(1, len(red)):
+                var = red[k] >> 1
+                if not seen[var] and levels[var] > 0:
+                    minimized.append(q)
+                    break
         for q in learnt[1:]:
-            self._seen[q >> 1] = 0
+            seen[q >> 1] = 0
         learnt = minimized
         if len(learnt) == 1:
-            backjump = 0
-        else:
-            # Second-highest decision level in the clause.
-            levels = sorted((self._level[q >> 1] for q in learnt[1:]), reverse=True)
-            backjump = levels[0]
-            max_i = max(
-                range(1, len(learnt)), key=lambda i: self._level[learnt[i] >> 1]
-            )
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+            return learnt, 0
+        # Backjump to the highest level among learnt[1:] (the clause's
+        # second-highest), and watch its first literal at that level.
+        max_i = 1
+        backjump = levels[learnt[1] >> 1]
+        for i in range(2, len(learnt)):
+            var_level = levels[learnt[i] >> 1]
+            if var_level > backjump:
+                backjump = var_level
+                max_i = i
+        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, backjump
 
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heappush(self._heap, (-self._activity[var], var))
+    # -- VSIDS order ----------------------------------------------------------
+
+    def _sift_up(self, i: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        var = heap[i]
+        act = activity[var]
+        while i:
+            parent = (i - 1) >> 1
+            above = heap[parent]
+            above_act = activity[above]
+            if above_act > act or (above_act == act and above < var):
+                break
+            heap[i] = above
+            pos[above] = i
+            i = parent
+        heap[i] = var
+        pos[var] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        n = len(heap)
+        var = heap[i]
+        act = activity[var]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            below = heap[child]
+            below_act = activity[below]
+            if child + 1 < n:
+                right = heap[child + 1]
+                right_act = activity[right]
+                if right_act > below_act or (right_act == below_act and right < below):
+                    child += 1
+                    below = right
+                    below_act = right_act
+            if act > below_act or (act == below_act and var < below):
+                break
+            heap[i] = below
+            pos[below] = i
+            i = child
+        heap[i] = var
+        pos[var] = i
+
+    def _rescale_activity(self) -> None:
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        # Scaling keeps the order but can turn unequal activities equal;
+        # re-sort so the lower-index tie-break still holds.
+        heap = self._heap
+        heap.sort(key=lambda v: (-activity[v], v))
+        pos = self._heap_pos
+        for i, v in enumerate(heap):
+            pos[v] = i
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
+        limit = trail_lim[level]
+        trail = self._trail
+        assign = self._assign
+        phase = self._phase
+        reasons = self._reason
+        heap = self._heap
+        pos = self._heap_pos
+        sift_up = self._sift_up
+        for lit in reversed(trail[limit:]):
             var = lit >> 1
-            self._phase[var] = self._values[var]
-            self._values[var] = -1
-            self._reason[var] = None
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            phase[var] = (lit & 1) ^ 1
+            assign[lit] = -1
+            assign[lit ^ 1] = -1
+            reasons[var] = None
+            if pos[var] < 0:
+                heap.append(var)
+                sift_up(len(heap) - 1)
+        del trail[limit:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _pick_branch_var(self) -> int:
-        while self._heap:
-            _, var = heappop(self._heap)
-            if self._values[var] < 0:
-                return var
-        for var in range(1, self.num_vars + 1):
-            if self._values[var] < 0:
+        """Pop the most active variable; skip and drop assigned ones."""
+        heap = self._heap
+        pos = self._heap_pos
+        assign = self._assign
+        while heap:
+            var = heap[0]
+            pos[var] = -1
+            last = heap.pop()
+            if heap:
+                heap[0] = last
+                self._sift_down(0)
+            if assign[2 * var] < 0:
                 return var
         return 0
 
@@ -361,7 +456,6 @@ class Solver:
                     return SolveResult(False, None, self.conflicts,
                                        self.decisions, self.propagations)
                 learnt, backjump = self._analyze(conflict)
-                backjump = max(backjump, 0)
                 self._backtrack(backjump)
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
@@ -374,7 +468,7 @@ class Solver:
                     if not self._enqueue(learnt[0], learnt):
                         raise AssertionError("asserting literal conflict")
                 self._var_inc /= self._var_decay
-                if len(self._learnts) > 4000 + 16 * restart_count:
+                if len(self._learnts) > _MAX_LEARNTS + 16 * restart_count:
                     self._reduce_db()
                 continue
             if conflicts_here >= conflict_budget:
@@ -386,7 +480,7 @@ class Solver:
             # Re-establish assumptions after any backtracking below them.
             if len(self._trail_lim) < len(assumption_lits):
                 lit = assumption_lits[len(self._trail_lim)]
-                val = self._lit_value(lit)
+                val = self._assign[lit]
                 if val == 0:
                     self._backtrack(0)
                     return SolveResult(False, None, self.conflicts,
@@ -397,9 +491,10 @@ class Solver:
                 continue
             var = self._pick_branch_var()
             if var == 0:
+                assign = self._assign
                 model = [False] * (self.num_vars + 1)
                 for v in range(1, self.num_vars + 1):
-                    model[v] = self._values[v] == 1
+                    model[v] = assign[2 * v] == 1
                 result = SolveResult(True, model, self.conflicts,
                                      self.decisions, self.propagations)
                 self._backtrack(0)
@@ -407,8 +502,7 @@ class Solver:
             self.decisions += 1
             self._trail_lim.append(len(self._trail))
             # Phase saving: repeat the previous polarity, default negative.
-            lit = 2 * var + (0 if self._phase[var] == 1 else 1)
-            self._enqueue(lit, None)
+            self._enqueue(2 * var + (self._phase[var] ^ 1), None)
 
 
 def solve_cnf(cnf: CNF, assumptions: list[int] | None = None) -> SolveResult:

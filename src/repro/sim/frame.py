@@ -99,7 +99,8 @@ def protocol_locations(protocol: DeterministicProtocol):
 
     Unexecuted-branch locations are inert in any given run; counting them in
     the location universe keeps per-location failures i.i.d., which makes
-    the subset-sampling estimator exact (DESIGN.md section 2).
+    the subset-sampling estimator exact (docs/architecture.md, "Substitutions
+    and modelling choices").
     """
     locations = _segment_locations(("prep",), protocol.prep_segment)
     for li, layer in enumerate(protocol.layers):

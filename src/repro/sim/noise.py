@@ -10,7 +10,8 @@ Every operation location fails independently with probability ``p``:
 
 Faults are sampled against the *static* location list from
 ``sim.frame.protocol_locations`` (conditional branches included — inert
-unless executed, which keeps per-location failures i.i.d.; DESIGN.md §2).
+unless executed, which keeps per-location failures i.i.d.; see
+docs/architecture.md, "Substitutions and modelling choices").
 """
 
 from __future__ import annotations

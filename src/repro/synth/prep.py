@@ -20,7 +20,7 @@ Two tiers mirror Ref. [22]'s Heu/Opt split:
 * :func:`prepare_zero_optimal` — exhaustive minimization over all
   information sets, each reduced greedily; exact over the pivot choice
   (Ref. [22]'s SAT-optimal search may still shave the odd gate; see
-  DESIGN.md section 6).
+  docs/architecture.md, "Substitutions and modelling choices").
 """
 
 from __future__ import annotations

@@ -1,0 +1,105 @@
+"""Pins of the solver's search: exact effort counts on fixed inputs.
+
+``(conflicts, decisions, propagations)`` is the fingerprint of a CDCL
+search: a change to branching order, watch-list order, learnt-clause
+layout or backjump choice moves at least one of them. These pins hold
+for every ``PYTHONHASHSEED``. A deliberate change to the search (a new
+heuristic, proof logging that alters clause order) re-pins them in the
+same commit; a speed-up of the same search leaves them untouched.
+"""
+
+import numpy as np
+import pytest
+
+from repro.codes.catalog import get_code
+from repro.core.protocol import synthesize_protocol
+from repro.sat.cardinality import Totalizer
+from repro.sat.solver import Solver
+from repro.store.keys import protocol_digest
+
+from .test_solver import pigeonhole, random_kcnf
+
+
+def fingerprint(result) -> tuple:
+    return (result.sat, result.conflicts, result.decisions, result.propagations)
+
+
+class TestFixedCnfPins:
+    def test_pigeonhole_6_5(self):
+        assert fingerprint(Solver(pigeonhole(6, 5)).solve()) == PHP_6_5
+
+    def test_random_3sat_batch_at_threshold(self):
+        # 60 variables, 256 clauses: ratio 4.27, where SAT and UNSAT mix.
+        rng = np.random.default_rng(2026)
+        got = [fingerprint(Solver(random_kcnf(rng, 60, 256, 3)).solve())
+               for _ in range(len(RANDOM_3SAT))]
+        assert got == RANDOM_3SAT
+
+    def test_totalizer_bound_tightening(self):
+        # The optimality-loop pattern: one solver, a shrinking weight bound
+        # under assumptions, until the bound is infeasible.
+        rng = np.random.default_rng(7)
+        cnf = random_kcnf(rng, 40, 140, 3)
+        totalizer = Totalizer(cnf, range(1, 41))
+        solver = Solver(cnf)
+        got = []
+        for k in range(40, -1, -1):
+            result = solver.solve(assumptions=totalizer.at_most(k))
+            got.append((k,) + fingerprint(result))
+            if not result.sat:
+                break
+        assert got == TOTALIZER_SEQUENCE
+
+
+class TestSynthesisPins:
+    @pytest.mark.parametrize("name", ["steane", "shor", "surface_3", "11_1_3"])
+    def test_summed_effort_and_digest(self, name, monkeypatch):
+        effort = [0, 0, 0, 0, 0]  # calls, unsat calls, conflicts, decisions, props
+        solve = Solver.solve
+
+        def counted(self, assumptions=None):
+            before = (self.conflicts, self.decisions, self.propagations)
+            result = solve(self, assumptions)
+            effort[0] += 1
+            effort[1] += not result.sat
+            effort[2] += result.conflicts - before[0]
+            effort[3] += result.decisions - before[1]
+            effort[4] += result.propagations - before[2]
+            return result
+
+        monkeypatch.setattr(Solver, "solve", counted)
+        protocol = synthesize_protocol(get_code(name), store=False)
+        assert (tuple(effort), protocol_digest(protocol)) == SYNTHESIS_PINS[name]
+
+
+# Recorded from the search as it stands; see the module docstring.
+PHP_6_5 = (False, 147, 186, 1684)
+RANDOM_3SAT = [
+    (False, 85, 105, 1281), (False, 119, 135, 1877), (True, 60, 81, 1016),
+    (False, 79, 92, 1346), (False, 118, 147, 1867), (True, 7, 18, 174),
+    (True, 93, 120, 1508), (True, 36, 51, 702),
+]
+# (bound, sat, conflicts, decisions, propagations); the counts accumulate
+# over the solver's lifetime.
+TOTALIZER_SEQUENCE = [
+    (40, True, 2, 121, 344), (39, True, 2, 245, 600), (38, True, 2, 369, 856),
+    (37, True, 2, 493, 1112), (36, True, 2, 617, 1368), (35, True, 2, 741, 1624),
+    (34, True, 2, 865, 1880), (33, True, 2, 989, 2136), (32, True, 2, 1113, 2392),
+    (31, True, 2, 1236, 2648), (30, True, 2, 1358, 2904), (29, True, 2, 1479, 3160),
+    (28, True, 2, 1599, 3416), (27, True, 2, 1717, 3672), (26, True, 2, 1833, 3928),
+    (25, True, 2, 1945, 4184), (24, True, 2, 2053, 4440), (23, True, 2, 2154, 4696),
+    (22, True, 2, 2245, 4952), (21, True, 2, 2317, 5208), (20, True, 2, 2358, 5464),
+    (19, True, 2, 2393, 5720), (18, True, 2, 2430, 5976), (17, True, 2, 2468, 6232),
+    (16, True, 3, 2509, 6510), (15, True, 3, 2550, 6766), (14, False, 80, 2636, 10582),
+]
+# code -> ((calls, unsat calls, conflicts, decisions, propagations), digest)
+SYNTHESIS_PINS = {
+    "steane": ((5, 2, 19, 46, 663),
+               "ec1cf91e59407e21f8ac00da31447525361b182cd3b12e71110df8175ad1a85b"),
+    "shor": ((4, 2, 12, 75, 468),
+             "33c592f9405a04a46125a147b65642975e7d4af2968d345e9a2c3185c59c8b81"),
+    "surface_3": ((7, 2, 25, 105, 813),
+                  "322dcc4261284ad2bb1fe309d4e7e43b459704daba377c430b8d5e2d735eaa7c"),
+    "11_1_3": ((14, 4, 84, 260, 3741),
+               "9297445618f5fd693f1abba88fec27c61b918ade0dc2b2dc0e80f8df9ae30c6b"),
+}

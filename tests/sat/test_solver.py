@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.sat import solver as solver_module
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, solve_cnf
 
@@ -25,6 +26,54 @@ def brute_force_sat(cnf: CNF) -> bool:
         ):
             return True
     return False
+
+
+class TruthTable:
+    """Brute force by bit-packed truth table; bit v-1 of an index is var v."""
+
+    def __init__(self, cnf: CNF):
+        index = np.arange(1 << cnf.num_vars, dtype=np.uint32)
+        self.bits = [None] + [np.packbits((index >> (v - 1)) & 1 == 1)
+                              for v in range(1, cnf.num_vars + 1)]
+        self.ok = np.full_like(self.bits[1], 0xFF)
+        for clause in cnf.clauses:
+            satisfied = np.zeros_like(self.ok)
+            for lit in clause:
+                satisfied |= self.literal(lit)
+            self.ok &= satisfied
+
+    def literal(self, lit: int) -> np.ndarray:
+        return self.bits[lit] if lit > 0 else ~self.bits[-lit]
+
+    def sat(self, assumptions=()) -> bool:
+        mask = self.ok.copy()
+        for lit in assumptions:
+            mask &= self.literal(lit)
+        return bool(mask.any())
+
+
+def pigeonhole(pigeons: int, holes: int) -> CNF:
+    """PHP(pigeons, holes): every pigeon in a hole, no two in one hole."""
+    cnf = CNF()
+    var = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
+    for p in range(pigeons):
+        cnf.add_clause([var[p][h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                cnf.add_clause([-var[p1][h], -var[p2][h]])
+    return cnf
+
+
+def random_kcnf(rng, num_vars: int, num_clauses: int, width: int) -> CNF:
+    cnf = CNF()
+    cnf.new_vars(num_vars)
+    for _ in range(num_clauses):
+        clause_vars = rng.choice(num_vars, size=width, replace=False)
+        cnf.add_clause(
+            [int(v + 1) * (1 if rng.integers(0, 2) else -1) for v in clause_vars]
+        )
+    return cnf
 
 
 def model_satisfies(cnf: CNF, model) -> bool:
@@ -89,27 +138,10 @@ class TestPigeonhole:
 
     @pytest.mark.parametrize("holes", [2, 3, 4])
     def test_pigeonhole_unsat(self, holes):
-        pigeons = holes + 1
-        cnf = CNF()
-        var = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            cnf.add_clause([var[p][h] for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-var[p1][h], -var[p2][h]])
-        assert not Solver(cnf).solve().sat
+        assert not Solver(pigeonhole(holes + 1, holes)).solve().sat
 
     def test_exact_fit_sat(self):
-        holes = pigeons = 4
-        cnf = CNF()
-        var = [[cnf.new_var() for _ in range(holes)] for _ in range(pigeons)]
-        for p in range(pigeons):
-            cnf.add_clause([var[p][h] for h in range(holes)])
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    cnf.add_clause([-var[p1][h], -var[p2][h]])
+        cnf = pigeonhole(4, 4)
         result = Solver(cnf).solve()
         assert result.sat
         assert model_satisfies(cnf, result.model)
@@ -209,6 +241,97 @@ class TestAssumptions:
         assert solver.propagations >= 0
         result = solver.solve()
         assert result.sat
+
+
+class TestVsidsOrder:
+    """Decisions follow the current activities, before and after a rescale."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decisions_after_activity_rescale(self, seed):
+        # One incremental solver over many assumption queries keeps its
+        # activities; starting the increment at 1e99 forces a rescale
+        # within the first few conflicts.
+        rng = np.random.default_rng(seed)
+        cnf = random_kcnf(rng, 16, 68, 3)
+        table = TruthTable(cnf)
+        solver = Solver(cnf)
+        solver._var_inc = 1e99
+        pick = solver._pick_branch_var
+        after_rescale = []
+
+        def checked_pick():
+            free = [v for v in range(1, solver.num_vars + 1)
+                    if solver._assign[2 * v] < 0]
+            activity = solver._activity
+            expected = max(free, key=lambda v: (activity[v], -v), default=0)
+            var = pick()
+            assert var == expected
+            if solver._var_inc < 1e50:
+                after_rescale.append(var)
+            return var
+
+        solver._pick_branch_var = checked_pick
+        for _ in range(60):
+            size = int(rng.integers(0, 4))
+            assumptions = [int(v + 1) * (1 if rng.integers(0, 2) else -1)
+                           for v in rng.choice(16, size=size, replace=False)]
+            result = solver.solve(assumptions)
+            assert result.sat == table.sat(assumptions)
+            if result.sat:
+                assert model_satisfies(cnf, result.model)
+                assert all(result.model[abs(l)] == (l > 0) for l in assumptions)
+        assert solver._var_inc < 1e50, "no rescale happened"
+        assert after_rescale, "no decision after the rescale"
+
+
+class TestReduceDb:
+    """Learnt-database reduction, forced on small instances."""
+
+    def test_reduction_keeps_verdicts_locks_and_watches(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_LEARNTS", 0)
+        rng = np.random.default_rng(0)
+        reductions = 0
+        locked_at_risk = 0
+        for _ in range(8):
+            # Random 5-SAT near its threshold: hundreds of conflicts on
+            # 20 variables, so the database passes 100 learnts.
+            cnf = random_kcnf(rng, 20, 420, 5)
+            solver = Solver(cnf)
+            reduce_db = solver._reduce_db
+
+            def checked_reduce():
+                nonlocal reductions, locked_at_risk
+                before = list(solver._learnts)
+                if len(before) >= 100:  # below that the policy keeps all
+                    reductions += 1
+                    locked = {id(r) for r in solver._reason if r is not None}
+                    # The half the policy would drop if reasons were not locked.
+                    by_activity = sorted(
+                        (c for c in before if len(c) > 2),
+                        key=lambda c: solver._cla_activity.get(id(c), 0.0),
+                    )
+                    locked_at_risk += sum(
+                        id(c) in locked for c in by_activity[: len(by_activity) // 2]
+                    )
+                else:
+                    locked = set()
+                reduce_db()
+                kept = {id(c) for c in solver._learnts}
+                assert all(id(c) in kept for c in before if id(c) in locked)
+                live = kept | {id(c) for c in solver._clauses}
+                for watch_list in solver._watches:
+                    assert all(id(c) in live for c in watch_list)
+                for clause in solver._learnts:
+                    assert any(c is clause for c in solver._watches[clause[0] ^ 1])
+                    assert any(c is clause for c in solver._watches[clause[1] ^ 1])
+
+            solver._reduce_db = checked_reduce
+            result = solver.solve()
+            assert result.sat == TruthTable(cnf).sat()
+            if result.sat:
+                assert model_satisfies(cnf, result.model)
+        assert reductions > 0
+        assert locked_at_risk > 0
 
 
 class TestSolveCnfHelper:
