@@ -12,7 +12,8 @@ constant factor, not a complexity change), next to correctness gates:
   bit-identical tallies to the model-free path (the round-trip contract);
 * biased batches must run identically on the batched and per-shot
   reference engines;
-* the exact biased k = 1 mass must match on the engine and dict paths.
+* the planner's exact biased k = 1 mass must match a per-shot
+  ``ReferenceSampler`` sum over ``SiteUniverse.iter_rows()``.
 
 Recorder mode (writes ``BENCH_noise.json`` for CI artifacts/deltas)::
 
@@ -96,26 +97,18 @@ def run_recorder(code_key: str, shots: int, k: int, eta: float, seed: int) -> di
         )
     )
 
-    # Correctness gate 3: exact biased k=1 mass, engine vs dict path.
+    # Correctness gate 3: the planner's exact biased k=1 mass equals a
+    # per-shot sum over the same rows, each judged on its own.
     engine_k1 = SubsetSampler.for_protocol(
         protocol, rng=np.random.default_rng(seed), model=biased
     )
     engine_k1.enumerate_k1_exact()
-    from repro.sim.frame import ProtocolRunner, protocol_locations
-    from repro.sim.logical import LogicalJudge
-
-    runner = ProtocolRunner(protocol)
-    judge = LogicalJudge(protocol.code)
-    dict_k1 = SubsetSampler(
-        lambda inj: judge.is_logical_failure(runner.run(inj)),
-        protocol_locations(protocol),
-        rng=np.random.default_rng(seed),
-        model=biased,
+    per_shot_k1 = sum(
+        weight
+        for injections, weight in universe.iter_rows()
+        if reference.failures([injections])[0]
     )
-    dict_k1.enumerate_k1_exact()
-    k1_consistent = (
-        abs(engine_k1.strata[1].rate - dict_k1.strata[1].rate) < 1e-9
-    )
+    k1_consistent = abs(engine_k1.strata[1].rate - per_shot_k1) < 1e-9
 
     # The throughput datapoint: uniform vs biased stratum generation.
     batch = 8192

@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
             "before any handshake byte"
         ),
     )
-    _add_store_flags(worker)
     worker.add_argument(
         "--max-chunks",
         type=int,

@@ -67,25 +67,6 @@ OPS = (
     "direct",
 )
 
-#: Default physical-rate sweep (mirrors ``FIGURE4_SWEEP`` without
-#: importing the experiments layer client-side).
-_DEFAULT_SWEEP = [
-    1e-4,
-    1.7782794100389227e-4,
-    3.1622776601683794e-4,
-    5.623413251903491e-4,
-    1e-3,
-    1.7782794100389227e-3,
-    3.1622776601683794e-3,
-    5.623413251903491e-3,
-    1e-2,
-    1.7782794100389227e-2,
-    3.1622776601683794e-2,
-    5.623413251903491e-2,
-    1e-1,
-]
-
-
 class ServeRequestError(ValueError):
     """A malformed or unsupported request (reported, never fatal)."""
 
@@ -95,6 +76,22 @@ def _require_code(params: dict) -> str:
     if not isinstance(code, str) or not code:
         raise ServeRequestError("missing required param 'code'")
     return code
+
+
+def _rate(value, name: str) -> float:
+    """A physical error rate from the wire: finite and within [0, 1]."""
+    rate = float(value)
+    if not 0.0 <= rate <= 1.0:  # NaN fails the comparison too
+        raise ServeRequestError(f"{name} must lie in [0, 1], got {rate!r}")
+    return rate
+
+
+def _default_sweep() -> list[float]:
+    # Deferred: the experiments layer is only needed when a sweep
+    # request leaves its grid to the daemon.
+    from ..experiments.figure4 import FIGURE4_SWEEP
+
+    return FIGURE4_SWEEP
 
 
 def _common(params: dict) -> dict:
@@ -122,11 +119,16 @@ def normalize_request(op: str, params: dict | None) -> dict:
             k_max=int(params.get("k_max", 3)),
             seed=int(params.get("seed", 2025)),
             exact_k1=bool(params.get("exact_k1", True)),
-            sweep=sorted(float(p) for p in params.get("sweep", _DEFAULT_SWEEP)),
+            sweep=sorted(
+                _rate(p, "sweep point")
+                for p in (
+                    params["sweep"] if "sweep" in params else _default_sweep()
+                )
+            ),
             direct_check_at=(
                 None
                 if params.get("direct_check_at") is None
-                else float(params["direct_check_at"])
+                else _rate(params["direct_check_at"], "direct_check_at")
             ),
             direct_shots=int(params.get("direct_shots", 4000)),
         )
@@ -141,7 +143,7 @@ def normalize_request(op: str, params: dict | None) -> dict:
         if params.get("p") is None:
             raise ServeRequestError("direct requires param 'p'")
         norm.update(
-            p=float(params["p"]),
+            p=_rate(params["p"], "p"),
             shots=int(params.get("shots", 4000)),
             seed=int(params.get("seed", 2025)),
         )

@@ -354,7 +354,6 @@ class ReproServer:
         writes, so the daemon and the figure4 CLI share ledger entries)."""
         import math
 
-        from ..sim.frame import protocol_locations
         from ..sim.noise import E1_1
         from ..sim.subset import SubsetSampler, direct_mc
 
@@ -363,11 +362,9 @@ class ReproServer:
         factory = self._evaluator_factory(digest, progress)
         with run_lock:
             with SubsetSampler(
-                None,
-                protocol_locations(protocol),
+                engine,
                 k_max=norm["k_max"],
                 rng=np.random.default_rng(norm["seed"]),
-                engine=engine,
                 executor=factory,
                 model=model,
                 ledger=False,  # the factory already wraps; avoid double

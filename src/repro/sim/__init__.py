@@ -35,8 +35,6 @@ from .noise import (
     materialize_stratum,
     merge_injection_dicts,
     sample_injections,
-    sample_injections_fixed_k,
-    sample_injections_model,
     sample_injections_model_batch,
     sample_injections_stratum,
 )
@@ -137,8 +135,6 @@ __all__ = [
     "resolve_evaluator",
     "run_circuit",
     "sample_injections",
-    "sample_injections_fixed_k",
-    "sample_injections_model",
     "sample_injections_model_batch",
     "sample_injections_stratum",
     "site_universe",

@@ -33,9 +33,7 @@ __all__ = [
     "compose_injections",
     "merge_injection_dicts",
     "sample_injections",
-    "sample_injections_model",
     "sample_injections_model_batch",
-    "sample_injections_fixed_k",
     "sample_injections_stratum",
     "materialize_stratum",
 ]
@@ -289,35 +287,21 @@ def sample_injections(
     return injections
 
 
-def sample_injections_model(
-    locations, model, rng: np.random.Generator
-) -> dict:
-    """Bernoulli failures with per-kind rates from ``model.probability``."""
-    injections = {}
-    uniform = rng.random(len(locations))
-    for (key, kind, wires), roll in zip(locations, uniform):
-        if roll < model.probability(kind):
-            injections[key] = _draw_fault(kind, wires, rng)
-    return injections
-
-
 def sample_injections_model_batch(
     locations, model, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Bernoulli (direct Monte-Carlo) batch at fixed rates.
 
-    The batched counterpart of :func:`sample_injections_model`: every
-    location of every shot fails independently with its per-kind rate from
-    ``model`` (one ``(shots, locations)`` uniform draw), and each failure
-    draws uniformly within its kind. Because shots have *variable* fault
+    Every location of every shot fails independently with its per-kind
+    rate from ``model`` (one ``(shots, locations)`` uniform draw), and
+    each failure draws uniformly within its kind. Because shots have *variable* fault
     weight, the result is a masked index pair ``(loc_idx, draw_idx)`` of
     shape ``(shots, k_width)`` where ``k_width`` is the largest per-shot
     fault count in the batch and unused slots hold ``loc_idx == -1``
     (ignored by ``failures_indexed`` and :func:`materialize_stratum`).
 
-    The rng stream differs from ``shots`` sequential
-    :func:`sample_injections_model` calls, but is identical for every
-    engine consuming the same batch — engine cross-validation stays exact.
+    The batch is identical for every engine consuming it — engine
+    cross-validation stays exact.
 
     Models with non-uniform draw weights or correlated pair sites
     (``repro.sim.noisemodels``) route through the compiled
@@ -351,20 +335,6 @@ def sample_injections_model_batch(
     return loc_idx, draw_idx
 
 
-def sample_injections_fixed_k(
-    locations, k: int, rng: np.random.Generator
-) -> dict:
-    """Exactly ``k`` failing locations, uniformly placed (subset sampling)."""
-    if k > len(locations):
-        raise ValueError("more faults than locations")
-    chosen = rng.choice(len(locations), size=k, replace=False)
-    injections = {}
-    for idx in chosen:
-        key, kind, wires = locations[int(idx)]
-        injections[key] = _draw_fault(kind, wires, rng)
-    return injections
-
-
 def sample_injections_stratum(
     locations, k: int, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +348,8 @@ def sample_injections_stratum(
     The whole stratum costs two ``rng`` calls, which is what makes the
     batched engine's end-to-end throughput possible; use
     :func:`materialize_stratum` to expand into the dict form the per-shot
-    runner consumes. (The index stream differs from ``shots`` sequential
-    :func:`sample_injections_fixed_k` calls, but is identical for every
-    engine consuming the same batch — engine cross-validation stays exact.)
+    runner consumes. (The batch is identical for every engine consuming
+    it — engine cross-validation stays exact.)
     """
     num = len(locations)
     if k > num:

@@ -26,16 +26,17 @@ evaluated once; stratum ``k = 1`` can optionally be *enumerated exactly*
 (every location and every fault draw, probability-weighted), which pins
 the leading coefficient of FT circuits (``f_1 = 0``) with zero variance.
 
-Execution is pluggable: :meth:`SubsetSampler.for_protocol` wires the
-sampler to a batch engine (``repro.sim.sampler``, default the bit-packed
-``"batched"`` one). Every engine-backed stratum runs through one draw
-stream: chunk plans from :class:`repro.sim.shard.StratumPlanner`
-(bounded ``max_slab`` memory, deterministic per-chunk seeds), executed
-inline at ``workers=1`` or across a process pool or cluster with
-results identical for every worker count and backend. The per-shot
-``failure_fn`` constructor path remains for custom judges and as the
-independent reference for the planner's exact enumerations. See
-``docs/sampler.md``.
+The sampler evaluates every stratum on a batch engine
+(``repro.sim.sampler``; :meth:`SubsetSampler.for_protocol` builds one,
+default the bit-packed ``"batched"`` engine, and ``judge=`` swaps the
+failure criterion). Each stratum has one draw stream: chunk plans from
+:class:`repro.sim.shard.StratumPlanner` (bounded ``max_slab`` memory,
+deterministic per-chunk seeds), executed inline at ``workers=1`` or
+across a process pool or cluster with results identical for every
+worker count and backend. The independent reference for the planner's
+exact enumerations is a per-shot sum in the test suite:
+``SiteUniverse.iter_rows`` / ``iter_pair_runs`` judged one run at a time
+by :class:`repro.sim.sampler.ReferenceSampler`. See ``docs/sampler.md``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.trace import span as _obs_span
-from .frame import Injection, protocol_locations
-from .noise import (
-    draw_tables,
-    materialize_stratum,
-    sample_injections_fixed_k,
-)
 
 __all__ = [
     "SubsetEstimate",
@@ -273,38 +268,32 @@ def direct_mc(
 
 
 class SubsetSampler:
-    """Stratified fault-subset sampler over a fixed location universe.
+    """Stratified fault-subset sampler over an engine's location universe.
 
     Parameters
     ----------
-    failure_fn:
-        Callable mapping an injection dict to ``True`` on logical failure —
-        typically ``lambda inj: judge.is_logical_failure(runner.run(inj))``.
-        May be ``None`` when an ``engine`` is supplied.
-    locations:
-        Static location list from :func:`repro.sim.frame.protocol_locations`.
+    engine:
+        Batch execution engine (``repro.sim.sampler``): an object with a
+        ``locations`` list (:func:`repro.sim.frame.protocol_locations`),
+        ``failures(list_of_injection_dicts) -> bool array`` and
+        ``failures_indexed(loc_idx, draw_idx) -> bool array``. Every
+        stratum is evaluated through the stratum planner — use
+        :meth:`for_protocol` to build one. Engines built from the same
+        protocol produce identical tallies for the same seed, whether
+        batched or reference (the chunk *generation* stream is shared).
     k_max:
         Largest stratum to sample. ``p_L`` estimates carry an explicit
         truncation bound for everything above it.
     rng:
         Numpy generator (seeded for reproducibility).
-    engine:
-        Optional batch execution engine (``repro.sim.sampler``): an object
-        with ``failures(list_of_injection_dicts) -> bool array`` and
-        optionally ``failures_indexed(loc_idx, draw_idx)``. When given, the
-        sampler evaluates whole strata per call through the stratum
-        planner instead of shot-by-shot — use :meth:`for_protocol` to
-        wire one up. Engines built from the same protocol produce
-        identical tallies for the same seed, whether batched or
-        reference (the chunk *generation* stream is shared).
     batch_size:
-        Largest number of configurations evaluated per engine call (bounds
-        peak memory of exact k=2 enumeration).
+        Default slab size: the largest number of configurations one chunk
+        materializes when neither ``max_slab`` nor ``mem_budget`` is
+        given.
     workers:
-        Process-pool size for the engine-backed chunk plans
-        (``repro.sim.shard``): ``1`` (default) runs them inline, larger
-        counts fan the chunks across a pool. Results are identical for
-        every worker count.
+        Process-pool size for the chunk plans (``repro.sim.shard``):
+        ``1`` (default) runs them inline, larger counts fan the chunks
+        across a pool. Results are identical for every worker count.
     max_slab:
         Peak configurations materialized per chunk; defaults to
         ``batch_size``.
@@ -331,16 +320,18 @@ class SubsetSampler:
         ``estimate(p)`` rescales all rates by ``p / model.p`` (exact at
         the model's own rates; see ``docs/noise.md`` for the sweep
         semantics).
+    ledger:
+        Results-ledger selection for chunk-partial reuse: ``None`` =
+        ambient (``REPRO_LEDGER``), ``False`` = off, or a
+        :class:`repro.serve.ledger.ResultsLedger`.
     """
 
     def __init__(
         self,
-        failure_fn,
-        locations,
+        engine,
         *,
         k_max: int = 3,
         rng: np.random.Generator | None = None,
-        engine=None,
         batch_size: int = 8192,
         workers: int = 1,
         max_slab: int | None = None,
@@ -351,31 +342,23 @@ class SubsetSampler:
     ):
         if k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if failure_fn is None and engine is None:
-            raise ValueError("need a failure_fn or an engine")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if engine is None and (
-            workers != 1 or executor is not None or mem_budget is not None
-        ):
-            raise ValueError("workers/executor/mem_budget require an engine")
+        locations = list(engine.locations)
         self.model = model
         self._universe = None
         if model is not None:
             from .noisemodels import site_universe
 
-            universe = site_universe(list(locations), model)
+            universe = site_universe(locations, model)
             if not universe.uniform:
                 self._universe = universe
         if self._universe is not None:
             k_cap = int(self._universe.active_sites.size)
         else:
             k_cap = len(locations)
-        if k_max > k_cap:
-            k_max = k_cap
-        self.failure_fn = failure_fn
-        self.locations = list(locations)
-        self.k_max = k_max
+        self.locations = locations
+        self.k_max = min(k_max, k_cap)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.engine = engine
         self.batch_size = batch_size
@@ -383,15 +366,16 @@ class SubsetSampler:
         self.executor = executor
         self.mem_budget = mem_budget
         self.max_slab = max_slab
-        #: Results-ledger selection for chunk-partial reuse on the
-        #: sharded path: ``None`` = ambient (``REPRO_LEDGER``), ``False``
-        #: = off, or a :class:`repro.serve.ledger.ResultsLedger`.
         self.ledger = ledger
         self._evaluator = None
         self.strata: dict[int, StratumStats] = {
-            k: StratumStats(k) for k in range(k_max + 1)
+            k: StratumStats(k) for k in range(self.k_max + 1)
         }
-        self._check_zero_stratum()
+        # Stratum 0 is deterministic: the fault-free run, evaluated once.
+        zero = self.strata[0]
+        zero.exact = True
+        zero.trials = 1
+        zero.failures = int(bool(engine.failures([{}])[0]))
 
     @classmethod
     def for_protocol(
@@ -421,13 +405,10 @@ class SubsetSampler:
         """
         from .sampler import make_sampler  # deferred: sampler imports noise
 
-        sampler_engine = make_sampler(protocol, engine=engine, judge=judge)
         return cls(
-            None,
-            protocol_locations(protocol),
+            make_sampler(protocol, engine=engine, judge=judge),
             k_max=k_max,
             rng=rng,
-            engine=sampler_engine,
             batch_size=batch_size,
             workers=workers,
             max_slab=max_slab,
@@ -449,8 +430,7 @@ class SubsetSampler:
         """Estimator-only replay sampler over recorded stratum tallies.
 
         Rebuilds the :meth:`estimate`/:meth:`curve` arithmetic from
-        previously recorded tallies — no engine, no failure function, no
-        RNG — so a ledger hit (``repro.serve``, ``run_series``) replays
+        previously recorded tallies — no engine, no RNG — so a ledger hit (``repro.serve``, ``run_series``) replays
         sweep points through the *same* estimator code path a cold run
         uses, which is what makes replay bit-identical. ``strata`` maps
         ``k`` (int or str — JSON round-trips stringify keys) to a
@@ -466,7 +446,6 @@ class SubsetSampler:
             universe = site_universe(list(locations), model)
             if not universe.uniform:
                 self._universe = universe
-        self.failure_fn = None
         self.locations = list(locations)
         self.rng = None
         self.engine = None
@@ -548,22 +527,13 @@ class SubsetSampler:
 
     # -- sampling ------------------------------------------------------------
 
-    def _eval_batch(self, injection_dicts: list[dict]) -> np.ndarray:
-        """Failure verdicts for a list of injection dicts (either path)."""
-        if self.engine is not None:
-            return np.asarray(self.engine.failures(injection_dicts), dtype=bool)
-        return np.fromiter(
-            (bool(self.failure_fn(d)) for d in injection_dicts),
-            dtype=bool,
-            count=len(injection_dicts),
-        )
-
-    def _check_zero_stratum(self) -> None:
-        """Stratum 0 is deterministic: evaluate the fault-free run once."""
-        stats = self.strata[0]
+    def _exact(self, k: int, mass: float) -> None:
+        """Pin stratum ``k`` to an exactly enumerated failing mass."""
+        stats = self.strata[k]
         stats.exact = True
-        stats.trials = 1
-        stats.failures = 1 if bool(self._eval_batch([{}])[0]) else 0
+        # Store as a high-resolution fraction for reporting.
+        stats.trials = 10**9
+        stats.failures = round(mass * stats.trials)
 
     def enumerate_k1_exact(self) -> None:
         """Replace stratum-1 sampling with exact weighted enumeration.
@@ -572,46 +542,19 @@ class SubsetSampler:
         uniform over the universe and the fault draw is uniform within the
         location's kind, so ``f_1`` is a finite probability-weighted sum.
 
-        With an engine the enumeration routes through the stratum planner
+        The enumeration routes through the stratum planner
         (``repro.sim.shard``) in ``max_slab`` row chunks — streamed, and
         fanned across the worker pool when ``workers > 1``, with the same
-        mass for any worker count. The ``failure_fn`` path keeps the
-        historical dict-at-a-time loop. Under a heterogeneous model the
-        rows are the model's active *sites* (correlated pair sites
-        included, firing as one event) and each (site, draw) row carries
-        its own conditional probability.
+        mass for any worker count. Under a heterogeneous model the rows
+        are the model's active *sites* (correlated pair sites included,
+        firing as one event) and each (site, draw) row carries its own
+        conditional probability.
         """
-        if self.engine is not None:
-            with _obs_span("subset.enumerate_k1"):
-                merged = self.evaluator.reduce(
-                    self.evaluator.planner.plan_rows(checkable_only=False)
-                )
-            total = merged.weighted_mass
-        else:
-            configurations: list[dict] = []
-            weights: list[float] = []
-            if self._universe is not None:
-                for injections, weight in self._universe.iter_rows():
-                    configurations.append(injections)
-                    weights.append(weight)
-            else:
-                tables = draw_tables(self.locations)
-                for (key, _, _), draws in zip(self.locations, tables):
-                    weight = 1.0 / (len(self.locations) * len(draws))
-                    for injection in draws:
-                        configurations.append({key: injection})
-                        weights.append(weight)
-            total = 0.0
-            for start in range(0, len(configurations), self.batch_size):
-                chunk = configurations[start : start + self.batch_size]
-                verdicts = self._eval_batch(chunk)
-                for offset in np.nonzero(verdicts)[0]:
-                    total += weights[start + int(offset)]
-        stats = self.strata[1]
-        stats.exact = True
-        # Store as a high-resolution fraction for reporting.
-        stats.trials = 10**9
-        stats.failures = round(total * stats.trials)
+        with _obs_span("subset.enumerate_k1"):
+            merged = self.evaluator.reduce(
+                self.evaluator.planner.plan_rows(checkable_only=False)
+            )
+        self._exact(1, merged.weighted_mass)
 
     def enumerate_k2_exact(self, *, max_runs: int | None = 2_000_000) -> None:
         """Replace stratum-2 sampling with exact weighted enumeration.
@@ -620,138 +563,37 @@ class SubsetSampler:
         over the ``C(N, 2)`` location pairs and the two draws are uniform
         within each location's kind, so ``f_2`` is a finite sum — the
         *exact* leading coefficient of ``p_L(p)`` for an FT protocol.
+        Under a heterogeneous model the pairs are site pairs, each run
+        weighted by its own conditional probability.
 
         Cost is ``sum over pairs of d_i * d_j`` protocol runs (~85k for
         the Steane protocol, minutes for the largest codes); ``max_runs``
-        guards against accidental huge enumerations.
-
-        With an engine the pair enumeration routes through the stratum
-        planner in ``max_slab``-run chunks (streamed, pool-fanned when
-        ``workers > 1``, worker-count independent); the ``failure_fn``
-        path keeps the historical dict-at-a-time loop.
+        guards against accidental huge enumerations. The runs route
+        through the stratum planner in ``max_slab``-run chunks (streamed,
+        pool-fanned when ``workers > 1``, worker-count independent).
         """
         if self.k_max < 2:
             raise ValueError("k_max < 2: stratum 2 is not tracked")
-        if self.engine is not None:
-            planner = self.evaluator.planner
-            total_runs = planner.total_pair_runs()
-            if max_runs is not None and total_runs > max_runs:
-                raise ValueError(
-                    f"exact k=2 enumeration needs {total_runs} runs "
-                    f"(> max_runs={max_runs})"
-                )
-            with _obs_span("subset.enumerate_k2", runs=total_runs):
-                merged = self.evaluator.reduce(planner.plan_pairs())
-            total = merged.weighted_mass
-            stats = self.strata[2]
-            stats.exact = True
-            stats.trials = 10**9
-            stats.failures = round(total * stats.trials)
-            return
-        if self._universe is not None:
-            total_runs = self._universe.total_pair_runs()
-            if max_runs is not None and total_runs > max_runs:
-                raise ValueError(
-                    f"exact k=2 enumeration needs {total_runs} runs "
-                    f"(> max_runs={max_runs})"
-                )
-            total = 0.0
-            configurations = []
-            weights = []
-            for injections, weight, _, _ in self._universe.iter_pair_runs():
-                configurations.append(injections)
-                weights.append(weight)
-                if len(configurations) >= self.batch_size:
-                    verdicts = self._eval_batch(configurations)
-                    for offset in np.nonzero(verdicts)[0]:
-                        total += weights[int(offset)]
-                    configurations.clear()
-                    weights.clear()
-            if configurations:
-                verdicts = self._eval_batch(configurations)
-                for offset in np.nonzero(verdicts)[0]:
-                    total += weights[int(offset)]
-            stats = self.strata[2]
-            stats.exact = True
-            stats.trials = 10**9
-            stats.failures = round(total * stats.trials)
-            return
-        draws = draw_tables(self.locations)
-        total_runs = 0
-        num = len(self.locations)
-        for i in range(num):
-            for j in range(i + 1, num):
-                total_runs += len(draws[i]) * len(draws[j])
+        planner = self.evaluator.planner
+        total_runs = planner.total_pair_runs()
         if max_runs is not None and total_runs > max_runs:
             raise ValueError(
                 f"exact k=2 enumeration needs {total_runs} runs "
                 f"(> max_runs={max_runs})"
             )
-        pair_count = math.comb(num, 2)
-        total = 0.0
-        configurations: list[dict] = []
-        weights: list[float] = []
-
-        def flush():
-            nonlocal total
-            verdicts = self._eval_batch(configurations)
-            for offset in np.nonzero(verdicts)[0]:
-                total += weights[int(offset)]
-            configurations.clear()
-            weights.clear()
-
-        for i in range(num):
-            key_i = self.locations[i][0]
-            for j in range(i + 1, num):
-                key_j = self.locations[j][0]
-                weight = 1.0 / (pair_count * len(draws[i]) * len(draws[j]))
-                for draw_i in draws[i]:
-                    for draw_j in draws[j]:
-                        configurations.append({key_i: draw_i, key_j: draw_j})
-                        weights.append(weight)
-                if len(configurations) >= self.batch_size:
-                    flush()
-        if configurations:
-            flush()
-        stats = self.strata[2]
-        stats.exact = True
-        stats.trials = 10**9
-        stats.failures = round(total * stats.trials)
+        with _obs_span("subset.enumerate_k2", runs=total_runs):
+            merged = self.evaluator.reduce(planner.plan_pairs())
+        self._exact(2, merged.weighted_mass)
 
     def sample_stratum(self, k: int, shots: int) -> StratumStats:
         """Run ``shots`` Monte-Carlo trials in stratum ``k``.
 
-        With an engine, the request is planned into ``max_slab`` chunks
-        seeded from one draw of the sampler rng and executed by the
-        chunk evaluator — tallies identical for any worker count. The
-        ``failure_fn`` path keeps its shot-by-shot draw stream.
+        The request is planned into ``max_slab`` chunks seeded from one
+        draw of the sampler rng and executed by the chunk evaluator —
+        tallies identical for any worker count.
         """
         stats = self.strata[k]
         if stats.exact:
-            return stats
-        if self.engine is None:
-            if self._universe is not None:
-                remaining = shots
-                while remaining > 0:
-                    step = min(remaining, self.batch_size)
-                    loc_idx, draw_idx = self._universe.sample_stratum(
-                        k, step, self.rng
-                    )
-                    dicts = materialize_stratum(
-                        self.locations, loc_idx, draw_idx
-                    )
-                    verdicts = self._eval_batch(dicts)
-                    stats.trials += step
-                    stats.failures += int(verdicts.sum())
-                    remaining -= step
-                return stats
-            for _ in range(shots):
-                injections = sample_injections_fixed_k(
-                    self.locations, k, self.rng
-                )
-                stats.trials += 1
-                if self.failure_fn(injections):
-                    stats.failures += 1
             return stats
         # The entropy draw happens before the span opens — tracing must
         # sit strictly outside the seed path (spans never consume RNG
@@ -770,7 +612,7 @@ class SubsetSampler:
         shots: int,
         *,
         p_ref: float | None = None,
-        batch: int | None = None,
+        batch: int = 500,
         allocation: str = "dynamic",
     ) -> None:
         """Distribute ``shots`` trials over strata ``1..k_max``.
@@ -778,10 +620,9 @@ class SubsetSampler:
         ``allocation='dynamic'`` targets the stratum whose statistical
         uncertainty contributes most to ``Var[p_L(p_ref)]`` (the DSS
         behaviour); ``'uniform'`` splits shots evenly. ``batch`` is the
-        re-allocation granularity; with a batch engine it defaults to 500
-        (each batch is one engine call, so fine-grained re-allocation
-        would squander the vectorization), per-shot mode keeps the
-        historical 50.
+        re-allocation granularity: each batch is one planned engine
+        workload, so fine-grained re-allocation would squander the
+        vectorization.
 
         ``p_ref`` defaults to the historical ``0.1`` (the paper's
         ``p_max``) for uniform models, and to the *model's own strength*
@@ -795,8 +636,6 @@ class SubsetSampler:
                 if self._universe is None
                 else float(getattr(self.model, "p", 0.1))
             )
-        if batch is None:
-            batch = 50 if self.engine is None else 500
         sampled = [k for k in range(1, self.k_max + 1) if not self.strata[k].exact]
         if not sampled:
             return

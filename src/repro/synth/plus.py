@@ -24,8 +24,7 @@ import numpy as np
 
 from ..codes.css import CSSCode
 from ..core.protocol import DeterministicProtocol, synthesize_protocol
-from ..sim.decoder import LookupDecoder
-from ..sim.frame import RunResult
+from ..sim.logical import LogicalJudge
 
 __all__ = ["synthesize_plus_protocol", "PlusStateJudge"]
 
@@ -54,31 +53,20 @@ def synthesize_plus_protocol(
     )
 
 
-class PlusStateJudge:
+class PlusStateJudge(LogicalJudge):
     """Logical-failure decision for plus-state runs.
 
     In the Hadamard frame the destructive readout is an X-basis
     measurement of the dual code's zero state: Z-type residuals flip
-    logical-X parities, X-type residuals are invisible. Equivalently this
-    is :class:`~repro.sim.logical.LogicalJudge` of the dual code with the
-    roles of the frame's X/Z components swapped — spelled out here so the
-    physics reads directly.
+    logical-X parities, X-type residuals are invisible. That is exactly
+    :class:`~repro.sim.logical.LogicalJudge` of the dual code — lookup
+    decoding over the dual's Hz (= the original Hx), logical operators
+    the dual's logical Z — so both the per-shot and the batched engines
+    judge plus-state runs through it unchanged.
     """
 
     def __init__(self, code: CSSCode):
-        self.code = code
-        dual = code.dual()
-        # In the dual's zero-state frame: X residuals checked against the
-        # dual's Hz = original Hx; logical operators = dual logical Z.
-        self.dual = dual
-        self.z_decoder = LookupDecoder(dual.hz)
-        self.logical = dual.logical_z
-
-    def is_logical_failure(self, result: RunResult) -> bool:
-        residual = result.data_x ^ self.z_decoder.decode(
-            (self.z_decoder.checks @ result.data_x) % 2
-        )
-        return bool((self.logical @ residual % 2).any())
+        super().__init__(code.dual())
 
 
 def plus_state_stabilizers(code: CSSCode) -> np.ndarray:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import two_fault_error_budget
-from repro.sim.frame import ProtocolRunner, protocol_locations
-from repro.sim.logical import LogicalJudge
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import cached_protocol
+from ..reference import reference_mass
 
 
 @pytest.fixture(scope="module")
@@ -65,29 +64,17 @@ class TestBudget:
 
 class TestConsistencyWithSubsetSampler:
     def test_budget_matches_exact_k2(self, steane_budget):
-        """Two independent exact k=2 enumerations must agree to rounding."""
-        protocol = cached_protocol("steane")
-        runner = ProtocolRunner(protocol)
-        judge = LogicalJudge(protocol.code)
-        sampler = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            protocol_locations(protocol),
-            k_max=2,
-            rng=np.random.default_rng(0),
-        )
-        sampler.enumerate_k2_exact()
-        assert sampler.strata[2].rate == pytest.approx(
+        """Two independent exact k=2 enumerations must agree to rounding:
+        the budget's and the per-shot reference sum."""
+        assert reference_mass(cached_protocol("steane"), 2) == pytest.approx(
             steane_budget.f2_exact, abs=1e-6
         )
 
     def test_budget_matches_sampled_estimate(self, steane_budget):
         """The MC estimate of f_2 must agree within 5 sigma."""
-        protocol = cached_protocol("steane")
-        runner = ProtocolRunner(protocol)
-        judge = LogicalJudge(protocol.code)
-        sampler = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            protocol_locations(protocol),
+        sampler = SubsetSampler.for_protocol(
+            cached_protocol("steane"),
+            engine="reference",
             k_max=2,
             rng=np.random.default_rng(3),
         )

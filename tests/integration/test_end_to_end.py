@@ -17,11 +17,9 @@ from ..conftest import cached_protocol
 
 
 def make_sampler(protocol, seed=11, k_max=2):
-    runner = ProtocolRunner(protocol)
-    judge = LogicalJudge(protocol.code)
-    return SubsetSampler(
-        lambda injections: judge.is_logical_failure(runner.run(injections)),
-        protocol_locations(protocol),
+    return SubsetSampler.for_protocol(
+        protocol,
+        engine="reference",
         k_max=k_max,
         rng=np.random.default_rng(seed),
     )

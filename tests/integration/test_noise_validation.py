@@ -22,7 +22,6 @@ import pytest
 from repro.core.analysis import two_fault_error_budget
 from repro.core.faults import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 from repro.core.ftcheck import check_fault_tolerance
-from repro.sim.frame import protocol_locations
 from repro.sim.noise import E1_1, draw_counts
 from repro.sim.noisemodels import (
     BiasedPauliModel,
@@ -33,6 +32,7 @@ from repro.sim.sampler import BatchedSampler, ReferenceSampler, make_sampler
 from repro.sim.subset import SubsetSampler, direct_mc
 
 from ..conftest import cached_protocol
+from ..reference import reference_mass
 
 BIASED = BiasedPauliModel(p=0.02, eta=50.0)
 
@@ -421,27 +421,14 @@ class TestCorrelatedPairs:
     def test_k1_exact_includes_pair_events(self, steane_protocol):
         """f_1 under a crosstalk model counts single pair events; it is
         the probability-weighted mass over all single-event rows and
-        must match the failure_fn-path enumeration."""
+        must match the per-shot reference sum."""
         model = CorrelatedPairModel(p=1e-3, pair_rate=5e-4)
         engine_path = SubsetSampler.for_protocol(
             steane_protocol, rng=np.random.default_rng(2), model=model
         )
         engine_path.enumerate_k1_exact()
-
-        from repro.sim.frame import ProtocolRunner
-        from repro.sim.logical import LogicalJudge
-
-        runner = ProtocolRunner(steane_protocol)
-        judge = LogicalJudge(steane_protocol.code)
-        dict_path = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            protocol_locations(steane_protocol),
-            rng=np.random.default_rng(2),
-            model=model,
-        )
-        dict_path.enumerate_k1_exact()
         assert engine_path.strata[1].rate == pytest.approx(
-            dict_path.strata[1].rate, rel=1e-9, abs=1e-12
+            reference_mass(steane_protocol, 1, model=model), abs=1e-9
         )
 
     def test_direct_mc_engines_agree_under_crosstalk(self, steane_protocol):

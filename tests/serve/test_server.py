@@ -82,6 +82,16 @@ class TestWire:
         with pytest.raises(ServeError, match="code"):
             client.request("sweep")
 
+    def test_out_of_range_rate_is_an_error_event(self, client, server):
+        with pytest.raises(ServeError, match=r"\[0, 1\]"):
+            client.request("direct", code="steane", p=1.5)
+        with pytest.raises(ServeError, match="sweep point"):
+            client.request(
+                "sweep", code="steane", **{**SWEEP_PARAMS, "sweep": [float("nan")]}
+            )
+        assert client.ping()["ok"] is True
+        assert server.stats.computes == 0
+
     def test_malformed_json_line_is_an_error_event(self, client):
         client._sock.sendall(b"this is not json\n")
         # The error response carries id=None; collect it manually.

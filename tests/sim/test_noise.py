@@ -8,7 +8,6 @@ from repro.sim.noise import (
     E1_1,
     fault_draws,
     sample_injections,
-    sample_injections_fixed_k,
 )
 
 from ..conftest import cached_protocol
@@ -84,39 +83,6 @@ class TestSampling:
         )
         valid = {key for key, _, _ in locations}
         assert set(injections) <= valid
-
-
-class TestFixedK:
-    def test_exact_count(self, steane_protocol):
-        locations = locations_of(steane_protocol)
-        rng = np.random.default_rng(3)
-        for k in (1, 2, 3, 5):
-            injections = sample_injections_fixed_k(locations, k, rng)
-            assert len(injections) == k
-
-    def test_k_zero(self, steane_protocol):
-        locations = locations_of(steane_protocol)
-        assert (
-            sample_injections_fixed_k(
-                locations, 0, np.random.default_rng(0)
-            )
-            == {}
-        )
-
-    def test_too_many_faults_rejected(self, steane_protocol):
-        locations = locations_of(steane_protocol)
-        with pytest.raises(ValueError):
-            sample_injections_fixed_k(
-                locations, len(locations) + 1, np.random.default_rng(0)
-            )
-
-    def test_all_locations_eventually_hit(self, steane_protocol):
-        locations = locations_of(steane_protocol)
-        rng = np.random.default_rng(4)
-        hit = set()
-        for _ in range(2000):
-            hit.update(sample_injections_fixed_k(locations, 1, rng))
-        assert len(hit) == len(locations)
 
 
 class TestModel:

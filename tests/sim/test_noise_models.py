@@ -9,13 +9,13 @@ from repro.sim.noise import (
     ScaledNoiseModel,
     draw_counts,
     materialize_stratum,
-    sample_injections_model,
     sample_injections_model_batch,
 )
 from repro.sim.sampler import BatchedSampler, ReferenceSampler
 from repro.sim.subset import SubsetSampler, direct_mc
 
 from ..conftest import cached_protocol
+from ..reference import FakeEngine, reference_mass
 
 
 class TestScaledModel:
@@ -60,41 +60,39 @@ class TestScaledModel:
 
 
 class TestSampleWithModel:
+    """Per-kind rates of a ScaledNoiseModel through the Bernoulli batch."""
+
     def test_zero_rate(self):
         locations = protocol_locations(cached_protocol("steane"))
         model = ScaledNoiseModel(p=0.0)
-        assert (
-            sample_injections_model(
-                locations, model, np.random.default_rng(0)
-            )
-            == {}
+        loc_idx, _ = sample_injections_model_batch(
+            locations, model, 1, np.random.default_rng(0)
         )
+        assert not (loc_idx >= 0).any()
 
     def test_kind_bias_observable(self):
         """With two_qubit=10x, 2q locations must fail far more often."""
         locations = protocol_locations(cached_protocol("steane"))
-        kinds = {key: kind for key, kind, _ in locations}
+        kinds = [kind for _, kind, _ in locations]
         model = ScaledNoiseModel(p=0.005, two_qubit=10.0)
-        rng = np.random.default_rng(1)
-        counts = {"2q": 0, "other": 0}
-        for _ in range(2000):
-            for key in sample_injections_model(locations, model, rng):
-                bucket = "2q" if kinds[key] == "2q" else "other"
-                counts[bucket] += 1
-        num_2q = sum(1 for k in kinds.values() if k == "2q")
+        loc_idx, _ = sample_injections_model_batch(
+            locations, model, 2000, np.random.default_rng(1)
+        )
+        hits = loc_idx[loc_idx >= 0].tolist()
+        hits_2q = sum(1 for loc in hits if kinds[loc] == "2q")
+        num_2q = sum(1 for kind in kinds if kind == "2q")
         num_other = len(kinds) - num_2q
-        rate_2q = counts["2q"] / num_2q
-        rate_other = counts["other"] / max(num_other, 1)
+        rate_2q = hits_2q / num_2q
+        rate_other = (len(hits) - hits_2q) / max(num_other, 1)
         assert rate_2q > 5 * rate_other
 
     def test_matches_e1_1_statistics(self):
         locations = protocol_locations(cached_protocol("steane"))
         model = ScaledNoiseModel(p=0.1)
-        rng = np.random.default_rng(2)
-        counts = [
-            len(sample_injections_model(locations, model, rng))
-            for _ in range(500)
-        ]
+        loc_idx, _ = sample_injections_model_batch(
+            locations, model, 500, np.random.default_rng(2)
+        )
+        counts = (loc_idx >= 0).sum(axis=1)
         assert abs(np.mean(counts) - 0.1 * len(locations)) < 0.4
 
 
@@ -222,8 +220,7 @@ class TestExactK2:
         """Threshold-2 toy model: every pair fails, so f2 must be 1."""
         locations = [((("seg",), i), "meas", (0,)) for i in range(8)]
         sampler = SubsetSampler(
-            lambda injections: len(injections) >= 2,
-            locations,
+            FakeEngine(lambda injections: len(injections) >= 2, locations),
             k_max=2,
             rng=np.random.default_rng(0),
         )
@@ -241,7 +238,7 @@ class TestExactK2:
             ) == 2
 
         sampler = SubsetSampler(
-            fn, locations, k_max=2, rng=np.random.default_rng(0)
+            FakeEngine(fn, locations), k_max=2, rng=np.random.default_rng(0)
         )
         sampler.enumerate_k2_exact()
         assert sampler.strata[2].rate == pytest.approx(6 / 28, abs=1e-9)
@@ -249,7 +246,7 @@ class TestExactK2:
     def test_requires_k_max_2(self):
         locations = [((("seg",), i), "meas", (0,)) for i in range(4)]
         sampler = SubsetSampler(
-            lambda inj: False, locations, k_max=1,
+            FakeEngine(lambda inj: False, locations), k_max=1,
             rng=np.random.default_rng(0),
         )
         with pytest.raises(ValueError):
@@ -258,7 +255,7 @@ class TestExactK2:
     def test_max_runs_guard(self):
         locations = [((("seg",), i), "2q", (0, 1)) for i in range(30)]
         sampler = SubsetSampler(
-            lambda inj: False, locations, k_max=2,
+            FakeEngine(lambda inj: False, locations), k_max=2,
             rng=np.random.default_rng(0),
         )
         with pytest.raises(ValueError):
@@ -266,22 +263,16 @@ class TestExactK2:
 
     def test_steane_exact_c2_against_known_value(self):
         """Regression-pin the exact quadratic coefficient of the Steane
-        protocol (independently computed by core.analysis)."""
+        protocol, and check the planner's f2 against the per-shot
+        reference sum (independently computed by core.analysis too)."""
         import math
 
         protocol = cached_protocol("steane")
-        from repro.sim.frame import ProtocolRunner
-        from repro.sim.logical import LogicalJudge
-
-        runner = ProtocolRunner(protocol)
-        judge = LogicalJudge(protocol.code)
-        locations = protocol_locations(protocol)
-        sampler = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            locations,
-            k_max=2,
-            rng=np.random.default_rng(0),
+        sampler = SubsetSampler.for_protocol(
+            protocol, k_max=2, rng=np.random.default_rng(0)
         )
         sampler.enumerate_k2_exact()
-        c2 = math.comb(len(locations), 2) * sampler.strata[2].rate
+        f2 = sampler.strata[2].rate
+        assert f2 == pytest.approx(reference_mass(protocol, 2), abs=1e-9)
+        c2 = math.comb(len(sampler.locations), 2) * f2
         assert c2 == pytest.approx(57.40, abs=0.05)

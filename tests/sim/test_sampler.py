@@ -17,13 +17,13 @@ from repro.sim.logical import LogicalJudge
 from repro.sim.noise import (
     fault_draws,
     materialize_stratum,
-    sample_injections_fixed_k,
     sample_injections_stratum,
 )
 from repro.sim.sampler import BatchedSampler, ReferenceSampler, make_sampler
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import FAST_CODES, cached_protocol
+from ..reference import reference_mass
 
 CROSS_CODES = ["steane", "shor", "surface_3", "carbon"]
 
@@ -85,9 +85,8 @@ class TestRandomStrata:
         protocol = cached_protocol(key)
         locations = protocol_locations(protocol)
         rng = np.random.default_rng(hash((key, k)) % 2**32)
-        injection_dicts = [
-            sample_injections_fixed_k(locations, k, rng) for _ in range(150)
-        ]
+        loc_idx, draw_idx = sample_injections_stratum(locations, k, 150, rng)
+        injection_dicts = materialize_stratum(locations, loc_idx, draw_idx)
         assert_batches_match(protocol, injection_dicts)
 
     @pytest.mark.parametrize("key", CROSS_CODES)
@@ -263,21 +262,15 @@ class TestSubsetSamplerEngines:
         assert tallies["batched"] == tallies["reference"]
 
     def test_exact_k1_matches_legacy_path(self):
+        """The planner's f1 equals the per-shot reference sum."""
         protocol = cached_protocol("steane")
-        runner = ProtocolRunner(protocol)
-        judge = LogicalJudge(protocol.code)
-        legacy = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            protocol_locations(protocol),
-            k_max=2,
-            rng=np.random.default_rng(0),
-        )
-        legacy.enumerate_k1_exact()
         batched = SubsetSampler.for_protocol(
             protocol, engine="batched", k_max=2, rng=np.random.default_rng(0)
         )
         batched.enumerate_k1_exact()
-        assert legacy.strata[1].failures == batched.strata[1].failures
+        assert batched.strata[1].rate == pytest.approx(
+            reference_mass(protocol, 1), abs=1e-9
+        )
 
     def test_exact_k2_matches_across_engines(self):
         protocol = cached_protocol("steane")
@@ -289,10 +282,6 @@ class TestSubsetSamplerEngines:
             sampler.enumerate_k2_exact()
             sums[engine] = sampler.strata[2].failures
         assert sums["batched"] == sums["reference"]
-
-    def test_constructor_requires_some_evaluator(self):
-        with pytest.raises(ValueError):
-            SubsetSampler(None, [((("seg",), 0), "meas", (0,))], k_max=1)
 
 
 class TestEngineFactory:

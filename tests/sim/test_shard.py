@@ -288,9 +288,7 @@ class TestBoundedStreaming:
 
         engine.failures_indexed = recording
         sampler = SubsetSampler(
-            None,
-            engine.locations,
-            engine=engine,
+            engine,
             rng=np.random.default_rng(2),
             workers=1,
             max_slab=512,
@@ -323,11 +321,6 @@ class TestBoundedStreaming:
 
 
 class TestSamplerIntegration:
-    def test_workers_requires_engine(self):
-        locations = [((("seg",), i), "meas", (0,)) for i in range(4)]
-        with pytest.raises(ValueError):
-            SubsetSampler(lambda inj: False, locations, workers=2)
-
     def test_evaluator_reused_and_closed(self):
         protocol = cached_protocol("steane")
         sampler = SubsetSampler.for_protocol(

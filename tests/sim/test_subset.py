@@ -12,6 +12,8 @@ from repro.sim.subset import (
     wilson_interval,
 )
 
+from ..reference import FakeEngine
+
 
 class TestWeights:
     def test_binomial_normalized(self):
@@ -57,22 +59,18 @@ class TestWilson:
         assert 0.0 <= lo <= hi <= 1.0
 
 
-def fake_failure_fn(threshold):
-    """Fails iff at least ``threshold`` locations were hit."""
-
-    def fn(injections):
-        return len(injections) >= threshold
-
-    return fn
-
-
 FAKE_LOCATIONS = [((("seg",), i), "meas", (0,)) for i in range(20)]
+
+
+def threshold_engine(threshold, locations=FAKE_LOCATIONS):
+    """Fails iff at least ``threshold`` locations were hit."""
+    return FakeEngine(lambda injections: len(injections) >= threshold, locations)
 
 
 class TestSamplerMechanics:
     def test_stratum_zero_deterministic(self):
         sampler = SubsetSampler(
-            fake_failure_fn(1), FAKE_LOCATIONS, k_max=2,
+            threshold_engine(1), k_max=2,
             rng=np.random.default_rng(0),
         )
         assert sampler.strata[0].exact
@@ -80,7 +78,7 @@ class TestSamplerMechanics:
 
     def test_stratum_zero_failing_circuit(self):
         sampler = SubsetSampler(
-            lambda inj: True, FAKE_LOCATIONS, k_max=1,
+            FakeEngine(lambda inj: True, FAKE_LOCATIONS), k_max=1,
             rng=np.random.default_rng(0),
         )
         assert sampler.strata[0].rate == 1.0
@@ -88,7 +86,7 @@ class TestSamplerMechanics:
     def test_threshold_model_rates(self):
         """Failure iff >= 2 faults: f_1 = 0, f_2 = 1 exactly."""
         sampler = SubsetSampler(
-            fake_failure_fn(2), FAKE_LOCATIONS, k_max=3,
+            threshold_engine(2), k_max=3,
             rng=np.random.default_rng(1),
         )
         sampler.sample(300, allocation="uniform")
@@ -98,7 +96,7 @@ class TestSamplerMechanics:
 
     def test_exact_k1_enumeration(self):
         sampler = SubsetSampler(
-            fake_failure_fn(1), FAKE_LOCATIONS, k_max=2,
+            threshold_engine(1), k_max=2,
             rng=np.random.default_rng(2),
         )
         sampler.enumerate_k1_exact()
@@ -111,14 +109,15 @@ class TestSamplerMechanics:
             return any(key[1] % 2 == 0 for key in injections)
 
         sampler = SubsetSampler(
-            fn, FAKE_LOCATIONS, k_max=1, rng=np.random.default_rng(3)
+            FakeEngine(fn, FAKE_LOCATIONS), k_max=1,
+            rng=np.random.default_rng(3),
         )
         sampler.enumerate_k1_exact()
         assert sampler.strata[1].rate == pytest.approx(0.5)
 
     def test_dynamic_allocation_spends_budget(self):
         sampler = SubsetSampler(
-            fake_failure_fn(2), FAKE_LOCATIONS, k_max=3,
+            threshold_engine(2), k_max=3,
             rng=np.random.default_rng(4),
         )
         sampler.sample(500, allocation="dynamic")
@@ -126,7 +125,7 @@ class TestSamplerMechanics:
 
     def test_unknown_allocation(self):
         sampler = SubsetSampler(
-            fake_failure_fn(2), FAKE_LOCATIONS, k_max=2,
+            threshold_engine(2), k_max=2,
             rng=np.random.default_rng(5),
         )
         with pytest.raises(ValueError):
@@ -134,20 +133,20 @@ class TestSamplerMechanics:
 
     def test_k_max_clamped_to_locations(self):
         sampler = SubsetSampler(
-            fake_failure_fn(1), FAKE_LOCATIONS[:3], k_max=10,
+            threshold_engine(1, FAKE_LOCATIONS[:3]), k_max=10,
             rng=np.random.default_rng(6),
         )
         assert sampler.k_max == 3
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
-            SubsetSampler(fake_failure_fn(1), FAKE_LOCATIONS, k_max=0)
+            SubsetSampler(threshold_engine(1), k_max=0)
 
 
 class TestEstimates:
     def make_threshold_sampler(self):
         sampler = SubsetSampler(
-            fake_failure_fn(2), FAKE_LOCATIONS, k_max=3,
+            threshold_engine(2), k_max=3,
             rng=np.random.default_rng(7),
         )
         sampler.enumerate_k1_exact()

@@ -27,7 +27,6 @@ class TestParser:
             ["table1"],
             ["figure4"],
             ["budget", "steane"],
-            ["cluster", "worker", "--listen", "127.0.0.1:0"],
         ):
             args = build_parser().parse_args(command)
             assert args.store is None, command

@@ -92,21 +92,37 @@ class TestPlusJudge:
 
     def test_logical_error_scaling(self):
         """Plus-state protocol also shows O(p^2) logical scaling."""
-        from repro.sim.frame import protocol_locations
         from repro.sim.subset import SubsetSampler
 
         code = steane_code()
         protocol = synthesize_plus_protocol(code)
-        runner = ProtocolRunner(protocol)
-        judge = PlusStateJudge(code)
-        sampler = SubsetSampler(
-            lambda inj: judge.is_logical_failure(runner.run(inj)),
-            protocol_locations(protocol),
+        sampler = SubsetSampler.for_protocol(
+            protocol,
+            judge=PlusStateJudge(code),
             k_max=2,
             rng=np.random.default_rng(5),
         )
         sampler.enumerate_k1_exact()
         assert sampler.strata[1].rate == 0.0
+
+    def test_batched_engine_matches_per_shot_judge(self):
+        """The batched engine's vectorized verdicts equal the per-shot ones."""
+        from repro.sim.noise import sample_injections_stratum
+        from repro.sim.sampler import make_sampler
+
+        code = steane_code()
+        protocol = synthesize_plus_protocol(code)
+        judge = PlusStateJudge(code)
+        batched = make_sampler(protocol, judge=judge)
+        reference = make_sampler(protocol, engine="reference", judge=judge)
+        loc_idx, draw_idx = sample_injections_stratum(
+            batched.locations, 2, 300, np.random.default_rng(0)
+        )
+        verdicts = batched.failures_indexed(loc_idx, draw_idx)
+        assert verdicts.any()
+        assert np.array_equal(
+            verdicts, reference.failures_indexed(loc_idx, draw_idx)
+        )
 
 
 class TestPlusStabilizers:
