@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..pauli.group import CosetReducer
-from ..pauli.symplectic import as_bit_matrix
+from ..pauli.symplectic import as_bit_matrix, span_weight_floors
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_and, encode_xor_chain
@@ -95,7 +95,7 @@ def synthesize_correction(
     :class:`CorrectionInfeasible` if no solution exists with at most
     ``max_measurements`` extra measurements.
     """
-    errors = _dedupe_by_coset(errors, reducer)
+    errors = reducer.dedupe(errors)
     n = reducer.n
     if not errors:
         return CorrectionCircuit([], {})
@@ -115,7 +115,8 @@ def synthesize_correction(
             continue
         best = encoder.extract(result.model, errors, candidates, reducer)
         best_v = best.cnot_count
-        while best_v > u:
+        floor = int(span_weight_floors(basis)[u - 1])
+        while best_v > floor:
             probe = solver.solve(
                 assumptions=encoder.totalizer.at_most(best_v - 1)
             )
@@ -134,40 +135,17 @@ def synthesize_correction(
 # -- internals ---------------------------------------------------------------
 
 
-def _dedupe_by_coset(errors, reducer: CosetReducer) -> list[np.ndarray]:
-    seen: set[bytes] = set()
-    out: list[np.ndarray] = []
-    for error in errors:
-        label = reducer.canonical(error)
-        if label not in seen:
-            seen.add(label)
-            out.append(reducer.reduce(error))
-    return out
-
-
 def _candidate_pool(
     errors: list[np.ndarray], reducer: CosetReducer
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Recovery candidates and the ok[error][candidate] predicate."""
     n = reducer.n
-    pool: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    singles = [np.zeros(n, dtype=np.uint8)]
-    for q in range(n):
-        vec = np.zeros(n, dtype=np.uint8)
-        vec[q] = 1
-        singles.append(vec)
-    for error in errors:
-        for r in singles:
-            candidate = error ^ r
-            label = reducer.canonical(candidate)
-            if label not in seen:
-                seen.add(label)
-                pool.append(reducer.reduce(candidate))
-    ok = np.zeros((len(errors), len(pool)), dtype=bool)
-    for ei, error in enumerate(errors):
-        for mi, candidate in enumerate(pool):
-            ok[ei, mi] = reducer.coset_weight(error ^ candidate) <= 1
+    singles = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+    pool = reducer.dedupe([error ^ r for error in errors for r in singles])
+    pool_matrix = np.array(pool, dtype=np.uint8)
+    ok = np.array(
+        [reducer.coset_weights_batch(pool_matrix ^ error) <= 1 for error in errors]
+    )
     return pool, ok
 
 

@@ -59,8 +59,8 @@ def dangerous_errors(
     Returns minimal coset representatives; with ``dedupe`` (default) each
     coset appears once — detection parities and correctability only depend
     on the coset. The wt_S >= 2 filter runs as one batched coset reduction
-    over every propagated fault at once; only the (few) survivors pay the
-    per-row canonicalization.
+    over every propagated fault at once, and the survivors are deduplicated
+    by :meth:`CosetReducer.dedupe`.
     """
     code = prep.code
     reducer = error_reducer(code, kind)
@@ -71,16 +71,7 @@ def dangerous_errors(
     if not candidates:
         return []
     rows = np.asarray(candidates, dtype=np.uint8)
-    weights = reducer.coset_weights_dedup(rows)
-    seen: set[bytes] = set()
-    out: list[np.ndarray] = []
-    for error, weight in zip(rows, weights):
-        if weight < 2 or not error.any():
-            continue
-        if dedupe:
-            label = reducer.canonical(error)
-            if label in seen:
-                continue
-            seen.add(label)
-        out.append(reducer.reduce(error))
-    return out
+    dangerous = rows[(reducer.coset_weights_dedup(rows) >= 2) & rows.any(axis=1)]
+    if dedupe:
+        return reducer.dedupe(dangerous)
+    return [reducer.reduce(error) for error in dangerous]

@@ -31,7 +31,7 @@ import numpy as np
 from ..codes.css import CSSCode
 from ..synth.prep import PrepCircuit, prepare_zero
 from ..synth.verification import enumerate_optimal_verifications
-from .errors import dangerous_errors, detection_basis
+from .errors import dangerous_errors, detection_basis, error_reducer
 from .metrics import ProtocolMetrics, protocol_metrics
 from .protocol import DeterministicProtocol, synthesize_protocol_from_parts
 
@@ -175,22 +175,8 @@ def _z_choices_for(
         hook_residuals = builder.dangerous_layer_residuals("Z")
     if not dangerous_z_prep and not hook_residuals:
         return [None]
-    merged = _dedupe(code, dangerous_z_prep + hook_residuals)
+    merged = error_reducer(code, "Z").dedupe(dangerous_z_prep + hook_residuals)
     results = enumerate_optimal_verifications(
         detection_basis(code, "Z"), merged, limit=limit
     )
     return [r.measurements for r in results]
-
-
-def _dedupe(code: CSSCode, errors: list[np.ndarray]) -> list[np.ndarray]:
-    from .errors import error_reducer
-
-    reducer = error_reducer(code, "Z")
-    seen: set[bytes] = set()
-    out = []
-    for error in errors:
-        label = reducer.canonical(error)
-        if label not in seen:
-            seen.add(label)
-            out.append(reducer.reduce(error))
-    return out

@@ -273,8 +273,8 @@ def synthesize_protocol_from_parts(
         hook_residuals = []
 
     if needs_z_layer:
-        dangerous_z = _merge_cosets(
-            code, "Z", dangerous_z_prep + hook_residuals
+        dangerous_z = error_reducer(code, "Z").dedupe(
+            dangerous_z_prep + hook_residuals
         )
         z_supports = verification_z if verification_z is not None else (
             _synth_verification(code, "Z", dangerous_z, verification_method)
@@ -296,18 +296,6 @@ def _synth_verification(code, kind, errors, method) -> list[np.ndarray]:
     else:
         raise ValueError(f"unknown verification method {method!r}")
     return result.measurements
-
-
-def _merge_cosets(code, kind, errors) -> list[np.ndarray]:
-    reducer = error_reducer(code, kind)
-    seen: set[bytes] = set()
-    out = []
-    for e in errors:
-        label = reducer.canonical(e)
-        if label not in seen:
-            seen.add(label)
-            out.append(reducer.reduce(e))
-    return out
 
 
 class _ProtocolBuilder:
@@ -349,19 +337,13 @@ class _ProtocolBuilder:
         """
         circuit, layers_meta = self._assemble_verifications()
         reducer = error_reducer(self.code, kind)
-        out = []
-        seen: set[bytes] = set()
-        for pf in propagate_all_faults(circuit):
-            error = (
-                pf.data_x(self.code.n) if kind == "X" else pf.data_z(self.code.n)
-            )
-            if reducer.coset_weight(error) < 2:
-                continue
-            label = reducer.canonical(error)
-            if label not in seen:
-                seen.add(label)
-                out.append(reducer.reduce(error))
-        return out
+        errors = [
+            pf.data_x(self.code.n) if kind == "X" else pf.data_z(self.code.n)
+            for pf in propagate_all_faults(circuit)
+        ]
+        return reducer.dedupe(
+            [e for e in errors if reducer.coset_weight(e) >= 2]
+        )
 
     # -- assembly ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from .symplectic import (
     solve,
     span_iter,
     span_matrix,
+    span_weight_floors,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "solve",
     "span_iter",
     "span_matrix",
+    "span_weight_floors",
 ]

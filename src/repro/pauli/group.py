@@ -39,6 +39,17 @@ class CosetReducer:
         self._span = span_matrix(self.basis) if self.rank else np.zeros(
             (1, self.n), dtype=np.uint8
         )
+        # Integer row keys ordered like the rows' bytes: qubit 0 is the
+        # most significant bit, so key(g ^ v) == key(g) ^ key(v).
+        self._place = (
+            np.uint64(1) << np.arange(self.n - 1, -1, -1, dtype=np.uint64)
+            if self.n <= 64
+            else np.array([1 << (self.n - 1 - q) for q in range(self.n)], dtype=object)
+        )
+        self._keys = self._row_keys(self._span)
+
+    def _row_keys(self, mat: np.ndarray) -> np.ndarray:
+        return mat.astype(self._place.dtype) @ self._place
 
     def coset_weight(self, vec) -> int:
         """``min { wt(vec + g) : g in the group }``."""
@@ -57,9 +68,25 @@ class CosetReducer:
         Two vectors get the same label iff they differ by a group element.
         """
         vec = as_bit_vector(vec, self.n)
-        shifted = self._span ^ vec
-        # Lexicographic minimum over rows via bytes comparison.
-        return min(row.tobytes() for row in shifted)
+        first = int(np.argmin(self._keys ^ self._row_keys(vec)))
+        return (self._span[first] ^ vec).tobytes()
+
+    def dedupe(self, errors) -> list[np.ndarray]:
+        """One :meth:`reduce` representative per distinct coset in ``errors``.
+
+        Keeps first-seen order, and each coset is represented by the
+        reduction of its first member: the same list as a loop over
+        :meth:`canonical` labels, from one pass over the span's keys.
+        """
+        mat = np.asarray(errors, dtype=np.uint8).reshape(-1, self.n)
+        keys = self._row_keys(mat)
+        labels = np.empty_like(keys)
+        step = max(1, (1 << 20) // len(self._keys))
+        for start in range(0, len(keys), step):
+            chunk = keys[start : start + step, None]
+            labels[start : start + step] = (chunk ^ self._keys).min(axis=1)
+        _, first = np.unique(labels, return_index=True)
+        return [self.reduce(mat[i]) for i in np.sort(first)]
 
     def coset_weights_batch(self, mat) -> np.ndarray:
         """Coset weights for every row of ``mat`` at once."""

@@ -23,6 +23,7 @@ __all__ = [
     "solve",
     "span_iter",
     "span_matrix",
+    "span_weight_floors",
     "min_weight_in_coset",
     "min_weight_vector_in_coset",
     "independent_rows",
@@ -190,6 +191,18 @@ def span_matrix(basis: np.ndarray) -> np.ndarray:
         out[size : 2 * size] = out[:size] ^ reduced[i]
         size *= 2
     return out
+
+
+def span_weight_floors(basis: np.ndarray) -> np.ndarray:
+    """``floors[u - 1]``: the least total weight of ``u`` independent span vectors.
+
+    ``u`` linearly independent vectors of ``rowspan(basis)`` are ``u``
+    distinct nonzero span members, so together they weigh at least the
+    ``u`` lightest nonzero members: the running sum of the sorted nonzero
+    weights.
+    """
+    weights = span_matrix(basis).sum(axis=1, dtype=np.int64)
+    return np.cumsum(np.sort(weights[weights > 0]))
 
 
 def min_weight_in_coset(group: np.ndarray, vec: np.ndarray) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pauli.group import CosetReducer
-from ..pauli.symplectic import as_bit_matrix, span_matrix
+from ..pauli.symplectic import as_bit_matrix, span_matrix, span_weight_floors
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
 from ..sat.encode import encode_xor_chain
@@ -65,14 +65,7 @@ class VerificationResult:
 
 def dedupe_errors(errors, reducer: CosetReducer) -> list[np.ndarray]:
     """Unique error coset representatives (syndromes only see the coset)."""
-    seen: set[bytes] = set()
-    out: list[np.ndarray] = []
-    for error in errors:
-        label = reducer.canonical(error)
-        if label not in seen:
-            seen.add(label)
-            out.append(reducer.reduce(error))
-    return out
+    return reducer.dedupe(errors)
 
 
 def _detection_parities(detection_basis: np.ndarray, errors) -> list[tuple[int, ...]]:
@@ -173,8 +166,9 @@ def synthesize_verification_optimal(
             continue
         measurements = encoder.extract(result.model)
         best_v = sum(int(m.sum()) for m in measurements)
-        # Tighten the weight bound until UNSAT.
-        while best_v > u:
+        # Tighten the weight bound until UNSAT or down to the floor.
+        floor = int(span_weight_floors(basis)[u - 1])
+        while best_v > floor:
             probe = solver.solve(assumptions=encoder.totalizer.at_most(best_v - 1))
             if not probe.sat:
                 break
