@@ -114,16 +114,17 @@ def synthesize_correction(
         if not result.sat:
             continue
         best = encoder.extract(result.model, errors, candidates, reducer)
-        best_v = best.cnot_count
-        floor = int(span_weight_floors(basis)[u - 1])
-        while best_v > floor:
-            probe = solver.solve(
-                assumptions=encoder.totalizer.at_most(best_v - 1)
-            )
-            if not probe.sat:
-                break
-            best = encoder.extract(probe.model, errors, candidates, reducer)
-            best_v = best.cnot_count
+        # Probe the floor first; only if it is UNSAT step the bound down
+        # by one from the model in hand. ``lowest`` is the least weight
+        # not yet refuted.
+        lowest = bound = int(span_weight_floors(basis)[u - 1])
+        while best.cnot_count > lowest:
+            probe = solver.solve(assumptions=encoder.totalizer.at_most(bound))
+            if probe.sat:
+                best = encoder.extract(probe.model, errors, candidates, reducer)
+            else:
+                lowest = bound + 1
+            bound = best.cnot_count - 1
         best.num_errors = len(errors)
         return best
     raise CorrectionInfeasible(

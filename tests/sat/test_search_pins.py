@@ -98,8 +98,8 @@ SYNTHESIS_PINS = {
                "ec1cf91e59407e21f8ac00da31447525361b182cd3b12e71110df8175ad1a85b"),
     "shor": ((4, 2, 12, 75, 468),
              "33c592f9405a04a46125a147b65642975e7d4af2968d345e9a2c3185c59c8b81"),
-    "surface_3": ((7, 2, 25, 105, 813),
+    "surface_3": ((6, 2, 9, 64, 410),
                   "322dcc4261284ad2bb1fe309d4e7e43b459704daba377c430b8d5e2d735eaa7c"),
-    "11_1_3": ((12, 2, 69, 246, 3397),
-               "9297445618f5fd693f1abba88fec27c61b918ade0dc2b2dc0e80f8df9ae30c6b"),
+    "11_1_3": ((13, 3, 77, 252, 3711),
+               "677e626a79fec8fe5f28a573cd1701413acb48fba969a607315d86a90ed370fa"),
 }
