@@ -12,8 +12,12 @@ constant factor, not a complexity change), next to correctness gates:
   bit-identical tallies to the model-free path (the round-trip contract);
 * biased batches must run identically on the batched and per-shot
   reference engines;
-* the planner's exact biased k = 1 mass must match a per-shot
-  ``ReferenceSampler`` sum over ``SiteUniverse.iter_rows()``.
+* the planner's exact k = 1 mass must match a per-shot
+  ``ReferenceSampler`` sum over ``SiteUniverse.iter_rows()``, for the
+  biased model and for a correlated-pair model. Steane is fault-tolerant,
+  so its biased k = 1 mass is 0 on both paths; a single crosstalk event
+  is two faults, so the correlated row has a nonzero mass (f_1 ≈ 0.0131)
+  that a wrong row weight would move.
 
 Recorder mode (writes ``BENCH_noise.json`` for CI artifacts/deltas)::
 
@@ -36,7 +40,7 @@ import numpy as np
 from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
 from repro.sim.noise import E1_1
-from repro.sim.noisemodels import BiasedPauliModel, site_universe
+from repro.sim.noisemodels import BiasedPauliModel, CorrelatedPairModel, site_universe
 from repro.sim.sampler import ReferenceSampler, make_sampler
 from repro.sim.subset import SubsetSampler
 
@@ -59,6 +63,20 @@ def _time_stratum(engine, shots, k, batch, rng, universe=None, locations=None):
         failures += int(engine.failures_indexed(loc_idx, draw_idx).sum())
         remaining -= step
     return time.perf_counter() - start, failures
+
+
+def _k1_masses(protocol, reference, model, seed) -> tuple[float, float]:
+    """Exact k = 1 mass from the planner and from a per-shot row sum."""
+    planner = SubsetSampler.for_protocol(
+        protocol, rng=np.random.default_rng(seed), model=model
+    )
+    planner.enumerate_k1_exact()
+    per_shot = sum(
+        weight
+        for injections, weight in site_universe(reference.locations, model).iter_rows()
+        if reference.failures([injections])[0]
+    )
+    return float(planner.strata[1].rate), float(per_shot)
 
 
 def run_recorder(code_key: str, shots: int, k: int, eta: float, seed: int) -> dict:
@@ -97,18 +115,12 @@ def run_recorder(code_key: str, shots: int, k: int, eta: float, seed: int) -> di
         )
     )
 
-    # Correctness gate 3: the planner's exact biased k=1 mass equals a
-    # per-shot sum over the same rows, each judged on its own.
-    engine_k1 = SubsetSampler.for_protocol(
-        protocol, rng=np.random.default_rng(seed), model=biased
+    # Correctness gate 3: the planner's exact k=1 mass equals a per-shot
+    # sum over the same rows, each judged on its own.
+    biased_k1 = _k1_masses(protocol, reference, biased, seed)
+    correlated_k1 = _k1_masses(
+        protocol, reference, CorrelatedPairModel(p=1e-3, pair_rate=5e-4), seed
     )
-    engine_k1.enumerate_k1_exact()
-    per_shot_k1 = sum(
-        weight
-        for injections, weight in universe.iter_rows()
-        if reference.failures([injections])[0]
-    )
-    k1_consistent = abs(engine_k1.strata[1].rate - per_shot_k1) < 1e-9
 
     # The throughput datapoint: uniform vs biased stratum generation.
     batch = 8192
@@ -144,7 +156,9 @@ def run_recorder(code_key: str, shots: int, k: int, eta: float, seed: int) -> di
         "biased_failure_rate": round(biased_failures / shots, 6),
         "e1_1_seam_identical": seam_identical,
         "biased_engines_identical": engines_identical,
-        "biased_k1_exact_consistent": k1_consistent,
+        "biased_k1_exact_consistent": abs(biased_k1[0] - biased_k1[1]) < 1e-9,
+        "correlated_k1_rate": round(correlated_k1[0], 6),
+        "correlated_k1_exact_consistent": abs(correlated_k1[0] - correlated_k1[1]) < 1e-9,
     }
 
 
@@ -186,6 +200,9 @@ def main() -> int:
         return 1
     if not record["biased_k1_exact_consistent"]:
         print("FAIL: biased exact k=1 mass differs between paths")
+        return 1
+    if not record["correlated_k1_exact_consistent"]:
+        print("FAIL: correlated-pair exact k=1 mass differs between paths")
         return 1
     ratio = record["biased_vs_uniform_speedup"]
     if args.floor and ratio < args.floor:

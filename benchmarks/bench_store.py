@@ -1,12 +1,11 @@
 """Benchmark: artifact-store cold vs warm pipeline startup (repro.store).
 
 The ISSUE-6 acceptance workload: synthesize + compile the *largest*
-catalog code ([[16,6,4]] tesseract — about two minutes of SAT solving
-cold, see ``BENCH_shard.json``) against a fresh store root, then repeat
-the identical calls warm. The warm pass must load the stored protocol
-JSON instead of re-running the SAT search, and must finish under the
-``--warm-ceiling`` wall-clock bound (2 s by default, versus ~110 s
-cold). Compiled engines are not cached, so ``compile_seconds_warm`` is a
+catalog code ([[16,6,4]] tesseract — about 1.5 s of SAT solving
+cold) against a fresh store root, then repeat the identical calls warm.
+The warm pass must load the stored protocol JSON instead of re-running
+the SAT search, and must finish under the ``--warm-ceiling`` wall-clock
+bound (2 s by default). Compiled engines are not cached, so ``compile_seconds_warm`` is a
 fresh compile of the store-served protocol. The protocol JSON is asserted byte-identical between the two
 passes, and the single-fault certificate is asserted equal across
 cold / store-served / store-bypassed calls — the store must never

@@ -24,8 +24,14 @@ correctability predicate ``ok[e][m] = (wt_R(e + c_m) <= 1)`` is
 * total weight ``sum_{i,q} s_i[q] <= v`` via a totalizer (assumption-probed).
 
 Lexicographic optimality loop: smallest ``u`` (with ``u = 0`` checked
-directly — a single shared recovery, no SAT needed), then smallest ``v`` —
-UNSAT at ``u - 1`` / ``v - 1`` is the paper's optimality certificate.
+directly — a single shared recovery, no SAT needed), then smallest ``v``.
+At the minimal ``u`` the measurements of an optimal solution are linearly
+independent (a dependent one adds nothing to the syndrome partition, so
+``u - 1`` would do), hence ``v`` is at least the *floor*: the summed
+weight of the ``u`` lightest nonzero span vectors. The first weight probe
+asks for the floor itself; only if that is UNSAT does the bound step down
+by one from the model in hand. The optimality certificate is UNSAT at
+``u - 1``, plus either UNSAT at ``v - 1`` or ``v`` = floor.
 """
 
 from __future__ import annotations

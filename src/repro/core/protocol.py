@@ -337,13 +337,14 @@ class _ProtocolBuilder:
         """
         circuit, layers_meta = self._assemble_verifications()
         reducer = error_reducer(self.code, kind)
-        errors = [
-            pf.data_x(self.code.n) if kind == "X" else pf.data_z(self.code.n)
-            for pf in propagate_all_faults(circuit)
-        ]
-        return reducer.dedupe(
-            [e for e in errors if reducer.coset_weight(e) >= 2]
-        )
+        rows = np.array(
+            [
+                pf.data_x(self.code.n) if kind == "X" else pf.data_z(self.code.n)
+                for pf in propagate_all_faults(circuit)
+            ],
+            dtype=np.uint8,
+        ).reshape(-1, self.code.n)
+        return reducer.dedupe(rows[reducer.coset_weights_dedup(rows) >= 2])
 
     # -- assembly ----------------------------------------------------------
 

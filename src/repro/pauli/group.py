@@ -81,7 +81,7 @@ class CosetReducer:
         mat = np.asarray(errors, dtype=np.uint8).reshape(-1, self.n)
         keys = self._row_keys(mat)
         labels = np.empty_like(keys)
-        step = max(1, (1 << 20) // len(self._keys))
+        step = max(1, (1 << 18) // len(self._keys))
         for start in range(0, len(keys), step):
             chunk = keys[start : start + step, None]
             labels[start : start + step] = (chunk ^ self._keys).min(axis=1)

@@ -1,7 +1,7 @@
 """Disk-backed content-addressed artifact store.
 
 Synthesis is the dominant cost of this reproduction (the tesseract code
-takes ~110 s of SAT solving for 0.3 s of simulation), and before this
+takes ~1.5 s of SAT solving, a full Table I pass ~17 s), and before this
 module every CLI invocation, CI job, and cold cluster coordinator re-paid
 it from scratch. :class:`ArtifactStore` persists the expensive artifacts
 — protocol JSON, certificate and budget results — under content-derived

@@ -17,6 +17,16 @@ selector variables ``a[i][j]`` (measurement ``s_i = XOR_j a[i][j] g_j``):
 * weight:      ``sum_{i,q} s_i[q] <= v`` via a totalizer, probed with
   assumptions so one solver run covers all weight bounds;
 * non-triviality and row symmetry breaking on the ``a`` matrix.
+
+The weight bound steps down by one from the first model and stops at
+UNSAT or at the *floor*, the summed weight of the ``u`` lightest nonzero
+span vectors: at the minimal ``u`` the measurements are linearly
+independent (an error flipping a dependent measurement flips one it
+depends on), so no lighter set exists. The certificate is UNSAT at
+``u - 1``, plus either UNSAT at ``v - 1`` or ``v`` = floor. Unlike
+correction, verification does not probe the floor first: the model that
+probe returns is a different tied optimum, and the verification choice
+shapes the error classes downstream, so it would move Table I cells.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..pauli.group import CosetReducer
 from ..pauli.symplectic import as_bit_matrix, span_matrix, span_weight_floors
 from ..sat.cardinality import Totalizer
 from ..sat.cnf import CNF
@@ -34,7 +43,6 @@ from ..sat.solver import Solver
 
 __all__ = [
     "VerificationResult",
-    "dedupe_errors",
     "synthesize_verification_optimal",
     "synthesize_verification_greedy",
     "enumerate_optimal_verifications",
@@ -61,11 +69,6 @@ class VerificationResult:
             f"VerificationResult(a={self.num_ancillas}, "
             f"w={self.total_weight}, method={self.method!r})"
         )
-
-
-def dedupe_errors(errors, reducer: CosetReducer) -> list[np.ndarray]:
-    """Unique error coset representatives (syndromes only see the coset)."""
-    return reducer.dedupe(errors)
 
 
 def _detection_parities(detection_basis: np.ndarray, errors) -> list[tuple[int, ...]]:

@@ -1,0 +1,210 @@
+"""The span-weight floor that ends both (u, v) searches.
+
+At the minimal ``u`` an optimal measurement set is linearly independent,
+so its total weight is at least the sum of the ``u`` lightest nonzero
+vectors of the detection span. The searches never probe a bound below
+that floor; correction probes the floor first and steps down by one only
+when the floor is UNSAT. These tests record every weight probe of whole
+syntheses and check the optima they return by brute force.
+"""
+
+import itertools
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+import repro.core.protocol as protocol_module
+from repro.codes.catalog import get_code
+from repro.pauli.symplectic import as_bit_matrix, span_matrix, span_weight_floors
+from repro.sat.cardinality import Totalizer
+from repro.sat.solver import Solver
+
+# (u, floor) of the 12 tesseract correction branches, in synthesis order.
+TESSERACT_FLOORS = [
+    (2, 8), (3, 12), (2, 8), (2, 8), (2, 8), (1, 8),
+    (2, 8), (1, 4), (1, 8), (2, 8), (1, 8), (1, 4),
+]
+
+
+def floor_of(basis, u: int) -> int:
+    return int(span_weight_floors(as_bit_matrix(basis))[u - 1]) if u else 0
+
+
+class Call(NamedTuple):
+    """One synthesis call: its inputs, result, and the ``(k, sat)`` of
+    every ``at_most(k)`` solve it issued."""
+
+    errors: list
+    basis: np.ndarray
+    reducer: object  # None for verification
+    result: object
+    probes: list
+
+    @property
+    def floor(self) -> int:
+        return floor_of(self.basis, self.result.num_ancillas)
+
+
+def record_synthesis(code_key: str) -> dict[str, list[Call]]:
+    """Synthesize ``code_key`` and log every correction/verification call."""
+    probes: list[tuple[int, bool]] = []
+    last_bound = [None]
+    calls: dict[str, list] = {"correction": [], "verification": []}
+    at_most, solve = Totalizer.at_most, Solver.solve
+
+    def tagged(self, k):
+        last_bound[0] = k
+        return at_most(self, k)
+
+    def counted(self, assumptions=None):
+        result = solve(self, assumptions)
+        if assumptions:
+            probes.append((last_bound[0], result.sat))
+        return result
+
+    def recorded(kind, synthesize):
+        def wrapper(*args, **kwargs):
+            start = len(probes)
+            result = synthesize(*args, **kwargs)
+            if kind == "correction":
+                errors, basis, reducer = args[:3]
+            else:
+                (basis, errors), reducer = args[:2], None
+            calls[kind].append(Call(errors, basis, reducer, result, probes[start:]))
+            return result
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Totalizer, "at_most", tagged)
+        mp.setattr(Solver, "solve", counted)
+        mp.setattr(protocol_module, "synthesize_correction",
+                   recorded("correction", protocol_module.synthesize_correction))
+        mp.setattr(protocol_module, "synthesize_verification_optimal",
+                   recorded("verification", protocol_module.synthesize_verification_optimal))
+        protocol_module.synthesize_protocol(get_code(code_key), store=False)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tesseract_calls():
+    return record_synthesis("tesseract")
+
+
+@pytest.fixture(scope="module")
+def code_16_2_4_calls():
+    return record_synthesis("16_2_4")
+
+
+def correctable(errors, measurements, ok) -> bool:
+    """Every extended-syndrome class shares a recovery (``ok`` rows ANDed)."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for ei, e in enumerate(errors):
+        classes.setdefault(tuple(int(m @ e) % 2 for m in measurements), []).append(ei)
+    return all(np.logical_and.reduce(ok[members]).any() for members in classes.values())
+
+
+def recovery_table(errors, reducer) -> np.ndarray:
+    """``ok[e][c]``: candidate ``c`` (a class member plus at most one
+    flipped qubit) leaves ``e`` at coset weight <= 1."""
+    n = reducer.n
+    singles = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+    pool = np.array([e ^ s for e in errors for s in singles], dtype=np.uint8)
+    return np.array([reducer.coset_weights_batch(pool ^ e) <= 1 for e in errors])
+
+
+class TestFloors:
+    def test_floor_is_running_sum_of_lightest_span_weights(self):
+        basis = as_bit_matrix(["1100", "0110", "0011"])
+        # Span weights: 2, 2, 2, 2, 2, 2, 4 (and the zero vector).
+        assert span_weight_floors(basis).tolist() == [2, 4, 6, 8, 10, 12, 16]
+
+    def test_tesseract_branch_floors_golden(self, tesseract_calls):
+        got = [(call.result.num_ancillas, call.floor) for call in tesseract_calls["correction"]]
+        assert got == TESSERACT_FLOORS
+
+    def test_tesseract_branches_end_at_their_floor(self, tesseract_calls):
+        for call in tesseract_calls["correction"]:
+            assert call.result.cnot_count == call.floor
+
+
+class TestProbes:
+    @pytest.mark.parametrize("kind", ["correction", "verification"])
+    def test_no_probe_below_the_floor(self, tesseract_calls, code_16_2_4_calls, kind):
+        for calls in (tesseract_calls, code_16_2_4_calls):
+            for call in calls[kind]:
+                assert all(k >= call.floor for k, _ in call.probes)
+
+    def test_correction_probes_the_floor_first(self, tesseract_calls, code_16_2_4_calls):
+        for calls in (tesseract_calls, code_16_2_4_calls):
+            for call in calls["correction"]:
+                if call.probes:
+                    assert call.probes[0][0] == call.floor
+
+    def test_tesseract_issues_no_unsat_weight_probe(self, tesseract_calls):
+        for kind in ("correction", "verification"):
+            for call in tesseract_calls[kind]:
+                assert all(sat for _, sat in call.probes)
+
+
+class TestAboveTheFloor:
+    """16_2_4's u = 1 branch: the floor probe is UNSAT, so the search
+    steps down by one, and the optimum it returns is checked by brute
+    force over every single measurement of the span."""
+
+    @pytest.fixture(scope="class")
+    def branch(self, code_16_2_4_calls):
+        above = [
+            call for call in code_16_2_4_calls["correction"]
+            if call.result.cnot_count > call.floor
+        ]
+        assert len(above) == 1
+        return above[0]
+
+    def test_floor_probe_is_unsat_then_steps_down(self, branch):
+        assert branch.result.num_ancillas == 1
+        assert branch.probes[0] == (branch.floor, False)
+        bounds = [k for k, _ in branch.probes[1:]]
+        assert bounds == sorted(bounds, reverse=True)
+        assert branch.probes[-1] == (branch.result.cnot_count - 1, False)
+
+    def test_optimum_by_brute_force(self, branch):
+        reducer, result = branch.reducer, branch.result
+        errors = reducer.dedupe(branch.errors)
+        ok = recovery_table(errors, reducer)
+        assert correctable(errors, result.measurements, ok)
+        assert not correctable(errors, [], ok)  # u - 1 = 0 is infeasible
+        lighter = [m for m in span_matrix(as_bit_matrix(branch.basis))
+                   if 0 < m.sum() < result.cnot_count]
+        assert lighter
+        assert not any(correctable(errors, [m], ok) for m in lighter)
+
+
+def detects_all(measurements, errors) -> bool:
+    return all(any(int(m @ e) % 2 for m in measurements) for e in errors)
+
+
+class TestVerificationOptimality:
+    """Lexicographic (u, v) optimality of every verification layer a
+    synthesis asks for, by brute force over measurement subsets of the
+    detection span."""
+
+    # carbon's Z layer needs u = 2 and ends above its floor (v = 10).
+    @pytest.mark.parametrize("key", ["steane", "shor", "surface_3", "carbon"])
+    def test_brute_force(self, key):
+        calls = record_synthesis(key)["verification"]
+        assert calls
+        for call in calls:
+            u, v = call.result.num_ancillas, call.result.total_weight
+            assert detects_all(call.result.measurements, call.errors)
+            span = [m for m in span_matrix(as_bit_matrix(call.basis)) if m.any()]
+            for smaller in range(1, u):
+                assert not any(
+                    detects_all(combo, call.errors)
+                    for combo in itertools.combinations(span, smaller)
+                )
+            assert not any(
+                detects_all(combo, call.errors)
+                for combo in itertools.combinations(span, u)
+                if sum(int(m.sum()) for m in combo) < v
+            )

@@ -1,5 +1,8 @@
 """Tests for the Table-I regeneration harness."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.table1 import (
@@ -29,6 +32,25 @@ class TestRowConfiguration:
     def test_fast_rows_subset(self):
         assert set(TABLE1_FAST_ROWS) <= set(TABLE1_ROWS)
         assert all(code != "tesseract" for code, _, _ in TABLE1_FAST_ROWS)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "table1_cells.json").read_text())
+
+
+class TestGoldenCells:
+    """``table1_cells.json`` holds every row's cells; CI regenerates all
+    15 rows against it (``scripts/table1_cells.py``), tier-1 the small ones."""
+
+    def test_golden_covers_every_row(self):
+        assert set(GOLDEN) == {"/".join(row) for row in TABLE1_ROWS}
+
+    @pytest.mark.parametrize(
+        "row", [row for row in TABLE1_ROWS if row[0] in ("steane", "shor", "surface_3", "11_1_3")]
+    )
+    def test_small_rows_match_golden(self, row):
+        cells = run_row(*row).cells()
+        cells.pop("sec")
+        assert cells == GOLDEN["/".join(row)]
 
 
 class TestRunRow:

@@ -72,6 +72,34 @@ class TestCosetReducer:
         assert reducer.rank == 2
 
 
+class TestCanonicalAndDedupe:
+    """``canonical`` is the bytes-least coset member and ``dedupe`` the
+    first-seen ``reduce`` per coset, for every width: integer keys on
+    ``n <= 64`` and Python ints beyond."""
+
+    @pytest.mark.parametrize("n, r", [(7, 3), (16, 5), (64, 4), (70, 4), (5, 0)])
+    def test_match_the_definitions(self, n, r):
+        rng = np.random.default_rng(n)
+        basis = rng.integers(0, 2, size=(r, n), dtype=np.uint8)
+        reducer = CosetReducer(basis, n)
+        span = span_matrix(basis) if r else np.zeros((1, n), dtype=np.uint8)
+        vecs = rng.integers(0, 2, size=(40, n), dtype=np.uint8)
+        # Repeat some cosets through other members.
+        vecs = np.vstack([vecs, vecs[:20] ^ span[rng.integers(0, len(span), 20)]])
+        expected, seen = [], set()
+        for vec in vecs:
+            label = min(row.tobytes() for row in span ^ vec)
+            assert reducer.canonical(vec) == label
+            if label not in seen:
+                seen.add(label)
+                expected.append(reducer.reduce(vec))
+        got = reducer.dedupe(list(vecs))
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected]
+
+    def test_dedupe_empty(self):
+        assert CosetReducer(["1100"]).dedupe([]) == []
+
+
 class TestSteaneWtS:
     """Paper Example 1/2: stabilizer-equivalence on the Steane code."""
 

@@ -7,7 +7,6 @@ from repro.codes.catalog import get_code, steane_code
 from repro.core.errors import dangerous_errors, detection_basis, error_reducer
 from repro.synth.prep import prepare_zero_heuristic
 from repro.synth.verification import (
-    dedupe_errors,
     enumerate_optimal_verifications,
     synthesize_verification_greedy,
     synthesize_verification_optimal,
@@ -98,7 +97,7 @@ class TestDedupe:
         e = np.zeros(7, dtype=np.uint8)
         e[[0, 1]] = 1
         shifted = e ^ code.hx[0]
-        unique = dedupe_errors([e, shifted, e.copy()], reducer)
+        unique = reducer.dedupe([e, shifted, e.copy()])
         assert len(unique) == 1
 
     def test_distinct_cosets_kept(self):
@@ -108,7 +107,7 @@ class TestDedupe:
         e1[[0, 1]] = 1
         e2 = np.zeros(7, dtype=np.uint8)
         e2[[0, 3]] = 1
-        assert len(dedupe_errors([e1, e2], reducer)) == 2
+        assert len(reducer.dedupe([e1, e2])) == 2
 
 
 class TestEnumeration:
