@@ -39,8 +39,8 @@ class CosetReducer:
         self._span = span_matrix(self.basis) if self.rank else np.zeros(
             (1, self.n), dtype=np.uint8
         )
-        # Integer row keys ordered like the rows' bytes: qubit 0 is the
-        # most significant bit, so key(g ^ v) == key(g) ^ key(v).
+        # Integer row keys for :meth:`dedupe`: qubit 0 is the most
+        # significant bit, so key(g ^ v) == key(g) ^ key(v).
         self._place = (
             np.uint64(1) << np.arange(self.n - 1, -1, -1, dtype=np.uint64)
             if self.n <= 64
@@ -68,8 +68,9 @@ class CosetReducer:
         Two vectors get the same label iff they differ by a group element.
         """
         vec = as_bit_vector(vec, self.n)
-        first = int(np.argmin(self._keys ^ self._row_keys(vec)))
-        return (self._span[first] ^ vec).tobytes()
+        shifted = self._span ^ vec
+        # Lexicographic minimum over rows via bytes comparison.
+        return min(row.tobytes() for row in shifted)
 
     def dedupe(self, errors) -> list[np.ndarray]:
         """One :meth:`reduce` representative per distinct coset in ``errors``.

@@ -9,7 +9,8 @@ One digest scheme, shared by every layer that names expensive artifacts:
   before caching the compiled engine in its in-memory LRU.
 * :func:`protocol_key` — what ``synthesize_protocol`` is *about to
   compute*: the code's check matrices plus every synthesis parameter
-  (and the serialization format version, so format bumps never collide).
+  (and the serialization format version and :data:`SYNTHESIS_REVISION`,
+  so format bumps and synthesis changes never collide with old entries).
 * :func:`protocol_digest` — what a synthesis *produced*: SHA-256 of the
   canonical protocol JSON. Stable across processes and across
   pickle/JSON round-trips (the JSON round-trip is pinned
@@ -33,6 +34,7 @@ import json
 import pickle
 
 __all__ = [
+    "SYNTHESIS_REVISION",
     "budget_key",
     "chunk_key",
     "direct_key",
@@ -68,6 +70,13 @@ def payload_digest(payload_bytes: bytes) -> str:
 
 # -- protocols ----------------------------------------------------------------
 
+#: Revision of the synthesis algorithms, part of every :func:`protocol_key`.
+#: Bump it whenever ``synthesize_protocol`` may return a different protocol
+#: for the same code and parameters, so a store filled by older code misses
+#: instead of serving the older protocols. Revision 2: correction probes the
+#: span-weight floor first.
+SYNTHESIS_REVISION = 2
+
 
 def protocol_key(
     code,
@@ -83,6 +92,7 @@ def protocol_key(
         {
             "artifact": "protocol",
             "format_version": _FORMAT_VERSION,
+            "synthesis_revision": SYNTHESIS_REVISION,
             "code": {
                 "name": code.name,
                 "hx": code.hx.tolist(),

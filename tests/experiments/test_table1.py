@@ -35,22 +35,20 @@ class TestRowConfiguration:
 
 
 GOLDEN = json.loads((Path(__file__).parent / "table1_cells.json").read_text())
+FAST_GOLDEN = json.loads(
+    (Path(__file__).parents[2] / "perfbench" / "fixtures" / "table1_expected.json").read_text()
+)
 
 
 class TestGoldenCells:
-    """``table1_cells.json`` holds every row's cells; CI regenerates all
-    15 rows against it (``scripts/table1_cells.py``), tier-1 the small ones."""
+    """Every row's cells have exactly one golden: the fast rows in the
+    benchmark's fixture, the rest in ``table1_cells.json``. CI regenerates
+    all 15 rows against them (``scripts/table1_cells.py``)."""
 
-    def test_golden_covers_every_row(self):
-        assert set(GOLDEN) == {"/".join(row) for row in TABLE1_ROWS}
-
-    @pytest.mark.parametrize(
-        "row", [row for row in TABLE1_ROWS if row[0] in ("steane", "shor", "surface_3", "11_1_3")]
-    )
-    def test_small_rows_match_golden(self, row):
-        cells = run_row(*row).cells()
-        cells.pop("sec")
-        assert cells == GOLDEN["/".join(row)]
+    def test_goldens_split_the_rows(self):
+        fast = {"/".join(row) for row in TABLE1_FAST_ROWS}
+        assert set(FAST_GOLDEN) == fast
+        assert set(GOLDEN) == {"/".join(row) for row in TABLE1_ROWS} - fast
 
 
 class TestRunRow:

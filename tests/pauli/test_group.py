@@ -74,8 +74,8 @@ class TestCosetReducer:
 
 class TestCanonicalAndDedupe:
     """``canonical`` is the bytes-least coset member and ``dedupe`` the
-    first-seen ``reduce`` per coset, for every width: integer keys on
-    ``n <= 64`` and Python ints beyond."""
+    first-seen ``reduce`` per coset, for every width: ``dedupe`` keys
+    rows by uint64 on ``n <= 64`` and by Python ints beyond."""
 
     @pytest.mark.parametrize("n, r", [(7, 3), (16, 5), (64, 4), (70, 4), (5, 0)])
     def test_match_the_definitions(self, n, r):

@@ -43,6 +43,17 @@ class TestProtocolKeys:
                 != reference
             )
 
+    def test_protocol_key_changes_with_synthesis_revision(self, monkeypatch):
+        params = dict(
+            prep_method="heuristic",
+            verification_method="optimal",
+            max_correction_measurements=4,
+        )
+        steane = get_code("steane")
+        reference = keys.protocol_key(steane, **params)
+        monkeypatch.setattr(keys, "SYNTHESIS_REVISION", keys.SYNTHESIS_REVISION + 1)
+        assert keys.protocol_key(steane, **params) != reference
+
     def test_protocol_digest_stable_across_json_roundtrip(self):
         protocol = cached_protocol("steane")
         clone = protocol_from_json(protocol_to_json(protocol))
