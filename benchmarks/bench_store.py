@@ -1,7 +1,7 @@
 """Benchmark: artifact-store cold vs warm pipeline startup (repro.store).
 
 The ISSUE-6 acceptance workload: synthesize + compile the *largest*
-catalog code ([[16,6,4]] tesseract — about 1.5 s of SAT solving
+catalog code ([[16,6,4]] tesseract — about 0.6 s of synthesis
 cold) against a fresh store root, then repeat the identical calls warm.
 The warm pass must load the stored protocol JSON instead of re-running
 the SAT search, and must finish under the ``--warm-ceiling`` wall-clock

@@ -1,12 +1,14 @@
 """Regenerate every Table I row and compare its cells with the goldens.
 
-Synthesizes all 15 rows of ``TABLE1_ROWS`` cold (artifact store off) and
-compares each row's cells — every metric, without the wall-clock ``sec`` —
-with its one golden: the 11 ``TABLE1_FAST_ROWS`` with the benchmark's
+Synthesizes all 15 rows of ``TABLE1_ROWS`` cold (artifact store off),
+certifies each protocol against Definition 1 (the exhaustive single-fault
+check), and compares each row's cells — every metric, without the
+wall-clock ``sec`` and the ``ft`` verdict — with its one golden: the 11 ``TABLE1_FAST_ROWS`` with the benchmark's
 ``perfbench/fixtures/table1_expected.json`` (read only; regenerated by
 ``perfbench/fixtures/make_fixtures.py``), the other 4 with
-``tests/experiments/table1_cells.json``. Exits nonzero on any difference,
-so a change to synthesis that moves a Table I number fails loudly;
+``tests/experiments/table1_cells.json``. Exits nonzero on any difference
+or on any protocol that is not fault-tolerant, so a change to synthesis
+that moves a Table I number or breaks a certificate fails loudly;
 ``--record`` rewrites ``table1_cells.json`` first.
 
 Usage::
@@ -28,16 +30,21 @@ GOLDEN = ROOT / "tests" / "experiments" / "table1_cells.json"
 FAST_GOLDEN = ROOT / "perfbench" / "fixtures" / "table1_expected.json"
 
 
-def regenerate() -> dict[str, dict]:
+def regenerate() -> tuple[dict[str, dict], list[str]]:
+    """Cells of every row (without ``sec`` and ``ft``), and the rows whose
+    protocol fails its fault-tolerance certificate."""
     from repro.experiments.table1 import TABLE1_ROWS, run_row
 
-    cells = {}
+    cells, not_ft = {}, []
     for code, prep, verif in TABLE1_ROWS:
-        row = run_row(code, prep, verif)
-        row_cells = row.cells()
-        print(f"{code}/{prep}/{verif}: {row_cells.pop('sec')} s", file=sys.stderr)
-        cells[f"{code}/{prep}/{verif}"] = row_cells
-    return cells
+        key = f"{code}/{prep}/{verif}"
+        row_cells = run_row(code, prep, verif, verify_ft=True).cells()
+        ft = row_cells.pop("ft")
+        print(f"{key}: {row_cells.pop('sec')} s, ft={ft}", file=sys.stderr)
+        cells[key] = row_cells
+        if not ft:
+            not_ft.append(key)
+    return cells, not_ft
 
 
 def main(argv=None) -> int:
@@ -51,7 +58,7 @@ def main(argv=None) -> int:
     from repro.experiments.table1 import TABLE1_FAST_ROWS
 
     start = time.perf_counter()
-    cells = regenerate()
+    cells, not_ft = regenerate()
     print(f"{len(cells)} rows in {time.perf_counter() - start:.1f} s", file=sys.stderr)
     if args.record:
         fast = {"/".join(row) for row in TABLE1_FAST_ROWS}
@@ -61,7 +68,9 @@ def main(argv=None) -> int:
     diffs = [key for key in golden.keys() | cells.keys() if golden.get(key) != cells.get(key)]
     for key in sorted(diffs):
         print(f"{key}:\n  golden {golden.get(key)}\n  got    {cells.get(key)}")
-    return 1 if diffs else 0
+    for key in not_ft:
+        print(f"{key}: not fault-tolerant")
+    return 1 if diffs or not_ft else 0
 
 
 if __name__ == "__main__":

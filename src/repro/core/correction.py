@@ -15,11 +15,19 @@ only meaningful modulo the reduction group, and correcting ``e`` means
 ``c in e + {weight<=1} + R``). The pool is therefore
 ``{e + r : e in E, wt(r) <= 1}`` deduplicated by coset — small, and the
 correctability predicate ``ok[e][m] = (wt_R(e + c_m) <= 1)`` is
-*precomputed*, so the SAT instance contains no reduction-group reasoning:
+*precomputed*, so the SAT instance contains no reduction-group reasoning.
+
+Only the distinct, inclusion-maximal columns of ``ok`` are encoded. A class
+has a common recovery iff some column of ``ok`` covers it, iff some maximal
+column does, so the pruned instance is equisatisfiable with the full one
+for every ``(u, v)``. The dropped candidates are interchangeable for the
+solver, which would otherwise refute them one by one (tetrahedral's
+hardest class keeps 13 of 164 columns). The recovery itself is still the
+lightest valid candidate of the full pool, chosen after the solve.
 
 * ``sigma_i(e)``: XOR chains over ``a[i][:]`` with folded parities;
 * ``guard(e, t) <-> AND_i (sigma_i(e) == t_i)``  (Tseitin AND);
-* per syndrome ``t``: ``OR_m sel[t][m]``;
+* per syndrome ``t``: ``OR_m sel[t][m]`` over the maximal columns ``m``;
 * per ``(e, t, m)`` with ``not ok[e][m]``: ``guard(e,t) -> not sel[t][m]``;
 * total weight ``sum_{i,q} s_i[q] <= v`` via a totalizer (assumption-probed).
 
@@ -113,13 +121,14 @@ def synthesize_correction(
             [], {(): candidates[direct].copy()}, num_errors=len(errors)
         )
     basis = as_bit_matrix(detection_basis, n)
+    cover = _maximal_columns(ok)
     for u in range(1, max_measurements + 1):
-        encoder = _CorrectionEncoder(basis, errors, candidates, ok, u)
+        encoder = _CorrectionEncoder(basis, errors, cover, u)
         solver = Solver(encoder.cnf)
         result = solver.solve()
         if not result.sat:
             continue
-        best = encoder.extract(result.model, errors, candidates, reducer)
+        best = encoder.extract(result.model, errors, candidates, ok)
         # Probe the floor first; only if it is UNSAT step the bound down
         # by one from the model in hand. ``lowest`` is the least weight
         # not yet refuted.
@@ -127,7 +136,7 @@ def synthesize_correction(
         while best.cnot_count > lowest:
             probe = solver.solve(assumptions=encoder.totalizer.at_most(bound))
             if probe.sat:
-                best = encoder.extract(probe.model, errors, candidates, reducer)
+                best = encoder.extract(probe.model, errors, candidates, ok)
             else:
                 lowest = bound + 1
             bound = best.cnot_count - 1
@@ -156,6 +165,21 @@ def _candidate_pool(
     return pool, ok
 
 
+def _maximal_columns(ok: np.ndarray) -> np.ndarray:
+    """The distinct inclusion-maximal columns of ``ok``.
+
+    A column is dropped if it repeats another or if its set of corrected
+    errors is a proper subset of another column's.
+    """
+    columns = np.unique(ok.T, axis=0)
+    kept: list[int] = []
+    # Wider columns first: a proper superset is always seen before its subsets.
+    for c in np.argsort(-columns.sum(axis=1), kind="stable"):
+        if not any((columns[c] <= columns[k]).all() for k in kept):
+            kept.append(c)
+    return columns[np.sort(kept)].T
+
+
 def _common_recovery(error_indices, candidates, ok) -> int | None:
     """Index of a candidate correcting every listed error, or None."""
     indices = list(error_indices)
@@ -173,14 +197,18 @@ def _common_recovery(error_indices, candidates, ok) -> int | None:
 
 
 class _CorrectionEncoder:
-    """CNF for fixed ``u``; weight bound probed through the totalizer."""
+    """CNF for fixed ``u``; weight bound probed through the totalizer.
 
-    def __init__(self, basis, errors, candidates, ok, u: int):
+    ``cover[e][m]`` says whether recovery choice ``m`` corrects error ``e``;
+    :func:`synthesize_correction` passes the maximal columns of ``ok``, but
+    any column set with the same maximal columns gives an equisatisfiable
+    instance.
+    """
+
+    def __init__(self, basis, errors, cover, u: int):
         self.basis = basis
         self.r, self.n = basis.shape
         self.u = u
-        self.ok = ok
-        self.num_candidates = len(candidates)
         self.cnf = CNF()
         self.a = [
             [self.cnf.new_var(f"a[{i}][{j}]") for j in range(self.r)]
@@ -198,9 +226,7 @@ class _CorrectionEncoder:
         self._break_symmetry()
         syndromes = list(itertools.product((0, 1), repeat=u))
         for t in syndromes:
-            self.sel[t] = [
-                self.cnf.new_var() for _ in range(self.num_candidates)
-            ]
+            self.sel[t] = [self.cnf.new_var() for _ in range(cover.shape[1])]
             self.cnf.add_clause(self.sel[t])
         parities = [(self.basis @ e) % 2 for e in errors]
         for ei, parity in enumerate(parities):
@@ -213,7 +239,7 @@ class _CorrectionEncoder:
                     sigma[i] if t[i] else -sigma[i] for i in range(u)
                 ]
                 guard = encode_and(self.cnf, guard_inputs)
-                bad = np.nonzero(~ok[ei])[0]
+                bad = np.nonzero(~cover[ei])[0]
                 for mi in bad:
                     self.cnf.add_clause([-guard, -self.sel[t][int(mi)]])
         self.totalizer = Totalizer(self.cnf, support_lits)
@@ -228,7 +254,7 @@ class _CorrectionEncoder:
                     encode_xor_chain(self.cnf, [hi, lo], parity=1)
                 )
 
-    def extract(self, model, errors, candidates, reducer) -> CorrectionCircuit:
+    def extract(self, model, errors, candidates, ok) -> CorrectionCircuit:
         measurements = []
         for i in range(self.u):
             vec = np.zeros(self.n, dtype=np.uint8)
@@ -246,7 +272,7 @@ class _CorrectionEncoder:
             groups.setdefault(t, []).append(ei)
         recoveries: dict[tuple[int, ...], np.ndarray] = {}
         for t, members in groups.items():
-            chosen = _common_recovery(members, candidates, self.ok)
+            chosen = _common_recovery(members, candidates, ok)
             if chosen is None:
                 raise AssertionError("SAT model yielded an uncorrectable class")
             recoveries[t] = candidates[chosen].copy()

@@ -74,8 +74,9 @@ def payload_digest(payload_bytes: bytes) -> str:
 #: Bump it whenever ``synthesize_protocol`` may return a different protocol
 #: for the same code and parameters, so a store filled by older code misses
 #: instead of serving the older protocols. Revision 2: correction probes the
-#: span-weight floor first.
-SYNTHESIS_REVISION = 2
+#: span-weight floor first. Revision 3: correction encodes only the maximal
+#: recovery candidates.
+SYNTHESIS_REVISION = 3
 
 
 def protocol_key(

@@ -15,11 +15,17 @@ from repro.codes.catalog import get_code, steane_code
 from repro.core.correction import (
     CorrectionCircuit,
     CorrectionInfeasible,
+    _candidate_pool,
+    _CorrectionEncoder,
+    _maximal_columns,
     synthesize_correction,
 )
 from repro.core.errors import dangerous_errors, detection_basis, error_reducer
-from repro.pauli.symplectic import row_space_contains, span_matrix
+from repro.pauli.symplectic import as_bit_matrix, row_space_contains, span_matrix
+from repro.sat.solver import Solver
 from repro.synth.prep import prepare_zero_heuristic
+
+from .test_weight_floor import record_synthesis
 
 
 def check_correction_valid(correction, errors, basis, reducer):
@@ -260,6 +266,80 @@ class TestMultiErrorInstances:
                 _has_common_recovery(members, reducer)
                 for members in groups.values()
             ), f"lighter valid correction exists: {weight} < {correction.cnot_count}"
+
+
+FAST_CODES = ["steane", "shor", "surface_3", "11_1_3", "tetrahedral",
+              "hamming", "carbon", "16_2_4"]
+
+
+def covered_subsets(matrix: np.ndarray) -> np.ndarray:
+    """For every subset ``S`` of rows (bit ``e`` of the index = row ``e``),
+    whether some column of ``matrix`` is true on all of ``S``."""
+    num_rows = matrix.shape[0]
+    columns = (matrix.astype(np.int64) << np.arange(num_rows)[:, None]).sum(axis=0)
+    subsets = np.arange(1 << num_rows)
+    return ((subsets[:, None] & ~columns[None, :]) == 0).any(axis=1)
+
+
+@pytest.fixture(scope="module")
+def branches():
+    """(code, errors, basis, ok, result) of every correction branch the
+    fast catalog codes synthesize."""
+    found = []
+    for key in FAST_CODES:
+        for call in record_synthesis(key)["correction"]:
+            errors = call.reducer.dedupe(call.errors)
+            _, ok = _candidate_pool(errors, call.reducer)
+            found.append((key, errors, as_bit_matrix(call.basis), ok, call.result))
+    return found
+
+
+class TestMaximalColumns:
+    """The encoder gets only the distinct inclusion-maximal columns of
+    ``ok``: a set of errors has a common recovery among them iff it has
+    one in the full pool, so every (u, bound) instance keeps its answer."""
+
+    def test_exact_on_every_fast_branch(self, branches):
+        assert len(branches) == 33
+        for key, errors, _, ok, _ in branches:
+            assert len(errors) <= 13, key
+            assert (covered_subsets(_maximal_columns(ok)) == covered_subsets(ok)).all()
+
+    def test_exact_on_random_matrices(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            rows, cols = rng.integers(1, 11), rng.integers(1, 40)
+            ok = rng.random((rows, cols)) < rng.uniform(0.1, 0.9)
+            cover = _maximal_columns(ok)
+            assert (covered_subsets(cover) == covered_subsets(ok)).all()
+            kept = {tuple(c) for c in cover.T}
+            assert len(kept) == cover.shape[1]  # distinct
+            for a in kept:  # none inside another
+                assert not any(a != b and all(x <= y for x, y in zip(a, b)) for b in kept)
+
+    def test_hard_tetrahedral_branch_keeps_13_of_164(self, branches):
+        (ok,) = [ok for key, _, _, ok, result in branches
+                 if key == "tetrahedral" and result.num_ancillas == 3]
+        assert ok.shape == (13, 164)
+        assert _maximal_columns(ok).shape == (13, 13)
+
+    def test_full_and_pruned_encoders_agree(self, branches):
+        """UNSAT at ``u - 1`` and at ``v - 1``, SAT at ``v``, with either."""
+        probed = 0
+        for _, errors, basis, ok, result in branches:
+            u, v = result.num_ancillas, result.cnot_count
+            if u == 0:
+                continue
+            for cols in (ok, _maximal_columns(ok)):
+                if u > 1:
+                    fewer = _CorrectionEncoder(basis, errors, cols, u - 1)
+                    assert not Solver(fewer.cnf).solve().sat
+                encoder = _CorrectionEncoder(basis, errors, cols, u)
+                solver = Solver(encoder.cnf)
+                assert not solver.solve(assumptions=encoder.totalizer.at_most(v - 1)).sat
+                assert solver.solve(assumptions=encoder.totalizer.at_most(v)).sat
+            probed += 1
+        assert probed == 29
 
 
 class TestCorrectionCircuitAPI:

@@ -208,3 +208,30 @@ class TestVerificationOptimality:
                 for combo in itertools.combinations(span, u)
                 if sum(int(m.sum()) for m in combo) < v
             )
+
+
+class TestCorrectionOptimality:
+    """Lexicographic (u, v) optimality of every correction branch a
+    synthesis asks for, by brute force over measurement subsets of the
+    detection span, with recoveries drawn from the full candidate pool."""
+
+    @pytest.mark.parametrize("key", ["steane", "shor", "surface_3", "11_1_3"])
+    def test_brute_force(self, key):
+        calls = record_synthesis(key)["correction"]
+        assert calls
+        for call in calls:
+            u, v = call.result.num_ancillas, call.result.cnot_count
+            errors = call.reducer.dedupe(call.errors)
+            ok = recovery_table(errors, call.reducer)
+            assert correctable(errors, call.result.measurements, ok)
+            span = [m for m in span_matrix(as_bit_matrix(call.basis)) if m.any()]
+            for smaller in range(u):
+                assert not any(
+                    correctable(errors, combo, ok)
+                    for combo in itertools.combinations(span, smaller)
+                )
+            assert not any(
+                correctable(errors, combo, ok)
+                for combo in itertools.combinations(span, u)
+                if sum(int(m.sum()) for m in combo) < v
+            )

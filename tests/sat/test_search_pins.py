@@ -94,12 +94,12 @@ TOTALIZER_SEQUENCE = [
 ]
 # code -> ((calls, unsat calls, conflicts, decisions, propagations), digest)
 SYNTHESIS_PINS = {
-    "steane": ((3, 0, 8, 37, 353),
+    "steane": ((3, 0, 6, 33, 236),
                "ec1cf91e59407e21f8ac00da31447525361b182cd3b12e71110df8175ad1a85b"),
-    "shor": ((4, 2, 12, 75, 468),
+    "shor": ((4, 2, 8, 57, 217),
              "33c592f9405a04a46125a147b65642975e7d4af2968d345e9a2c3185c59c8b81"),
-    "surface_3": ((6, 2, 9, 64, 410),
+    "surface_3": ((6, 2, 9, 61, 358),
                   "322dcc4261284ad2bb1fe309d4e7e43b459704daba377c430b8d5e2d735eaa7c"),
-    "11_1_3": ((13, 3, 77, 252, 3711),
-               "677e626a79fec8fe5f28a573cd1701413acb48fba969a607315d86a90ed370fa"),
+    "11_1_3": ((12, 3, 69, 216, 2731),
+               "fd5b319e6d16294bc827e880afab04bf63ad6f049a89198366183e08b7990213"),
 }
