@@ -2,11 +2,11 @@
 
 Profiling the batched engine (``repro.sim.sampler``) shows the remaining
 wall-clock is NumPy *dispatch*, not arithmetic: one segment application
-issues one ``bitwise_xor.reduce`` per outgoing component plus an argsort
-and a ``reduceat`` for the fault batch, and the residual-weight path
-broadcasts a ``(rows, span, n)`` uint8 cube just to count bits. Each of
-those is a handful of microseconds of work behind tens of microseconds
-of ufunc setup — multiplied by segments × strata × sweep points.
+is a handful of ufunc calls, the fault image is a buffered
+``bitwise_xor.at``, and the residual-weight path broadcasts a ``(rows,
+span, n)`` uint8 cube just to count bits. Each of those is a few
+microseconds of work behind ufunc setup — multiplied by segments ×
+strata × sweep points.
 
 This module holds the three hot loops as **fused kernels**, each in two
 line-for-line parallel implementations behind one dispatch:
@@ -21,12 +21,11 @@ The kernels:
 
 ``apply_segment``
     One pass over the packed uint64 shot-word planes: the F2-linear
-    segment map (CSR over ``out_rows`` + ``bit_rows``), the fault-
-    signature scatter (XOR of each fault's masked shot words into its
-    signature components), and the mask merge (``(new & mask) | (old &
-    ~mask)`` for frame components, ``new & mask`` for measured bits) —
-    what the NumPy engine does with ~``components`` separate ufunc
-    calls, an argsort, and a ``reduceat``.
+    segment map (the segment's CSR over frame + bit components), the
+    fault XOR (each fault row's masked shot words into its component),
+    and the mask merge (``(new & mask) | (old & ~mask)`` for frame
+    components, ``new & mask`` for measured bits) — what the NumPy
+    engine does with a gather, a ``reduceat`` and the mask ops.
 
 ``coset_weights``
     Stabilizer-coset weight minimization over *packed* words:
@@ -34,10 +33,10 @@ The kernels:
     bits per byte (64 per word), instead of the uint8 broadcast cube of
     :meth:`repro.pauli.group.CosetReducer.coset_weights_batch`.
 
-``scatter_masks``
-    The grouped-injection shot-mask builder: ``masks[group, word] |=
-    bit`` for every (sorted) stratum entry — ``np.bitwise_or.at`` is a
-    notoriously slow buffered ufunc loop; the kernel is the plain loop.
+``toggle_bits``
+    The fault-image builder: ``image[position] ^= bit`` for every
+    (fault component, shot) entry of a batch — ``np.bitwise_xor.at`` is
+    a buffered ufunc loop; the kernel is the plain loop.
 
 :class:`~repro.sim.sampler.KernelSampler` (``engine="kernel"``) routes
 the batched engine through these dispatchers and is cross-validated
@@ -63,7 +62,7 @@ __all__ = [
     "backend_name",
     "apply_segment",
     "coset_weights",
-    "scatter_masks",
+    "toggle_bits",
     "pack_rows",
 ]
 
@@ -162,13 +161,12 @@ def _np_coset_weights(rows: np.ndarray, span: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_scatter_masks(
-    masks: np.ndarray,  # (groups, words) uint64, zero-initialized
-    group_of: np.ndarray,  # (entries,) intp group id per entry
-    shot_words: np.ndarray,  # (entries,) intp word index per entry
-    shot_bits: np.ndarray,  # (entries,) uint64 bit value per entry
+def _np_toggle_bits(
+    image: np.ndarray,  # (size,) uint64, written in place
+    positions: np.ndarray,  # (entries,) intp word position per entry
+    bits: np.ndarray,  # (entries,) uint64 bit value per entry
 ) -> None:
-    np.bitwise_or.at(masks, (group_of, shot_words), shot_bits)
+    np.bitwise_xor.at(image, positions, bits)
 
 
 # -- numba twins ---------------------------------------------------------------
@@ -252,11 +250,9 @@ if NUMBA_AVAILABLE:
         return out
 
     @_njit(cache=True, nogil=True)
-    def _nb_scatter_masks(
-        masks, group_of, shot_words, shot_bits
-    ):  # pragma: no cover - needs numba
-        for entry in range(group_of.shape[0]):
-            masks[group_of[entry], shot_words[entry]] |= shot_bits[entry]
+    def _nb_toggle_bits(image, positions, bits):  # pragma: no cover - needs numba
+        for entry in range(positions.shape[0]):
+            image[positions[entry]] ^= bits[entry]
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -332,19 +328,13 @@ def coset_weights(mat: np.ndarray, span: np.ndarray) -> np.ndarray:
     return weights[inverse.ravel()]
 
 
-def scatter_masks(
-    masks: np.ndarray,
-    group_of: np.ndarray,
-    shot_words: np.ndarray,
-    shot_bits: np.ndarray,
-) -> None:
-    """``masks[group_of[e], shot_words[e]] |= shot_bits[e]`` in place."""
+def toggle_bits(image: np.ndarray, positions: np.ndarray, bits: np.ndarray) -> None:
+    """``image[positions[e]] ^= bits[e]`` in place, for every entry."""
     if NUMBA_AVAILABLE:
-        _nb_scatter_masks(
-            masks,
-            np.ascontiguousarray(group_of, dtype=np.int64),
-            np.ascontiguousarray(shot_words, dtype=np.int64),
-            np.ascontiguousarray(shot_bits, dtype=np.uint64),
+        _nb_toggle_bits(
+            image,
+            np.ascontiguousarray(positions, dtype=np.int64),
+            np.ascontiguousarray(bits, dtype=np.uint64),
         )
     else:
-        _np_scatter_masks(masks, group_of, shot_words, shot_bits)
+        _np_toggle_bits(image, positions, bits)

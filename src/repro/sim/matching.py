@@ -70,9 +70,14 @@ class MatchingDecoder:
             for node in component:
                 self._component_of[node] = index
         # Syndrome -> correction memo. Matching is by far the most
-        # expensive decode step; batched judging dedups syndromes within
-        # one batch, and this cache amortizes them across batches too.
+        # expensive decode step; this cache amortizes it across per-shot
+        # calls (batched judging memoizes in LogicalJudge).
         self._decode_cache: dict[bytes, np.ndarray] = {}
+
+    def __getstate__(self):
+        # The memo is per-process: a pickled decoder (part of a cluster
+        # payload) has the same bytes before and after use.
+        return {**self.__dict__, "_decode_cache": {}}
 
     # -- api -----------------------------------------------------------------
 

@@ -12,19 +12,26 @@ frame and every recorded measurement flip are XORs of
 
 :class:`CompiledProtocol` therefore compiles each segment once into
 
-* ``out_rows`` — for each outgoing frame component, the list of incoming
-  components whose XOR produces it (computed by symbolic propagation with
-  integer bitmasks), and
-* a cache of per-(location, draw) fault signatures (residual wires +
-  flipped bits, computed by scalar propagation of the draw to segment end).
+* one CSR over its outgoing components (frame wires, then measured bits):
+  row ``c`` lists the incoming components whose XOR produces component
+  ``c`` (computed by symbolic propagation with integer bitmasks), and
+* a cache of per-(location, draw) fault signatures: the components the
+  draw flips at segment end (computed by scalar propagation of the draw).
+
+The components of all segments share one protocol-wide numbering.
 
 :class:`BatchedSampler` then executes *all shots at once*: the frame of
-shot ``s`` lives in bit ``s`` of packed ``uint64`` words, so one segment
-application is a handful of word-wide XOR reductions instead of
-``shots × instructions`` dict updates. Branch divergence is handled with
-per-shot masks — each branch segment is applied only to the shots whose
-verification signature selects it, which is exactly the reference runner's
-control flow evaluated in parallel.
+shot ``s`` lives in bit ``s`` of packed ``uint64`` words. On its first
+indexed batch an engine gathers every (location, draw) signature into one
+CSR table; each batch then turns into one packed *fault image* — row ``c``,
+bit ``s`` is the parity of shot ``s``'s faults that flip component ``c`` —
+with one table gather and one XOR scatter. One segment application is then
+one gather, one ``bitwise_xor.reduceat`` over the segment CSR, one XOR of
+the segment's fault-image rows and one mask merge, instead of ``shots ×
+instructions`` dict updates. Branch divergence is handled with per-shot
+masks — each branch segment is applied only to the shots whose
+verification signature selects it, which is exactly the reference
+runner's control flow evaluated in parallel.
 
 Given the same per-shot injection dicts, the batched engine reproduces the
 reference runner **bit-for-bit**: same data frame, same recorded flips,
@@ -66,7 +73,6 @@ from .logical import LogicalJudge
 from .noise import draw_tables, materialize_stratum
 
 __all__ = [
-    "FaultSignature",
     "CompiledSegment",
     "CompiledProtocol",
     "BatchResult",
@@ -96,14 +102,6 @@ def _pack_flags(flags: np.ndarray, words: int) -> np.ndarray:
     return out.view(_WORD)
 
 
-def _pack_shot_indices(shots: Sequence[int], words: int) -> np.ndarray:
-    """Shot index list -> (words,) uint64 mask with those bits set."""
-    idx = np.asarray(shots, dtype=np.uint64)
-    mask = np.zeros(words, dtype=_WORD)
-    np.bitwise_or.at(mask, (idx >> np.uint64(6)).astype(np.intp), _ONE << (idx & np.uint64(63)))
-    return mask
-
-
 def _unpack_words(packed: np.ndarray, num_shots: int) -> np.ndarray:
     """(words,) uint64 -> (S,) uint8 of the low ``num_shots`` bits."""
     return np.unpackbits(
@@ -128,27 +126,22 @@ def _mask_to_rows(mask: int) -> np.ndarray:
 # -- compilation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaultSignature:
-    """End-of-segment image of one injected fault draw."""
-
-    x_wires: tuple[int, ...]
-    z_wires: tuple[int, ...]
-    flips: tuple[str, ...]
-
-
 class CompiledSegment:
     """F2-linear form of one protocol segment.
 
-    ``out_rows[i]`` lists the incoming state components (x wires first,
-    then z wires, ``2 * num_wires`` total) whose XOR yields outgoing
-    component ``i``; ``bit_rows`` does the same for each measured bit.
-    Fault signatures are propagated lazily per (instruction index, draw)
-    and cached — strata hit the same few hundred draws over and over.
+    The linear map is one CSR over ``2 * num_wires + len(bit_names)``
+    outgoing components (x wires, then z wires, then the measured bits
+    in ``bit_names`` order): row ``c`` (``indices[indptr[c]:indptr[c+1]]``)
+    lists the incoming components (x wires first, then z wires) whose
+    XOR yields component ``c``; ``row_starts`` / ``nonempty`` are the
+    ``reduceat`` offsets and ids of the rows with at least one entry.
+    ``offset`` places the segment's components in the protocol-wide
+    numbering of :class:`CompiledProtocol`.
     """
 
-    def __init__(self, key: tuple, circuit: Circuit, num_wires: int):
+    def __init__(self, key: tuple, circuit: Circuit, num_wires: int, offset: int):
         self.key = key
+        self.offset = offset
         self.circuit = circuit
         self.num_wires = num_wires
         sym_x = [1 << w for w in range(num_wires)]
@@ -172,21 +165,25 @@ class CompiledSegment:
                 pass
             else:
                 raise TypeError(f"unknown instruction {ins!r}")
-        self.out_rows = [_mask_to_rows(m) for m in sym_x + sym_z]
-        self.bit_rows = [(bit, _mask_to_rows(m)) for bit, m in bit_masks]
         self.bit_names = [bit for bit, _ in bit_masks]
         self._bit_slot = {bit: i for i, bit in enumerate(self.bit_names)}
-        self._signatures: dict[tuple[int, Injection], FaultSignature] = {}
+        rows = [_mask_to_rows(m) for m in sym_x + sym_z + [m for _, m in bit_masks]]
+        counts = np.asarray([r.size for r in rows], dtype=np.intp)
+        self.num_components = counts.size
+        self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        self.indices = np.concatenate(rows)
+        self.nonempty = np.flatnonzero(counts)
+        self.row_starts = self.indptr[self.nonempty]
         self._sig_columns: dict[tuple[int, Injection], np.ndarray] = {}
-        self._sig_columns_by_id: dict[
-            tuple[int, int], tuple[Injection, np.ndarray]
-        ] = {}
 
-    def fault_signature(self, index: int, injection: Injection) -> FaultSignature:
-        """Propagated image of ``injection`` after instruction ``index``."""
+    def signature_columns(self, index: int, injection: Injection) -> np.ndarray:
+        """Segment-end image of ``injection`` placed after instruction
+        ``index``, as component ids (the CSR row ids): x wire ``w`` -> ``w``,
+        z wire ``w`` -> ``num_wires + w``, flipped bit -> ``2 * num_wires +
+        bit slot``. Propagated once per (index, draw) and cached."""
         cache_key = (index, injection)
-        signature = self._signatures.get(cache_key)
-        if signature is None:
+        columns = self._sig_columns.get(cache_key)
+        if columns is None:
             frame = PauliFrame.zero(self.num_wires)
             if injection.flip:
                 frame.flip(self.circuit.instructions[index].bit)
@@ -195,42 +192,16 @@ class CompiledSegment:
                     frame.insert(wire, letter)
             for ins in self.circuit.instructions[index + 1 :]:
                 apply_instruction(frame, ins)
-            signature = FaultSignature(
-                x_wires=tuple(int(w) for w in np.nonzero(frame.x)[0]),
-                z_wires=tuple(int(w) for w in np.nonzero(frame.z)[0]),
-                flips=tuple(sorted(frame.flipped_bits())),
-            )
-            self._signatures[cache_key] = signature
-        return signature
-
-    def signature_columns(self, index: int, injection: Injection) -> np.ndarray:
-        """Signature as component ids: x wire ``w`` -> ``w``, z wire ``w`` ->
-        ``num_wires + w``, flipped bit -> ``2 * num_wires + bit slot``.
-
-        The id-keyed fast path exploits that draw-table injections are
-        shared canonical instances (``repro.sim.noise.draw_tables``), so the
-        hot loop skips hashing the injection's nested tuples; the pinned
-        reference keeps the id stable.
-        """
-        id_key = (index, id(injection))
-        hit = self._sig_columns_by_id.get(id_key)
-        if hit is not None and hit[0] is injection:
-            return hit[1]
-        cache_key = (index, injection)
-        columns = self._sig_columns.get(cache_key)
-        if columns is None:
-            signature = self.fault_signature(index, injection)
             offset = 2 * self.num_wires
             columns = np.asarray(
                 [
-                    *signature.x_wires,
-                    *(self.num_wires + w for w in signature.z_wires),
-                    *(offset + self._bit_slot[b] for b in signature.flips),
+                    *np.flatnonzero(frame.x),
+                    *(self.num_wires + np.flatnonzero(frame.z)),
+                    *(offset + self._bit_slot[b] for b in sorted(frame.flipped_bits())),
                 ],
                 dtype=np.intp,
             )
             self._sig_columns[cache_key] = columns
-        self._sig_columns_by_id[id_key] = (injection, columns)
         return columns
 
 
@@ -240,12 +211,15 @@ class CompiledProtocol:
     Also caches the static location universe and the per-location fault
     draw tables, so every fault-set consumer (stratum sampling, exact
     enumeration, certificates, Bernoulli batches) shares one table build.
+    The segments' components are numbered protocol-wide, each segment's
+    from its ``offset``, ``num_components`` in all.
     """
 
     def __init__(self, protocol: DeterministicProtocol):
         self.protocol = protocol
         self.num_wires = protocol.num_wires
         self.segments: dict[tuple, CompiledSegment] = {}
+        self.num_components = 0
         self._add(("prep",), protocol.prep_segment)
         for li, layer in enumerate(protocol.layers):
             self._add(("verif", li), layer.circuit)
@@ -255,25 +229,12 @@ class CompiledProtocol:
         self.draw_tables = draw_tables(self.locations)
 
     def _add(self, key: tuple, circuit: Circuit) -> None:
-        self.segments[key] = CompiledSegment(key, circuit, self.num_wires)
+        segment = CompiledSegment(key, circuit, self.num_wires, self.num_components)
+        self.segments[key] = segment
+        self.num_components += segment.num_components
 
 
 # -- batched execution --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SegmentFaults:
-    """One segment's fault batch in applied form.
-
-    ``masks[f]`` selects the shots carrying fault ``f``; ``columns`` is the
-    concatenation of every fault's signature component ids (see
-    :meth:`CompiledSegment.signature_columns`) with ``counts[f]`` entries
-    per fault — exactly the arrays the XOR-reduceat application consumes.
-    """
-
-    masks: np.ndarray  # (faults, words) uint64
-    columns: np.ndarray  # (nnz,) intp — concatenated signature components
-    counts: np.ndarray  # (faults,) intp
 
 
 @dataclass
@@ -341,17 +302,26 @@ class BatchResult:
 
 
 class _PackedState:
-    """Mutable packed execution state of one batch."""
+    """Mutable packed execution state of one batch; ``frame`` holds the x
+    wires, then the z wires (the segment CSR's incoming components)."""
 
     def __init__(self, num_wires: int, num_shots: int):
         self.num_shots = num_shots
+        self.num_wires = num_wires
         self.words = _num_words(num_shots)
-        self.x = np.zeros((num_wires, self.words), dtype=_WORD)
-        self.z = np.zeros((num_wires, self.words), dtype=_WORD)
+        self.frame = np.zeros((2 * num_wires, self.words), dtype=_WORD)
         self.bits: dict[str, np.ndarray] = {}
         self.alive = _pack_flags(np.ones(num_shots, dtype=np.uint8), self.words)
         self.terminated = np.zeros(self.words, dtype=_WORD)
         self.branch_records: list[tuple[int, tuple, tuple, np.ndarray]] = []
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.frame[: self.num_wires]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.frame[self.num_wires :]
 
     def bit(self, name: str) -> np.ndarray:
         values = self.bits.get(name)
@@ -381,19 +351,7 @@ class BatchedSampler:
         self.locations = self.compiled.locations
         self._draw_tables = self.compiled.draw_tables
         self._max_draws = max(len(table) for table in self._draw_tables)
-        # protocol_locations lists each segment's locations contiguously;
-        # precompute the location -> segment map so indexed batches group
-        # by segment with one diff instead of per-location lookups.
-        self._segment_keys: list[tuple] = []
-        self._loc_segment = np.empty(len(self.locations), dtype=np.intp)
-        for loc, ((segment_key, _), _, _) in enumerate(self.locations):
-            if not self._segment_keys or self._segment_keys[-1] != segment_key:
-                self._segment_keys.append(segment_key)
-            self._loc_segment[loc] = len(self._segment_keys) - 1
-        self._loc_instruction = np.asarray(
-            [index for (_, index), _, _ in self.locations], dtype=np.intp
-        )
-        self._pair_columns: dict[int, np.ndarray] = {}
+        self._signature_table: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -439,16 +397,14 @@ class BatchedSampler:
         ``loc_idx`` / ``draw_idx`` are ``(shots, k)`` arrays from
         :func:`repro.sim.noise.sample_injections_stratum` (or the masked
         variable-weight arrays of ``sample_injections_model_batch``, where
-        ``loc_idx == -1`` slots carry no fault); the grouping into
-        per-(location, draw) shot masks happens with one stable sort instead
-        of ``shots`` dict traversals.
+        ``loc_idx == -1`` slots carry no fault); every fault's signature
+        lands in one packed fault image with a few array ops instead of
+        ``shots`` dict traversals.
         """
         num_shots = loc_idx.shape[0]
         if num_shots == 0:
             return np.zeros(0, dtype=bool)
-        words = _num_words(num_shots)
-        grouped = self._group_indexed(loc_idx, draw_idx, words)
-        state = self._execute_grouped(grouped, num_shots)
+        state = self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
         data_x = self._unpack_data(state.x, state.num_shots)
         return self.judge.failure_mask(data_x)
 
@@ -472,8 +428,7 @@ class BatchedSampler:
         if num_shots == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy()
-        grouped = self._group_indexed(loc_idx, draw_idx, _num_words(num_shots))
-        state = self._execute_grouped(grouped, num_shots)
+        state = self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
         return self._state_residual_weights(state, x_reducer, z_reducer)
 
     # -- execution -----------------------------------------------------------
@@ -491,95 +446,79 @@ class BatchedSampler:
             z_reducer.coset_weights_dedup(data_z),
         )
 
-    def _columns_of_pair(self, pair: int) -> np.ndarray:
-        """Signature component ids of one (location, draw) pair, cached."""
-        columns = self._pair_columns.get(pair)
-        if columns is None:
-            location = pair // self._max_draws
-            (segment_key, index), _, _ = self.locations[location]
-            injection = self._draw_tables[location][pair % self._max_draws]
-            segment = self.compiled.segments[segment_key]
-            columns = segment.signature_columns(index, injection)
-            self._pair_columns[pair] = columns
-        return columns
+    def _signatures(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, components)``: CSR of every (location, draw) pair's
+        signature as protocol-wide component ids, row ``location *
+        max_draws + draw`` (rows past a location's draw table are empty).
+        Built on the first indexed batch, so an engine that never runs
+        one (a cluster coordinator's payload engine) never pays for it."""
+        if self._signature_table is None:
+            rows = []
+            for location, ((segment_key, index), _, _) in enumerate(self.locations):
+                segment = self.compiled.segments[segment_key]
+                table = self._draw_tables[location]
+                rows += [
+                    segment.signature_columns(index, draw) + segment.offset
+                    for draw in table
+                ]
+                rows += [np.zeros(0, dtype=np.intp)] * (self._max_draws - len(table))
+            counts = [columns.size for columns in rows]
+            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+            self._signature_table = (indptr, np.concatenate(rows))
+        return self._signature_table
 
-    @staticmethod
-    def _build_group_masks(
-        num_groups: int,
-        words: int,
-        group_of: np.ndarray,
-        sorted_shots: np.ndarray,
+    def _fault_image(
+        self, shots: np.ndarray, components: np.ndarray, words: int
     ) -> np.ndarray:
-        """All per-group shot masks in one scatter (kernel-overridable)."""
-        masks = np.zeros((num_groups, words), dtype=_WORD)
-        shot_words = (sorted_shots >> 6).astype(np.intp)
-        shot_bits = _ONE << (sorted_shots.astype(np.uint64) & np.uint64(63))
-        np.bitwise_or.at(masks, (group_of, shot_words), shot_bits)
-        return masks
+        """``(num_components, words)`` packed faults: bit ``s`` of row ``c``
+        is set iff an odd number of shot ``s``'s faults have component
+        ``c`` in their signature. Each ``(shots[e], components[e])`` entry
+        toggles one bit, so two identical draws in one shot cancel, as
+        under the per-shot XOR semantics."""
+        image = np.zeros(self.compiled.num_components * words, dtype=_WORD)
+        shots = np.asarray(shots, dtype=np.intp)
+        bits = _ONE << (shots & 63).astype(np.uint64)
+        self._toggle_bits(image, components * words + (shots >> 6), bits)
+        return image.reshape(-1, words)
 
-    def _group_indexed(
-        self, loc_idx: np.ndarray, draw_idx: np.ndarray, words: int
-    ) -> dict[tuple, _SegmentFaults]:
-        """Indexed stratum batch -> per-segment packed fault batches."""
+    #: ``image[positions[e]] ^= bits[e]`` for every entry (kernel-overridable).
+    _toggle_bits = staticmethod(np.bitwise_xor.at)
+
+    def _image_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> np.ndarray:
+        """Fault image of an indexed batch (``loc_idx == -1`` slots skipped)."""
         num_shots, k = loc_idx.shape
-        grouped: dict[tuple, _SegmentFaults] = {}
-        if k == 0:
-            return grouped
         flat_loc = loc_idx.ravel()
-        flat_draw = draw_idx.ravel()
-        shot_ids = np.repeat(np.arange(num_shots, dtype=np.intp), k)
-        valid = flat_loc >= 0  # masked slots from variable-weight batches
-        if not valid.all():
-            flat_loc = flat_loc[valid]
-            flat_draw = flat_draw[valid]
-            shot_ids = shot_ids[valid]
-        if flat_loc.size == 0:
-            return grouped
-        pair_ids = flat_loc * self._max_draws + flat_draw
-        # Sort by (pair, shot) and cancel even multiplicities: a shot
-        # carrying the identical (location, draw) twice composes to the
-        # identity under the XOR semantics (correlated pair sites can
-        # overlap a base fault like that; uniform strata never repeat a
-        # location within a shot, so this is a no-op for them).
-        combo = pair_ids.astype(np.int64) * num_shots + shot_ids
-        unique, multiplicity = np.unique(combo, return_counts=True)
-        odd = unique[multiplicity % 2 == 1]
-        if odd.size == 0:
-            return grouped
-        sorted_pairs = (odd // num_shots).astype(pair_ids.dtype)
-        sorted_shots = (odd % num_shots).astype(np.intp)
-        boundaries = np.flatnonzero(np.diff(sorted_pairs)) + 1
-        starts = np.concatenate([[0], boundaries])
-        # All per-group shot masks in one scatter instead of a packing
-        # call per group (the certificate path has one group per shot).
-        num_groups = starts.size
-        group_of = np.zeros(sorted_pairs.size, dtype=np.intp)
-        group_of[boundaries] = 1
-        np.cumsum(group_of, out=group_of)
-        masks = self._build_group_masks(num_groups, words, group_of, sorted_shots)
-        # Locations (and hence sorted pair ids) are contiguous per segment,
-        # so the per-segment runs fall out of one more diff.
-        pairs_at = sorted_pairs[starts]
-        segment_of = self._loc_segment[pairs_at // self._max_draws]
-        seg_bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(segment_of)) + 1, [num_groups])
+        valid = flat_loc >= 0
+        pairs = (flat_loc * self._max_draws + draw_idx.ravel())[valid]
+        shots = np.repeat(np.arange(num_shots, dtype=np.intp), k)[valid]
+        # Every pair's signature in one gather from the table.
+        indptr, table = self._signatures()
+        first = indptr[pairs]
+        counts = indptr[pairs + 1] - first
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        components = table[np.repeat(first - ends + counts, counts) + np.arange(total)]
+        return self._fault_image(
+            np.repeat(shots, counts), components, _num_words(num_shots)
         )
-        for lo, hi in zip(seg_bounds[:-1], seg_bounds[1:]):
-            segment_key = self._segment_keys[int(segment_of[lo])]
-            column_arrays = [
-                self._columns_of_pair(int(pair)) for pair in pairs_at[lo:hi]
-            ]
-            grouped[segment_key] = _SegmentFaults(
-                masks=masks[lo:hi],
-                columns=np.concatenate(column_arrays)
-                if column_arrays
-                else np.zeros(0, dtype=np.intp),
-                counts=np.asarray(
-                    [columns.size for columns in column_arrays],
-                    dtype=np.intp,
-                ),
-            )
-        return grouped
+
+    def _image_injections(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
+        """Fault image of per-shot injection dicts."""
+        by_draw: dict[tuple, list[int]] = {}
+        for shot, injections in enumerate(injections_per_shot):
+            for fault in injections.items():
+                by_draw.setdefault(fault, []).append(shot)
+        shots, components = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for ((segment_key, index), injection), draw_shots in by_draw.items():
+            segment = self.compiled.segments[segment_key]
+            columns = segment.signature_columns(index, injection) + segment.offset
+            shots.append(np.repeat(draw_shots, columns.size))
+            components.append(np.tile(columns, len(draw_shots)))
+        return self._fault_image(
+            np.concatenate(shots),
+            np.concatenate(components),
+            _num_words(len(injections_per_shot)),
+        )
 
     def _unpack_data(self, packed: np.ndarray, num_shots: int) -> np.ndarray:
         bits = np.unpackbits(
@@ -590,50 +529,13 @@ class BatchedSampler:
         )
         return np.ascontiguousarray(bits.T)
 
-    def _group_injections(
-        self, injections_per_shot: Sequence[dict], words: int
-    ) -> dict[tuple, _SegmentFaults]:
-        """Bucket per-shot injections into per-segment packed batches."""
-        by_draw: dict[tuple, dict[tuple[int, Injection], list[int]]] = {}
-        for shot, injections in enumerate(injections_per_shot):
-            for (segment_key, index), injection in injections.items():
-                by_draw.setdefault(segment_key, {}).setdefault(
-                    (index, injection), []
-                ).append(shot)
-        grouped: dict[tuple, _SegmentFaults] = {}
-        for segment_key, draws in by_draw.items():
-            segment = self.compiled.segments[segment_key]
-            column_arrays = [
-                segment.signature_columns(index, injection)
-                for (index, injection) in draws
-            ]
-            grouped[segment_key] = _SegmentFaults(
-                masks=np.stack(
-                    [
-                        _pack_shot_indices(shots, words)
-                        for shots in draws.values()
-                    ]
-                ),
-                columns=np.concatenate(column_arrays)
-                if column_arrays
-                else np.zeros(0, dtype=np.intp),
-                counts=np.asarray(
-                    [columns.size for columns in column_arrays],
-                    dtype=np.intp,
-                ),
-            )
-        return grouped
-
     def _execute(self, injections_per_shot: Sequence[dict]) -> _PackedState:
         num_shots = len(injections_per_shot)
         if num_shots == 0:
             return _PackedState(self.compiled.num_wires, num_shots)
-        faults = self._group_injections(
-            injections_per_shot, _num_words(num_shots)
-        )
-        return self._execute_grouped(faults, num_shots)
+        return self._execute_image(self._image_injections(injections_per_shot), num_shots)
 
-    def _execute_grouped(self, faults: dict, num_shots: int) -> _PackedState:
+    def _execute_image(self, faults: np.ndarray, num_shots: int) -> _PackedState:
         state = _PackedState(self.compiled.num_wires, num_shots)
         protocol = self.protocol
         self._apply_segment(state, ("prep",), state.alive, faults)
@@ -683,59 +585,19 @@ class BatchedSampler:
         state: _PackedState,
         segment_key: tuple,
         mask: np.ndarray,
-        faults: dict,
+        faults: np.ndarray,
     ) -> None:
         segment = self.compiled.segments[segment_key]
-        num_wires = self.compiled.num_wires
-        incoming = np.concatenate([state.x, state.z], axis=0)
-        outgoing = np.zeros_like(incoming)
-        for component, rows in enumerate(segment.out_rows):
-            if rows.size == 1:
-                outgoing[component] = incoming[rows[0]]
-            elif rows.size:
-                outgoing[component] = np.bitwise_xor.reduce(incoming[rows], axis=0)
-        new_bits: dict[str, np.ndarray] = {}
-        for bit, rows in segment.bit_rows:
-            if rows.size:
-                new_bits[bit] = np.bitwise_xor.reduce(incoming[rows], axis=0)
-            else:
-                new_bits[bit] = np.zeros(state.words, dtype=_WORD)
-        entry = faults.get(segment_key)
-        if entry is not None and entry.columns.size:
-            # Apply all fault signatures with one XOR reduction per touched
-            # component instead of a word-op per (fault, wire): sort the
-            # (fault row, component) incidence by component, then reduceat
-            # the masked shot rows at the component boundaries.
-            fault_masks = entry.masks & mask
-            rows = np.repeat(
-                np.arange(entry.counts.size, dtype=np.intp), entry.counts
+        incoming = state.frame
+        out = faults[segment.offset : segment.offset + segment.num_components].copy()
+        if segment.row_starts.size:
+            out[segment.nonempty] ^= np.bitwise_xor.reduceat(
+                incoming[segment.indices], segment.row_starts, axis=0
             )
-            order = np.argsort(entry.columns, kind="stable")
-            sorted_columns = entry.columns[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(sorted_columns)) + 1)
-            )
-            reduced = np.bitwise_xor.reduceat(
-                fault_masks[rows[order]], starts, axis=0
-            )
-            components = sorted_columns[starts]
-            wire_limit = 2 * num_wires
-            wire_sel = components < wire_limit
-            outgoing[components[wire_sel]] ^= reduced[wire_sel]
-            for component, flip_words in zip(
-                components[~wire_sel], reduced[~wire_sel]
-            ):
-                # Signature flips only name bits measured later in this
-                # same segment, so they are always present in new_bits;
-                # a KeyError here would mean the compilation model was
-                # violated.
-                bit = segment.bit_names[int(component) - wire_limit]
-                new_bits[bit] ^= flip_words
-        keep = ~mask
-        state.x = (outgoing[:num_wires] & mask) | (state.x & keep)
-        state.z = (outgoing[num_wires:] & mask) | (state.z & keep)
-        for bit, values in new_bits.items():
-            state.bits[bit] = values & mask
+        out &= mask
+        frame_rows = incoming.shape[0]
+        state.frame = out[:frame_rows] | (incoming & ~mask)
+        state.bits.update(zip(segment.bit_names, out[frame_rows:]))
 
 
 # -- compiled kernel tier -----------------------------------------------------
@@ -746,9 +608,9 @@ class KernelSampler(BatchedSampler):
     :mod:`repro.sim.kernels` (``engine="kernel"``).
 
     Semantically this *is* :class:`BatchedSampler` — same compilation,
-    same grouping, same judge — but the three dispatch-bound inner loops
-    (segment application, residual coset popcounts, grouped-mask
-    scatter) run as fused kernels: numba-compiled when numba is
+    same fault image, same judge — but the three dispatch-bound inner
+    loops (segment application, residual coset popcounts, fault-image
+    bit toggles) run as fused kernels: numba-compiled when numba is
     importable (:func:`repro.sim.kernels.available`), else their
     pure-NumPy twins. Either way the results are **bit-identical** to
     the NumPy batched engine — pinned across every catalog code and
@@ -763,10 +625,6 @@ class KernelSampler(BatchedSampler):
 
     name = "kernel"
 
-    def __init__(self, protocol: DeterministicProtocol, judge: LogicalJudge | None = None):
-        super().__init__(protocol, judge=judge)
-        self._segment_csr: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
     @property
     def backend(self) -> str:
         """``"numba"`` or ``"numpy"`` — resolved per process, never
@@ -776,45 +634,11 @@ class KernelSampler(BatchedSampler):
 
         return kernels.backend_name()
 
-    def _csr_of(self, segment: CompiledSegment) -> tuple[np.ndarray, np.ndarray]:
-        """Segment linear map as one CSR over frame + bit components.
-
-        Row ``c`` lists the incoming components whose XOR produces
-        outgoing component ``c``; rows ``2 * num_wires + slot`` are the
-        measured bits in ``bit_rows`` order — the same component ids
-        :meth:`CompiledSegment.signature_columns` emits, so the fault
-        scatter lands in the same rows.
-        """
-        cached = self._segment_csr.get(segment.key)
-        if cached is None:
-            row_lists = list(segment.out_rows) + [
-                rows for _, rows in segment.bit_rows
-            ]
-            counts = np.asarray([rows.size for rows in row_lists], dtype=np.int64)
-            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            indices = (
-                np.concatenate(row_lists).astype(np.int64)
-                if len(row_lists)
-                else np.zeros(0, dtype=np.int64)
-            )
-            cached = (indptr, indices)
-            self._segment_csr[segment.key] = cached
-        return cached
-
-    def _build_group_masks(
-        self,
-        num_groups: int,
-        words: int,
-        group_of: np.ndarray,
-        sorted_shots: np.ndarray,
-    ) -> np.ndarray:
+    @staticmethod
+    def _toggle_bits(image: np.ndarray, positions: np.ndarray, bits: np.ndarray) -> None:
         from . import kernels
 
-        masks = np.zeros((num_groups, words), dtype=_WORD)
-        shot_words = (sorted_shots >> 6).astype(np.intp)
-        shot_bits = _ONE << (sorted_shots.astype(np.uint64) & np.uint64(63))
-        kernels.scatter_masks(masks, group_of, shot_words, shot_bits)
-        return masks
+        kernels.toggle_bits(image, positions, bits)
 
     def _state_residual_weights(
         self, state: "_PackedState", x_reducer, z_reducer
@@ -836,41 +660,28 @@ class KernelSampler(BatchedSampler):
         state: _PackedState,
         segment_key: tuple,
         mask: np.ndarray,
-        faults: dict,
+        faults: np.ndarray,
     ) -> None:
         from . import kernels
 
         segment = self.compiled.segments[segment_key]
-        num_wires = self.compiled.num_wires
-        indptr, indices = self._csr_of(segment)
-        incoming = np.concatenate([state.x, state.z], axis=0)
-        out = np.zeros((indptr.size - 1, state.words), dtype=_WORD)
-        entry = faults.get(segment_key)
-        if entry is not None and entry.columns.size:
-            fault_rows = np.repeat(
-                np.arange(entry.counts.size, dtype=np.int64), entry.counts
-            )
-            fault_cols = entry.columns.astype(np.int64)
-            fault_masks = entry.masks
-        else:
-            fault_rows = np.zeros(0, dtype=np.int64)
-            fault_cols = np.zeros(0, dtype=np.int64)
-            fault_masks = np.zeros((0, state.words), dtype=_WORD)
+        frame_rows = state.frame.shape[0]
+        out = np.zeros((segment.num_components, state.words), dtype=_WORD)
+        # The segment's fault image row c XORs into component c.
+        rows = np.arange(segment.num_components, dtype=np.int64)
         kernels.apply_segment(
-            incoming,
-            indptr,
-            indices,
-            2 * num_wires,
-            fault_rows,
-            fault_cols,
-            fault_masks,
+            state.frame,
+            segment.indptr,
+            segment.indices,
+            frame_rows,
+            rows,
+            rows,
+            faults[segment.offset : segment.offset + segment.num_components],
             mask,
             out,
         )
-        state.x = out[:num_wires]
-        state.z = out[num_wires : 2 * num_wires]
-        for slot, bit in enumerate(segment.bit_names):
-            state.bits[bit] = out[2 * num_wires + slot]
+        state.frame = out[:frame_rows]
+        state.bits.update(zip(segment.bit_names, out[frame_rows:]))
 
 
 # -- reference wrapper --------------------------------------------------------

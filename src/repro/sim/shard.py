@@ -123,8 +123,11 @@ class AdaptiveSlabPolicy:
 
     * the packed X/Z frame planes — one bit per wire per plane per shot,
       in ``uint64`` words (``2 * num_wires / 8`` bytes per shot);
-    * the per-location fault masks — bounded by one bit per location per
-      shot across a slab's segment batches (``locations / 8`` bytes);
+    * the fault image — counted as one bit per location per shot
+      (``locations / 8`` bytes). The engine's image has one bit per
+      compiled component per shot (2.6× more on steane, 4.8× on
+      16_2_4), so this term undercounts it; correcting it re-seeds
+      ``mem_budget`` plans;
     * the unpacked residual data planes handed to the judge
       (``2 * n`` bytes per shot);
     * a fixed allowance for index arrays, verdict masks, and scratch.
@@ -1165,8 +1168,9 @@ class ShardedEvaluator:
     engine:
         A built execution engine (:func:`repro.sim.sampler.make_sampler`).
         With the default ``fork`` start method, worker processes inherit
-        this exact object — compiled segment maps, signature caches,
-        judge memos and all — so per-task cost is one tiny chunk spec.
+        this exact object — compiled segment maps, and the signature
+        table and judge memo if already filled — so per-task cost is one
+        tiny chunk spec.
     workers:
         Process count. ``1`` (default) executes inline on the calling
         process with the *same* chunk plan, so any-worker-count runs are

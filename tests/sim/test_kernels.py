@@ -20,7 +20,7 @@ from repro.sim.kernels import (
     apply_segment,
     coset_weights,
     pack_rows,
-    scatter_masks,
+    toggle_bits,
 )
 from repro.sim.noise import E1_1, sample_injections_stratum
 from repro.sim.sampler import (
@@ -124,20 +124,20 @@ class TestKernelPrimitives:
         expected[frame:] &= mask
         np.testing.assert_array_equal(out, expected)
 
-    def test_scatter_masks_matches_or_oracle(self):
+    def test_toggle_bits_matches_xor_oracle(self):
+        # 400 entries over 88 words x 8 bit positions: repeated (word, bit)
+        # entries occur and must cancel.
         rng = np.random.default_rng(13)
-        groups, words, entries = 11, 8, 180
-        group_of = rng.integers(0, groups, size=entries).astype(np.intp)
-        shot_words = rng.integers(0, words, size=entries).astype(np.intp)
-        shot_bits = (
-            np.uint64(1) << rng.integers(0, 64, size=entries).astype(np.uint64)
-        )
-        masks = np.zeros((groups, words), dtype=np.uint64)
-        scatter_masks(masks, group_of, shot_words, shot_bits)
-        expected = np.zeros_like(masks)
+        size, entries = 88, 400
+        positions = rng.integers(0, size, size=entries).astype(np.intp)
+        bits = np.uint64(1) << rng.integers(0, 8, size=entries).astype(np.uint64)
+        image = np.zeros(size, dtype=np.uint64)
+        toggle_bits(image, positions, bits)
+        expected = np.zeros_like(image)
         for entry in range(entries):
-            expected[group_of[entry], shot_words[entry]] |= shot_bits[entry]
-        np.testing.assert_array_equal(masks, expected)
+            expected[positions[entry]] ^= bits[entry]
+        assert len(set(zip(positions.tolist(), bits.tolist()))) < entries
+        np.testing.assert_array_equal(image, expected)
 
     def test_backend_name_consistent_with_available(self):
         assert kernels.backend_name() == (

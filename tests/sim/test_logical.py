@@ -1,5 +1,7 @@
 """Unit tests for logical-failure determination."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,50 @@ class TestJudgeOnProtocols:
             assert not judge.is_logical_failure(result), (
                 f"single fault at {location} caused a logical failure"
             )
+
+
+class TestFailureMaskMemo:
+    """``failure_mask`` memoizes syndrome -> correction parity across calls."""
+
+    @staticmethod
+    def batches(n, count=6, shots=40, seed=5):
+        rng = np.random.default_rng(seed)
+        return [
+            (rng.random((shots, n)) < 0.2).astype(np.uint8) for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("key", ["steane", "surface_3"])
+    def test_any_call_order_matches_fresh_judge(self, key):
+        code = cached_protocol(key).code
+        batches = self.batches(code.n)
+        expected = [LogicalJudge(code).failure_mask(b) for b in batches]
+        for order in (range(len(batches)), reversed(range(len(batches)))):
+            judge = LogicalJudge(code)
+            for i in order:
+                assert np.array_equal(judge.failure_mask(batches[i]), expected[i])
+        # A memo warm from every batch still agrees with the per-shot path.
+        for batch in batches:
+            per_shot = [judge.is_logical_failure(result_with(row, code.n)) for row in batch]
+            assert judge.failure_mask(batch).tolist() == per_shot
+
+    @pytest.mark.parametrize("matching", [False, True])
+    def test_pickle_bytes_unchanged_by_use(self, matching):
+        code = cached_protocol("surface_3").code
+        judge = LogicalJudge.with_matching(code) if matching else LogicalJudge(code)
+        before = pickle.dumps(judge)
+        for batch in self.batches(code.n):
+            judge.failure_mask(batch)
+        assert pickle.dumps(judge) == before
+        clone = pickle.loads(before)
+        batch = self.batches(code.n, count=1, seed=9)[0]
+        assert np.array_equal(clone.failure_mask(batch), judge.failure_mask(batch))
+
+    def test_more_than_62_checks_rejected(self):
+        class WideDecoder:
+            checks = np.zeros((63, 7), dtype=np.uint8)
+
+            def decode(self, syndrome):
+                return np.zeros(7, dtype=np.uint8)
+
+        with pytest.raises(ValueError, match="63 checks"):
+            LogicalJudge(steane_code(), x_decoder=WideDecoder())

@@ -15,11 +15,19 @@ import pytest
 from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
 from repro.sim.noise import (
+    E1_1,
     fault_draws,
     materialize_stratum,
+    sample_injections_model_batch,
     sample_injections_stratum,
 )
-from repro.sim.sampler import BatchedSampler, ReferenceSampler, make_sampler
+from repro.sim.noisemodels import CorrelatedPairModel
+from repro.sim.sampler import (
+    BatchedSampler,
+    KernelSampler,
+    ReferenceSampler,
+    make_sampler,
+)
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import FAST_CODES, cached_protocol
@@ -117,6 +125,92 @@ class TestRandomStrata:
             batched.failures_indexed(loc_idx, draw_idx),
             batched.failures(dicts),
         )
+
+
+def naive_fault_image(engine, loc_idx, draw_idx) -> np.ndarray:
+    """``(components, shots)`` 0/1: every slot's ``signature_columns``,
+    XORed per shot, one (location, draw) pair at a time."""
+    compiled = engine.compiled
+    bits = np.zeros((compiled.num_components, loc_idx.shape[0]), dtype=np.uint8)
+    for shot, (locations, draws) in enumerate(zip(loc_idx, draw_idx)):
+        for location, draw in zip(locations, draws):
+            if location < 0:
+                continue
+            (segment_key, index), _, _ = engine.locations[location]
+            segment = compiled.segments[segment_key]
+            injection = compiled.draw_tables[location][draw]
+            bits[segment.offset + segment.signature_columns(index, injection), shot] ^= 1
+    return bits
+
+
+def unpacked(image, shots) -> np.ndarray:
+    return np.unpackbits(image.view(np.uint8), axis=1, bitorder="little", count=shots)
+
+
+def has_repeated_pair(loc_idx, draw_idx) -> bool:
+    for locations, draws in zip(loc_idx, draw_idx):
+        pairs = [(l, d) for l, d in zip(locations, draws) if l >= 0]
+        if len(set(pairs)) < len(pairs):
+            return True
+    return False
+
+
+class TestFaultImage:
+    """The indexed batch's packed fault image equals the per-pair
+    ``signature_columns`` XOR, on both engines and the dict path."""
+
+    def check(self, engine, loc_idx, draw_idx):
+        shots = loc_idx.shape[0]
+        image = engine._image_indexed(loc_idx, draw_idx)
+        assert image.shape == (engine.compiled.num_components, (shots + 63) // 64)
+        assert np.array_equal(
+            unpacked(image, shots), naive_fault_image(engine, loc_idx, draw_idx)
+        )
+        dicts = materialize_stratum(engine.locations, loc_idx, draw_idx)
+        assert np.array_equal(engine._image_injections(dicts), image)
+        kernel = KernelSampler(engine.protocol)
+        assert np.array_equal(kernel._image_indexed(loc_idx, draw_idx), image)
+
+    @pytest.mark.parametrize("key", ["steane", "shor"])
+    def test_stratum_batch(self, key):
+        engine = BatchedSampler(cached_protocol(key))
+        rng = np.random.default_rng(71)
+        self.check(engine, *sample_injections_stratum(engine.locations, 3, 300, rng))
+
+    @pytest.mark.parametrize("key", ["steane", "shor"])
+    def test_masked_bernoulli_batch(self, key):
+        engine = BatchedSampler(cached_protocol(key))
+        rng = np.random.default_rng(73)
+        loc_idx, draw_idx = sample_injections_model_batch(
+            engine.locations, E1_1(p=0.08), 300, rng
+        )
+        assert (loc_idx < 0).any()
+        self.check(engine, loc_idx, draw_idx)
+
+    def test_correlated_pair_batch_repeats_cancel(self):
+        engine = BatchedSampler(cached_protocol("steane"))
+        rng = np.random.default_rng(79)
+        loc_idx, draw_idx = sample_injections_model_batch(
+            engine.locations, CorrelatedPairModel(p=0.1, pair_rate=0.2), 300, rng
+        )
+        assert has_repeated_pair(loc_idx, draw_idx)
+        self.check(engine, loc_idx, draw_idx)
+        # Repeat each shot's first slot once and twice more: a pair present
+        # an even number of times in one shot must cancel.
+        once = np.concatenate([loc_idx, loc_idx[:, :1]], axis=1)
+        twice = np.concatenate([once, loc_idx[:, :1]], axis=1)
+        once_draws = np.concatenate([draw_idx, draw_idx[:, :1]], axis=1)
+        twice_draws = np.concatenate([once_draws, draw_idx[:, :1]], axis=1)
+        assert has_repeated_pair(once, once_draws)
+        self.check(engine, once, once_draws)
+        self.check(engine, twice, twice_draws)
+
+    def test_empty_batch_slots(self):
+        engine = BatchedSampler(cached_protocol("steane"))
+        loc_idx = np.full((5, 2), -1, dtype=np.intp)
+        image = engine._image_indexed(loc_idx, np.zeros_like(loc_idx))
+        assert not image.any()
+        assert not engine.failures_indexed(loc_idx, np.zeros_like(loc_idx)).any()
 
 
 class TestResidualWeights:
