@@ -24,9 +24,9 @@ chunk, i.e. peak slab memory); see ``docs/cli.md`` for the full tour.
 Every command prints human-readable output; machine-readable artifacts go
 through ``--output`` (protocol JSON) and ``--qasm`` (OpenQASM export).
 
-Expensive artifacts (synthesized protocols, FT certificates, error
-budgets) are cached persistently in the content-addressed artifact store
-(``repro.store``, default ``~/.cache/repro-store``). Every pipeline
+Synthesized protocols, the expensive artifact, are cached persistently
+in the content-addressed artifact store (``repro.store``, default
+``~/.cache/repro-store``). Every pipeline
 subcommand takes ``--store PATH`` to point at a different root and
 ``--no-store`` to bypass caching entirely — results are bit-identical
 either way. ``python -m repro store ls|verify|gc`` inspects and

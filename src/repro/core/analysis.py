@@ -124,7 +124,6 @@ def two_fault_error_budget(
     executor=None,
     mem_budget: int | None = None,
     model=None,
-    store=None,
 ) -> ErrorBudget:
     """Exact two-fault enumeration with per-pair attribution.
 
@@ -151,40 +150,11 @@ def two_fault_error_budget(
     ``C(N, 2) * f2`` for uniform models. E1_1 (or ``None``) keeps the
     historical uniform path bit-for-bit.
 
-    The budget is a pure function of (protocol, model) — the execution
-    knobs are pinned bit-identical — so with the artifact store enabled
-    the finished :class:`ErrorBudget` is cached under those content keys
-    and served without compiling an engine. The ``max_runs`` guard is
-    evaluated on every call, cached or not: a call that would have
-    raised without the store still raises with it. ``store=False``
-    disables caching.
+    Every call builds its engine and enumerates; the daemon caches
+    budgets in its results ledger (``repro.serve``).
     """
-    from ..sim.frame import protocol_locations
     from ..sim.sampler import make_sampler
-    from ..sim.shard import StratumPlanner, resolve_evaluator
-    from ..store import keys as store_keys
-    from ..store import resolve_store
-
-    store = resolve_store(store)
-    cache_key = None
-    if store is not None:
-        cache_key = store_keys.budget_key(
-            store_keys.protocol_digest(protocol), model
-        )
-    if cache_key is not None:
-        cached = store.get_object("budget", cache_key)
-        if isinstance(cached, ErrorBudget):
-            if max_runs is not None:
-                guard_planner = StratumPlanner(
-                    protocol_locations(protocol), model=model
-                )
-                total_runs = guard_planner.total_pair_runs()
-                if total_runs > max_runs:
-                    raise ValueError(
-                        f"two-fault budget needs {total_runs} runs "
-                        f"(> {max_runs})"
-                    )
-            return cached
+    from ..sim.shard import resolve_evaluator
 
     sampler = make_sampler(protocol, engine=engine)
     locations = sampler.locations
@@ -208,10 +178,7 @@ def two_fault_error_budget(
             )
         merged = evaluator.reduce(planner.plan_pairs())
         if planner.heterogeneous:
-            result = _heterogeneous_budget(protocol, planner, merged, model)
-            if cache_key is not None:
-                store.put_object("budget", cache_key, result)
-            return result
+            return _heterogeneous_budget(protocol, planner, merged, model)
     pair_count = math.comb(num, 2)
     failing = np.zeros(pair_count, dtype=np.int64)
     if merged.pair_ids is not None and merged.pair_ids.size:
@@ -241,7 +208,7 @@ def two_fault_error_budget(
             by_segment[seg_key] = by_segment.get(seg_key, 0.0) + mass
             by_kind[kind_key] = by_kind.get(kind_key, 0.0) + mass
 
-    result = ErrorBudget(
+    return ErrorBudget(
         code_name=protocol.code.name,
         num_locations=num,
         f2_exact=f2,
@@ -249,6 +216,3 @@ def two_fault_error_budget(
         by_segment_pair=by_segment,
         by_kind_pair=by_kind,
     )
-    if cache_key is not None:
-        store.put_object("budget", cache_key, result)
-    return result

@@ -181,7 +181,6 @@ def check_fault_tolerance(
     executor=None,
     mem_budget: int | None = None,
     model=None,
-    store=None,
 ) -> list[FTViolation]:
     """Run every single-fault scenario; return violations (empty = FT).
 
@@ -205,38 +204,11 @@ def check_fault_tolerance(
     defeat a distance-3 protocol — the certificate then reports it
     rather than hiding it.
 
-    The certificate is an exact enumeration — a pure function of
-    (protocol, model) — so with the artifact store enabled the verdict
-    list is cached under those content keys and served without building
-    an engine at all. The execution knobs (engine, workers, slabs,
-    backend) are pinned not to change results, so they are deliberately
-    *not* part of the key; ``max_violations`` only truncates, and a
-    cached complete enumeration serves any cap (a cached *truncated* one
-    serves only caps it covers, and is recomputed and overwritten
-    otherwise). ``store=False`` disables caching.
+    Every call builds its engine and enumerates; the daemon caches
+    certificates in its results ledger (``repro.serve``).
     """
     from ..sim.sampler import make_sampler
     from ..sim.shard import resolve_evaluator
-    from ..store import keys as store_keys
-    from ..store import resolve_store
-
-    store = resolve_store(store)
-    cache_key = None
-    if store is not None:
-        cache_key = store_keys.ftcert_key(
-            store_keys.protocol_digest(protocol), model
-        )
-    if cache_key is not None:
-        cached = store.get_object("ftcert", cache_key)
-        if (
-            isinstance(cached, dict)
-            and isinstance(cached.get("violations"), list)
-        ):
-            recorded = cached["violations"]
-            recorded_cap = cached.get("max_violations", 0)
-            complete = len(recorded) < recorded_cap
-            if complete or max_violations <= recorded_cap:
-                return recorded[:max_violations]
 
     sampler = make_sampler(protocol, engine=engine)
 
@@ -295,10 +267,4 @@ def check_fault_tolerance(
                     break
             if truncated:
                 break
-    if cache_key is not None:
-        store.put_object(
-            "ftcert",
-            cache_key,
-            {"max_violations": max_violations, "violations": violations},
-        )
     return violations

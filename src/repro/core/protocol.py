@@ -211,14 +211,11 @@ def synthesize_protocol(
             verification_method=verification_method,
             max_correction_measurements=max_correction_measurements,
         )
-        text = store.get_text("protocol", key)
-        if text is not None:
-            try:
-                return protocol_from_json(text)
-            except Exception:
-                # Verified bytes but unloadable content (e.g. written by
-                # an incompatible revision): recompute and overwrite.
-                pass
+        # Verified bytes that do not load (e.g. written by an
+        # incompatible revision) are quarantined as a miss: recompute.
+        cached = store.get_text("protocol", key, parse=protocol_from_json)
+        if cached is not None:
+            return cached
     prep = prepare_zero(code, prep_method)
     protocol = synthesize_protocol_from_parts(
         prep,

@@ -1,9 +1,11 @@
 """Persistent content-addressed artifact caching (``repro.store``).
 
-The synthesis tax killer: protocols, certificates, and error budgets
-are cached on disk under content-derived
-keys, so only the first run of a configuration pays SAT time. See
-``docs/store.md`` for the layout, key derivation, and corruption policy.
+The synthesis tax killer: synthesized protocols are cached on disk as
+JSON under content-derived keys, so only the first run of a
+configuration pays SAT time. Nothing in the store is unpickled; computed
+results (certificates, budgets, sweeps) live in the results ledger
+(``repro.serve.ledger``) instead. See ``docs/store.md`` for the layout,
+key derivation, and corruption policy.
 
 The store is on by default (rooted at ``~/.cache/repro-store``); set
 ``REPRO_STORE=off`` (or pass ``--no-store`` / ``store=False``) to

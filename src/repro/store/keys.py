@@ -1,4 +1,5 @@
-"""Stable content keys for the artifact store (and the cluster handshake).
+"""Stable content keys for the artifact store, the results ledger, and
+the cluster handshake.
 
 One digest scheme, shared by every layer that names expensive artifacts:
 
@@ -15,7 +16,7 @@ One digest scheme, shared by every layer that names expensive artifacts:
   canonical protocol JSON. Stable across processes and across
   pickle/JSON round-trips (the JSON round-trip is pinned
   instruction-for-instruction identical), which makes it the right base
-  for result keys (certificates, budgets).
+  for the results ledger's keys (:func:`result_key` and its wrappers).
 
 Pickle-based digests (:func:`payload_digest`, :func:`model_token`) are
 representation-sensitive: two *functionally* identical objects with
@@ -35,10 +36,8 @@ import pickle
 
 __all__ = [
     "SYNTHESIS_REVISION",
-    "budget_key",
     "chunk_key",
     "direct_key",
-    "ftcert_key",
     "model_token",
     "payload_digest",
     "protocol_digest",
@@ -130,36 +129,6 @@ def model_token(model) -> str:
         return ""
 
 
-def ftcert_key(protocol_digest_hex: str, model) -> str | None:
-    """Key of an exact k=1 certificate (``check_fault_tolerance``)."""
-    token = model_token(model)
-    if not token:
-        return None
-    return _json_key(
-        {
-            "artifact": "ftcert",
-            "k": 1,
-            "protocol": protocol_digest_hex,
-            "model": token,
-        }
-    )
-
-
-def budget_key(protocol_digest_hex: str, model) -> str | None:
-    """Key of an exact k=2 error budget (``two_fault_error_budget``)."""
-    token = model_token(model)
-    if not token:
-        return None
-    return _json_key(
-        {
-            "artifact": "budget",
-            "k": 2,
-            "protocol": protocol_digest_hex,
-            "model": token,
-        }
-    )
-
-
 # -- results ledger -----------------------------------------------------------
 #
 # Result keys name *what a computation is about*, never how it was run:
@@ -176,7 +145,7 @@ def result_key(kind: str, protocol_digest_hex: str, model, plan: dict) -> str | 
 
     ``plan`` must be a JSON-serializable description of the seed/shot
     plan. Returns None when the model cannot be tokenized (unpicklable
-    models disable ledger dedup for that call, mirroring the store).
+    models disable ledger dedup for that call).
     """
     token = model_token(model)
     if not token:

@@ -3,9 +3,9 @@
 Synthesis is the dominant cost of this reproduction (the tesseract code
 takes ~1.5 s of SAT solving, a full Table I pass ~17 s), and before this
 module every CLI invocation, CI job, and cold cluster coordinator re-paid
-it from scratch. :class:`ArtifactStore` persists the expensive artifacts
-— protocol JSON, certificate and budget results — under content-derived
-keys (``repro.store.keys``) in a flat on-disk layout::
+it from scratch. :class:`ArtifactStore` persists the expensive artifact,
+synthesized protocol JSON, under content-derived keys
+(``repro.store.keys``) in a flat on-disk layout::
 
     <root>/
       objects/<kind>/<key[:2]>/<key>    one artifact per file
@@ -30,10 +30,11 @@ then the payload itself. The design rules, in order of importance:
   readable (an entry whose codec this environment lacks is a miss, not
   corruption — it is left in place).
 
-Values are pickles (or UTF-8 text for protocol JSON): like the cluster
-wire format, the store executes whatever is in it, so point
-``REPRO_STORE`` only at directories you trust — the default,
-``~/.cache/repro-store``, is the user's own cache.
+Values are raw bytes; the one consumer, ``synthesize_protocol``, writes
+UTF-8 protocol JSON. Nothing here unpickles: a forged entry can at worst
+fail to parse, which quarantines it like any other defect.
+Computed results (certificates, budgets, sweeps) are cached by the
+results ledger (``repro.serve.ledger``), not here.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import struct
 import tempfile
 import time
@@ -369,33 +369,26 @@ class ArtifactStore:
     def put_text(self, kind: str, key: str, text: str) -> Path | None:
         return self.put_bytes(kind, key, text.encode("utf-8"))
 
-    def get_text(self, kind: str, key: str) -> str | None:
-        raw = self.get_bytes(kind, key)
-        return None if raw is None else raw.decode("utf-8")
+    def get_text(self, kind: str, key: str, parse=None):
+        """Read one UTF-8 artifact, passed through ``parse`` when given.
 
-    def put_object(self, kind: str, key: str, obj) -> Path | None:
-        """Pickle + store; unpicklable objects are a silent no-op."""
-        try:
-            raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.stats.count("put_errors")
-            return None
-        return self.put_bytes(kind, key, raw)
-
-    def get_object(self, kind: str, key: str):
-        """Load + unpickle; an unpicklable entry is quarantined (it can
-        never become loadable) and reported as a miss."""
+        An entry that verifies but does not decode, or that ``parse``
+        rejects, can never become loadable: it is quarantined and
+        counted as a miss, never as a hit.
+        """
         raw = self._read_verified(kind, key)
         if raw is None:
             return None
         try:
-            obj = pickle.loads(raw)
+            value = raw.decode("utf-8")
+            if parse is not None:
+                value = parse(value)
         except Exception:
-            self._quarantine(self._object_path(kind, key), "unpicklable")
+            self._quarantine(self._object_path(kind, key), "unloadable")
             self.stats.count("misses")
             return None
         self._count_hit(kind, key)
-        return obj
+        return value
 
     # -- maintenance (repro store ls / verify / gc) --------------------------
 

@@ -266,20 +266,16 @@ class TestConsumerParity:
         from repro.core.ftcheck import check_fault_tolerance
 
         protocol = cached_protocol("steane")
-        batched = check_fault_tolerance(
-            protocol, engine="batched", store=False
-        )
-        kernel = check_fault_tolerance(protocol, engine="kernel", store=False)
+        batched = check_fault_tolerance(protocol, engine="batched")
+        kernel = check_fault_tolerance(protocol, engine="kernel")
         assert batched == kernel == []
 
     def test_two_fault_error_budget(self):
         from repro.core.analysis import two_fault_error_budget
 
         protocol = cached_protocol("steane")
-        batched = two_fault_error_budget(
-            protocol, engine="batched", store=False
-        )
-        kernel = two_fault_error_budget(protocol, engine="kernel", store=False)
+        batched = two_fault_error_budget(protocol, engine="batched")
+        kernel = two_fault_error_budget(protocol, engine="kernel")
         assert batched == kernel
 
     def test_direct_mc(self):

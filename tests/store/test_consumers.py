@@ -2,14 +2,15 @@
 
 The store's core contract is *latency only, never results*: every
 consumer must return bit-identical output with the store cold, warm,
-and disabled. These tests also prove the warm paths are actually served
-from disk (by planting sentinels under the expected keys), pin the
-truncation semantics of cached certificates, and check that synthesis,
-engine compilation and cluster workers never unpickle a store entry.
+and disabled. These tests also prove the warm synthesis path is actually
+served from disk (by planting sentinels under the expected keys), that
+certificates and budgets are computed on every call rather than served
+from the store, and that nothing store-backed ever unpickles.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
@@ -58,9 +59,14 @@ class TestSynthesisCache:
             verification_method="optimal",
             max_correction_measurements=4,
         )
-        store.put_text("protocol", key, "{\"not\": \"a protocol\"}")
-        recovered = synthesize_protocol(code)
+        store.put_text("protocol", key, "{not json")
+        recovered = synthesize_protocol(code, store=store)
         assert protocol_to_json(recovered) == protocol_to_json(cold)
+        # One miss, never a hit; the entry is moved aside and the
+        # recompute writes a loadable one in its place.
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert store.stats.quarantined == 1
+        assert store.get_text("protocol", key) == protocol_to_json(cold)
 
     def test_store_on_off_bit_identical(self, store):
         """Cold (synthesized and written), warm (served from the store)
@@ -87,18 +93,29 @@ class TestNoDiskUnpickling:
     def test_synthesis_compile_and_cluster_never_unpickle(
         self, store, monkeypatch
     ):
-        """Trust-boundary drill: with every pickle read from the store
-        refused, synthesis (cold and warm), engine compilation and a
-        cluster session against a first and a restarted worker all
-        succeed — none of them loads an object from disk."""
+        """Trust-boundary drill: with ``pickle.loads`` refusing, every
+        store-backed call with the store on — synthesis, the certificate
+        and the budget, each cold and repeated — succeeds without
+        unpickling.
+        A cluster session against a first and a restarted worker (whose
+        wire is pickle frames by design) then succeeds outside the patch
+        without loading anything from the store."""
+        unpickled = []
 
-        def refuse(self, kind, key):
-            raise AssertionError(f"unpickled a {kind!r} store entry")
+        def refuse(*args, **kwargs):
+            unpickled.append(args)
+            raise AssertionError("unpickled inside a store-backed call")
 
-        monkeypatch.setattr(ArtifactStore, "get_object", refuse)
-        cold = synthesize_protocol(get_code("steane"))
-        warm = synthesize_protocol(get_code("steane"))
+        with monkeypatch.context() as patch:
+            patch.setattr(pickle, "loads", refuse)
+            cold = synthesize_protocol(get_code("steane"))
+            warm = synthesize_protocol(get_code("steane"))
+            for _ in range(2):  # a first call, then a repeat
+                assert check_fault_tolerance(warm) == []
+                assert two_fault_error_budget(warm).f2_exact > 0
+        assert unpickled == []
         assert protocol_to_json(cold) == protocol_to_json(warm)
+        assert {entry.kind for entry in store.entries()} == {"protocol"}
         engine = make_sampler(warm)
 
         tallies, sources = [], []
@@ -121,77 +138,57 @@ class TestNoDiskUnpickling:
         assert tallies[0] == tallies[1]
 
 
-class TestCertificateCache:
-    def test_certificate_cached_and_bit_identical(self, store):
+class TestResultsComputedEveryCall:
+    """The store caches protocols only. With a store enabled, a repeated
+    certificate or budget call still builds the engine it asks for and
+    runs on the backend it is given, and returns the same result."""
+
+    @pytest.fixture
+    def built_engines(self, monkeypatch):
+        import repro.sim.sampler as sampler_module
+
+        built = []
+        make = sampler_module.make_sampler
+
+        def spy(protocol, *, engine="batched", **kwargs):
+            built.append(engine)
+            return make(protocol, engine=engine, **kwargs)
+
+        monkeypatch.setattr(sampler_module, "make_sampler", spy)
+        return built
+
+    @staticmethod
+    def _counting_executor(calls):
+        from repro.sim.shard import ShardedEvaluator
+
+        def executor(engine, max_slab):
+            calls.append(max_slab)
+            return ShardedEvaluator(engine, workers=1, max_slab=max_slab)
+
+        return executor
+
+    def test_certificate_recomputed_and_bit_identical(
+        self, store, built_engines
+    ):
         protocol = synthesize_protocol(get_code("steane"))
         cold = check_fault_tolerance(protocol)
-        key = keys.ftcert_key(keys.protocol_digest(protocol), None)
-        cached = store.get_object("ftcert", key)
-        assert cached == {"max_violations": 10, "violations": cold}
-        assert check_fault_tolerance(protocol) == cold
-        assert check_fault_tolerance(protocol, store=False) == cold
+        assert check_fault_tolerance(protocol, engine="reference") == cold
+        assert built_engines == ["batched", "reference"]
+        calls = []
+        executor = self._counting_executor(calls)
+        assert check_fault_tolerance(protocol, executor=executor) == cold
+        assert len(calls) == 1
 
-    def test_complete_certificate_serves_any_cap(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        key = keys.ftcert_key(keys.protocol_digest(protocol), None)
-        # A complete enumeration (fewer violations than its cap) with
-        # sentinel contents: any requested cap slices it, no recompute.
-        store.put_object(
-            "ftcert",
-            key,
-            {"max_violations": 5, "violations": ["v1", "v2", "v3"]},
-        )
-        assert check_fault_tolerance(protocol, max_violations=10) == [
-            "v1",
-            "v2",
-            "v3",
-        ]
-        assert check_fault_tolerance(protocol, max_violations=2) == [
-            "v1",
-            "v2",
-        ]
-
-    def test_truncated_certificate_recomputed_for_higher_cap(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        key = keys.ftcert_key(keys.protocol_digest(protocol), None)
-        # A truncated record (len == cap) only covers caps <= 2.
-        store.put_object(
-            "ftcert",
-            key,
-            {"max_violations": 2, "violations": ["v1", "v2"]},
-        )
-        assert check_fault_tolerance(protocol, max_violations=1) == ["v1"]
-        # A higher cap cannot be served from the truncated record: the
-        # real enumeration runs (steane is FT, so it finds nothing) and
-        # overwrites the sentinel.
-        assert check_fault_tolerance(protocol, max_violations=5) == []
-        assert store.get_object("ftcert", key)["violations"] == []
-
-    def test_model_changes_the_key(self, store):
-        from repro.sim.noisemodels import BiasedPauliModel
-
-        protocol = synthesize_protocol(get_code("steane"))
-        digest = keys.protocol_digest(protocol)
-        model = BiasedPauliModel(p=1e-3, eta=10.0)
-        assert keys.ftcert_key(digest, None) != keys.ftcert_key(digest, model)
-
-
-class TestBudgetCache:
-    def test_budget_cached_and_bit_identical(self, store):
+    def test_budget_recomputed_and_bit_identical(self, store, built_engines):
         protocol = synthesize_protocol(get_code("steane"))
         cold = two_fault_error_budget(protocol)
-        key = keys.budget_key(keys.protocol_digest(protocol), None)
-        assert store.get_object("budget", key) == cold
-        assert two_fault_error_budget(protocol) == cold
-        assert two_fault_error_budget(protocol, store=False) == cold
-
-    def test_max_runs_guard_raises_identically_on_hit(self, store):
-        protocol = synthesize_protocol(get_code("steane"))
-        two_fault_error_budget(protocol)  # populate the cache
-        with pytest.raises(ValueError, match="two-fault budget needs"):
-            two_fault_error_budget(protocol, max_runs=10)
-        with pytest.raises(ValueError, match="two-fault budget needs"):
-            two_fault_error_budget(protocol, max_runs=10, store=False)
+        assert two_fault_error_budget(protocol, engine="reference") == cold
+        assert built_engines == ["batched", "reference"]
+        calls = []
+        executor = self._counting_executor(calls)
+        assert two_fault_error_budget(protocol, executor=executor) == cold
+        assert len(calls) == 1
+        assert {entry.kind for entry in store.entries()} == {"protocol"}
 
 
 class TestSimulationIdentity:

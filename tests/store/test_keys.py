@@ -60,8 +60,12 @@ class TestProtocolKeys:
         assert keys.protocol_digest(clone) == keys.protocol_digest(protocol)
 
     def test_result_keys_distinct_per_artifact_class(self):
+        """The ledger's certificate and budget keys, the one cache of
+        both results, never collide for the same protocol and plan."""
         digest = keys.protocol_digest(cached_protocol("steane"))
-        assert keys.ftcert_key(digest, None) != keys.budget_key(digest, None)
+        assert keys.result_key("ftcheck", digest, None, {}) != keys.result_key(
+            "budget", digest, None, {}
+        )
 
     def test_model_token(self):
         assert keys.model_token(None) == "none"
@@ -71,8 +75,6 @@ class TestProtocolKeys:
         assert keys.model_token(model) == keys.model_token(model)
         assert keys.model_token(model) not in ("", "none")
         assert keys.model_token(lambda: None) == ""  # unpicklable
-        assert keys.ftcert_key("d" * 64, lambda: None) is None
-        assert keys.budget_key("d" * 64, lambda: None) is None
 
 
 def _child_protocol_digest(json_text, queue):

@@ -9,6 +9,7 @@ as misses — never returned, never a crash), and dependency-free codecs
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -37,10 +38,12 @@ class TestRoundTrip:
         store.put_text("protocol", "cd" * 32, "{\"a\": 1}\n")
         assert store.get_text("protocol", "cd" * 32) == "{\"a\": 1}\n"
 
-    def test_object(self, store):
-        value = {"nested": [1, 2, 3], "flag": True}
-        store.put_object("budget", "ef" * 32, value)
-        assert store.get_object("budget", "ef" * 32) == value
+    def test_text_parsed(self, store):
+        store.put_text("protocol", "ef" * 32, "{\"a\": 1}")
+        assert store.get_text("protocol", "ef" * 32, parse=json.loads) == {
+            "a": 1
+        }
+        assert store.stats.hits == 1
 
     def test_incompressible_payload_stored_verbatim(self, store):
         raw = os.urandom(4096)  # random bytes do not compress
@@ -131,15 +134,18 @@ class TestCorruption:
         assert store.stats.quarantined == 1
 
     def test_unpicklable_object_entry_quarantined(self, store):
+        """A verified entry its parser rejects (e.g. a protocol written
+        by an incompatible revision) is quarantined and is one miss."""
         key = "aa" * 32
-        store.put_bytes("budget", key, b"\x80\x05 garbage that is not a pickle")
-        assert store.get_object("budget", key) is None
+        path = store.put_text("protocol", key, "{not json")
+        assert store.get_text("protocol", key, parse=json.loads) is None
         assert store.stats.quarantined == 1
         assert store.stats.hits == 0
         assert store.stats.misses == 1
+        assert not path.exists()
 
     def test_unpicklable_entry_counted_once_in_the_registry(self, store):
-        """A well-formed blob whose payload is not a pickle is one miss
+        """A well-formed blob whose payload does not parse is one miss
         in the process-global registry too, never a hit."""
         from repro.obs.metrics import get_registry
 
@@ -147,8 +153,8 @@ class TestCorruption:
         names = ("store.hits", "store.misses", "store.quarantined")
         before = [registry.counter(name).value for name in names]
         key = "ab" * 32
-        store.put_bytes("budget", key, b"\x80\x05 garbage that is not a pickle")
-        assert store.get_object("budget", key) is None
+        store.put_bytes("protocol", key, b"\x80\x05 not UTF-8, not JSON")
+        assert store.get_text("protocol", key) is None
         after = [registry.counter(name).value for name in names]
         assert [b - a for a, b in zip(before, after)] == [0, 1, 1]
 
