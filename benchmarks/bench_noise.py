@@ -3,8 +3,8 @@
 The ISSUE-5 datapoint: the η-biased model (``repro.sim.noisemodels``)
 versus the uniform E1_1 baseline on Steane — same stratum shape, same
 engine, the only difference being conditional-Bernoulli site subsets and
-weighted draw-index generation instead of the uniform ``argpartition`` /
-``floor(u * counts)`` tricks. The recorded ratio quantifies what the
+weighted draw-index generation instead of the uniform Floyd k-subset /
+``floor(u * counts)`` draws. The recorded ratio quantifies what the
 heterogeneous generator costs on the hot path (it must stay a small
 constant factor, not a complexity change), next to correctness gates:
 

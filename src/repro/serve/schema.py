@@ -203,5 +203,6 @@ def request_key(
             shots=norm["shots"],
             seed=norm["seed"],
             max_slab=max_slab,
+            mem_budget=mem_budget,
         )
     raise ServeRequestError(f"op {op!r} has no ledger key")

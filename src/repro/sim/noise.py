@@ -336,30 +336,34 @@ def sample_injections_model_batch(
 
 
 def sample_injections_stratum(
-    locations, k: int, shots: int, rng: np.random.Generator
+    locations, k: int, shots: int, rng: np.random.Generator, counts=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stratum draw: ``shots`` configurations of exactly ``k``
     faults each, as index arrays instead of per-shot dicts.
 
     Returns ``(loc_idx, draw_idx)``, both of shape ``(shots, k)``:
-    ``loc_idx[s]`` are the failing locations of shot ``s`` (a uniform
-    k-subset, via random-key selection) and ``draw_idx[s, j]`` indexes the
-    uniform conditional draw inside ``fault_draws(...)`` of that location.
-    The whole stratum costs two ``rng`` calls, which is what makes the
-    batched engine's end-to-end throughput possible; use
-    :func:`materialize_stratum` to expand into the dict form the per-shot
-    runner consumes. (The batch is identical for every engine consuming
-    it — engine cross-validation stays exact.)
+    ``loc_idx[s]`` are the failing locations of shot ``s`` and
+    ``draw_idx[s, j]`` indexes the uniform conditional draw inside
+    ``fault_draws(...)`` of that location. The locations are an exact
+    uniform k-subset from Floyd's algorithm, one column per step: step
+    ``j`` of ``num - k .. num - 1`` draws ``t`` uniform in ``[0, j]`` per
+    shot and takes ``j`` instead where the row already holds ``t``. The
+    stratum costs ``k + 1`` ``rng`` calls and no per-location work.
+    ``counts`` is :func:`draw_counts` of ``locations``, for callers that
+    already hold it. Use :func:`materialize_stratum` to expand into the
+    dict form the per-shot runner consumes. (The batch is identical for
+    every engine consuming it — engine cross-validation stays exact.)
     """
     num = len(locations)
     if k > num:
         raise ValueError("more faults than locations")
-    keys = rng.random((shots, num))
-    if k == num:
-        loc_idx = np.tile(np.arange(num, dtype=np.intp), (shots, 1))
-    else:
-        loc_idx = np.argpartition(keys, k, axis=1)[:, :k].astype(np.intp)
-    counts = draw_counts(locations)
+    loc_idx = np.empty((shots, k), dtype=np.intp)
+    for col, j in enumerate(range(num - k, num)):
+        t = rng.integers(j + 1, size=shots)
+        taken = (loc_idx[:, :col] == t[:, None]).any(axis=1)
+        loc_idx[:, col] = np.where(taken, j, t)
+    if counts is None:
+        counts = draw_counts(locations)
     uniform = rng.random((shots, k))
     draw_idx = np.floor(uniform * counts[loc_idx]).astype(np.intp)
     return loc_idx, draw_idx

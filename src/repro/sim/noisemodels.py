@@ -672,9 +672,11 @@ class SiteUniverse:
         ``k`` firing sites, as masked engine index arrays.
 
         The heterogeneous counterpart of
-        :func:`repro.sim.noise.sample_injections_stratum` — two ``rng``
-        draws per batch, same shapes consumed, but sites follow the
-        conditional-Bernoulli law and draws follow the model's weights.
+        :func:`repro.sim.noise.sample_injections_stratum`, with the same
+        shapes: sites follow the conditional-Bernoulli law of
+        :meth:`sample_sites` instead of a uniform Floyd subset, and draws
+        follow the model's weights. This stream is not part of the
+        uniform draw revision (``repro.store.keys.DRAW_REVISION``).
         """
         sites = self.sample_sites(k, shots, rng)
         uniform = rng.random((shots, k))

@@ -123,11 +123,10 @@ class AdaptiveSlabPolicy:
 
     * the packed X/Z frame planes — one bit per wire per plane per shot,
       in ``uint64`` words (``2 * num_wires / 8`` bytes per shot);
-    * the fault image — counted as one bit per location per shot
-      (``locations / 8`` bytes). The engine's image has one bit per
-      compiled component per shot (2.6× more on steane, 4.8× on
-      16_2_4), so this term undercounts it; correcting it re-seeds
-      ``mem_budget`` plans;
+    * the fault image — one bit per compiled component per shot
+      (``num_components / 8`` bytes; 2.6× the location count on
+      steane, 4.8× on 16_2_4). An engine without a compiled image
+      counts one bit per location;
     * the unpacked residual data planes handed to the judge
       (``2 * n`` bytes per shot);
     * a fixed allowance for index arrays, verdict masks, and scratch.
@@ -155,9 +154,12 @@ class AdaptiveSlabPolicy:
         """Estimated peak bytes one configuration adds to a slab."""
         protocol = engine.protocol
         num_wires = int(protocol.num_wires)
-        num_locations = len(engine.locations)
+        compiled = getattr(engine, "compiled", None)
+        image_bits = (
+            len(engine.locations) if compiled is None else compiled.num_components
+        )
         n = int(protocol.code.n)
-        packed_bits = 2 * num_wires + num_locations
+        packed_bits = 2 * num_wires + image_bits
         return -(-packed_bits // 8) + 2 * n + self.overhead_bytes
 
     def slab_for(self, engine) -> int:
@@ -365,8 +367,11 @@ def chunk_token(chunk) -> dict | None:
     for chunks that cannot be named stably (an unpicklable model).
     """
     if isinstance(chunk, StratumChunk):
+        from ..store.keys import DRAW_REVISION
+
         return {
             "type": "stratum",
+            "draw_revision": DRAW_REVISION,
             "k": int(chunk.k),
             "shots": int(chunk.shots),
             "entropy": [int(e) for e in chunk.entropy],
@@ -945,7 +950,7 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
             )
         else:
             loc_idx, draw_idx = sample_injections_stratum(
-                engine.locations, chunk.k, chunk.shots, rng
+                engine.locations, chunk.k, chunk.shots, rng, planner._counts
             )
         verdicts = np.asarray(
             engine.failures_indexed(loc_idx, draw_idx), dtype=bool

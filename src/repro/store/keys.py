@@ -35,6 +35,7 @@ import json
 import pickle
 
 __all__ = [
+    "DRAW_REVISION",
     "SYNTHESIS_REVISION",
     "chunk_key",
     "direct_key",
@@ -76,6 +77,14 @@ def payload_digest(payload_bytes: bytes) -> str:
 #: span-weight floor first. Revision 3: correction encodes only the maximal
 #: recovery candidates.
 SYNTHESIS_REVISION = 3
+
+#: Revision of the sampled draw stream, part of every :func:`series_key`
+#: and stratum :func:`chunk_key`. Bump it whenever the same seed and plan
+#: may draw different configurations, so a ledger filled by older code
+#: misses instead of serving tallies of the older stream. Revision 2:
+#: Floyd k-subset stratum draws, and ``mem_budget`` slabs sized by the
+#: compiled fault image.
+DRAW_REVISION = 2
 
 
 def protocol_key(
@@ -186,9 +195,7 @@ def series_key(
         "k_max": int(k_max),
         "seed": int(seed),
         "exact_k1": bool(exact_k1),
-        # A constant since the serial stream was retired; kept so keys
-        # recorded before then stay valid.
-        "scheme": "sharded",
+        "draw_revision": DRAW_REVISION,
         "max_slab": None if max_slab is None else int(max_slab),
         "mem_budget": None if mem_budget is None else int(mem_budget),
         "direct_check_at": direct_check_at,
@@ -204,17 +211,20 @@ def direct_key(
     shots: int,
     seed: int,
     max_slab: int | None = None,
+    mem_budget: int | None = None,
 ) -> str | None:
     """Key of a direct Monte-Carlo tally (``direct_mc``).
 
     ``model`` is the *effective* model the Bernoulli draws use (i.e.
     after any ``with_p`` rescaling), so the physical rate is inside the
-    token and needs no separate plan field.
+    token and needs no separate plan field. ``max_slab`` and
+    ``mem_budget`` size the Bernoulli chunks, so both are in the plan.
     """
     plan = {
         "shots": int(shots),
         "seed": int(seed),
         "max_slab": None if max_slab is None else int(max_slab),
+        "mem_budget": None if mem_budget is None else int(mem_budget),
     }
     return result_key("direct", protocol_digest_hex, model, plan)
 

@@ -1,7 +1,6 @@
 """Disk-backed content-addressed artifact store.
 
-Synthesis is the dominant cost of this reproduction (the tesseract code
-takes ~1.5 s of SAT solving, a full Table I pass ~17 s), and before this
+Synthesis is the dominant cost of this reproduction, and before this
 module every CLI invocation, CI job, and cold cluster coordinator re-paid
 it from scratch. :class:`ArtifactStore` persists the expensive artifact,
 synthesized protocol JSON, under content-derived keys

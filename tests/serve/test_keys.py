@@ -59,12 +59,13 @@ class TestKeyScheme:
         assert len({base, *keys}) == len(variants) + 1
 
     def test_series_key_bytes_are_pinned(self):
-        """Series keys recorded while a serial stream still existed (and
-        the plan carried ``"scheme": "sharded"``) must stay valid, so
-        existing ledgers stay warm."""
+        """Series keys change only with a deliberate draw revision
+        (``DRAW_REVISION``); any other change would turn warm ledgers
+        cold by accident."""
+        assert store_keys.DRAW_REVISION == 2
         key = store_keys.series_key("ab" * 32, None, **_series_kwargs())
         assert key == (
-            "753ff0af905086acc0cc53230e24bfb275c985977f1d5b9da1fe34113150a167"
+            "3209e9cfdcd7e8cdc622c2293f91d612b96c860212997be648272bd037d23f19"
         )
 
     def test_direct_shots_only_matter_with_direct_check(self, digest):
@@ -129,6 +130,18 @@ class TestKeyScheme:
         assert a != store_keys.direct_key(
             digest, E1_1(p=2e-3), shots=4000, seed=2025
         )
+
+    def test_direct_key_includes_mem_budget(self, digest):
+        """``mem_budget`` sizes the Bernoulli chunks, so daemons sharing a
+        ledger with different budgets must not serve each other."""
+        model = E1_1(p=1e-3)
+        keys = {
+            store_keys.direct_key(
+                digest, model, shots=4000, seed=2025, mem_budget=budget
+            )
+            for budget in (None, 1 << 20, 1 << 24)
+        }
+        assert None not in keys and len(keys) == 3
 
     def test_unpicklable_model_disables_caching(self, digest):
         key = store_keys.series_key(

@@ -12,7 +12,11 @@ Three layers of the same promise, bottom-up:
 * :func:`run_series` / :func:`run_figure4` — a ledger hit returns the
   bit-identical series without ever building an engine, and
   ``ledger=False`` (the ``--no-ledger`` hatch) bypasses it entirely.
+
+Records keyed before the current draw revision are never served.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -21,8 +25,15 @@ import repro.sim.sampler as sampler_mod
 from repro.experiments.figure4 import run_figure4, run_series
 from repro.serve.ledger import LedgerEvaluator, ResultsLedger
 from repro.sim.sampler import make_sampler
-from repro.sim.shard import ShardedEvaluator, merge_partials
+from repro.sim.shard import (
+    ShardedEvaluator,
+    ShardPartial,
+    StratumChunk,
+    merge_partials,
+    partial_to_jsonable,
+)
 from repro.sim.subset import SubsetSampler
+from repro.store import keys as store_keys
 
 from ..conftest import cached_protocol
 
@@ -258,3 +269,121 @@ class TestRunSeriesLedger:
             ["steane"], shots=1000, sweep=self.GRID, ledger=ledger
         )
         self.assert_series_equal(series[0], warm[0])
+
+
+def _pre_revision_key(digest: str, kind: str, plan: dict) -> str:
+    """A ledger key in the form used before ``DRAW_REVISION`` 2."""
+    return store_keys.sha256_hex(
+        json.dumps(
+            {
+                "artifact": "result",
+                "kind": kind,
+                "protocol": digest,
+                "model": "none",
+                "plan": plan,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+    )
+
+
+def _pre_revision_series_key(digest: str, *, shots: int, k_max: int, seed: int):
+    return _pre_revision_key(
+        digest,
+        "series",
+        {
+            "shots": shots,
+            "k_max": k_max,
+            "seed": seed,
+            "exact_k1": True,
+            "scheme": "sharded",
+            "max_slab": None,
+            "mem_budget": None,
+            "direct_check_at": None,
+            "direct_shots": 0,
+        },
+    )
+
+
+def _pre_revision_chunk_key(digest: str, chunk) -> str:
+    return _pre_revision_key(
+        digest,
+        "chunk",
+        {
+            "type": "stratum",
+            "k": chunk.k,
+            "shots": chunk.shots,
+            "entropy": list(chunk.entropy),
+        },
+    )
+
+
+class TestDrawRevision:
+    """Ledger records written before the Floyd stratum draw hold tallies
+    of the older draw stream: a ledger filled then misses them."""
+
+    def test_helpers_rebuild_the_pre_revision_keys(self):
+        """Both forms, checked against keys the older code produced."""
+        assert _pre_revision_series_key(
+            "ab" * 32, shots=4000, k_max=3, seed=2025
+        ) == "753ff0af905086acc0cc53230e24bfb275c985977f1d5b9da1fe34113150a167"
+        chunk = StratumChunk(index=0, k=2, shots=512, entropy=(77, 0))
+        assert _pre_revision_chunk_key("ab" * 32, chunk) == (
+            "1349efef106bc454d8f644111973f31129eb0acd6fd423a26573886263f30df0"
+        )
+
+    def test_old_series_record_not_served(self, tmp_path):
+        protocol = cached_protocol("steane")
+        digest = store_keys.protocol_digest(protocol)
+        plan = dict(shots=1200, k_max=2, seed=11)
+
+        def run(ledger):
+            return run_series(
+                "steane",
+                protocol=protocol,
+                sweep=TestRunSeriesLedger.GRID,
+                ledger=ledger,
+                **plan,
+            )
+
+        source = ResultsLedger(tmp_path / "source")
+        cold = run(source)
+        record = source.get("series", store_keys.series_key(digest, None, **plan))
+        # Every sampled shot a failure: unmistakable if served.
+        for stratum in record["strata"].values():
+            if not stratum["exact"]:
+                stratum["failures"] = stratum["trials"]
+
+        control = ResultsLedger(tmp_path / "control")
+        control.put("series", store_keys.series_key(digest, None, **plan), record)
+        served = run(control)
+        assert [e.mean for e in served.estimates] != [e.mean for e in cold.estimates]
+
+        old = ResultsLedger(tmp_path / "old")
+        old.put("series", _pre_revision_series_key(digest, **plan), record)
+        TestRunSeriesLedger.assert_series_equal(run(old), cold)
+        assert len(list(old.entries("series"))) == 2
+
+    def test_old_chunk_record_not_served(self, steane_engine, ledger):
+        inline = ShardedEvaluator(steane_engine, max_slab=300)
+        plan = list(inline.planner.plan_stratum(2, 600, entropy=77))
+        baseline = inline.reduce(plan)
+        digest = store_keys.protocol_digest(steane_engine.protocol)
+        for chunk in plan:
+            bogus = ShardPartial(
+                index=chunk.index, trials=chunk.shots, failures=chunk.shots
+            )
+            ledger.put(
+                "chunk",
+                _pre_revision_chunk_key(digest, chunk),
+                partial_to_jsonable(bogus),
+            )
+        warm = LedgerEvaluator(ShardedEvaluator(steane_engine, max_slab=300), ledger)
+        merged = merge_partials(warm.map(plan))
+        assert warm.chunk_hits == 0 and warm.chunk_computes == len(plan) == 2
+        assert (merged.trials, merged.failures) == (
+            baseline.trials,
+            baseline.failures,
+        )
+        assert baseline.failures < baseline.trials

@@ -193,6 +193,18 @@ class TestAdaptiveSlabPolicy:
             if budget >= per_config:
                 assert slab * per_config <= budget
 
+    def test_counts_the_compiled_fault_image(self, steane_engine):
+        """Steane: 12 wires, n = 7, 28 locations, 74 compiled components.
+        The batched engine's image is 74 bits per shot: ceil((2·12 + 74)
+        / 8) = 13 bytes + 2·7 + 64 = 91. The reference engine has no
+        compiled image and counts its 28 locations: 7 + 14 + 64 = 85."""
+        policy = AdaptiveSlabPolicy(mem_budget=1 << 20)
+        assert steane_engine.compiled.num_components == 74
+        assert policy.bytes_per_config(steane_engine) == 91
+        assert policy.slab_for(steane_engine) == (1 << 20) // 91
+        reference = make_sampler(steane_engine.protocol, engine="reference")
+        assert policy.bytes_per_config(reference) == 85
+
     def test_slab_monotone_in_budget(self, steane_engine):
         slabs = [
             AdaptiveSlabPolicy(mem_budget=budget).slab_for(steane_engine)

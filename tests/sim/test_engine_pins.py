@@ -5,9 +5,12 @@ at 4000 shots and a fixed seed, and the pins hold every stratum's
 ``(trials, failures)`` plus the direct-check tally. A change that only
 speeds up the engines (grouping, segment application, judging) leaves
 them untouched; a deliberate change to the draw stream or the estimator
-re-pins them in the same commit.
+re-pins them in the same commit, from the dict this file prints::
+
+    PYTHONPATH=src python tests/sim/test_engine_pins.py --record
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,26 +34,26 @@ SEEDS = {
 
 # k = 1 is the exact enumeration: its trials field is the 10**9 sentinel.
 PINS = {
-    "11_1_3": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 15), 3: (3500, 298)},
+    "11_1_3": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 17), 3: (3500, 333)},
                "direct": (4000, 335)},
-    "16_2_4": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 28), 3: (3500, 431)},
+    "16_2_4": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 28), 3: (3500, 449)},
                "direct": (4000, 1688)},
-    "carbon": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 30), 3: (3500, 556)},
+    "carbon": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 46), 3: (3500, 547)},
                "direct": (4000, 1825)},
-    "hamming": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 119), 3: (3500, 1548)},
+    "hamming": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 119), 3: (3500, 1521)},
                 "direct": (4000, 1931)},
-    "shor": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (2000, 492), 3: (2000, 737)},
+    "shor": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (2000, 487), 3: (2000, 735)},
              "direct": (4000, 541)},
-    "steane": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (1500, 197), 3: (2500, 693)},
+    "steane": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (1500, 234), 3: (2500, 695)},
                "direct": (4000, 313)},
-    "surface_3": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (1500, 135), 3: (2500, 518)},
+    "surface_3": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (1500, 184), 3: (2500, 564)},
                   "direct": (4000, 334)},
-    "tetrahedral": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 11), 3: (3500, 191)},
+    "tetrahedral": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (500, 9), 3: (3500, 150)},
                     "direct": (4000, 333)},
 }
 
 
-def series_tally(monkeypatch, code: str, engine: str) -> dict:
+def series_tally(code: str, engine: str) -> dict:
     """``{"strata": {k: (trials, failures)}, "direct": (trials, failures)}``."""
     protocol = protocol_from_json((PROTOCOLS / f"{code}.json").read_text())
     strata = {}
@@ -62,21 +65,41 @@ def series_tally(monkeypatch, code: str, engine: str) -> dict:
         )
         return curve(sampler, sweep)
 
-    monkeypatch.setattr(SubsetSampler, "curve", recording_curve)
-    series = run_series(
-        code,
-        protocol=protocol,
-        shots=4000,
-        seed=SEEDS[code],
-        engine=engine,
-        workers=1,
-        ledger=False,
-        direct_check_at=0.05,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SubsetSampler, "curve", recording_curve)
+        series = run_series(
+            code,
+            protocol=protocol,
+            shots=4000,
+            seed=SEEDS[code],
+            engine=engine,
+            workers=1,
+            ledger=False,
+            direct_check_at=0.05,
+        )
     return {"strata": strata, "direct": (series.direct.trials, series.direct.failures)}
 
 
 @pytest.mark.parametrize("engine", ["batched", "kernel"])
 @pytest.mark.parametrize("code", sorted(PINS))
-def test_series_tally_pinned(monkeypatch, code, engine):
-    assert series_tally(monkeypatch, code, engine) == PINS[code]
+def test_series_tally_pinned(code, engine):
+    assert series_tally(code, engine) == PINS[code]
+
+
+def format_pins(pins: dict) -> str:
+    """``pins`` as the ``PINS = {...}`` source block above."""
+    lines = ["PINS = {"]
+    for code, pin in pins.items():
+        strata = ", ".join(
+            f"{k}: ({'10**9' if trials == 10**9 else trials}, {failures})"
+            for k, (trials, failures) in pin["strata"].items()
+        )
+        lines.append(f'    "{code}": {{"strata": {{{strata}}},')
+        lines.append(" " * (len(code) + 9) + f'"direct": {pin["direct"]}}},')
+    return "\n".join(lines + ["}"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(f"usage: python {sys.argv[0]} --record")
+    print(format_pins({code: series_tally(code, "batched") for code in sorted(SEEDS)}))

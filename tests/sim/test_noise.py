@@ -1,16 +1,24 @@
 """Unit tests for the E1_1 noise model and injection samplers."""
 
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.serialize import protocol_from_json
 from repro.sim.frame import Injection, protocol_locations
 from repro.sim.noise import (
     E1_1,
+    draw_counts,
     fault_draws,
     sample_injections,
+    sample_injections_stratum,
 )
 
 from ..conftest import cached_protocol
+
+FIXTURES = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
 
 
 def locations_of(protocol):
@@ -95,3 +103,71 @@ class TestModel:
         model = E1_1(p=0.1)
         with pytest.raises(Exception):
             model.p = 0.2
+
+
+class TestStratumDraw:
+    """The Floyd k-subset draw of ``sample_injections_stratum``."""
+
+    def test_subsets_are_uniform(self, steane_protocol):
+        """Seeded chi-square over all C(6, 3) = 20 subsets of 6 locations;
+        43.8 is the 0.999 quantile of chi-square with 19 degrees of freedom."""
+        locations = locations_of(steane_protocol)[:6]
+        shots = 200_000
+        loc_idx, _ = sample_injections_stratum(
+            locations, 3, shots, np.random.default_rng(0)
+        )
+        subsets = {s: i for i, s in enumerate(combinations(range(6), 3))}
+        observed = np.bincount(
+            [subsets[tuple(row)] for row in np.sort(loc_idx, axis=1).tolist()],
+            minlength=len(subsets),
+        )
+        expected = shots / len(subsets)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < 43.8
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "fixture", sorted(path.stem for path in FIXTURES.glob("*.json"))
+    )
+    def test_rows_hold_distinct_locations(self, fixture, k):
+        protocol = protocol_from_json((FIXTURES / f"{fixture}.json").read_text())
+        locations = protocol_locations(protocol)
+        loc_idx, draw_idx = sample_injections_stratum(
+            locations, k, 2000, np.random.default_rng(k)
+        )
+        assert loc_idx.shape == draw_idx.shape == (2000, k)
+        ordered = np.sort(loc_idx, axis=1)
+        assert (np.diff(ordered, axis=1) > 0).all()
+        assert ordered[:, 0].min() >= 0 and ordered[:, -1].max() < len(locations)
+        counts = draw_counts(locations)
+        assert ((draw_idx >= 0) & (draw_idx < counts[loc_idx])).all()
+
+    def test_all_locations_is_a_permutation(self, steane_protocol):
+        locations = locations_of(steane_protocol)[:5]
+        loc_idx, _ = sample_injections_stratum(
+            locations, 5, 300, np.random.default_rng(1)
+        )
+        assert (np.sort(loc_idx, axis=1) == np.arange(5)).all()
+
+    def test_zero_faults(self, steane_protocol):
+        loc_idx, draw_idx = sample_injections_stratum(
+            locations_of(steane_protocol), 0, 40, np.random.default_rng(1)
+        )
+        assert loc_idx.shape == draw_idx.shape == (40, 0)
+
+    def test_more_faults_than_locations(self, steane_protocol):
+        locations = locations_of(steane_protocol)[:3]
+        with pytest.raises(ValueError):
+            sample_injections_stratum(locations, 4, 10, np.random.default_rng(1))
+
+    def test_counts_argument_is_bit_identical(self, steane_protocol):
+        """Passing the cached draw counts changes nothing."""
+        locations = locations_of(steane_protocol)
+        plain = sample_injections_stratum(
+            locations, 3, 500, np.random.default_rng(9)
+        )
+        given = sample_injections_stratum(
+            locations, 3, 500, np.random.default_rng(9), draw_counts(locations)
+        )
+        for a, b in zip(plain, given):
+            np.testing.assert_array_equal(a, b)
