@@ -336,7 +336,7 @@ def sample_injections_model_batch(
 
 
 def sample_injections_stratum(
-    locations, k: int, shots: int, rng: np.random.Generator, counts=None
+    locations, k: int, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stratum draw: ``shots`` configurations of exactly ``k``
     faults each, as index arrays instead of per-shot dicts.
@@ -348,11 +348,10 @@ def sample_injections_stratum(
     uniform k-subset from Floyd's algorithm, one column per step: step
     ``j`` of ``num - k .. num - 1`` draws ``t`` uniform in ``[0, j]`` per
     shot and takes ``j`` instead where the row already holds ``t``. The
-    stratum costs ``k + 1`` ``rng`` calls and no per-location work.
-    ``counts`` is :func:`draw_counts` of ``locations``, for callers that
-    already hold it. Use :func:`materialize_stratum` to expand into the
-    dict form the per-shot runner consumes. (The batch is identical for
-    every engine consuming it — engine cross-validation stays exact.)
+    stratum costs ``k + 1`` ``rng`` calls and no per-location work. Use
+    :func:`materialize_stratum` to expand into the dict form the per-shot
+    runner consumes. (The batch is identical for every engine consuming
+    it — engine cross-validation stays exact.)
     """
     num = len(locations)
     if k > num:
@@ -362,8 +361,7 @@ def sample_injections_stratum(
         t = rng.integers(j + 1, size=shots)
         taken = (loc_idx[:, :col] == t[:, None]).any(axis=1)
         loc_idx[:, col] = np.where(taken, j, t)
-    if counts is None:
-        counts = draw_counts(locations)
+    counts = draw_counts(locations)
     uniform = rng.random((shots, k))
     draw_idx = np.floor(uniform * counts[loc_idx]).astype(np.intp)
     return loc_idx, draw_idx

@@ -125,8 +125,9 @@ class AdaptiveSlabPolicy:
       in ``uint64`` words (``2 * num_wires / 8`` bytes per shot);
     * the fault image — one bit per compiled component per shot
       (``num_components / 8`` bytes; 2.6× the location count on
-      steane, 4.8× on 16_2_4). An engine without a compiled image
-      counts one bit per location;
+      steane, 4.8× on 16_2_4). The count is the protocol's, whatever
+      the engine: the reference engine has no image of its own but
+      must get the same slab, so the same seed draws the same chunks;
     * the unpacked residual data planes handed to the judge
       (``2 * n`` bytes per shot);
     * a fixed allowance for index arrays, verdict masks, and scratch.
@@ -155,9 +156,11 @@ class AdaptiveSlabPolicy:
         protocol = engine.protocol
         num_wires = int(protocol.num_wires)
         compiled = getattr(engine, "compiled", None)
-        image_bits = (
-            len(engine.locations) if compiled is None else compiled.num_components
-        )
+        if compiled is None:
+            from .sampler import CompiledProtocol
+
+            compiled = CompiledProtocol(protocol)
+        image_bits = compiled.num_components
         n = int(protocol.code.n)
         packed_bits = 2 * num_wires + image_bits
         return -(-packed_bits // 8) + 2 * n + self.overhead_bytes
@@ -950,7 +953,7 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
             )
         else:
             loc_idx, draw_idx = sample_injections_stratum(
-                engine.locations, chunk.k, chunk.shots, rng, planner._counts
+                engine.locations, chunk.k, chunk.shots, rng
             )
         verdicts = np.asarray(
             engine.failures_indexed(loc_idx, draw_idx), dtype=bool

@@ -195,15 +195,44 @@ class TestAdaptiveSlabPolicy:
 
     def test_counts_the_compiled_fault_image(self, steane_engine):
         """Steane: 12 wires, n = 7, 28 locations, 74 compiled components.
-        The batched engine's image is 74 bits per shot: ceil((2·12 + 74)
-        / 8) = 13 bytes + 2·7 + 64 = 91. The reference engine has no
-        compiled image and counts its 28 locations: 7 + 14 + 64 = 85."""
+        The image is 74 bits per shot: ceil((2·12 + 74) / 8) = 13 bytes
+        + 2·7 + 64 = 91. The reference engine has no compiled image of
+        its own but is sized by the protocol's, so it gets 91 too."""
         policy = AdaptiveSlabPolicy(mem_budget=1 << 20)
         assert steane_engine.compiled.num_components == 74
         assert policy.bytes_per_config(steane_engine) == 91
         assert policy.slab_for(steane_engine) == (1 << 20) // 91
         reference = make_sampler(steane_engine.protocol, engine="reference")
-        assert policy.bytes_per_config(reference) == 85
+        assert policy.bytes_per_config(reference) == 91
+
+    def test_budgeted_series_is_engine_invariant(self, steane_engine):
+        """Ledger keys leave the engine out, so a ``mem_budget`` plan must
+        not depend on it: batched and reference draw the same chunks and
+        give bit-identical strata and direct tallies. The budget and
+        shot counts split every sampled plan into several chunks."""
+        from repro.experiments.figure4 import run_series
+
+        def series(engine):
+            return run_series(
+                "steane",
+                protocol=steane_engine.protocol,
+                shots=500,
+                k_max=2,
+                seed=11,
+                engine=engine,
+                direct_check_at=0.05,
+                direct_shots=400,
+                mem_budget=1 << 14,
+                ledger=False,
+            )
+
+        batched, reference = series("batched"), series("reference")
+        assert batched.f1_exact == reference.f1_exact
+        assert batched.estimates == reference.estimates
+        assert (batched.direct.trials, batched.direct.failures) == (
+            reference.direct.trials,
+            reference.direct.failures,
+        )
 
     def test_slab_monotone_in_budget(self, steane_engine):
         slabs = [

@@ -159,15 +159,3 @@ class TestStratumDraw:
         locations = locations_of(steane_protocol)[:3]
         with pytest.raises(ValueError):
             sample_injections_stratum(locations, 4, 10, np.random.default_rng(1))
-
-    def test_counts_argument_is_bit_identical(self, steane_protocol):
-        """Passing the cached draw counts changes nothing."""
-        locations = locations_of(steane_protocol)
-        plain = sample_injections_stratum(
-            locations, 3, 500, np.random.default_rng(9)
-        )
-        given = sample_injections_stratum(
-            locations, 3, 500, np.random.default_rng(9), draw_counts(locations)
-        )
-        for a, b in zip(plain, given):
-            np.testing.assert_array_equal(a, b)
