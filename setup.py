@@ -21,9 +21,8 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy", "scipy", "networkx"],
     extras_require={
-        # Raw-speed tier: numba compiles the bit-plane kernels behind
-        # `engine="kernel"`, zstandard upgrades cluster wire frames from
-        # zlib to zstd. Everything degrades gracefully without them.
-        "fast": ["numba", "zstandard"],
+        # zstandard upgrades store payloads and cluster wire frames from
+        # zlib to zstd. Everything degrades gracefully without it.
+        "fast": ["zstandard"],
     },
 )

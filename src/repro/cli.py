@@ -56,6 +56,15 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _add_engine_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--engine``, with one choice per entry of the engine registry."""
+    from .sim.sampler import _ENGINES
+
+    parser.add_argument(
+        "--engine", choices=list(_ENGINES), default="batched", help=help
+    )
+
+
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """The intra-code sharding knobs shared by engine-backed subcommands."""
     parser.add_argument(
@@ -273,11 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     ftcheck.add_argument(
         "--load", type=Path, help="check a protocol JSON instead"
     )
-    ftcheck.add_argument(
-        "--engine",
-        choices=["batched", "kernel", "auto", "reference"],
-        default="batched",
-        help="evaluation engine (identical verdicts; batched is ~10x+ faster)",
+    _add_engine_flag(
+        ftcheck, "evaluation engine (identical verdicts; batched is ~10x+ faster)"
     )
     ftcheck.add_argument(
         "--max-violations",
@@ -313,16 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=[1e-4, 1e-3, 1e-2, 1e-1],
         help="physical error rates to report",
     )
-    simulate.add_argument(
-        "--engine",
-        choices=["batched", "kernel", "auto", "reference"],
-        default="batched",
-        help=(
-            "execution engine: bit-packed batched sampler (default), the "
-            "compiled kernel tier ('kernel', or 'auto' to pick it when "
-            "numba imports), or the per-shot reference runner (identical "
-            "results, slower)"
-        ),
+    _add_engine_flag(
+        simulate,
+        "execution engine: bit-packed batched sampler (default) or the "
+        "per-shot reference runner (identical results, slower)",
     )
     simulate.add_argument(
         "--direct",
@@ -362,12 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure4.add_argument("--codes", nargs="+", default=None)
     figure4.add_argument("--shots", type=int, default=8000)
     figure4.add_argument("--seed", type=int, default=2025)
-    figure4.add_argument(
-        "--engine",
-        choices=["batched", "kernel", "auto", "reference"],
-        default="batched",
-        help="execution engine for the subset sampling",
-    )
+    _add_engine_flag(figure4, "execution engine for the subset sampling")
     _add_shard_flags(figure4)
     _add_trace_flags(figure4)
     _add_store_flags(figure4)
@@ -384,11 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=2_000_000,
         help="guard on the enumeration size (runs grow ~N^2 in locations)",
     )
-    budget.add_argument(
-        "--engine",
-        choices=["batched", "kernel", "auto", "reference"],
-        default="batched",
-        help="evaluation engine (bit-identical budgets; batched is faster)",
+    _add_engine_flag(
+        budget, "evaluation engine (bit-identical budgets; batched is faster)"
     )
     _add_shard_flags(budget)
     _add_trace_flags(budget)
@@ -586,12 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["optimal", "greedy", "global"],
             default="optimal",
         )
-        p.add_argument(
-            "--engine",
-            choices=["batched", "kernel", "auto", "reference"],
-            default="batched",
-            help="server-side execution engine (identical results)",
-        )
+        _add_engine_flag(p, "server-side execution engine (identical results)")
         p.add_argument(
             "--noise",
             type=str,
@@ -877,13 +864,10 @@ def _cmd_ftcheck(args) -> int:
     if protocol is None:
         print("error: give a code key or --load", file=sys.stderr)
         return 2
-    from .sim.sampler import resolve_engine_name
-
-    engine = resolve_engine_name(args.engine)
     start = time.perf_counter()
     violations = check_fault_tolerance(
         protocol,
-        engine=engine,
+        engine=args.engine,
         max_violations=args.max_violations,
         model=_noise_model(args),
         **_shard_kwargs(args),
@@ -892,7 +876,7 @@ def _cmd_ftcheck(args) -> int:
     if violations:
         print(
             f"{protocol.code.name}: NOT fault tolerant — "
-            f"{len(violations)} violations ({engine} engine, "
+            f"{len(violations)} violations ({args.engine} engine, "
             f"{seconds:.3f}s):"
         )
         for violation in violations:
@@ -900,7 +884,7 @@ def _cmd_ftcheck(args) -> int:
     else:
         print(
             f"{protocol.code.name}: fault tolerant — every single fault "
-            f"leaves wt_S <= 1 ({engine} engine, {seconds:.3f}s)"
+            f"leaves wt_S <= 1 ({args.engine} engine, {seconds:.3f}s)"
         )
     if args.survey:
         survey = second_order_survey(
@@ -921,16 +905,13 @@ def _cmd_ftcheck(args) -> int:
 def _cmd_simulate(args) -> int:
     from .codes.catalog import get_code
     from .core.protocol import synthesize_protocol
-    from .sim.sampler import resolve_engine_name
     from .sim.subset import SubsetSampler
-
-    engine = resolve_engine_name(args.engine)
 
     protocol = synthesize_protocol(get_code(args.code))
     model = _noise_model(args)
     with SubsetSampler.for_protocol(
         protocol,
-        engine=engine,
+        engine=args.engine,
         k_max=args.k_max,
         rng=np.random.default_rng(args.seed),
         model=model,
@@ -941,7 +922,7 @@ def _cmd_simulate(args) -> int:
         model_label = "" if model is None else f", {args.noise}"
         print(
             f"{protocol.code.name}: f_1 = {sampler.strata[1].rate} (exact, "
-            f"{engine} engine{model_label})"
+            f"{args.engine} engine{model_label})"
         )
         sweep = sorted(args.p)
         ceiling = sampler.p_ceiling

@@ -94,13 +94,26 @@ def _default_sweep() -> list[float]:
     return FIGURE4_SWEEP
 
 
+def _engine(params: dict) -> str:
+    """An engine name from the registry. Checked here because a warm
+    daemon answers from the ledger before it builds any engine."""
+    from ..sim.sampler import _ENGINES
+
+    engine = params.get("engine", "batched")
+    if not isinstance(engine, str) or engine not in _ENGINES:
+        raise ServeRequestError(
+            f"unknown engine {engine!r} (expected one of {sorted(_ENGINES)})"
+        )
+    return engine
+
+
 def _common(params: dict) -> dict:
     """Protocol/engine/noise selection shared by every compute op."""
     return {
         "code": _require_code(params),
         "prep": str(params.get("prep", "heuristic")),
         "verification": str(params.get("verification", "optimal")),
-        "engine": str(params.get("engine", "batched")),
+        "engine": _engine(params),
         "noise": params.get("noise") or None,
     }
 

@@ -282,17 +282,16 @@ class ReproServer:
 
     def _get_engine(self, protocol, digest: str, engine_name: str) -> tuple:
         """(engine, compute lock) from the LRU, compiling on miss."""
-        from ..sim.sampler import make_sampler, resolve_engine_name
+        from ..sim.sampler import make_sampler
 
-        name = resolve_engine_name(engine_name)
-        ekey = f"{digest}:{name}"
+        ekey = f"{digest}:{engine_name}"
         with self._engine_lock:
             entry = self._engines.get(ekey)
             if entry is not None:
                 self._engines.move_to_end(ekey)
                 self.stats.engine_hits += 1
                 return entry
-        engine = make_sampler(protocol, engine=name)
+        engine = make_sampler(protocol, engine=engine_name)
         with self._engine_lock:
             entry = self._engines.get(ekey)
             if entry is not None:

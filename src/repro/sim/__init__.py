@@ -1,15 +1,11 @@
 """Noise simulation: Pauli-frame execution, sampling engines, decoding.
 
-Three execution engines share one contract (see ``sim.sampler``):
+Two execution engines share one contract (see ``sim.sampler``):
 
 * :class:`ReferenceSampler` — the per-shot :class:`ProtocolRunner` oracle;
 * :class:`BatchedSampler` — the bit-packed F2-linear batch engine, which
   matches the reference bit-for-bit under a fixed seed and is the default
-  everywhere hot (subset sampling, Fig. 4, the CLI);
-* :class:`KernelSampler` — the compiled tier (``repro.sim.kernels``,
-  numba-njit when importable, pure-NumPy twins otherwise), bit-identical
-  to the batched engine; select it with ``engine="kernel"`` or let
-  ``engine="auto"`` pick it when numba is present.
+  everywhere hot (subset sampling, Fig. 4, the CLI).
 
 An explicit ``__init__`` (rather than an implicit namespace package) keeps
 ``find_packages(where="src")`` in ``setup.py`` from silently dropping
@@ -52,10 +48,8 @@ from .sampler import (
     BatchedSampler,
     BatchResult,
     CompiledProtocol,
-    KernelSampler,
     ReferenceSampler,
     make_sampler,
-    resolve_engine_name,
 )
 from .shard import (
     AdaptiveSlabPolicy,
@@ -95,7 +89,6 @@ __all__ = [
     "E1_1",
     "InhomogeneousModel",
     "Injection",
-    "KernelSampler",
     "LogicalJudge",
     "LookupDecoder",
     "MatchingDecoder",
@@ -131,7 +124,6 @@ __all__ = [
     "poisson_binomial_weight",
     "poisson_binomial_weights",
     "protocol_locations",
-    "resolve_engine_name",
     "resolve_evaluator",
     "run_circuit",
     "sample_injections",

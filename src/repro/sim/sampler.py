@@ -38,11 +38,7 @@ reference runner **bit-for-bit**: same data frame, same recorded flips,
 same branches, same termination — the cross-validation suite asserts this
 on enumerated and random fault sets. :class:`ReferenceSampler` wraps the
 per-shot runner behind the same interface so every consumer can switch
-engines with one argument (``engine="batched" | "kernel" | "reference" |
-"auto"``). :class:`KernelSampler` is the raw-speed tier: the same
-compiled form executed through the fused bit-plane kernels of
-:mod:`repro.sim.kernels` (numba when importable, NumPy twins otherwise),
-bit-identical to the batched engine on every consumer.
+engines with one argument (``engine="batched" | "reference"``).
 
 Packing convention: bit ``s`` of word ``s // 64`` (little bit order), so
 byte-level views match ``np.packbits(..., bitorder="little")`` on
@@ -77,10 +73,8 @@ __all__ = [
     "CompiledProtocol",
     "BatchResult",
     "BatchedSampler",
-    "KernelSampler",
     "ReferenceSampler",
     "make_sampler",
-    "resolve_engine_name",
 ]
 
 _WORD = np.uint64
@@ -478,11 +472,8 @@ class BatchedSampler:
         image = np.zeros(self.compiled.num_components * words, dtype=_WORD)
         shots = np.asarray(shots, dtype=np.intp)
         bits = _ONE << (shots & 63).astype(np.uint64)
-        self._toggle_bits(image, components * words + (shots >> 6), bits)
+        np.bitwise_xor.at(image, components * words + (shots >> 6), bits)
         return image.reshape(-1, words)
-
-    #: ``image[positions[e]] ^= bits[e]`` for every entry (kernel-overridable).
-    _toggle_bits = staticmethod(np.bitwise_xor.at)
 
     def _image_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> np.ndarray:
         """Fault image of an indexed batch (``loc_idx == -1`` slots skipped)."""
@@ -600,90 +591,6 @@ class BatchedSampler:
         state.bits.update(zip(segment.bit_names, out[frame_rows:]))
 
 
-# -- compiled kernel tier -----------------------------------------------------
-
-
-class KernelSampler(BatchedSampler):
-    """The batched engine with its hot loops routed through
-    :mod:`repro.sim.kernels` (``engine="kernel"``).
-
-    Semantically this *is* :class:`BatchedSampler` — same compilation,
-    same fault image, same judge — but the three dispatch-bound inner
-    loops (segment application, residual coset popcounts, fault-image
-    bit toggles) run as fused kernels: numba-compiled when numba is
-    importable (:func:`repro.sim.kernels.available`), else their
-    pure-NumPy twins. Either way the results are **bit-identical** to
-    the NumPy batched engine — pinned across every catalog code and
-    every routed consumer in ``tests/sim/test_kernels.py``, exactly as
-    ``BatchedSampler`` is pinned against ``ReferenceSampler``.
-
-    Use ``engine="auto"`` to get this tier opportunistically: it
-    resolves to ``"kernel"`` when numba is importable and to
-    ``"batched"`` otherwise, and never errors on a numba-free
-    interpreter.
-    """
-
-    name = "kernel"
-
-    @property
-    def backend(self) -> str:
-        """``"numba"`` or ``"numpy"`` — resolved per process, never
-        pickled, so a cached engine moving between environments always
-        uses whatever tier its interpreter actually has."""
-        from . import kernels
-
-        return kernels.backend_name()
-
-    @staticmethod
-    def _toggle_bits(image: np.ndarray, positions: np.ndarray, bits: np.ndarray) -> None:
-        from . import kernels
-
-        kernels.toggle_bits(image, positions, bits)
-
-    def _state_residual_weights(
-        self, state: "_PackedState", x_reducer, z_reducer
-    ) -> tuple[np.ndarray, np.ndarray]:
-        from . import kernels
-
-        if state.num_shots == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        data_x = self._unpack_data(state.x, state.num_shots)
-        data_z = self._unpack_data(state.z, state.num_shots)
-        return (
-            kernels.coset_weights(data_x, x_reducer._span),
-            kernels.coset_weights(data_z, z_reducer._span),
-        )
-
-    def _apply_segment(
-        self,
-        state: _PackedState,
-        segment_key: tuple,
-        mask: np.ndarray,
-        faults: np.ndarray,
-    ) -> None:
-        from . import kernels
-
-        segment = self.compiled.segments[segment_key]
-        frame_rows = state.frame.shape[0]
-        out = np.zeros((segment.num_components, state.words), dtype=_WORD)
-        # The segment's fault image row c XORs into component c.
-        rows = np.arange(segment.num_components, dtype=np.int64)
-        kernels.apply_segment(
-            state.frame,
-            segment.indptr,
-            segment.indices,
-            frame_rows,
-            rows,
-            rows,
-            faults[segment.offset : segment.offset + segment.num_components],
-            mask,
-            out,
-        )
-        state.frame = out[:frame_rows]
-        state.bits.update(zip(segment.bit_names, out[frame_rows:]))
-
-
 # -- reference wrapper --------------------------------------------------------
 
 
@@ -774,20 +681,8 @@ class ReferenceSampler:
 
 _ENGINES = {
     "batched": BatchedSampler,
-    "kernel": KernelSampler,
     "reference": ReferenceSampler,
 }
-
-
-def resolve_engine_name(engine: str) -> str:
-    """Resolve the ``"auto"`` tier: ``"kernel"`` when numba is
-    importable, ``"batched"`` otherwise — never an error on a numba-free
-    interpreter. Concrete names pass through unchanged."""
-    if engine == "auto":
-        from . import kernels
-
-        return "kernel" if kernels.available() else "batched"
-    return engine
 
 
 def make_sampler(
@@ -796,18 +691,15 @@ def make_sampler(
     engine: str = "batched",
     judge: LogicalJudge | None = None,
 ):
-    """Engine factory: ``engine`` is ``"batched"``, ``"kernel"``,
-    ``"reference"``, or ``"auto"`` (kernel tier when numba is
-    importable, else batched — see :func:`resolve_engine_name`). Every
-    call compiles afresh; the compilation is deterministic, so two calls
-    return functionally identical engines.
+    """Engine factory: ``engine`` is ``"batched"`` or ``"reference"``.
+    Every call compiles afresh; the compilation is deterministic, so two
+    calls return functionally identical engines.
     """
-    engine = resolve_engine_name(engine)
     try:
         cls = _ENGINES[engine]
     except KeyError:
         raise ValueError(
             f"unknown engine {engine!r} (expected one of "
-            f"{sorted(_ENGINES)} or 'auto')"
+            f"{sorted(_ENGINES)})"
         ) from None
     return cls(protocol, judge=judge)

@@ -142,7 +142,7 @@ def model_token(model) -> str:
 #
 # Result keys name *what a computation is about*, never how it was run:
 # the engine name is deliberately absent (results are engine-invariant —
-# batched, kernel, and reference produce bit-identical tallies), while
+# the batched and reference engines produce bit-identical tallies), while
 # anything that perturbs the random stream (seed, shot plan, slab size)
 # is included. Built on :func:`protocol_digest`, so the same key
 # comes out of the CLI, the daemon, fork/spawn pool workers, and a fresh

@@ -16,6 +16,18 @@ class TestDefaults:
         assert norm["sweep"] == FIGURE4_SWEEP
 
 
+class TestEngine:
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_registry_names_accepted(self, engine):
+        norm = normalize_request("sweep", {"code": "steane", "engine": engine})
+        assert norm["engine"] == engine
+
+    @pytest.mark.parametrize("engine", ["bogus", "kernel", "auto", "", 3, None])
+    def test_other_names_refused(self, engine):
+        with pytest.raises(ServeRequestError, match="unknown engine"):
+            normalize_request("sweep", {"code": "steane", "engine": engine})
+
+
 class TestRateBounds:
     """Out-of-range rates would make the estimator serve nonsense
     (e.g. a negative p_L), so they never get past normalization."""

@@ -126,6 +126,19 @@ class TestComputeAndLedger:
         assert second["key"] == first["key"]
         assert server.stats.computes == 1
 
+    def test_unknown_engine_is_an_error_even_when_warm(self, client, server):
+        """The ledger lookup runs before any engine is built, so the
+        engine name is checked first: a warm daemon refuses a bad name
+        exactly as a cold one does, instead of answering from the ledger."""
+        assert client.sweep("steane", **SWEEP_PARAMS)["source"] == "computed"
+        assert client.sweep("steane", **SWEEP_PARAMS)["source"] == "ledger"
+        for engine in ("bogus", "kernel", "auto"):
+            with pytest.raises(ServeError, match="unknown engine"):
+                client.sweep("steane", engine=engine, **SWEEP_PARAMS)
+        assert client.ping()["ok"] is True
+        assert server.stats.computes == 1
+        assert server.stats.errors == 3
+
     def test_one_record_serves_every_grid(self, client, server):
         client.sweep("steane", **SWEEP_PARAMS)
         other_grid = dict(SWEEP_PARAMS, sweep=[3e-4, 2e-3, 5e-2])

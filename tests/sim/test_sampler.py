@@ -24,7 +24,6 @@ from repro.sim.noise import (
 from repro.sim.noisemodels import CorrelatedPairModel
 from repro.sim.sampler import (
     BatchedSampler,
-    KernelSampler,
     ReferenceSampler,
     make_sampler,
 )
@@ -168,8 +167,6 @@ class TestFaultImage:
         )
         dicts = materialize_stratum(engine.locations, loc_idx, draw_idx)
         assert np.array_equal(engine._image_injections(dicts), image)
-        kernel = KernelSampler(engine.protocol)
-        assert np.array_equal(kernel._image_indexed(loc_idx, draw_idx), image)
 
     @pytest.mark.parametrize("key", ["steane", "shor"])
     def test_stratum_batch(self, key):
@@ -385,8 +382,9 @@ class TestEngineFactory:
         assert make_sampler(protocol, engine="reference").name == "reference"
 
     def test_make_sampler_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            make_sampler(cached_protocol("steane"), engine="warp")
+        for engine in ("warp", "kernel", "auto"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_sampler(cached_protocol("steane"), engine=engine)
 
     def test_empty_batch(self):
         engine = BatchedSampler(cached_protocol("steane"))

@@ -1,6 +1,6 @@
 """Unit tests for the benchmark trend ledger (``scripts/bench_trend.py``).
 
-The renderer satellites: metric collection must pick up the kernel/
+The renderer satellites: metric collection must pick up the shard/
 cluster datapoints (ratios, lockstep comparisons, bytes on wire), and
 the static HTML page must be self-contained — inline SVG sparklines,
 escaped names, no scripts — so the CI artifact opens anywhere.
@@ -28,14 +28,14 @@ def _history(metric_runs):
 
 
 class TestMetricCollection:
-    def test_kernel_and_cluster_keys_collected(self, tmp_path):
-        (tmp_path / "BENCH_kernels.json").write_text(
+    def test_shard_and_cluster_keys_collected(self, tmp_path):
+        (tmp_path / "BENCH_shard.json").write_text(
             json.dumps(
                 {
-                    "benchmark": "kernels",
-                    "kernel_speedup": 2.5,
-                    "identical": True,
-                    "kernel_backend": "numba",
+                    "benchmark": "shard_smoke",
+                    "shard_speedup": 2.5,
+                    "tallies_identical": True,
+                    "code": "tesseract",
                 }
             )
         )
@@ -51,7 +51,7 @@ class TestMetricCollection:
             )
         )
         metrics = bench_trend.collect_metrics(tmp_path)
-        assert metrics["BENCH_kernels.json:kernel_speedup"] == 2.5
+        assert metrics["BENCH_shard.json:shard_speedup"] == 2.5
         assert metrics["BENCH_cluster.json:pipeline_vs_lockstep"] == 0.92
         assert metrics["BENCH_cluster.json:compression_ratio"] == 1.1
         assert metrics["BENCH_cluster.json:bytes_on_wire"] == 12345
@@ -93,14 +93,14 @@ class TestRenderHtml:
     def test_page_is_self_contained(self):
         history = _history(
             [
-                {"BENCH_kernels.json:kernel_speedup": 2.0},
-                {"BENCH_kernels.json:kernel_speedup": 2.5},
+                {"BENCH_shard.json:shard_speedup": 2.0},
+                {"BENCH_shard.json:shard_speedup": 2.5},
             ]
         )
         page = bench_trend.render_html(history, max_points=50)
         assert page.startswith("<!doctype html>")
         assert page.endswith("</body></html>")
-        assert "kernel_speedup" in page
+        assert "shard_speedup" in page
         assert "+25.0%" in page
         assert "<polyline" in page
         # Self-contained: no scripts, no external fetches.
