@@ -11,10 +11,9 @@ from .errors import dangerous_errors, detection_basis, error_reducer, is_dangero
 from .faults import (
     Fault,
     PauliFrame,
-    PropagatedFault,
+    SignatureTable,
     apply_instruction,
     enumerate_faults,
-    propagate,
     propagate_all_faults,
 )
 from .ftcheck import (
@@ -55,9 +54,9 @@ __all__ = [
     "MeasurementSpec",
     "NonDeterministicRunner",
     "PauliFrame",
-    "PropagatedFault",
     "ProtocolMetrics",
     "RepeatUntilSuccessStats",
+    "SignatureTable",
     "VerificationLayer",
     "apply_instruction",
     "check_fault_tolerance",
@@ -73,7 +72,6 @@ __all__ = [
     "load_protocol",
     "optimize_order",
     "order_is_safe",
-    "propagate",
     "propagate_all_faults",
     "protocol_from_json",
     "protocol_metrics",

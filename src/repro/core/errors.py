@@ -64,13 +64,8 @@ def dangerous_errors(
     """
     code = prep.code
     reducer = error_reducer(code, kind)
-    candidates = [
-        pf.data_x(code.n) if kind == "X" else pf.data_z(code.n)
-        for pf in propagate_all_faults(prep.circuit)
-    ]
-    if not candidates:
-        return []
-    rows = np.asarray(candidates, dtype=np.uint8)
+    table = propagate_all_faults(prep.circuit)
+    rows = (table.x if kind == "X" else table.z)[:, : code.n]
     dangerous = rows[(reducer.coset_weights_dedup(rows) >= 2) & rows.any(axis=1)]
     if dedupe:
         return reducer.dedupe(dangerous)

@@ -1,11 +1,10 @@
-"""Exact single-fault enumeration and Pauli-frame propagation.
+"""Exact single-fault enumeration and signatures from one backward sweep.
 
 Every routine here works on the circuit IR. A *fault* is a Pauli inserted
 after one instruction (gate faults, preparation faults) or a classical flip
-of one measurement result. Propagating the inserted Pauli through the rest
-of the circuit — including the outcome flips it causes on later measurements
-— yields the fault's *observable signature*: the residual data error plus
-the set of flipped measurement bits.
+of one measurement result. Its *observable signature* is where it ends up
+at the end of the circuit: the residual X and Z errors plus the measurement
+bits it flips on the way.
 
 These signatures are the ground truth for the whole pipeline:
 
@@ -13,12 +12,27 @@ These signatures are the ground truth for the whole pipeline:
 * the error classes ``E_b`` fed to the SAT correction synthesis, including
   the identity error (pure measurement faults) and single-qubit errors with
   non-trivial syndrome that the paper's Sec. IV highlights,
-* the exhaustive fault-tolerance check of the assembled protocol.
+* the batched engine's per-(location, draw) signature table.
 
-Propagation rules (phase-free symplectic):
-``H``: swap x/z. ``CX(c,t)``: ``x_t ^= x_c``, ``z_c ^= z_t``. Resets clear
-the frame on the wire. ``MeasureZ`` flips iff the frame has X on the wire;
-``MeasureX`` flips iff it has Z.
+Every instruction acts F2-linearly on the phase-free frame, so
+:func:`propagate_all_faults` walks the circuit once, backwards, keeping for
+each wire the *image* of an X and of a Z placed there: its end-of-circuit
+signature as one Python int over the columns (x residual per wire, z
+residual per wire, one bit per measurement name). Before instruction ``i``
+is swept the images are those of a Pauli inserted after it, so ``i``'s
+faults are read off first; then the images step back across ``i``:
+
+* ``CX(c, t)``: ``img_x[c] ^= img_x[t]``, ``img_z[t] ^= img_z[c]``;
+* ``H``: swap ``img_x`` and ``img_z`` on the wire;
+* ``ResetZ`` / ``ResetX``: both images become zero;
+* ``MeasureZ`` (``MeasureX``): XOR the bit's unit column into ``img_x``
+  (``img_z``) of the wire;
+* ``ConditionalPauli``: identity (the protocol executor applies it).
+
+A Pauli fault's signature is the XOR of at most four images (a Y is X
+times Z); a measurement flip is the bit's unit column. The per-shot frame
+rules (:class:`PauliFrame`, :func:`apply_instruction`) are the forward
+form of the same semantics and drive ``repro.sim.frame.ProtocolRunner``.
 """
 
 from __future__ import annotations
@@ -41,9 +55,8 @@ from ..circuits.gates import (
 __all__ = [
     "PauliFrame",
     "Fault",
-    "PropagatedFault",
+    "SignatureTable",
     "apply_instruction",
-    "propagate",
     "enumerate_faults",
     "propagate_all_faults",
     "TWO_QUBIT_PAULIS",
@@ -94,9 +107,8 @@ class PauliFrame:
 def apply_instruction(frame: PauliFrame, instruction) -> None:
     """Advance ``frame`` through one instruction (in place).
 
-    ``ConditionalPauli`` instructions are ignored here: during fault
-    enumeration the recovery layer is handled by the protocol executor,
-    which evaluates conditions against the accumulated flips.
+    ``ConditionalPauli`` instructions are ignored here: the protocol
+    executor evaluates recoveries against the accumulated flips.
     """
     if isinstance(instruction, CX):
         c, t = instruction.control, instruction.target
@@ -121,15 +133,6 @@ def apply_instruction(frame: PauliFrame, instruction) -> None:
         raise TypeError(f"unknown instruction {instruction!r}")
 
 
-def propagate(
-    circuit: Circuit, frame: PauliFrame, start: int = 0
-) -> PauliFrame:
-    """Propagate ``frame`` through ``circuit.instructions[start:]`` in place."""
-    for instruction in circuit.instructions[start:]:
-        apply_instruction(frame, instruction)
-    return frame
-
-
 @dataclass(frozen=True)
 class Fault:
     """A single fault location: Pauli insertion or measurement flip.
@@ -149,20 +152,39 @@ class Fault:
         return f"{ops}@{self.index}"
 
 
-@dataclass
-class PropagatedFault:
-    """A fault together with its end-of-circuit observable signature."""
+@dataclass(frozen=True)
+class SignatureTable:
+    """Every single fault's signature, one row per fault in
+    :func:`enumerate_faults` order.
 
-    fault: Fault
-    x_error: np.ndarray  # residual X support, full wire register
-    z_error: np.ndarray  # residual Z support, full wire register
-    flipped: frozenset[str]
+    ``matrix`` is ``(faults, 2 * num_qubits + len(bits))`` 0/1: the x
+    residual per wire, the z residual per wire, then one flip column per
+    measurement name in ``bits`` (first-measurement order; a name measured
+    twice shares one column, so its flips XOR). ``inputs`` has the same
+    columns for an X (rows ``0..num_qubits``), then a Z, on each wire
+    before the first instruction: the circuit's linear map, transposed.
+    """
 
-    def data_x(self, n: int) -> np.ndarray:
-        return self.x_error[:n].copy()
+    matrix: np.ndarray
+    inputs: np.ndarray
+    num_qubits: int
+    bits: tuple[str, ...]
 
-    def data_z(self, n: int) -> np.ndarray:
-        return self.z_error[:n].copy()
+    @property
+    def x(self) -> np.ndarray:
+        return self.matrix[:, : self.num_qubits]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.matrix[:, self.num_qubits : 2 * self.num_qubits]
+
+    @property
+    def flips(self) -> np.ndarray:
+        return self.matrix[:, 2 * self.num_qubits :]
+
+    def flipped(self, bits) -> np.ndarray:
+        """``(faults, len(bits))`` flip columns of the named bits."""
+        return self.flips[:, [self.bits.index(bit) for bit in bits]]
 
 
 def enumerate_faults(circuit: Circuit) -> list[Fault]:
@@ -203,20 +225,57 @@ def enumerate_faults(circuit: Circuit) -> list[Fault]:
     return faults
 
 
-def propagate_fault(circuit: Circuit, fault: Fault) -> PropagatedFault:
-    """Signature of a single fault at the end of ``circuit``."""
-    frame = PauliFrame.zero(circuit.num_qubits)
-    if fault.flip_bit is not None:
-        frame.flip(fault.flip_bit)
-        start = fault.index + 1
-    else:
-        for qubit, letter in fault.paulis:
-            frame.insert(qubit, letter)
-        start = fault.index + 1
-    propagate(circuit, frame, start)
-    return PropagatedFault(fault, frame.x, frame.z, frame.flipped_bits())
-
-
-def propagate_all_faults(circuit: Circuit) -> list[PropagatedFault]:
-    """Enumerate and propagate every single fault of ``circuit``."""
-    return [propagate_fault(circuit, f) for f in enumerate_faults(circuit)]
+def propagate_all_faults(circuit: Circuit) -> SignatureTable:
+    """Signatures of every single fault of ``circuit`` from one backward
+    sweep (module docstring); rows in :func:`enumerate_faults` order."""
+    w = circuit.num_qubits
+    bits = tuple(
+        dict.fromkeys(
+            ins.bit
+            for ins in circuit.instructions
+            if isinstance(ins, (MeasureZ, MeasureX))
+        )
+    )
+    unit = {bit: 1 << (2 * w + i) for i, bit in enumerate(bits)}
+    img_x = [1 << q for q in range(w)]
+    img_z = [1 << (w + q) for q in range(w)]
+    groups: list = []  # per-instruction signatures, last instruction first
+    for ins in reversed(circuit.instructions):
+        if isinstance(ins, CX):
+            c, t = ins.control, ins.target
+            xc, zc, xt, zt = img_x[c], img_z[c], img_x[t], img_z[t]
+            # I, X, Y, Z on each wire; TWO_QUBIT_PAULIS order, II skipped.
+            on_c = (0, xc, xc ^ zc, zc)
+            on_t = (0, xt, xt ^ zt, zt)
+            groups.append([a ^ b for a in on_c for b in on_t][1:])
+            img_x[c] = xc ^ xt
+            img_z[t] = zt ^ zc
+        elif isinstance(ins, H):
+            q = ins.qubit
+            x, z = img_x[q], img_z[q]
+            groups.append((x, x ^ z, z))
+            img_x[q], img_z[q] = z, x
+        elif isinstance(ins, (ResetZ, ResetX)):
+            q = ins.qubit
+            groups.append((img_x[q] if isinstance(ins, ResetZ) else img_z[q],))
+            img_x[q] = img_z[q] = 0
+        elif isinstance(ins, MeasureZ):
+            groups.append((unit[ins.bit],))
+            img_x[ins.qubit] ^= unit[ins.bit]
+        elif isinstance(ins, MeasureX):
+            groups.append((unit[ins.bit],))
+            img_z[ins.qubit] ^= unit[ins.bit]
+        elif not isinstance(ins, ConditionalPauli):
+            raise TypeError(f"unknown instruction {ins!r}")
+    signatures = [s for group in reversed(groups) for s in group]
+    faults = len(signatures)
+    signatures += img_x + img_z  # the images before the first instruction
+    width = 2 * w + len(bits)
+    size = width // 8 + 1
+    packed = np.frombuffer(
+        b"".join(s.to_bytes(size, "little") for s in signatures), dtype=np.uint8
+    )
+    matrix = np.unpackbits(
+        packed.reshape(len(signatures), size), axis=1, count=width, bitorder="little"
+    )
+    return SignatureTable(matrix[:faults], matrix[faults:], w, bits)

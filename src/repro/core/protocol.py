@@ -332,15 +332,10 @@ class _ProtocolBuilder:
         Used to fold unflagged X-layer hook errors into the Z layer's
         verification error set.
         """
-        circuit, layers_meta = self._assemble_verifications()
+        circuit, _ = self._assemble_verifications()
         reducer = error_reducer(self.code, kind)
-        rows = np.array(
-            [
-                pf.data_x(self.code.n) if kind == "X" else pf.data_z(self.code.n)
-                for pf in propagate_all_faults(circuit)
-            ],
-            dtype=np.uint8,
-        ).reshape(-1, self.code.n)
+        table = propagate_all_faults(circuit)
+        rows = (table.x if kind == "X" else table.z)[:, : self.code.n]
         return reducer.dedupe(rows[reducer.coset_weights_dedup(rows) >= 2])
 
     # -- assembly ----------------------------------------------------------
@@ -399,33 +394,28 @@ class _ProtocolBuilder:
         faults = propagate_all_faults(circuit)
         n = self.code.n
         layers: list[VerificationLayer] = []
-        terminated_flags: list[list[str]] = []
+        live = np.ones(len(faults.matrix), dtype=bool)  # not terminated earlier
         for li, (plan, meta) in enumerate(zip(self.layer_plans, layers_meta)):
             kind = plan["kind"]
             specs = meta["specs"]
-            bit_names = [s.bit for s in specs]
-            flag_names = [s.flag_bit for s in specs if s.flagged]
-            earlier_flags = [
-                name for fl in terminated_flags for name in fl
-            ]
-            classes: dict[tuple, list] = {}
-            for pf in faults:
-                if any(bit in pf.flipped for bit in earlier_flags):
-                    continue  # terminated in an earlier layer
-                b = tuple(int(bit in pf.flipped) for bit in bit_names)
-                f = tuple(int(bit in pf.flipped) for bit in flag_names)
-                if not any(b) and not any(f):
-                    continue
-                classes.setdefault((b, f), []).append(pf)
+            b_flips = faults.flipped([s.bit for s in specs])
+            f_flips = faults.flipped([s.flag_bit for s in specs if s.flagged])
+            signatures = np.concatenate([b_flips, f_flips], axis=1)
+            rows = np.flatnonzero(live & signatures.any(axis=1))
+            # np.unique sorts the rows as the (b, f) tuples sort.
+            keys, inverse = np.unique(
+                signatures[rows], axis=0, return_inverse=True
+            )
             branches = {}
-            for signature, members in sorted(classes.items()):
+            for k, key in enumerate(keys.tolist()):
+                signature = (tuple(key[: len(specs)]), tuple(key[len(specs) :]))
                 branches[signature] = self._synthesize_branch(
-                    kind, signature, members, li
+                    kind, signature, faults, rows[inverse.ravel() == k], li
                 )
             layers.append(
                 VerificationLayer(kind, specs, meta["segment"], branches)
             )
-            terminated_flags.append(flag_names)
+            live &= ~f_flips.any(axis=1)
 
         prep_segment = Circuit(self._num_wires)
         for q in range(n):
@@ -438,15 +428,13 @@ class _ProtocolBuilder:
         _build_branch_circuits(protocol, self._branch_pool_start)
         return protocol
 
-    def _synthesize_branch(self, kind, signature, members, layer_index):
+    def _synthesize_branch(self, kind, signature, faults, members, layer_index):
+        """Correction branch for the fault-table rows ``members``."""
         b, f = signature
         is_hook = any(f)
         error_kind = _OPPOSITE[kind] if is_hook else kind
         reducer = error_reducer(self.code, error_kind)
-        errors = [
-            pf.data_x(self.code.n) if error_kind == "X" else pf.data_z(self.code.n)
-            for pf in members
-        ]
+        errors = (faults.x if error_kind == "X" else faults.z)[members, : self.code.n]
         correction = synthesize_correction(
             errors,
             detection_basis(self.code, error_kind),

@@ -12,13 +12,12 @@ frame and every recorded measurement flip are XORs of
 
 :class:`CompiledProtocol` therefore compiles each segment once into
 
-* one CSR over its outgoing components (frame wires, then measured bits):
-  row ``c`` lists the incoming components whose XOR produces component
-  ``c`` (computed by symbolic propagation with integer bitmasks), and
-* a cache of per-(location, draw) fault signatures: the components the
-  draw flips at segment end (computed by scalar propagation of the draw).
-
-The components of all segments share one protocol-wide numbering.
+one CSR over its outgoing components (frame wires, then measured bits):
+row ``c`` lists the incoming components whose XOR produces component
+``c``. Both it and every fault draw's signature (the components the draw
+flips at segment end) come from one ``core.faults.propagate_all_faults``
+sweep of the segment. The components of all segments share one
+protocol-wide numbering.
 
 :class:`BatchedSampler` then executes *all shots at once*: the frame of
 shot ``s`` lives in bit ``s`` of packed ``uint64`` words. On its first
@@ -53,20 +52,11 @@ from typing import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import (
-    CX,
-    ConditionalPauli,
-    H,
-    MeasureX,
-    MeasureZ,
-    ResetX,
-    ResetZ,
-)
-from ..core.faults import PauliFrame, apply_instruction
+from ..core.faults import propagate_all_faults
 from ..core.protocol import DeterministicProtocol
-from .frame import Injection, ProtocolRunner, RunResult, protocol_locations
+from .frame import ProtocolRunner, RunResult, protocol_locations
 from .logical import LogicalJudge
-from .noise import draw_tables, materialize_stratum
+from .noise import draw_counts, draw_tables, materialize_stratum
 
 __all__ = [
     "CompiledSegment",
@@ -105,18 +95,6 @@ def _unpack_words(packed: np.ndarray, num_shots: int) -> np.ndarray:
     )
 
 
-def _mask_to_rows(mask: int) -> np.ndarray:
-    """Integer bitmask -> sorted array of set-bit indices."""
-    rows = []
-    index = 0
-    while mask:
-        if mask & 1:
-            rows.append(index)
-        mask >>= 1
-        index += 1
-    return np.asarray(rows, dtype=np.intp)
-
-
 # -- compilation --------------------------------------------------------------
 
 
@@ -125,12 +103,14 @@ class CompiledSegment:
 
     The linear map is one CSR over ``2 * num_wires + len(bit_names)``
     outgoing components (x wires, then z wires, then the measured bits
-    in ``bit_names`` order): row ``c`` (``indices[indptr[c]:indptr[c+1]]``)
-    lists the incoming components (x wires first, then z wires) whose
-    XOR yields component ``c``; ``row_starts`` / ``nonempty`` are the
-    ``reduceat`` offsets and ids of the rows with at least one entry.
-    ``offset`` places the segment's components in the protocol-wide
-    numbering of :class:`CompiledProtocol`.
+    in ``bit_names`` order — the columns of the segment's
+    ``propagate_all_faults`` table): row ``c``
+    (``indices[indptr[c]:indptr[c+1]]``) lists the incoming components (x
+    wires first, then z wires) whose XOR yields component ``c``;
+    ``row_starts`` / ``nonempty`` are the ``reduceat`` offsets and ids of
+    the rows with at least one entry. ``signatures`` holds the table's
+    fault rows. ``offset`` places the segment's components in the
+    protocol-wide numbering of :class:`CompiledProtocol`.
     """
 
     def __init__(self, key: tuple, circuit: Circuit, num_wires: int, offset: int):
@@ -138,65 +118,16 @@ class CompiledSegment:
         self.offset = offset
         self.circuit = circuit
         self.num_wires = num_wires
-        sym_x = [1 << w for w in range(num_wires)]
-        sym_z = [1 << (num_wires + w) for w in range(num_wires)]
-        bit_masks: list[tuple[str, int]] = []
-        for ins in circuit.instructions:
-            if isinstance(ins, CX):
-                sym_x[ins.target] ^= sym_x[ins.control]
-                sym_z[ins.control] ^= sym_z[ins.target]
-            elif isinstance(ins, H):
-                q = ins.qubit
-                sym_x[q], sym_z[q] = sym_z[q], sym_x[q]
-            elif isinstance(ins, (ResetZ, ResetX)):
-                sym_x[ins.qubit] = 0
-                sym_z[ins.qubit] = 0
-            elif isinstance(ins, MeasureZ):
-                bit_masks.append((ins.bit, sym_x[ins.qubit]))
-            elif isinstance(ins, MeasureX):
-                bit_masks.append((ins.bit, sym_z[ins.qubit]))
-            elif isinstance(ins, ConditionalPauli):
-                pass
-            else:
-                raise TypeError(f"unknown instruction {ins!r}")
-        self.bit_names = [bit for bit, _ in bit_masks]
-        self._bit_slot = {bit: i for i, bit in enumerate(self.bit_names)}
-        rows = [_mask_to_rows(m) for m in sym_x + sym_z + [m for _, m in bit_masks]]
-        counts = np.asarray([r.size for r in rows], dtype=np.intp)
+        table = propagate_all_faults(circuit)
+        self.bit_names = list(table.bits)
+        self.signatures = table.matrix
+        # Row c lists the incoming components whose image flips c.
+        outgoing, self.indices = np.nonzero(table.inputs.T)
+        counts = np.bincount(outgoing, minlength=table.inputs.shape[1])
         self.num_components = counts.size
         self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-        self.indices = np.concatenate(rows)
         self.nonempty = np.flatnonzero(counts)
         self.row_starts = self.indptr[self.nonempty]
-        self._sig_columns: dict[tuple[int, Injection], np.ndarray] = {}
-
-    def signature_columns(self, index: int, injection: Injection) -> np.ndarray:
-        """Segment-end image of ``injection`` placed after instruction
-        ``index``, as component ids (the CSR row ids): x wire ``w`` -> ``w``,
-        z wire ``w`` -> ``num_wires + w``, flipped bit -> ``2 * num_wires +
-        bit slot``. Propagated once per (index, draw) and cached."""
-        cache_key = (index, injection)
-        columns = self._sig_columns.get(cache_key)
-        if columns is None:
-            frame = PauliFrame.zero(self.num_wires)
-            if injection.flip:
-                frame.flip(self.circuit.instructions[index].bit)
-            else:
-                for wire, letter in injection.paulis:
-                    frame.insert(wire, letter)
-            for ins in self.circuit.instructions[index + 1 :]:
-                apply_instruction(frame, ins)
-            offset = 2 * self.num_wires
-            columns = np.asarray(
-                [
-                    *np.flatnonzero(frame.x),
-                    *(self.num_wires + np.flatnonzero(frame.z)),
-                    *(offset + self._bit_slot[b] for b in sorted(frame.flipped_bits())),
-                ],
-                dtype=np.intp,
-            )
-            self._sig_columns[cache_key] = columns
-        return columns
 
 
 class CompiledProtocol:
@@ -207,6 +138,11 @@ class CompiledProtocol:
     enumeration, certificates, Bernoulli batches) shares one table build.
     The segments' components are numbered protocol-wide, each segment's
     from its ``offset``, ``num_components`` in all.
+
+    A bit name measured in two segments is a ``ValueError``: the per-shot
+    runner XORs every outcome recorded under one name, while the packed
+    state overwrites a name's row in each segment that measures it (within
+    one segment the sweep XORs them too). Synthesis never repeats a name.
     """
 
     def __init__(self, protocol: DeterministicProtocol):
@@ -219,6 +155,15 @@ class CompiledProtocol:
             self._add(("verif", li), layer.circuit)
             for signature, branch in layer.branches.items():
                 self._add(("branch", li, signature), branch.circuit)
+        seen: dict[str, tuple] = {}
+        for key, segment in self.segments.items():
+            for bit in segment.bit_names:
+                if bit in seen:
+                    raise ValueError(
+                        f"measurement bit {bit!r} is recorded in segment {seen[bit]} "
+                        f"and again in {key}; every measurement needs its own name"
+                    )
+                seen[bit] = key
         self.locations = protocol_locations(protocol)
         self.draw_tables = draw_tables(self.locations)
 
@@ -346,6 +291,7 @@ class BatchedSampler:
         self._draw_tables = self.compiled.draw_tables
         self._max_draws = max(len(table) for table in self._draw_tables)
         self._signature_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._pair_ids: dict[tuple, int] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -444,33 +390,49 @@ class BatchedSampler:
         """``(indptr, components)``: CSR of every (location, draw) pair's
         signature as protocol-wide component ids, row ``location *
         max_draws + draw`` (rows past a location's draw table are empty).
-        Built on the first indexed batch, so an engine that never runs
+        A segment's ``signatures`` rows are its locations' draws in order,
+        so one ``np.nonzero`` per segment fills it. Built on the first batch, so an engine that never runs
         one (a cluster coordinator's payload engine) never pays for it."""
         if self._signature_table is None:
-            rows = []
-            for location, ((segment_key, index), _, _) in enumerate(self.locations):
-                segment = self.compiled.segments[segment_key]
-                table = self._draw_tables[location]
-                rows += [
-                    segment.signature_columns(index, draw) + segment.offset
-                    for draw in table
-                ]
-                rows += [np.zeros(0, dtype=np.intp)] * (self._max_draws - len(table))
-            counts = [columns.size for columns in rows]
-            indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-            self._signature_table = (indptr, np.concatenate(rows))
+            counts = draw_counts(self.locations)
+            starts = np.cumsum(counts) - counts
+            # The CSR row of each (location, draw) pair, in location order.
+            pair_rows = np.arange(counts.sum()) + np.repeat(
+                np.arange(counts.size) * self._max_draws - starts, counts
+            )
+            faults, components, base = [], [], 0
+            for key in dict.fromkeys(key for (key, _), _, _ in self.locations):
+                segment = self.compiled.segments[key]
+                fault, column = np.nonzero(segment.signatures)
+                faults.append(base + fault)
+                components.append(segment.offset + column)
+                base += segment.signatures.shape[0]
+            rows = np.bincount(
+                pair_rows[np.concatenate(faults)],
+                minlength=counts.size * self._max_draws,
+            )
+            indptr = np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
+            self._signature_table = (indptr, np.concatenate(components))
         return self._signature_table
 
-    def _fault_image(
-        self, shots: np.ndarray, components: np.ndarray, words: int
+    def _image_pairs(
+        self, shots: np.ndarray, pairs: np.ndarray, num_shots: int
     ) -> np.ndarray:
-        """``(num_components, words)`` packed faults: bit ``s`` of row ``c``
+        """``(num_components, words)`` packed faults of the ``(shots[e],
+        pairs[e])`` entries (signature-table rows): bit ``s`` of row ``c``
         is set iff an odd number of shot ``s``'s faults have component
-        ``c`` in their signature. Each ``(shots[e], components[e])`` entry
-        toggles one bit, so two identical draws in one shot cancel, as
-        under the per-shot XOR semantics."""
+        ``c`` in their signature, so two identical draws in one shot
+        cancel, as under the per-shot XOR semantics."""
+        # Every pair's signature in one gather from the table.
+        indptr, table = self._signatures()
+        first = indptr[pairs]
+        counts = indptr[pairs + 1] - first
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        components = table[np.repeat(first - ends + counts, counts) + np.arange(total)]
+        shots = np.repeat(shots, counts)
+        words = _num_words(num_shots)
         image = np.zeros(self.compiled.num_components * words, dtype=_WORD)
-        shots = np.asarray(shots, dtype=np.intp)
         bits = _ONE << (shots & 63).astype(np.uint64)
         np.bitwise_xor.at(image, components * words + (shots >> 6), bits)
         return image.reshape(-1, words)
@@ -482,33 +444,31 @@ class BatchedSampler:
         valid = flat_loc >= 0
         pairs = (flat_loc * self._max_draws + draw_idx.ravel())[valid]
         shots = np.repeat(np.arange(num_shots, dtype=np.intp), k)[valid]
-        # Every pair's signature in one gather from the table.
-        indptr, table = self._signatures()
-        first = indptr[pairs]
-        counts = indptr[pairs + 1] - first
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if ends.size else 0
-        components = table[np.repeat(first - ends + counts, counts) + np.arange(total)]
-        return self._fault_image(
-            np.repeat(shots, counts), components, _num_words(num_shots)
-        )
+        return self._image_pairs(shots, pairs, num_shots)
 
     def _image_injections(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
-        """Fault image of per-shot injection dicts."""
-        by_draw: dict[tuple, list[int]] = {}
+        """Fault image of per-shot injection dicts. Each injection is one
+        of its location's draws, or a composition of draws
+        (``noise.compose_injections``), which is a draw or the identity."""
+        if not self._pair_ids:
+            self._pair_ids = {
+                (key, frozenset(draw.paulis), draw.flip): location * self._max_draws + d
+                for location, (key, _, _) in enumerate(self.locations)
+                for d, draw in enumerate(self._draw_tables[location])
+            }
+        shots, pairs = [], []
         for shot, injections in enumerate(injections_per_shot):
-            for fault in injections.items():
-                by_draw.setdefault(fault, []).append(shot)
-        shots, components = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for ((segment_key, index), injection), draw_shots in by_draw.items():
-            segment = self.compiled.segments[segment_key]
-            columns = segment.signature_columns(index, injection) + segment.offset
-            shots.append(np.repeat(draw_shots, columns.size))
-            components.append(np.tile(columns, len(draw_shots)))
-        return self._fault_image(
-            np.concatenate(shots),
-            np.concatenate(components),
-            _num_words(len(injections_per_shot)),
+            for key, injection in injections.items():
+                if injection.paulis or injection.flip:
+                    pair = (key, frozenset(injection.paulis), bool(injection.flip))
+                    if pair not in self._pair_ids:
+                        raise ValueError(f"{injection} is not a fault draw at {key}")
+                    shots.append(shot)
+                    pairs.append(self._pair_ids[pair])
+        return self._image_pairs(
+            np.asarray(shots, dtype=np.intp),
+            np.asarray(pairs, dtype=np.intp),
+            len(injections_per_shot),
         )
 
     def _unpack_data(self, packed: np.ndarray, num_shots: int) -> np.ndarray:

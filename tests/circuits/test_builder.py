@@ -17,8 +17,10 @@ from repro.circuits.builder import (
 )
 from repro.circuits.circuit import Circuit
 from repro.codes.catalog import steane_code
-from repro.core.faults import PauliFrame, propagate
+from repro.core.faults import PauliFrame
 from repro.sim.tableau import Tableau, run_circuit
+
+from ..reference import propagate
 
 
 class TestSupportOrder:

@@ -1,4 +1,5 @@
-"""Unit tests for single-fault enumeration and Pauli-frame propagation."""
+"""Unit tests for single-fault enumeration, the frame rules and the
+backward signature sweep."""
 
 import numpy as np
 import pytest
@@ -11,10 +12,16 @@ from repro.core.faults import (
     PauliFrame,
     apply_instruction,
     enumerate_faults,
-    propagate,
     propagate_all_faults,
-    propagate_fault,
 )
+from repro.experiments.table1 import TABLE1_FAST_ROWS, run_row
+
+from ..reference import propagate, sweep_mismatches, synthesis_circuits
+
+
+def signature_row(circuit, fault):
+    """The sweep table of ``circuit`` and the row of ``fault`` in it."""
+    return propagate_all_faults(circuit), enumerate_faults(circuit).index(fault)
 
 
 class TestPauliConstants:
@@ -172,36 +179,37 @@ class TestPropagation:
     def test_fault_after_gate_not_propagated_through_it(self):
         # X inserted after the CX must not copy to the target.
         c = Circuit(2).cx(0, 1)
-        pf = propagate_fault(c, Fault(0, ((0, "X"),)))
-        assert pf.x_error.tolist() == [1, 0]
+        table, row = signature_row(c, Fault(0, ((0, "X"),)))
+        assert table.x[row].tolist() == [1, 0]
 
     def test_fault_before_later_gate_propagates(self):
         c = Circuit(2).cx(0, 1).cx(0, 1)
         # After first CX: X on control spreads through the second CX.
-        pf = propagate_fault(c, Fault(0, ((0, "X"),)))
-        assert pf.x_error.tolist() == [1, 1]
+        table, row = signature_row(c, Fault(0, ((0, "X"),)))
+        assert table.x[row].tolist() == [1, 1]
 
     def test_measurement_flip_fault(self):
         c = Circuit(1).measure_z(0, "m")
-        pf = propagate_fault(c, Fault(0, (), "m"))
-        assert pf.flipped == frozenset({"m"})
-        assert not pf.x_error.any()
+        table, row = signature_row(c, Fault(0, (), "m"))
+        assert table.bits == ("m",)
+        assert table.flips[row].tolist() == [1]
+        assert not table.x[row].any()
 
     def test_flip_fault_does_not_touch_later_measurements(self):
         c = Circuit(1).measure_z(0, "a").measure_z(0, "b")
-        pf = propagate_fault(c, Fault(0, (), "a"))
-        assert pf.flipped == frozenset({"a"})
+        table, row = signature_row(c, Fault(0, (), "a"))
+        assert table.flipped(["a", "b"])[row].tolist() == [1, 0]
 
     def test_data_projections(self):
-        c = Circuit(3)
-        pf = propagate_fault(c, Fault(-1, ((2, "Y"),)))
-        assert pf.data_x(2).tolist() == [0, 0]
-        assert pf.data_x(3).tolist() == [0, 0, 1]
-        assert pf.data_z(3).tolist() == [0, 0, 1]
+        c = Circuit(3).h(2)
+        table, row = signature_row(c, Fault(0, ((2, "Y"),)))
+        assert table.x[row, :2].tolist() == [0, 0]
+        assert table.x[row, :3].tolist() == [0, 0, 1]
+        assert table.z[row, :3].tolist() == [0, 0, 1]
 
     def test_propagate_all_count_matches_enumerate(self):
         c = Circuit(2).h(0).cx(0, 1).measure_z(1, "m")
-        assert len(propagate_all_faults(c)) == len(enumerate_faults(c))
+        assert len(propagate_all_faults(c).matrix) == len(enumerate_faults(c))
 
     def test_example_3_steane_prep_not_ft(self):
         """Paper Example 3: some single X fault in the Steane prep circuit
@@ -212,8 +220,56 @@ class TestPropagation:
 
         prep = prepare_zero_heuristic(steane_code())
         reducer = error_reducer(prep.code, "X")
-        weights = [
-            reducer.coset_weight(pf.data_x(7))
-            for pf in propagate_all_faults(prep.circuit)
-        ]
-        assert max(weights) >= 2
+        table = propagate_all_faults(prep.circuit)
+        assert reducer.coset_weights_batch(table.x[:, :7]).max() >= 2
+
+
+class TestSweepEdgeCases:
+    """The backward sweep against the forward oracle on small circuits."""
+
+    def test_empty_circuit(self):
+        table = propagate_all_faults(Circuit(3))
+        assert table.matrix.shape == (0, 6)
+        assert table.bits == ()
+
+    def test_conditional_pauli_is_identity(self):
+        c = Circuit(2).h(0).cx(0, 1)
+        c.conditional_pauli(x_support=[1], condition=[("m", 1)])
+        c.cx(1, 0).measure_z(0, "m")
+        assert sweep_mismatches(c) == []
+        plain = Circuit(2).h(0).cx(0, 1).cx(1, 0).measure_z(0, "m")
+        assert np.array_equal(
+            propagate_all_faults(c).matrix, propagate_all_faults(plain).matrix
+        )
+
+    def test_qubit_measured_twice_under_two_names(self):
+        c = Circuit(2).reset_z(0).cx(1, 0).measure_z(0, "a").h(0)
+        c.measure_x(0, "b").cx(0, 1).measure_z(1, "c")
+        table = propagate_all_faults(c)
+        assert table.bits == ("a", "b", "c")
+        assert sweep_mismatches(c) == []
+        # X on wire 0 flips "a"; the H turns it into the Z that "b"
+        # reads, so "b" flips too.
+        _, row = signature_row(c, Fault(1, ((0, "X"),)))
+        assert table.flipped(["a", "b"])[row].tolist() == [1, 1]
+
+    def test_every_instruction_kind(self):
+        c = Circuit(3)
+        c.reset_z(0).reset_x(1).h(2).cx(0, 1).cx(2, 0).measure_z(1, "m")
+        c.measure_x(2, "n").h(0).cx(1, 2).reset_z(1).measure_z(0, "o")
+        assert sweep_mismatches(c) == []
+
+
+class TestSweepOnSynthesis:
+    """The sweep equals the forward oracle, row for row, on every circuit
+    synthesis propagates: dangerous errors, layer hooks, protocol assembly
+    (the random-code instances: ``tests/integration/test_random_codes.py``)."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [*TABLE1_FAST_ROWS, ("tesseract", "heuristic", "optimal")],
+        ids="/".join,
+    )
+    def test_table1_rows(self, monkeypatch, row):
+        for circuit in synthesis_circuits(monkeypatch, lambda: run_row(*row)):
+            assert sweep_mismatches(circuit) == []

@@ -141,8 +141,7 @@ class TestConsistencyWithGadgetFaults:
         append_z_measurement(circuit, support, ancilla=n, bit="b")
         # Collect all distinct non-trivial Z data errors from single faults.
         observed = set()
-        for pf in propagate_all_faults(circuit):
-            z = pf.data_z(n)
+        for z in propagate_all_faults(circuit).z[:, :n]:
             if z.any():
                 observed.add(tuple(z.tolist()))
         # Analytic model: suffixes of length >= 2 (proper hooks), plus the

@@ -44,6 +44,16 @@ class TestRandomCodeSynthesis:
         protocol = synthesize_protocol(random_code)
         assert check_fault_tolerance(protocol) == []
 
+    def test_signature_sweep_matches_the_oracle(self, random_code, monkeypatch):
+        """Every circuit synthesis propagates, sweep against forward oracle."""
+        from ..reference import sweep_mismatches, synthesis_circuits
+
+        circuits = synthesis_circuits(
+            monkeypatch, lambda: synthesize_protocol(random_code)
+        )
+        for circuit in circuits:
+            assert sweep_mismatches(circuit) == []
+
     def test_metrics_extractable(self, random_code):
         metrics = protocol_metrics(synthesize_protocol(random_code))
         assert metrics.total_verification_cnots >= 0

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
-from repro.core.faults import PauliFrame, propagate
+from repro.core.faults import PauliFrame
 from repro.sim.tableau import Tableau, run_circuit
+
+from ..reference import propagate
 
 
 @st.composite

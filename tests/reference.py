@@ -1,5 +1,11 @@
-"""Test-side references for ``SubsetSampler``: an engine double and the
-per-shot oracle for the stratum planner's exact masses.
+"""Test-side references: the forward fault propagation behind
+``core.faults``'s backward sweep, and for ``SubsetSampler`` an engine
+double and the per-shot oracle for the stratum planner's exact masses.
+
+:func:`propagate_fault` pushes one fault's Pauli frame forward through the
+rest of the circuit, one instruction at a time — O(faults × instructions)
+over a circuit, where ``propagate_all_faults`` makes one linear pass.
+:func:`sweep_mismatches` compares the two on a circuit.
 
 The planner (``repro.sim.shard``) enumerates the k = 1 rows and k = 2
 pair runs of a location universe as index arrays and sums the probability
@@ -11,12 +17,114 @@ with :class:`ReferenceSampler` (the per-shot ``ProtocolRunner``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.circuits.circuit import Circuit
+from repro.core.faults import (
+    Fault,
+    PauliFrame,
+    apply_instruction,
+    enumerate_faults,
+    propagate_all_faults,
+)
 from repro.sim.frame import protocol_locations
 from repro.sim.noise import E1_1, materialize_stratum
 from repro.sim.noisemodels import site_universe
 from repro.sim.sampler import ReferenceSampler
+
+
+def propagate(circuit: Circuit, frame: PauliFrame, start: int = 0) -> PauliFrame:
+    """Propagate ``frame`` through ``circuit.instructions[start:]`` in place."""
+    for instruction in circuit.instructions[start:]:
+        apply_instruction(frame, instruction)
+    return frame
+
+
+@dataclass
+class PropagatedFault:
+    """A fault together with its end-of-circuit observable signature."""
+
+    fault: Fault
+    x_error: np.ndarray  # residual X support, full wire register
+    z_error: np.ndarray  # residual Z support, full wire register
+    flipped: frozenset[str]
+
+    def data_x(self, n: int) -> np.ndarray:
+        return self.x_error[:n].copy()
+
+    def data_z(self, n: int) -> np.ndarray:
+        return self.z_error[:n].copy()
+
+
+def propagate_fault(circuit: Circuit, fault: Fault) -> PropagatedFault:
+    """Signature of a single fault at the end of ``circuit``, by forward
+    propagation of its frame from the instruction after ``fault.index``."""
+    frame = PauliFrame.zero(circuit.num_qubits)
+    if fault.flip_bit is not None:
+        frame.flip(fault.flip_bit)
+    for qubit, letter in fault.paulis:
+        frame.insert(qubit, letter)
+    propagate(circuit, frame, fault.index + 1)
+    return PropagatedFault(fault, frame.x, frame.z, frame.flipped_bits())
+
+
+def sweep_mismatches(circuit: Circuit) -> list[str]:
+    """Where ``propagate_all_faults(circuit)`` differs from the forward
+    oracle: row count, then per row (in ``enumerate_faults`` order) the x
+    and z arrays and the flipped set. Empty when the two agree."""
+    table = propagate_all_faults(circuit)
+    faults = enumerate_faults(circuit)
+    if len(table.matrix) != len(faults):
+        return [f"{len(table.matrix)} rows for {len(faults)} faults"]
+    problems = []
+    for row, fault in enumerate(faults):
+        pf = propagate_fault(circuit, fault)
+        flipped = {table.bits[i] for i in np.flatnonzero(table.flips[row])}
+        if not (
+            np.array_equal(table.x[row], pf.x_error)
+            and np.array_equal(table.z[row], pf.z_error)
+            and flipped == pf.flipped
+        ):
+            problems.append(f"row {row} ({fault.describe()})")
+    return problems
+
+
+def synthesis_circuits(monkeypatch, synthesize) -> list[Circuit]:
+    """Every circuit ``synthesize()`` hands to ``propagate_all_faults``."""
+    import repro.core.errors
+    import repro.core.protocol
+
+    seen = []
+
+    def recording(circuit):
+        seen.append(Circuit(circuit.num_qubits, list(circuit.instructions)))
+        return propagate_all_faults(circuit)
+
+    for module in (repro.core.errors, repro.core.protocol):
+        monkeypatch.setattr(module, "propagate_all_faults", recording)
+    synthesize()
+    assert seen
+    return seen
+
+
+def draw_components(compiled, key, injection) -> np.ndarray:
+    """Protocol-wide component ids that ``injection`` at location ``key``
+    (``(segment key, instruction index)``) flips at its segment's end, by
+    :func:`propagate_fault`: the engine-independent reference for a row of
+    ``BatchedSampler._signatures()``."""
+    segment_key, index = key
+    segment = compiled.segments[segment_key]
+    circuit, wires = segment.circuit, segment.num_wires
+    flip_bit = circuit.instructions[index].bit if injection.flip else None
+    pf = propagate_fault(circuit, Fault(index, injection.paulis, flip_bit))
+    local = [
+        *np.flatnonzero(pf.x_error),
+        *(wires + np.flatnonzero(pf.z_error)),
+        *(2 * wires + segment.bit_names.index(bit) for bit in pf.flipped),
+    ]
+    return segment.offset + np.asarray(local, dtype=np.intp)
 
 
 class FakeEngine:

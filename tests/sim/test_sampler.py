@@ -9,9 +9,12 @@ verdicts. These tests pin that on enumerated k<=1 fault sets, sampled
 k=2 pairs, and seeded random strata for the fast catalog codes.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.serialize import protocol_from_json
 from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
 from repro.sim.noise import (
@@ -30,9 +33,14 @@ from repro.sim.sampler import (
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import FAST_CODES, cached_protocol
-from ..reference import reference_mass
+from ..reference import draw_components, reference_mass
 
 CROSS_CODES = ["steane", "shor", "surface_3", "carbon"]
+FIXTURES = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
+
+
+def fixture_protocol(name: str):
+    return protocol_from_json((FIXTURES / f"{name}.json").read_text())
 
 
 def assert_shot_matches(batch_result, shot, reference_result):
@@ -127,18 +135,17 @@ class TestRandomStrata:
 
 
 def naive_fault_image(engine, loc_idx, draw_idx) -> np.ndarray:
-    """``(components, shots)`` 0/1: every slot's ``signature_columns``,
-    XORed per shot, one (location, draw) pair at a time."""
+    """``(components, shots)`` 0/1: every slot's forward-propagated
+    signature, XORed per shot, one (location, draw) pair at a time."""
     compiled = engine.compiled
     bits = np.zeros((compiled.num_components, loc_idx.shape[0]), dtype=np.uint8)
     for shot, (locations, draws) in enumerate(zip(loc_idx, draw_idx)):
         for location, draw in zip(locations, draws):
             if location < 0:
                 continue
-            (segment_key, index), _, _ = engine.locations[location]
-            segment = compiled.segments[segment_key]
+            key, _, _ = engine.locations[location]
             injection = compiled.draw_tables[location][draw]
-            bits[segment.offset + segment.signature_columns(index, injection), shot] ^= 1
+            bits[draw_components(compiled, key, injection), shot] ^= 1
     return bits
 
 
@@ -155,8 +162,8 @@ def has_repeated_pair(loc_idx, draw_idx) -> bool:
 
 
 class TestFaultImage:
-    """The indexed batch's packed fault image equals the per-pair
-    ``signature_columns`` XOR, on both engines and the dict path."""
+    """The indexed batch's packed fault image equals the XOR of the
+    per-pair forward-propagated signatures, and so does the dict path's."""
 
     def check(self, engine, loc_idx, draw_idx):
         shots = loc_idx.shape[0]
@@ -208,6 +215,70 @@ class TestFaultImage:
         image = engine._image_indexed(loc_idx, np.zeros_like(loc_idx))
         assert not image.any()
         assert not engine.failures_indexed(loc_idx, np.zeros_like(loc_idx)).any()
+
+
+class TestSignatureTable:
+    """``_signatures()`` from the backward sweep against the forward
+    oracle, one (location, draw) pair at a time."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    def test_every_row_matches_the_oracle(self, name):
+        engine = BatchedSampler(fixture_protocol(name))
+        indptr, components = engine._signatures()
+        assert indptr.size == len(engine.locations) * engine._max_draws + 1
+        for location, (key, _, _) in enumerate(engine.locations):
+            table = engine.compiled.draw_tables[location]
+            for draw in range(engine._max_draws):
+                row = location * engine._max_draws + draw
+                got = components[indptr[row] : indptr[row + 1]]
+                assert len(set(got)) == got.size
+                expected = (
+                    draw_components(engine.compiled, key, table[draw])
+                    if draw < len(table)
+                    else []
+                )
+                assert set(got) == set(expected), (key, draw)
+
+    def test_composed_draws_use_the_table(self):
+        """The dict path resolves a composition of two draws to its draw
+        (or to nothing) and rejects an injection outside the table."""
+        from repro.sim.frame import Injection
+        from repro.sim.noise import compose_injections
+
+        engine = BatchedSampler(cached_protocol("steane"))
+        location = next(
+            i for i, (_, kind, _) in enumerate(engine.locations) if kind == "2q"
+        )
+        key, _, (control, target) = engine.locations[location]
+        xi, ix = (Injection(paulis=((w, "X"),)) for w in (control, target))
+        both = compose_injections(xi, ix)
+        dicts = [{key: both}, {key: compose_injections(xi, xi)}]
+        image = unpacked(engine._image_injections(dicts), 2)
+        expected = np.zeros_like(image)
+        expected[draw_components(engine.compiled, key, both), 0] = 1
+        assert np.array_equal(image, expected)
+        with pytest.raises(ValueError, match="not a fault draw"):
+            engine._image_injections([{key: Injection(paulis=((target + 1, "X"),))}])
+
+
+class TestRepeatedBitNames:
+    def test_rejected_with_the_bit_and_its_segments(self):
+        """The per-shot runner XORs every outcome recorded under one name;
+        the packed state keeps one, so the engine refuses the protocol."""
+        protocol = fixture_protocol("steane")
+        protocol.prep_segment.measure_z(0, "b0.0")
+        with pytest.raises(ValueError, match=r"'b0\.0'.*\('prep',\).*\('verif', 0\)"):
+            BatchedSampler(protocol)
+
+    def test_repeat_within_one_segment_xors_like_the_runner(self):
+        """Inside one segment the sweep gives a repeated name one column,
+        the XOR of its records, also for the incoming frame's part."""
+        protocol = fixture_protocol("steane")
+        protocol.layers[0].circuit.measure_z(0, "p").cx(1, 0).measure_z(0, "p")
+        injection_dicts = [{}]
+        for location, kind, wires in protocol_locations(protocol):
+            injection_dicts += [{location: d} for d in fault_draws(kind, wires)]
+        assert_batches_match(protocol, injection_dicts)
 
 
 class TestResidualWeights:
