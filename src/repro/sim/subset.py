@@ -15,9 +15,10 @@ re-weighting analytically reproduces the whole ``p_L`` curve from a single
 sampling pass — the same economy Qsample gets from sampling at ``p_max``
 and extrapolating downward.
 
-The "dynamic" part of DSS is the sample allocation across strata: we
-direct each batch at the stratum whose uncertainty currently contributes
-most to the variance of ``p_L(p_ref)`` (variance-targeted allocation).
+The "dynamic" part of DSS is the sample allocation across strata: after
+a seed round, each ``max(500, shots // 32)``-shot round goes to the
+stratum whose uncertainty contributes most to ``Var[p_L(p_ref)]``
+(``DRAW_REVISION`` 3; budgets up to 16,031 shots draw as in revision 2).
 
 Strata above ``k_max`` are not sampled; their total weight bounds the
 truncation error, reported as ``tail`` and folded into the upper
@@ -612,17 +613,17 @@ class SubsetSampler:
         shots: int,
         *,
         p_ref: float | None = None,
-        batch: int = 500,
         allocation: str = "dynamic",
     ) -> None:
         """Distribute ``shots`` trials over strata ``1..k_max``.
 
-        ``allocation='dynamic'`` targets the stratum whose statistical
-        uncertainty contributes most to ``Var[p_L(p_ref)]`` (the DSS
-        behaviour); ``'uniform'`` splits shots evenly. ``batch`` is the
-        re-allocation granularity: each batch is one planned engine
-        workload, so fine-grained re-allocation would squander the
-        vectorization.
+        ``allocation='dynamic'`` is DSS and spends exactly ``shots``: a
+        seed round of ``min(step, max(1, shots // (4 * strata)))`` shots
+        per stratum (within the budget), then ~32 planned engine workloads
+        of ``step = max(500, shots // 32)`` shots, each to the stratum
+        contributing most to ``Var[p_L(p_ref)]`` (``DRAW_REVISION`` 3; up
+        to 16,031 shots the step is 500 and the stream that of revision
+        2). ``'uniform'`` splits shots evenly.
 
         ``p_ref`` defaults to the historical ``0.1`` (the paper's
         ``p_max``) for uniform models, and to the *model's own strength*
@@ -646,21 +647,19 @@ class SubsetSampler:
             return
         if allocation != "dynamic":
             raise ValueError(f"unknown allocation {allocation!r}")
-        spent = 0
-        # Seed every stratum so std errors are defined.
-        seed = min(batch, max(1, shots // (4 * len(sampled))))
-        for k in sampled:
+        step = max(500, shots // 32)
+        seed = min(step, max(1, shots // (4 * len(sampled))))
+        # Seed the strata so std errors are defined, within the budget.
+        seeded = sampled[: shots // seed]
+        for k in seeded:
             self.sample_stratum(k, seed)
-            spent += seed
+        spent = seed * len(seeded)
         head_ref = self._stratum_head(p_ref)
         while spent < shots:
-            contributions = {
-                k: head_ref[k] * self.strata[k].std_error()
-                for k in sampled
-            }
-            target = max(contributions, key=contributions.get)
-            step = min(batch, shots - spent)
-            self.sample_stratum(target, step)
+            target = max(
+                sampled, key=lambda k: head_ref[k] * self.strata[k].std_error()
+            )
+            self.sample_stratum(target, min(step, shots - spent))
             spent += step
 
     # -- estimation ------------------------------------------------------------

@@ -83,8 +83,9 @@ SYNTHESIS_REVISION = 3
 #: may draw different configurations, so a ledger filled by older code
 #: misses instead of serving tallies of the older stream. Revision 2:
 #: Floyd k-subset stratum draws, and ``mem_budget`` slabs sized by the
-#: compiled fault image.
-DRAW_REVISION = 2
+#: compiled fault image. Revision 3: DSS allocation rounds of
+#: ``max(500, shots // 32)`` shots (budgets up to 16,031 shots draw as in 2).
+DRAW_REVISION = 3
 
 
 def protocol_key(

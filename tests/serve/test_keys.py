@@ -62,10 +62,10 @@ class TestKeyScheme:
         """Series keys change only with a deliberate draw revision
         (``DRAW_REVISION``); any other change would turn warm ledgers
         cold by accident."""
-        assert store_keys.DRAW_REVISION == 2
+        assert store_keys.DRAW_REVISION == 3
         key = store_keys.series_key("ab" * 32, None, **_series_kwargs())
         assert key == (
-            "3209e9cfdcd7e8cdc622c2293f91d612b96c860212997be648272bd037d23f19"
+            "855a9d317440fb71f2413955cc83fc640ddd8b7cc0f022e31a0292cfb24fc799"
         )
 
     def test_direct_shots_only_matter_with_direct_check(self, digest):

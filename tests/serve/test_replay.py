@@ -306,6 +306,26 @@ def _pre_revision_series_key(digest: str, *, shots: int, k_max: int, seed: int):
     )
 
 
+def _revision_2_series_key(digest: str, *, shots: int, k_max: int, seed: int):
+    """A series key as ``DRAW_REVISION`` 2 wrote it (constant 500-shot
+    DSS rounds)."""
+    return _pre_revision_key(
+        digest,
+        "series",
+        {
+            "shots": shots,
+            "k_max": k_max,
+            "seed": seed,
+            "exact_k1": True,
+            "draw_revision": 2,
+            "max_slab": None,
+            "mem_budget": None,
+            "direct_check_at": None,
+            "direct_shots": 0,
+        },
+    )
+
+
 def _pre_revision_chunk_key(digest: str, chunk) -> str:
     return _pre_revision_key(
         digest,
@@ -320,50 +340,79 @@ def _pre_revision_chunk_key(digest: str, chunk) -> str:
 
 
 class TestDrawRevision:
-    """Ledger records written before the Floyd stratum draw hold tallies
-    of the older draw stream: a ledger filled then misses them."""
+    """Ledger records written before the current draw revision (the Floyd
+    stratum draw in 2, the DSS allocation rounds in 3) hold tallies of an
+    older draw stream: a ledger filled then misses them."""
 
     def test_helpers_rebuild_the_pre_revision_keys(self):
-        """Both forms, checked against keys the older code produced."""
+        """Every form, checked against keys the older code produced."""
         assert _pre_revision_series_key(
             "ab" * 32, shots=4000, k_max=3, seed=2025
         ) == "753ff0af905086acc0cc53230e24bfb275c985977f1d5b9da1fe34113150a167"
+        assert _revision_2_series_key(
+            "ab" * 32, shots=4000, k_max=3, seed=2025
+        ) == "3209e9cfdcd7e8cdc622c2293f91d612b96c860212997be648272bd037d23f19"
         chunk = StratumChunk(index=0, k=2, shots=512, entropy=(77, 0))
         assert _pre_revision_chunk_key("ab" * 32, chunk) == (
             "1349efef106bc454d8f644111973f31129eb0acd6fd423a26573886263f30df0"
         )
 
-    def test_old_series_record_not_served(self, tmp_path):
-        protocol = cached_protocol("steane")
-        digest = store_keys.protocol_digest(protocol)
-        plan = dict(shots=1200, k_max=2, seed=11)
+    PLAN = dict(shots=1200, k_max=2, seed=11)
 
-        def run(ledger):
-            return run_series(
-                "steane",
-                protocol=protocol,
-                sweep=TestRunSeriesLedger.GRID,
-                ledger=ledger,
-                **plan,
-            )
+    def run(self, ledger):
+        return run_series(
+            "steane",
+            protocol=cached_protocol("steane"),
+            sweep=TestRunSeriesLedger.GRID,
+            ledger=ledger,
+            **self.PLAN,
+        )
 
+    @pytest.fixture
+    def cold_and_bogus(self, tmp_path):
+        """A cold series and its ledger record with every sampled shot
+        turned into a failure: unmistakable if served."""
+        digest = store_keys.protocol_digest(cached_protocol("steane"))
         source = ResultsLedger(tmp_path / "source")
-        cold = run(source)
-        record = source.get("series", store_keys.series_key(digest, None, **plan))
-        # Every sampled shot a failure: unmistakable if served.
+        cold = self.run(source)
+        record = source.get(
+            "series", store_keys.series_key(digest, None, **self.PLAN)
+        )
         for stratum in record["strata"].values():
             if not stratum["exact"]:
                 stratum["failures"] = stratum["trials"]
+        return cold, record
 
-        control = ResultsLedger(tmp_path / "control")
-        control.put("series", store_keys.series_key(digest, None, **plan), record)
-        served = run(control)
+    def served_from(self, tmp_path, key_fn, cold_and_bogus):
+        """Run the series on a ledger holding the bogus record under
+        ``key_fn(digest, **plan)``; return (series, series record count)."""
+        cold, record = cold_and_bogus
+        digest = store_keys.protocol_digest(cached_protocol("steane"))
+        ledger = ResultsLedger(tmp_path / "served")
+        ledger.put("series", key_fn(digest, **self.PLAN), record)
+        return self.run(ledger), len(list(ledger.entries("series")))
+
+    def test_current_series_record_served(self, tmp_path, cold_and_bogus):
+        """Control: the revision-3 key of the same record is served."""
+        served, records = self.served_from(
+            tmp_path,
+            lambda digest, **plan: store_keys.series_key(digest, None, **plan),
+            cold_and_bogus,
+        )
+        cold = cold_and_bogus[0]
         assert [e.mean for e in served.estimates] != [e.mean for e in cold.estimates]
+        assert records == 1
 
-        old = ResultsLedger(tmp_path / "old")
-        old.put("series", _pre_revision_series_key(digest, **plan), record)
-        TestRunSeriesLedger.assert_series_equal(run(old), cold)
-        assert len(list(old.entries("series"))) == 2
+    def assert_recomputed(self, tmp_path, key_fn, cold_and_bogus):
+        recomputed, records = self.served_from(tmp_path, key_fn, cold_and_bogus)
+        TestRunSeriesLedger.assert_series_equal(recomputed, cold_and_bogus[0])
+        assert records == 2
+
+    def test_old_series_record_not_served(self, tmp_path, cold_and_bogus):
+        self.assert_recomputed(tmp_path, _pre_revision_series_key, cold_and_bogus)
+
+    def test_revision_2_series_record_not_served(self, tmp_path, cold_and_bogus):
+        self.assert_recomputed(tmp_path, _revision_2_series_key, cold_and_bogus)
 
     def test_old_chunk_record_not_served(self, steane_engine, ledger):
         inline = ShardedEvaluator(steane_engine, max_slab=300)

@@ -2,7 +2,9 @@
 
 Each of the eight perfbench fixture protocols runs through ``run_series``
 at 4000 shots and a fixed seed, and the pins hold every stratum's
-``(trials, failures)`` plus the direct-check tally. A change that only
+``(trials, failures)`` plus the direct-check tally. Two codes are also
+pinned at 40,000 shots, where DSS re-allocates in ``shots // 32``-shot
+rounds instead of 500-shot ones. A change that only
 speeds up the engines (grouping, segment application, judging) leaves
 them untouched; a deliberate change to the draw stream or the estimator
 re-pins them in the same commit, from the dict this file prints::
@@ -13,11 +15,12 @@ re-pins them in the same commit, from the dict this file prints::
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.serialize import protocol_from_json
 from repro.experiments.figure4 import run_series
-from repro.sim.subset import SubsetSampler
+from repro.sim.subset import SubsetSampler, wilson_interval
 
 PROTOCOLS = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
 
@@ -53,9 +56,22 @@ PINS = {
 }
 
 
-def series_tally(code: str, engine: str) -> dict:
+# DSS rounds of 40_000 // 32 = 1250 shots; the direct check stays at 4000.
+PINS_40K = {
+    "carbon": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (1250, 94), 3: (38750, 6223)},
+               "direct": (4000, 1825)},
+    "steane": {"strata": {0: (1, 0), 1: (10**9, 0), 2: (16250, 2518), 3: (23750, 6391)},
+               "direct": (4000, 313)},
+}
+
+
+def load_protocol(code: str):
+    return protocol_from_json((PROTOCOLS / f"{code}.json").read_text())
+
+
+def series_tally(code: str, engine: str, shots: int = 4000) -> dict:
     """``{"strata": {k: (trials, failures)}, "direct": (trials, failures)}``."""
-    protocol = protocol_from_json((PROTOCOLS / f"{code}.json").read_text())
+    protocol = load_protocol(code)
     strata = {}
     curve = SubsetSampler.curve
 
@@ -70,7 +86,7 @@ def series_tally(code: str, engine: str) -> dict:
         series = run_series(
             code,
             protocol=protocol,
-            shots=4000,
+            shots=shots,
             seed=SEEDS[code],
             engine=engine,
             workers=1,
@@ -84,6 +100,68 @@ def series_tally(code: str, engine: str) -> dict:
 @pytest.mark.parametrize("code", sorted(PINS))
 def test_series_tally_pinned(code, engine):
     assert series_tally(code, engine) == PINS[code]
+
+
+@pytest.mark.parametrize("code", sorted(PINS_40K))
+def test_40k_series_tally_pinned(code):
+    assert series_tally(code, "batched", shots=40_000) == PINS_40K[code]
+
+
+@pytest.mark.parametrize(
+    "code, f2_exact", [("steane", 0.15184), ("surface_3", 0.11417)]
+)
+def test_40k_k2_interval_holds_the_exact_rate(code, f2_exact):
+    """The sampled k = 2 Wilson interval of a 40,000-shot series contains
+    the exact enumeration of the same stratum."""
+    enumerated = SubsetSampler.for_protocol(load_protocol(code), ledger=False)
+    enumerated.enumerate_k2_exact()
+    assert enumerated.strata[2].rate == pytest.approx(f2_exact, abs=1e-5)
+    trials, failures = series_tally(code, "batched", shots=40_000)["strata"][2]
+    lower, upper = wilson_interval(failures, trials)
+    assert lower <= enumerated.strata[2].rate <= upper
+
+
+FAKE_LOCATIONS = [((("seg",), i), "meas", (0,)) for i in range(20)]
+
+# Every ``(k, shots)`` stratum plan ``schedule(8000)`` issues, recorded
+# with the constant 500-shot rounds of ``DRAW_REVISION`` 2.
+SCHEDULE_8000 = [
+    (1, 500), (2, 500), (3, 500), (2, 500), (1, 500), (2, 500), (1, 500),
+    (3, 500), (2, 500), (1, 500), (2, 500), (1, 500), (3, 500), (2, 500),
+    (1, 500), (2, 500),
+]
+
+
+def schedule(shots: int) -> list[tuple[int, int]]:
+    """The ``(k, shots)`` stratum plans of ``sample(shots)`` on a k_max = 3
+    sampler whose strata all fail at a rate near 1/3."""
+    from ..reference import FakeEngine  # deferred: --record runs as a script
+
+    sampler = SubsetSampler(
+        FakeEngine(lambda inj: sum(key[1] for key in inj) % 3 == 1, FAKE_LOCATIONS),
+        k_max=3,
+        rng=np.random.default_rng(3),
+        ledger=False,
+    )
+    plans = []
+    sample_stratum = sampler.sample_stratum
+
+    def recording(k, n):
+        plans.append((k, n))
+        return sample_stratum(k, n)
+
+    sampler.sample_stratum = recording
+    sampler.sample(shots)
+    assert sampler.total_trials() == shots
+    return plans
+
+
+class TestAllocationRounds:
+    def test_large_budget_takes_a_fixed_number_of_rounds(self):
+        assert len(schedule(100_000)) <= 34
+
+    def test_budget_up_to_16031_keeps_the_500_shot_rounds(self):
+        assert schedule(8000) == SCHEDULE_8000
 
 
 def format_pins(pins: dict) -> str:
@@ -103,3 +181,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(f"usage: python {sys.argv[0]} --record")
     print(format_pins({code: series_tally(code, "batched") for code in sorted(SEEDS)}))
+    print(
+        format_pins(
+            {code: series_tally(code, "batched", 40_000) for code in ("carbon", "steane")}
+        ).replace("PINS = {", "PINS_40K = {")
+    )

@@ -123,6 +123,17 @@ class TestSamplerMechanics:
         sampler.sample(500, allocation="dynamic")
         assert sampler.total_trials() == 500
 
+    @pytest.mark.parametrize("shots", range(11))
+    def test_budget_below_the_strata_count_is_not_overspent(self, shots):
+        """The seed round seeds only as many strata as the budget pays
+        for: ``sample(0)`` runs nothing, ``sample(1)`` one trial."""
+        sampler = SubsetSampler(
+            threshold_engine(2), k_max=3,
+            rng=np.random.default_rng(4),
+        )
+        sampler.sample(shots)
+        assert sampler.total_trials() == shots
+
     def test_unknown_allocation(self):
         sampler = SubsetSampler(
             threshold_engine(2), k_max=2,
