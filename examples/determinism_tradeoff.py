@@ -42,7 +42,7 @@ def deterministic_stats(engine, p, shots, rng):
     batch = engine.run(
         materialize_stratum(engine.locations, loc_idx, draw_idx)
     )
-    failures = int(engine.judge.failure_mask(batch.data_x).sum())
+    failures = int(engine.judge.failure_mask(batch.x_words, shots).sum())
     corrections = sum(len(taken) for taken in batch.branches_taken)
     return failures / shots, corrections / shots
 

@@ -28,8 +28,8 @@ class LogicalJudge:
     ``decode(syndrome)`` — e.g.
     :class:`~repro.sim.matching.MatchingDecoder` for matchable codes at
     larger distance — plugs into both the per-shot and the batched path.
-    The batched path packs each syndrome into one int64 id, so the decoder
-    may have at most 62 checks.
+    The batched path packs each syndrome into one integer id, so the
+    decoder may have at most 62 checks.
     """
 
     def __init__(self, code: CSSCode, x_decoder=None):
@@ -41,9 +41,15 @@ class LogicalJudge:
         if checks > 62:
             raise ValueError(
                 f"decoder has {checks} checks; LogicalJudge packs syndromes "
-                "into int64 ids and supports at most 62"
+                "into integer ids and supports at most 62"
             )
         self.logical_z = code.logical_z
+        # The data wires of each check, then of each logical Z, as
+        # ``reduceat`` segments over the packed X planes.
+        rows, self._support_wires = np.nonzero(
+            np.concatenate([self.x_decoder.checks, self.logical_z])
+        )
+        self._supported, self._support_starts = np.unique(rows, return_index=True)
         self._parity_memo: dict[int, np.ndarray] = {}
 
     def __getstate__(self):
@@ -70,35 +76,53 @@ class LogicalJudge:
         parities = self.logical_z @ residual % 2
         return bool(parities.any())
 
-    def failure_mask(self, data_x: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_logical_failure` over a ``(shots, n)`` batch.
+    def failure_mask(self, x_words: np.ndarray, num_shots: int) -> np.ndarray:
+        """Vectorized :meth:`is_logical_failure` over a packed batch.
 
-        The decoder is the only non-linear step, so it runs once per
-        *distinct* syndrome the judge ever sees (the correction parities
-        are memoized across calls); everything else is two GF(2) matrix
-        products across the whole shot axis. This makes even an expensive
-        decoder (MWPM) cost O(unique syndromes), not O(shots).
+        ``x_words`` is the ``(n, words)`` uint64 X residual plane of
+        ``num_shots`` shots (bit ``s`` of word ``s // 64`` is shot ``s``,
+        as the batched engine packs it). Each check's and each logical-Z
+        support's rows XOR into one packed plane, so only those ``m + k``
+        planes are unpacked. The decoder is the only non-linear step, so
+        it runs once per *distinct* syndrome the judge ever sees (the
+        correction parities are memoized across calls). This makes even
+        an expensive decoder (MWPM) cost O(unique syndromes), not
+        O(shots).
         """
-        data_x = np.asarray(data_x, dtype=np.uint8)
-        if data_x.ndim != 2:
-            raise ValueError("expected a (shots, n) batch of X residuals")
-        if data_x.shape[0] == 0:
+        x_words = np.asarray(x_words, dtype=np.uint64)
+        if x_words.ndim != 2:
+            raise ValueError("expected an (n, words) packed X residual plane")
+        if num_shots == 0:
             return np.zeros(0, dtype=bool)
-        checks = self.x_decoder.checks
-        syndromes = (data_x @ checks.T) % 2  # (shots, m)
-        m = syndromes.shape[1]
-        weights = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
-        unique_ids, inverse = np.unique(syndromes @ weights, return_inverse=True)
+        m = self.x_decoder.checks.shape[0]
+        planes = np.zeros((m + self.logical_z.shape[0], x_words.shape[1]), np.uint64)
+        planes[self._supported] = np.bitwise_xor.reduceat(
+            x_words[self._support_wires], self._support_starts, axis=0
+        )
+        bits = np.unpackbits(
+            planes.view(np.uint8), axis=1, bitorder="little", count=num_shots
+        )  # (m + k, shots)
+        # Syndrome ids in the narrowest unsigned type that holds m bits:
+        # a stable sort of 8- or 16-bit keys is a radix sort.
+        id_type = np.min_scalar_type((1 << m) - 1)
+        weights = np.left_shift(1, np.arange(m)).astype(id_type)
+        ids = np.einsum("j,js->s", weights, bits[:m])
+        order = np.argsort(ids, kind="stable")
+        ordered = ids[order]
+        first = np.empty(num_shots, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        inverse = np.empty(num_shots, dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        syndrome_ids = ordered[first].tolist()
         memo = self._parity_memo
-        syndrome_ids = unique_ids.tolist()
         for syndrome_id in syndrome_ids:
             if syndrome_id not in memo:
-                bits = ((syndrome_id >> np.arange(m)) & 1).astype(np.uint8)
-                correction = self.x_decoder.decode(bits)
+                syndrome = ((syndrome_id >> np.arange(m)) & 1).astype(np.uint8)
+                correction = self.x_decoder.decode(syndrome)
                 memo[syndrome_id] = self.logical_z @ correction % 2
         correction_parity = np.array(
             [memo[syndrome_id] for syndrome_id in syndrome_ids], dtype=np.uint8
-        ).reshape(unique_ids.size, self.logical_z.shape[0])
-        raw_parity = (data_x @ self.logical_z.T) % 2  # (shots, k)
-        parity = raw_parity ^ correction_parity[inverse]
-        return parity.any(axis=1)
+        ).reshape(len(syndrome_ids), self.logical_z.shape[0])
+        parity = bits[m:] ^ correction_parity.T.take(inverse, axis=1)  # (k, shots)
+        return parity.any(axis=0)

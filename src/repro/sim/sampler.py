@@ -22,15 +22,18 @@ protocol-wide numbering.
 :class:`BatchedSampler` then executes *all shots at once*: the frame of
 shot ``s`` lives in bit ``s`` of packed ``uint64`` words. On its first
 indexed batch an engine gathers every (location, draw) signature into one
-CSR table; each batch then turns into one packed *fault image* — row ``c``,
-bit ``s`` is the parity of shot ``s``'s faults that flip component ``c`` —
-with one table gather and one XOR scatter. One segment application is then
-one gather, one ``bitwise_xor.reduceat`` over the segment CSR, one XOR of
-the segment's fault-image rows and one mask merge, instead of ``shots ×
-instructions`` dict updates. Branch divergence is handled with per-shot
-masks — each branch segment is applied only to the shots whose
-verification signature selects it, which is exactly the reference
-runner's control flow evaluated in parallel.
+component-major table (per component, the pairs that flip it); each batch
+then turns into one packed *fault image* — row ``c``, bit ``s`` is the
+parity of shot ``s``'s faults that flip component ``c`` — as a GF(2)
+product: one packed shot mask per pair, XOR-scattered from the draws,
+then one ``bitwise_xor.reduceat`` of the masks over the table. One
+segment application is then one gather, one ``bitwise_xor.reduceat`` over
+the segment CSR, one XOR of the segment's fault-image rows and one mask
+merge, instead of ``shots × instructions`` dict updates. The judge reads
+the packed data X plane directly (``LogicalJudge.failure_mask``). Branch
+divergence is handled with per-shot masks — each branch segment is
+applied only to the shots whose verification signature selects it, which
+is exactly the reference runner's control flow evaluated in parallel.
 
 Given the same per-shot injection dicts, the batched engine reproduces the
 reference runner **bit-for-bit**: same data frame, same recorded flips,
@@ -69,6 +72,8 @@ __all__ = [
 
 _WORD = np.uint64
 _ONE = np.uint64(1)
+#: Words of pair masks one fault-image gather may hold (1 MiB).
+_GATHER_WORDS = 1 << 17
 
 
 # -- bit packing --------------------------------------------------------------
@@ -289,8 +294,11 @@ class BatchedSampler:
         self.n = protocol.code.n
         self.locations = self.compiled.locations
         self._draw_tables = self.compiled.draw_tables
-        self._max_draws = max(len(table) for table in self._draw_tables)
-        self._signature_table: tuple[np.ndarray, np.ndarray] | None = None
+        # Pair ids number the (location, draw) pairs location-major.
+        counts = draw_counts(self.locations)
+        self._pair_starts = np.cumsum(counts) - counts
+        self._num_pairs = int(counts.sum())
+        self._signature_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pair_ids: dict[tuple, int] = {}
 
     # -- public API ----------------------------------------------------------
@@ -326,8 +334,7 @@ class BatchedSampler:
         if len(injections_per_shot) == 0:
             return np.zeros(0, dtype=bool)
         state = self._execute(injections_per_shot)
-        data_x = self._unpack_data(state.x, state.num_shots)
-        return self.judge.failure_mask(data_x)
+        return self.judge.failure_mask(state.x[: self.n], state.num_shots)
 
     def failures_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray
@@ -345,8 +352,7 @@ class BatchedSampler:
         if num_shots == 0:
             return np.zeros(0, dtype=bool)
         state = self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
-        data_x = self._unpack_data(state.x, state.num_shots)
-        return self.judge.failure_mask(data_x)
+        return self.judge.failure_mask(state.x[: self.n], num_shots)
 
     def residual_weights(
         self, injections_per_shot: Sequence[dict], x_reducer, z_reducer
@@ -386,63 +392,68 @@ class BatchedSampler:
             z_reducer.coset_weights_dedup(data_z),
         )
 
-    def _signatures(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, components)``: CSR of every (location, draw) pair's
-        signature as protocol-wide component ids, row ``location *
-        max_draws + draw`` (rows past a location's draw table are empty).
-        A segment's ``signatures`` rows are its locations' draws in order,
-        so one ``np.nonzero`` per segment fills it. Built on the first batch, so an engine that never runs
-        one (a cluster coordinator's payload engine) never pays for it."""
+    def _signatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nonempty, row_starts, pairs)``: the component-major signature
+        table. ``pairs`` lists, component by component, the ids of the
+        (location, draw) pairs whose signature flips it; ``row_starts``
+        are the ``reduceat`` offsets of the components ``nonempty`` that
+        any pair flips. A segment's ``signatures`` rows are its
+        locations' draws in order, so one ``np.nonzero`` of
+        ``signatures.T`` per segment fills it. Built on the first batch,
+        so an engine that never runs one (a cluster coordinator's payload
+        engine) never pays for it."""
         if self._signature_table is None:
-            counts = draw_counts(self.locations)
-            starts = np.cumsum(counts) - counts
-            # The CSR row of each (location, draw) pair, in location order.
-            pair_rows = np.arange(counts.sum()) + np.repeat(
-                np.arange(counts.size) * self._max_draws - starts, counts
-            )
-            faults, components, base = [], [], 0
-            for key in dict.fromkeys(key for (key, _), _, _ in self.locations):
-                segment = self.compiled.segments[key]
-                fault, column = np.nonzero(segment.signatures)
-                faults.append(base + fault)
-                components.append(segment.offset + column)
-                base += segment.signatures.shape[0]
+            # A segment's fault rows are the pairs from its first location on.
+            first_pair = {}
+            for location, ((key, _), _, _) in enumerate(self.locations):
+                first_pair.setdefault(key, self._pair_starts[location])
+            components, pairs = [], []
+            for key, segment in self.compiled.segments.items():
+                if key in first_pair:
+                    column, fault = np.nonzero(segment.signatures.T)
+                    components.append(segment.offset + column)
+                    pairs.append(first_pair[key] + fault)
             rows = np.bincount(
-                pair_rows[np.concatenate(faults)],
-                minlength=counts.size * self._max_draws,
+                np.concatenate(components), minlength=self.compiled.num_components
             )
-            indptr = np.concatenate(([0], np.cumsum(rows))).astype(np.intp)
-            self._signature_table = (indptr, np.concatenate(components))
+            nonempty = np.flatnonzero(rows)
+            row_starts = (np.cumsum(rows) - rows)[nonempty]
+            self._signature_table = (nonempty, row_starts, np.concatenate(pairs))
         return self._signature_table
 
     def _image_pairs(
         self, shots: np.ndarray, pairs: np.ndarray, num_shots: int
     ) -> np.ndarray:
         """``(num_components, words)`` packed faults of the ``(shots[e],
-        pairs[e])`` entries (signature-table rows): bit ``s`` of row ``c``
-        is set iff an odd number of shot ``s``'s faults have component
-        ``c`` in their signature, so two identical draws in one shot
-        cancel, as under the per-shot XOR semantics."""
-        # Every pair's signature in one gather from the table.
-        indptr, table = self._signatures()
-        first = indptr[pairs]
-        counts = indptr[pairs + 1] - first
-        ends = np.cumsum(counts)
-        total = int(ends[-1]) if ends.size else 0
-        components = table[np.repeat(first - ends + counts, counts) + np.arange(total)]
-        shots = np.repeat(shots, counts)
+        pairs[e])`` entries (pair ids): bit ``s`` of row ``c`` is set iff
+        an odd number of shot ``s``'s faults have component ``c`` in their
+        signature, so two identical draws in one shot cancel, as under the
+        per-shot XOR semantics.
+
+        A GF(2) product: one packed shot mask per pair, XOR-scattered from
+        the entries, then each component's row is the XOR of the masks of
+        the pairs that flip it."""
+        nonempty, row_starts, table = self._signatures()
         words = _num_words(num_shots)
-        image = np.zeros(self.compiled.num_components * words, dtype=_WORD)
+        masks = np.zeros(self._num_pairs * words, dtype=_WORD)
         bits = _ONE << (shots & 63).astype(np.uint64)
-        np.bitwise_xor.at(image, components * words + (shots >> 6), bits)
-        return image.reshape(-1, words)
+        np.bitwise_xor.at(masks, pairs * words + (shots >> 6), bits)
+        masks = masks.reshape(-1, words)
+        image = np.zeros((self.compiled.num_components, words), dtype=_WORD)
+        # Blocks of words keep the gathered scratch under _GATHER_WORDS.
+        block = max(1, _GATHER_WORDS // max(1, table.size))
+        for lo in range(0, words, block):
+            image[nonempty, lo : lo + block] = np.bitwise_xor.reduceat(
+                masks[table, lo : lo + block], row_starts, axis=0
+            )
+        return image
 
     def _image_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> np.ndarray:
         """Fault image of an indexed batch (``loc_idx == -1`` slots skipped)."""
         num_shots, k = loc_idx.shape
         flat_loc = loc_idx.ravel()
         valid = flat_loc >= 0
-        pairs = (flat_loc * self._max_draws + draw_idx.ravel())[valid]
+        pairs = (self._pair_starts[flat_loc] + draw_idx.ravel())[valid]
         shots = np.repeat(np.arange(num_shots, dtype=np.intp), k)[valid]
         return self._image_pairs(shots, pairs, num_shots)
 
@@ -452,7 +463,7 @@ class BatchedSampler:
         (``noise.compose_injections``), which is a draw or the identity."""
         if not self._pair_ids:
             self._pair_ids = {
-                (key, frozenset(draw.paulis), draw.flip): location * self._max_draws + d
+                (key, frozenset(draw.paulis), draw.flip): self._pair_starts[location] + d
                 for location, (key, _, _) in enumerate(self.locations)
                 for d, draw in enumerate(self._draw_tables[location])
             }

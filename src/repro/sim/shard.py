@@ -128,8 +128,9 @@ class AdaptiveSlabPolicy:
       steane, 4.8× on 16_2_4). The count is the protocol's, whatever
       the engine: the reference engine has no image of its own but
       must get the same slab, so the same seed draws the same chunks;
-    * the unpacked residual data planes handed to the judge
-      (``2 * n`` bytes per shot);
+    * the unpacked per-shot data (``2 * n`` bytes per shot): the judge's
+      check and logical-Z rows, the residual planes of the certificate
+      path;
     * a fixed allowance for index arrays, verdict masks, and scratch.
 
     This is a deliberate *upper-bound* heuristic: ``slab_for`` never

@@ -608,22 +608,16 @@ class SubsetSampler:
         stats.failures += merged.failures
         return stats
 
-    def sample(
-        self,
-        shots: int,
-        *,
-        p_ref: float | None = None,
-        allocation: str = "dynamic",
-    ) -> None:
+    def sample(self, shots: int, *, p_ref: float | None = None) -> None:
         """Distribute ``shots`` trials over strata ``1..k_max``.
 
-        ``allocation='dynamic'`` is DSS and spends exactly ``shots``: a
-        seed round of ``min(step, max(1, shots // (4 * strata)))`` shots
-        per stratum (within the budget), then ~32 planned engine workloads
-        of ``step = max(500, shots // 32)`` shots, each to the stratum
+        Dynamic subset sampling (DSS), spending exactly ``shots``: a seed
+        round of ``min(step, max(1, shots // (4 * strata)))`` shots per
+        stratum (within the budget), then ~32 planned engine workloads of
+        ``step = max(500, shots // 32)`` shots, each to the stratum
         contributing most to ``Var[p_L(p_ref)]`` (``DRAW_REVISION`` 3; up
         to 16,031 shots the step is 500 and the stream that of revision
-        2). ``'uniform'`` splits shots evenly.
+        2).
 
         ``p_ref`` defaults to the historical ``0.1`` (the paper's
         ``p_max``) for uniform models, and to the *model's own strength*
@@ -640,13 +634,6 @@ class SubsetSampler:
         sampled = [k for k in range(1, self.k_max + 1) if not self.strata[k].exact]
         if not sampled:
             return
-        if allocation == "uniform":
-            per = shots // len(sampled)
-            for k in sampled:
-                self.sample_stratum(k, per)
-            return
-        if allocation != "dynamic":
-            raise ValueError(f"unknown allocation {allocation!r}")
         step = max(500, shots // 32)
         seed = min(step, max(1, shots // (4 * len(sampled))))
         # Seed the strata so std errors are defined, within the budget.

@@ -159,4 +159,4 @@ class TestMatchingJudgeBatch:
         expected = np.array(
             [judge.is_logical_failure(batch.result(s)) for s in range(200)]
         )
-        assert np.array_equal(judge.failure_mask(batch.data_x), expected)
+        assert np.array_equal(judge.failure_mask(batch.x_words, 200), expected)

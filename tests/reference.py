@@ -13,6 +13,13 @@ of the failing ones. :func:`reference_mass` recomputes the same mass the
 slow, independent way: it walks ``SiteUniverse.iter_rows()`` /
 ``iter_pair_runs()`` as injection dicts and judges each run on its own
 with :class:`ReferenceSampler` (the per-shot ``ProtocolRunner``).
+
+For the batched engine's packed fault image, :func:`scatter_fault_image`
+is the direct construction the engine's GF(2) product replaces: every
+(component, shot) entry of a batch XOR-scattered into the image, from a
+pair-major signature table of forward-propagated draws.
+:func:`packed_planes` packs ``(shots, n)`` residual rows the way the
+engine does, for feeding ``LogicalJudge.failure_mask`` directly.
 """
 
 from __future__ import annotations
@@ -125,6 +132,42 @@ def draw_components(compiled, key, injection) -> np.ndarray:
         *(2 * wires + segment.bit_names.index(bit) for bit in pf.flipped),
     ]
     return segment.offset + np.asarray(local, dtype=np.intp)
+
+
+def scatter_fault_image(engine, shots, pairs, num_shots: int) -> np.ndarray:
+    """The ``(num_components, words)`` packed fault image of the ``(shots[e],
+    pairs[e])`` entries (pair ids number the (location, draw) pairs
+    location-major): every pair's components (by :func:`draw_components`)
+    repeated per entry and XOR-scattered, so a pair drawn twice in one shot
+    cancels."""
+    rows = [
+        draw_components(engine.compiled, key, injection)
+        for location, (key, _, _) in enumerate(engine.locations)
+        for injection in engine.compiled.draw_tables[location]
+    ]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    table = np.concatenate(rows)
+    first = indptr[pairs]
+    counts = indptr[pairs + 1] - first
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    components = table[np.repeat(first - ends + counts, counts) + np.arange(total)]
+    shots = np.repeat(shots, counts)
+    words = (num_shots + 63) // 64
+    image = np.zeros(engine.compiled.num_components * words, dtype=np.uint64)
+    bits = np.uint64(1) << (shots & 63).astype(np.uint64)
+    np.bitwise_xor.at(image, components * words + (shots >> 6), bits)
+    return image.reshape(-1, words)
+
+
+def packed_planes(rows: np.ndarray) -> np.ndarray:
+    """``(shots, n)`` 0/1 rows -> ``(n, words)`` uint64 planes, bit ``s``
+    of word ``s // 64`` = shot ``s`` (the batched engine's packing)."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    shots, n = rows.shape
+    packed = np.zeros((n, 8 * ((shots + 63) // 64)), dtype=np.uint8)
+    packed[:, : (shots + 7) // 8] = np.packbits(rows.T, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 class FakeEngine:

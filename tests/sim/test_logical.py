@@ -7,9 +7,11 @@ import pytest
 
 from repro.codes.catalog import steane_code
 from repro.sim.frame import RunResult
+from repro.sim.decoder import LookupDecoder
 from repro.sim.logical import LogicalJudge
 
 from ..conftest import cached_protocol
+from ..reference import packed_planes
 
 
 def result_with(data_x, n=7):
@@ -96,19 +98,23 @@ class TestFailureMaskMemo:
             (rng.random((shots, n)) < 0.2).astype(np.uint8) for _ in range(count)
         ]
 
+    @staticmethod
+    def mask(judge, batch):
+        return judge.failure_mask(packed_planes(batch), len(batch))
+
     @pytest.mark.parametrize("key", ["steane", "surface_3"])
     def test_any_call_order_matches_fresh_judge(self, key):
         code = cached_protocol(key).code
         batches = self.batches(code.n)
-        expected = [LogicalJudge(code).failure_mask(b) for b in batches]
+        expected = [self.mask(LogicalJudge(code), b) for b in batches]
         for order in (range(len(batches)), reversed(range(len(batches)))):
             judge = LogicalJudge(code)
             for i in order:
-                assert np.array_equal(judge.failure_mask(batches[i]), expected[i])
+                assert np.array_equal(self.mask(judge, batches[i]), expected[i])
         # A memo warm from every batch still agrees with the per-shot path.
         for batch in batches:
             per_shot = [judge.is_logical_failure(result_with(row, code.n)) for row in batch]
-            assert judge.failure_mask(batch).tolist() == per_shot
+            assert self.mask(judge, batch).tolist() == per_shot
 
     @pytest.mark.parametrize("matching", [False, True])
     def test_pickle_bytes_unchanged_by_use(self, matching):
@@ -116,11 +122,31 @@ class TestFailureMaskMemo:
         judge = LogicalJudge.with_matching(code) if matching else LogicalJudge(code)
         before = pickle.dumps(judge)
         for batch in self.batches(code.n):
-            judge.failure_mask(batch)
+            self.mask(judge, batch)
         assert pickle.dumps(judge) == before
         clone = pickle.loads(before)
         batch = self.batches(code.n, count=1, seed=9)[0]
-        assert np.array_equal(clone.failure_mask(batch), judge.failure_mask(batch))
+        assert np.array_equal(self.mask(clone, batch), self.mask(judge, batch))
+
+    def test_wide_syndrome_ids(self):
+        """A decoder with more than 16 checks gets 32- or 64-bit syndrome
+        ids; verdicts match the same decoder behind its own checks."""
+        code = cached_protocol("steane").code
+        lookup = LookupDecoder(code.hz)
+
+        class RepeatedChecks:
+            def __init__(self, copies):
+                self.checks = np.tile(code.hz, (copies, 1))
+
+            def decode(self, syndrome):
+                return lookup.decode(syndrome[: code.hz.shape[0]])
+
+        batch = self.batches(code.n, count=1, shots=130, seed=11)[0]
+        expected = self.mask(LogicalJudge(code), batch)
+        assert expected.any()
+        for copies in (6, 20):  # 18 and 60 checks
+            judge = LogicalJudge(code, x_decoder=RepeatedChecks(copies))
+            assert np.array_equal(self.mask(judge, batch), expected)
 
     def test_more_than_62_checks_rejected(self):
         class WideDecoder:

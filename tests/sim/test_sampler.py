@@ -33,10 +33,11 @@ from repro.sim.sampler import (
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import FAST_CODES, cached_protocol
-from ..reference import draw_components, reference_mass
+from ..reference import draw_components, reference_mass, scatter_fault_image
 
 CROSS_CODES = ["steane", "shor", "surface_3", "carbon"]
 FIXTURES = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
 
 def fixture_protocol(name: str):
@@ -217,26 +218,83 @@ class TestFaultImage:
         assert not engine.failures_indexed(loc_idx, np.zeros_like(loc_idx)).any()
 
 
+def indexed_entries(engine, loc_idx, draw_idx):
+    """``(shots, pairs)`` entries of an indexed batch (``-1`` slots skipped)."""
+    valid = loc_idx.ravel() >= 0
+    pairs = (engine._pair_starts[loc_idx] + draw_idx).ravel()[valid]
+    shots = np.repeat(np.arange(loc_idx.shape[0]), loc_idx.shape[1])[valid]
+    return shots, pairs
+
+
+class TestFaultImageProduct:
+    """The engine's GF(2)-product fault image equals the reference
+    repeat-plus-scatter construction on every perfbench fixture."""
+
+    def check(self, engine, loc_idx, draw_idx):
+        shots = loc_idx.shape[0]
+        expected = scatter_fault_image(
+            engine, *indexed_entries(engine, loc_idx, draw_idx), shots
+        )
+        assert np.array_equal(engine._image_indexed(loc_idx, draw_idx), expected)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stratum_batches(self, name, k):
+        engine = BatchedSampler(fixture_protocol(name))
+        rng = np.random.default_rng(k)
+        for shots in (1, 63, 64, 65, 300):
+            batch = sample_injections_stratum(engine.locations, k, shots, rng)
+            self.check(engine, *batch)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_masked_bernoulli_batch(self, name):
+        engine = BatchedSampler(fixture_protocol(name))
+        rng = np.random.default_rng(83)
+        loc_idx, draw_idx = sample_injections_model_batch(
+            engine.locations, E1_1(p=0.08), 300, rng
+        )
+        assert (loc_idx < 0).any()
+        self.check(engine, loc_idx, draw_idx)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_pair_drawn_twice_cancels(self, name):
+        engine = BatchedSampler(fixture_protocol(name))
+        rng = np.random.default_rng(89)
+        loc_idx, draw_idx = sample_injections_stratum(engine.locations, 2, 65, rng)
+        # Shot 0 draws its first pair once more; every other shot's extra
+        # slot is empty.
+        extra_loc = np.full((65, 1), -1, dtype=loc_idx.dtype)
+        extra_draw = np.zeros((65, 1), dtype=draw_idx.dtype)
+        extra_loc[0], extra_draw[0] = loc_idx[0, 0], draw_idx[0, 0]
+        twice = np.hstack([loc_idx, extra_loc]), np.hstack([draw_idx, extra_draw])
+        self.check(engine, *twice)
+        # The repeated pair cancels: shot 0 is left with its second pair.
+        second = engine._image_indexed(loc_idx[:1, 1:], draw_idx[:1, 1:])
+        shot0 = unpacked(engine._image_indexed(*twice), 65)[:, 0]
+        assert np.array_equal(shot0, unpacked(second, 1)[:, 0])
+
+
 class TestSignatureTable:
     """``_signatures()`` from the backward sweep against the forward
     oracle, one (location, draw) pair at a time."""
 
-    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_every_row_matches_the_oracle(self, name):
         engine = BatchedSampler(fixture_protocol(name))
-        indptr, components = engine._signatures()
-        assert indptr.size == len(engine.locations) * engine._max_draws + 1
+        nonempty, row_starts, pairs = engine._signatures()
+        assert row_starts[0] == 0 and np.all(np.diff(row_starts) > 0)
+        # Invert the component-major table into each pair's components.
+        components = np.repeat(nonempty, np.diff(np.append(row_starts, pairs.size)))
+        flipped = {}
+        for component, pair in zip(components.tolist(), pairs.tolist()):
+            flipped.setdefault(pair, []).append(component)
+        assert 0 <= pairs.min() and pairs.max() < engine._num_pairs
         for location, (key, _, _) in enumerate(engine.locations):
             table = engine.compiled.draw_tables[location]
-            for draw in range(engine._max_draws):
-                row = location * engine._max_draws + draw
-                got = components[indptr[row] : indptr[row + 1]]
-                assert len(set(got)) == got.size
-                expected = (
-                    draw_components(engine.compiled, key, table[draw])
-                    if draw < len(table)
-                    else []
-                )
+            for draw, injection in enumerate(table):
+                got = flipped.get(engine._pair_starts[location] + draw, [])
+                assert len(set(got)) == len(got)
+                expected = draw_components(engine.compiled, key, injection)
                 assert set(got) == set(expected), (key, draw)
 
     def test_composed_draws_use_the_table(self):
@@ -395,11 +453,51 @@ class TestVectorizedJudge:
         expected = np.array(
             [judge.is_logical_failure(batch.result(s)) for s in range(300)]
         )
-        assert np.array_equal(judge.failure_mask(batch.data_x), expected)
+        assert np.array_equal(judge.failure_mask(batch.x_words, 300), expected)
 
     def test_failure_mask_empty(self):
         judge = LogicalJudge(cached_protocol("steane").code)
-        assert judge.failure_mask(np.zeros((0, 7), dtype=np.uint8)).size == 0
+        assert judge.failure_mask(np.zeros((7, 0), dtype=np.uint64), 0).size == 0
+
+
+class TestPackedJudge:
+    """``failure_mask`` on the engine's packed X planes equals the
+    per-shot ``is_logical_failure`` of the reference runner on the same
+    runs, for shot counts that do not fill the last word."""
+
+    @staticmethod
+    def check(protocol, judge, k, shots, seed):
+        batched = BatchedSampler(protocol, judge=judge)
+        rng = np.random.default_rng(seed)
+        loc_idx, draw_idx = sample_injections_stratum(batched.locations, k, shots, rng)
+        expected = ReferenceSampler(protocol, judge=judge).failures_indexed(
+            loc_idx, draw_idx
+        )
+        assert np.array_equal(batched.failures_indexed(loc_idx, draw_idx), expected)
+        batch = batched.run(materialize_stratum(batched.locations, loc_idx, draw_idx))
+        assert np.array_equal(judge.failure_mask(batch.x_words, shots), expected)
+        return expected
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_fixture(self, name):
+        """Every fixture, 16_2_4 (two logical qubits) included."""
+        protocol = fixture_protocol(name)
+        judge = LogicalJudge(protocol.code)
+        verdicts = [
+            self.check(protocol, judge, k, shots, seed)
+            for k, shots, seed in ((3, 1, 1), (2, 65, 2), (3, 190, 3))
+        ]
+        assert np.concatenate(verdicts).any()
+
+    @pytest.mark.parametrize("key", ["shor", "surface_3"])
+    def test_matching_judge(self, key):
+        protocol = fixture_protocol(key)
+        judge = LogicalJudge.with_matching(protocol.code)
+        verdicts = [
+            self.check(protocol, judge, k, shots, seed)
+            for k, shots, seed in ((2, 63, 4), (3, 129, 5))
+        ]
+        assert np.concatenate(verdicts).any()
 
 
 class TestSubsetSamplerEngines:
@@ -416,7 +514,8 @@ class TestSubsetSamplerEngines:
                 k_max=2,
                 rng=np.random.default_rng(2025),
             )
-            sampler.sample(600, allocation="uniform")
+            for k in (1, 2):
+                sampler.sample_stratum(k, 300)
             tallies[engine] = {
                 k: (stats.trials, stats.failures)
                 for k, stats in sampler.strata.items()

@@ -185,7 +185,8 @@ class TestWorkerCountDeterminism:
                 workers=w,
                 max_slab=250,
             ) as sampler:
-                sampler.sample(1500, allocation="uniform")
+                for k in (1, 2, 3):
+                    sampler.sample_stratum(k, 500)
                 tallies[w] = {
                     k: (stats.trials, stats.failures)
                     for k, stats in sampler.strata.items()

@@ -89,7 +89,8 @@ class TestSamplerMechanics:
             threshold_engine(2), k_max=3,
             rng=np.random.default_rng(1),
         )
-        sampler.sample(300, allocation="uniform")
+        for k in (1, 2, 3):
+            sampler.sample_stratum(k, 100)
         assert sampler.strata[1].rate == 0.0
         assert sampler.strata[2].rate == 1.0
         assert sampler.strata[3].rate == 1.0
@@ -120,7 +121,7 @@ class TestSamplerMechanics:
             threshold_engine(2), k_max=3,
             rng=np.random.default_rng(4),
         )
-        sampler.sample(500, allocation="dynamic")
+        sampler.sample(500)
         assert sampler.total_trials() == 500
 
     @pytest.mark.parametrize("shots", range(11))
@@ -133,14 +134,6 @@ class TestSamplerMechanics:
         )
         sampler.sample(shots)
         assert sampler.total_trials() == shots
-
-    def test_unknown_allocation(self):
-        sampler = SubsetSampler(
-            threshold_engine(2), k_max=2,
-            rng=np.random.default_rng(5),
-        )
-        with pytest.raises(ValueError):
-            sampler.sample(10, allocation="thompson")
 
     def test_k_max_clamped_to_locations(self):
         sampler = SubsetSampler(
@@ -161,7 +154,8 @@ class TestEstimates:
             rng=np.random.default_rng(7),
         )
         sampler.enumerate_k1_exact()
-        sampler.sample(600, allocation="uniform")
+        for k in (2, 3):
+            sampler.sample_stratum(k, 300)
         return sampler
 
     def test_estimate_matches_analytic(self):
