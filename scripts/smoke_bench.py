@@ -1,9 +1,10 @@
 """Smoke benchmark: batched vs per-shot sampling throughput.
 
 Times the two execution engines on the same seeded 10k-shot stratum of the
-steane protocol (the ISSUE-1 acceptance workload), asserts their verdicts
-are bit-for-bit identical, and records the result in ``BENCH_sampler.json``
-so the repository carries a throughput datapoint per change. CI runs this
+steane protocol, each as the median of ``REPEATS`` runs, asserts their
+verdicts are bit-for-bit identical, and records the result in
+``BENCH_sampler.json`` so the repository carries a throughput datapoint per
+change. CI runs this
 in quick mode after the tier-1 suite.
 
 Usage::
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,6 +29,20 @@ from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
 from repro.sim.noise import materialize_stratum, sample_injections_stratum
 from repro.sim.sampler import BatchedSampler, ReferenceSampler
+
+#: Timed runs per engine; the reported time is their median, so one slow
+#: run does not move ``speedup``.
+REPEATS = 5
+
+
+def median_seconds(run) -> tuple[float, object]:
+    """Median wall time of ``REPEATS`` calls of ``run`` and its first result."""
+    times, results = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        results.append(run())
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), results[0]
 
 
 def run_smoke(code_key: str, shots: int, k: int, seed: int) -> dict:
@@ -45,14 +61,11 @@ def run_smoke(code_key: str, shots: int, k: int, seed: int) -> dict:
     batched.failures_indexed(loc_idx[:64], draw_idx[:64])
     reference.failures_indexed(loc_idx[:64], draw_idx[:64])
 
-    start = time.perf_counter()
-    batched_verdicts = batched.failures_indexed(loc_idx, draw_idx)
-    batched_seconds = time.perf_counter() - start
-
+    batched_seconds, batched_verdicts = median_seconds(
+        lambda: batched.failures_indexed(loc_idx, draw_idx)
+    )
     dicts = materialize_stratum(reference.locations, loc_idx, draw_idx)
-    start = time.perf_counter()
-    reference_verdicts = reference.failures(dicts)
-    reference_seconds = time.perf_counter() - start
+    reference_seconds, reference_verdicts = median_seconds(lambda: reference.failures(dicts))
 
     identical = bool(np.array_equal(batched_verdicts, reference_verdicts))
     speedup = reference_seconds / batched_seconds
@@ -64,6 +77,7 @@ def run_smoke(code_key: str, shots: int, k: int, seed: int) -> dict:
         "shots": shots,
         "stratum_k": k,
         "seed": seed,
+        "repeats": REPEATS,
         "locations": len(batched.locations),
         "synthesis_seconds": round(synth_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),

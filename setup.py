@@ -19,7 +19,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "networkx"],
     extras_require={
         # zstandard upgrades store payloads and cluster wire frames from
         # zlib to zstd. Everything degrades gracefully without it.

@@ -17,44 +17,28 @@ Quick tour::
 See README.md for the full API and docs/architecture.md for the architecture.
 """
 
-from .codes.catalog import CATALOG, get_code
-from .codes.css import CSSCode
-from .codes.search import find_css_code
-from .core.analysis import two_fault_error_budget
-from .core.ftcheck import check_fault_tolerance
-from .core.globalopt import globally_optimize_protocol
-from .core.metrics import protocol_metrics
-from .core.nondeterministic import NonDeterministicRunner
-from .core.protocol import DeterministicProtocol, synthesize_protocol
-from .core.serialize import dump_protocol, load_protocol
-from .sim.frame import ProtocolRunner, protocol_locations
-from .sim.logical import LogicalJudge
-from .sim.matching import MatchingDecoder
-from .sim.subset import SubsetSampler
-from .synth.plus import synthesize_plus_protocol
-from .synth.prep import prepare_zero
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG",
-    "CSSCode",
-    "DeterministicProtocol",
-    "LogicalJudge",
-    "MatchingDecoder",
-    "NonDeterministicRunner",
-    "ProtocolRunner",
-    "SubsetSampler",
-    "check_fault_tolerance",
-    "dump_protocol",
-    "find_css_code",
-    "get_code",
-    "globally_optimize_protocol",
-    "load_protocol",
-    "prepare_zero",
-    "protocol_locations",
-    "protocol_metrics",
-    "synthesize_plus_protocol",
-    "synthesize_protocol",
-    "two_fault_error_budget",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "codes.catalog": ("CATALOG", "get_code"),
+        "codes.css": ("CSSCode",),
+        "codes.search": ("find_css_code",),
+        "core.analysis": ("two_fault_error_budget",),
+        "core.ftcheck": ("check_fault_tolerance",),
+        "core.globalopt": ("globally_optimize_protocol",),
+        "core.metrics": ("protocol_metrics",),
+        "core.nondeterministic": ("NonDeterministicRunner",),
+        "core.protocol": ("DeterministicProtocol", "synthesize_protocol"),
+        "core.serialize": ("dump_protocol", "load_protocol"),
+        "sim.frame": ("ProtocolRunner", "protocol_locations"),
+        "sim.logical": ("LogicalJudge",),
+        "sim.matching": ("MatchingDecoder",),
+        "sim.subset": ("SubsetSampler",),
+        "synth.plus": ("synthesize_plus_protocol",),
+        "synth.prep": ("prepare_zero",),
+    },
+)

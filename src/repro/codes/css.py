@@ -21,6 +21,7 @@ from ..pauli.symplectic import (
     independent_rows,
     kernel,
     rank,
+    row_space_contains,
     span_iter,
 )
 
@@ -182,8 +183,6 @@ class CSSCode:
 
     def is_self_dual(self) -> bool:
         """True iff Hx and Hz span the same space."""
-        from ..pauli.symplectic import row_space_contains
-
         return all(
             row_space_contains(self.hz, row) for row in self.hx
         ) and all(row_space_contains(self.hx, row) for row in self.hz)

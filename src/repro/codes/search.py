@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pauli.symplectic import as_bit_matrix, kernel, rank
+from ..pauli.symplectic import as_bit_matrix, kernel, rank, span_matrix
 from .css import CSSCode
 
 __all__ = ["find_css_code", "find_self_dual_css_code", "SearchFailure"]
@@ -135,8 +135,6 @@ def _sample_self_orthogonal(rng, nrows, ncols, row_weight):
 
 def _self_dual_distance(h: np.ndarray) -> int:
     """``min wt(C_perp \\ C)`` for ``C = rowspan(h)`` with ``C`` self-orthogonal."""
-    from ..pauli.symplectic import span_matrix
-
     dual = span_matrix(kernel(h))
     own = span_matrix(h)
     own_set = {row.tobytes() for row in own}

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..sim import sampler as sim_sampler
 from ..sim.noise import draw_tables
+from ..sim.shard import resolve_evaluator
 from .protocol import DeterministicProtocol
 
 __all__ = ["ErrorBudget", "two_fault_error_budget"]
@@ -153,10 +155,7 @@ def two_fault_error_budget(
     Every call builds its engine and enumerates; the daemon caches
     budgets in its results ledger (``repro.serve``).
     """
-    from ..sim.sampler import make_sampler
-    from ..sim.shard import resolve_evaluator
-
-    sampler = make_sampler(protocol, engine=engine)
+    sampler = sim_sampler.make_sampler(protocol, engine=engine)
     locations = sampler.locations
     tables = draw_tables(locations)
 

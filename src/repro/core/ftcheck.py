@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sim import sampler as sim_sampler
 from ..sim.frame import (
     Injection,
     ProtocolRunner,
@@ -37,6 +38,7 @@ from ..sim.frame import (
     protocol_locations,
 )
 from ..sim.noise import draw_tables
+from ..sim.shard import resolve_evaluator
 from .protocol import DeterministicProtocol
 
 __all__ = [
@@ -137,11 +139,8 @@ def second_order_survey(
     :func:`repro.sim.shard.resolve_evaluator` seam; the survey numbers
     are identical for every backend.
     """
-    from ..sim.sampler import make_sampler
-    from ..sim.shard import resolve_evaluator
-
     rng = rng if rng is not None else np.random.default_rng()
-    sampler = make_sampler(protocol, engine=engine)
+    sampler = sim_sampler.make_sampler(protocol, engine=engine)
     pool = list(enumerate_checkable_injections(protocol))
     pairs: list[dict] = []
     for _ in range(samples):
@@ -207,10 +206,7 @@ def check_fault_tolerance(
     Every call builds its engine and enumerates; the daemon caches
     certificates in its results ledger (``repro.serve``).
     """
-    from ..sim.sampler import make_sampler
-    from ..sim.shard import resolve_evaluator
-
-    sampler = make_sampler(protocol, engine=engine)
+    sampler = sim_sampler.make_sampler(protocol, engine=engine)
 
     clean = sampler.run([{}])
     if (

@@ -33,7 +33,7 @@ from ..synth.prep import PrepCircuit, prepare_zero
 from ..synth.verification import enumerate_optimal_verifications
 from .errors import dangerous_errors, detection_basis, error_reducer
 from .metrics import ProtocolMetrics, protocol_metrics
-from .protocol import DeterministicProtocol, synthesize_protocol_from_parts
+from .protocol import DeterministicProtocol, _ProtocolBuilder, synthesize_protocol_from_parts
 
 __all__ = ["GlobalOptResult", "globally_optimize_protocol", "protocol_score"]
 
@@ -164,8 +164,6 @@ def _z_choices_for(
     residuals of the (unflagged) X layer. When no Z layer is needed the
     only choice is ``None``.
     """
-    from .protocol import _ProtocolBuilder  # same planning code path
-
     code = prep.code
     dangerous_z_prep = dangerous_errors(prep, "Z")
     hook_residuals: list[np.ndarray] = []

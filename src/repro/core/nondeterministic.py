@@ -20,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.frame import Injection, LocationKey, ProtocolRunner, RunResult
+from ..sim.frame import (
+    Injection,
+    LocationKey,
+    ProtocolRunner,
+    RunResult,
+    _segment_locations,
+)
 from ..sim.logical import LogicalJudge
 from ..sim.noise import sample_injections
-from .protocol import DeterministicProtocol
+from .protocol import DeterministicProtocol, VerificationLayer
 
 __all__ = [
     "AttemptResult",
@@ -95,8 +101,6 @@ class NonDeterministicRunner:
             for bit in layer.bits + layer.flag_bits
         ]
         # Only prep + verification locations can fault in the baseline.
-        from ..sim.frame import _segment_locations
-
         self.locations = _segment_locations(
             ("prep",), protocol.prep_segment
         )
@@ -152,8 +156,6 @@ class NonDeterministicRunner:
 
 def _strip_branches(protocol: DeterministicProtocol) -> DeterministicProtocol:
     """A shallow protocol copy whose layers have no correction branches."""
-    from .protocol import VerificationLayer
-
     layers = [
         VerificationLayer(
             kind=layer.kind,

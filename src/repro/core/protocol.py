@@ -34,6 +34,8 @@ import numpy as np
 from ..circuits.builder import append_measurement
 from ..circuits.circuit import Circuit
 from ..codes.css import CSSCode
+from ..store import keys as store_keys
+from ..store import resolve_store
 from ..synth.prep import PrepCircuit, prepare_zero
 from ..synth.verification import (
     VerificationResult,
@@ -197,9 +199,6 @@ def synthesize_protocol(
     the cluster handshake) byte-identical content keys. ``store=False``
     (or ``REPRO_STORE=off``) disables caching entirely.
     """
-    from ..store import keys as store_keys
-    from ..store import resolve_store
-
     store = resolve_store(store)
     key = None
     if store is not None:

@@ -28,6 +28,7 @@ import numpy as np
 from ..codes.catalog import get_code
 from ..core.protocol import DeterministicProtocol, synthesize_protocol
 from ..obs.trace import span as _obs_span
+from ..sim.frame import protocol_locations
 from ..sim.noise import E1_1
 from ..sim.subset import DirectEstimate, SubsetEstimate, SubsetSampler, direct_mc
 
@@ -285,8 +286,6 @@ def _series_from_record(
     start: float,
 ) -> Figure4Series:
     """Replay a ledger series record through the live estimator."""
-    from ..sim.frame import protocol_locations
-
     locations = protocol_locations(protocol)
     sampler = SubsetSampler.from_tallies(
         locations, record["strata"], model=model, k_max=record["k_max"]

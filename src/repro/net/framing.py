@@ -30,6 +30,7 @@ import pickle
 import socket
 import struct
 
+from ..obs.metrics import get_registry
 from ..store import compress_blob, decompress_blob
 
 __all__ = [
@@ -159,8 +160,6 @@ def publish_wire_counters(counters: FrameCounters, prefix: str) -> None:
     keeps the numbers that used to vanish with the per-connection (or
     per-request) object that held them.
     """
-    from ..obs.metrics import get_registry
-
     registry = get_registry()
     for field in FrameCounters.FIELDS:
         value = getattr(counters, field)

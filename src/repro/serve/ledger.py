@@ -46,12 +46,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ..obs.metrics import get_registry
+from ..obs.trace import span as _obs_span
 from ..sim.shard import (
     merge_partials,
     partial_from_jsonable,
     partial_to_jsonable,
 )
-from ..store.keys import chunk_key, sha256_hex
+from ..store.keys import chunk_key, protocol_digest, sha256_hex
 
 __all__ = [
     "ENV_VAR",
@@ -100,8 +102,6 @@ class LedgerStats:
         registry (``ledger.<name>``) — ledger instances are ephemeral
         (``active_ledger`` builds a fresh one per call, the daemon one
         per request), so the registry is what survives them."""
-        from ..obs.metrics import get_registry
-
         setattr(self, name, getattr(self, name) + amount)
         get_registry().counter(f"ledger.{name}").inc(amount)
 
@@ -435,8 +435,6 @@ class LedgerEvaluator:
         self.model = model
         self.on_partial = on_partial
         if protocol_digest_hex is None and ledger is not None:
-            from ..store.keys import protocol_digest
-
             engine = getattr(inner, "engine", None)
             protocol = getattr(engine, "protocol", None)
             if protocol is not None:
@@ -493,8 +491,6 @@ class LedgerEvaluator:
         )
         try:
             miss_at = {pos: key for pos, _, key in misses}
-            from ..obs.metrics import get_registry
-
             registry = get_registry()
             for pos, chunk in enumerate(specs):
                 if cached[pos] is not None:
@@ -525,8 +521,6 @@ class LedgerEvaluator:
                 close()
 
     def reduce(self, chunks: Iterable):
-        from ..obs.trace import span as _obs_span
-
         # The merge span lives here, not only in the inner evaluator's
         # reduce: wrapping bypasses the inner reduce, and the map
         # generator must fully close (shipping every cluster span) before

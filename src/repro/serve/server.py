@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import ssl
 import threading
 import time
@@ -54,6 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codes.catalog import get_code
+from ..core.analysis import two_fault_error_budget
+from ..core.ftcheck import check_fault_tolerance
+from ..core.protocol import synthesize_protocol
 from ..net.auth import (
     NONCE_BYTES,
     client_proof,
@@ -66,6 +71,12 @@ from ..net.framing import FrameCounters
 from ..net.tls import server_ssl_context
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_registry
+from ..sim import sampler as sim_sampler
+from ..sim.frame import protocol_locations
+from ..sim.noise import E1_1
+from ..sim.noisemodels import parse_noise_spec
+from ..sim.shard import ShardedEvaluator
+from ..sim.subset import SubsetSampler, direct_mc
 from ..store import keys as store_keys
 from .ledger import LedgerEvaluator, ResultsLedger, resolve_ledger
 from .schema import (
@@ -267,8 +278,6 @@ class ReproServer:
             entry = self._protocols.get(key)
         if entry is not None:
             return entry
-        from ..codes.catalog import get_code
-        from ..core.protocol import synthesize_protocol
 
         protocol = synthesize_protocol(
             get_code(norm["code"]),
@@ -282,8 +291,6 @@ class ReproServer:
 
     def _get_engine(self, protocol, digest: str, engine_name: str) -> tuple:
         """(engine, compute lock) from the LRU, compiling on miss."""
-        from ..sim.sampler import make_sampler
-
         ekey = f"{digest}:{engine_name}"
         with self._engine_lock:
             entry = self._engines.get(ekey)
@@ -291,7 +298,7 @@ class ReproServer:
                 self._engines.move_to_end(ekey)
                 self.stats.engine_hits += 1
                 return entry
-        engine = make_sampler(protocol, engine=engine_name)
+        engine = sim_sampler.make_sampler(protocol, engine=engine_name)
         with self._engine_lock:
             entry = self._engines.get(ekey)
             if entry is not None:
@@ -310,7 +317,6 @@ class ReproServer:
     def _model_for(self, norm: dict):
         if not norm.get("noise"):
             return None
-        from ..sim.noisemodels import parse_noise_spec
 
         return parse_noise_spec(norm["noise"])
 
@@ -332,8 +338,6 @@ class ReproServer:
                     else self.executor(engine, max_slab)
                 )
             else:
-                from ..sim.shard import ShardedEvaluator
-
                 inner = ShardedEvaluator(
                     engine,
                     workers=max(1, self.workers),
@@ -351,11 +355,6 @@ class ReproServer:
     def _compute_sweep(self, protocol, digest, norm, model, progress) -> dict:
         """Tally record for a sweep request (same shape ``run_series``
         writes, so the daemon and the figure4 CLI share ledger entries)."""
-        import math
-
-        from ..sim.noise import E1_1
-        from ..sim.subset import SubsetSampler, direct_mc
-
         engine, run_lock = self._get_engine(protocol, digest, norm["engine"])
         progress({"phase": "engine-ready"})
         factory = self._evaluator_factory(digest, progress)
@@ -420,11 +419,6 @@ class ReproServer:
         the keyed tally record — the same replay path cold, warm, and
         coalesced answers all go through, which is what makes the three
         bit-identical."""
-        import math
-
-        from ..sim.frame import protocol_locations
-        from ..sim.subset import SubsetSampler
-
         sampler = SubsetSampler.from_tallies(
             protocol_locations(protocol),
             record["strata"],
@@ -456,8 +450,6 @@ class ReproServer:
         }
 
     def _compute_ftcheck(self, protocol, digest, norm, model, progress) -> dict:
-        from ..core.ftcheck import check_fault_tolerance
-
         progress({"phase": "enumerating"})
         violations = check_fault_tolerance(
             protocol,
@@ -486,8 +478,6 @@ class ReproServer:
         }
 
     def _compute_budget(self, protocol, digest, norm, model, progress) -> dict:
-        from ..core.analysis import two_fault_error_budget
-
         progress({"phase": "enumerating"})
         budget = two_fault_error_budget(
             protocol,
@@ -514,8 +504,6 @@ class ReproServer:
         }
 
     def _compute_direct(self, protocol, digest, norm, effective_model, progress):
-        from ..sim.subset import direct_mc
-
         engine, run_lock = self._get_engine(protocol, digest, norm["engine"])
         progress({"phase": "engine-ready"})
         with run_lock:
@@ -536,8 +524,6 @@ class ReproServer:
         }
 
     def _effective_direct_model(self, norm: dict, model):
-        from ..sim.noise import E1_1
-
         return model.with_p(norm["p"]) if model is not None else E1_1(p=norm["p"])
 
     # -- observability ---------------------------------------------------------

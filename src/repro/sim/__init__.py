@@ -12,124 +12,68 @@ An explicit ``__init__`` (rather than an implicit namespace package) keeps
 ``repro.sim`` out of installs and wheels.
 """
 
-from .cluster import (
-    ClusterEvaluator,
-    ClusterExecutorFactory,
-    ClusterWorker,
-)
-from .decoder import LookupDecoder
-from .frame import Injection, ProtocolRunner, RunResult, protocol_locations
-from .logical import LogicalJudge
-from .matching import MatchingDecoder, is_matchable
-from .noise import (
-    E1_1,
-    ScaledNoiseModel,
-    compose_injections,
-    draw_counts,
-    draw_tables,
-    fault_draws,
-    materialize_stratum,
-    merge_injection_dicts,
-    sample_injections,
-    sample_injections_model_batch,
-    sample_injections_stratum,
-)
-from .noisemodels import (
-    BiasedPauliModel,
-    CorrelatedPairModel,
-    InhomogeneousModel,
-    SiteUniverse,
-    adjacent_2q_pairs,
-    parse_noise_spec,
-    site_universe,
-)
-from .reference import TableauProtocolRunner, TableauRunResult
-from .sampler import (
-    BatchedSampler,
-    BatchResult,
-    CompiledProtocol,
-    ReferenceSampler,
-    make_sampler,
-)
-from .shard import (
-    AdaptiveSlabPolicy,
-    ShardedEvaluator,
-    ShardPartial,
-    StratumPlanner,
-    merge_partials,
-    parse_mem_budget,
-    resolve_evaluator,
-)
-from .subset import (
-    DirectEstimate,
-    StratumStats,
-    SubsetEstimate,
-    SubsetSampler,
-    binomial_weight,
-    direct_mc,
-    poisson_binomial_tail,
-    poisson_binomial_weight,
-    poisson_binomial_weights,
-    tail_weight,
-    wilson_interval,
-)
-from .tableau import Tableau, run_circuit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveSlabPolicy",
-    "BatchResult",
-    "BatchedSampler",
-    "BiasedPauliModel",
-    "ClusterEvaluator",
-    "ClusterExecutorFactory",
-    "ClusterWorker",
-    "CompiledProtocol",
-    "CorrelatedPairModel",
-    "DirectEstimate",
-    "E1_1",
-    "InhomogeneousModel",
-    "Injection",
-    "LogicalJudge",
-    "LookupDecoder",
-    "MatchingDecoder",
-    "ProtocolRunner",
-    "ReferenceSampler",
-    "RunResult",
-    "ScaledNoiseModel",
-    "ShardPartial",
-    "ShardedEvaluator",
-    "SiteUniverse",
-    "StratumPlanner",
-    "StratumStats",
-    "SubsetEstimate",
-    "SubsetSampler",
-    "Tableau",
-    "TableauProtocolRunner",
-    "TableauRunResult",
-    "adjacent_2q_pairs",
-    "binomial_weight",
-    "compose_injections",
-    "direct_mc",
-    "draw_counts",
-    "draw_tables",
-    "fault_draws",
-    "is_matchable",
-    "make_sampler",
-    "materialize_stratum",
-    "merge_injection_dicts",
-    "merge_partials",
-    "parse_mem_budget",
-    "parse_noise_spec",
-    "poisson_binomial_tail",
-    "poisson_binomial_weight",
-    "poisson_binomial_weights",
-    "protocol_locations",
-    "resolve_evaluator",
-    "run_circuit",
-    "sample_injections",
-    "sample_injections_model_batch",
-    "sample_injections_stratum",
-    "site_universe",
-    "tail_weight",
-    "wilson_interval",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cluster": ("ClusterEvaluator", "ClusterExecutorFactory", "ClusterWorker"),
+        "decoder": ("LookupDecoder",),
+        "frame": ("Injection", "ProtocolRunner", "RunResult", "protocol_locations"),
+        "logical": ("LogicalJudge",),
+        "matching": ("MatchingDecoder", "is_matchable"),
+        "noise": (
+            "E1_1",
+            "ScaledNoiseModel",
+            "compose_injections",
+            "draw_counts",
+            "draw_tables",
+            "fault_draws",
+            "materialize_stratum",
+            "merge_injection_dicts",
+            "sample_injections",
+            "sample_injections_model_batch",
+            "sample_injections_stratum",
+        ),
+        "noisemodels": (
+            "BiasedPauliModel",
+            "CorrelatedPairModel",
+            "InhomogeneousModel",
+            "SiteUniverse",
+            "adjacent_2q_pairs",
+            "parse_noise_spec",
+            "site_universe",
+        ),
+        "reference": ("TableauProtocolRunner", "TableauRunResult"),
+        "sampler": (
+            "BatchedSampler",
+            "BatchResult",
+            "CompiledProtocol",
+            "ReferenceSampler",
+            "make_sampler",
+        ),
+        "shard": (
+            "AdaptiveSlabPolicy",
+            "ShardedEvaluator",
+            "ShardPartial",
+            "StratumPlanner",
+            "merge_partials",
+            "parse_mem_budget",
+            "resolve_evaluator",
+        ),
+        "subset": (
+            "DirectEstimate",
+            "StratumStats",
+            "SubsetEstimate",
+            "SubsetSampler",
+            "binomial_weight",
+            "direct_mc",
+            "poisson_binomial_tail",
+            "poisson_binomial_weight",
+            "poisson_binomial_weights",
+            "tail_weight",
+            "wilson_interval",
+        ),
+        "tableau": ("Tableau", "run_circuit"),
+    },
+)

@@ -134,6 +134,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import get_registry
 from ..store import available_codecs
 from ..store.keys import payload_digest
+from . import sampler as sim_sampler
 from .shard import (
     AdaptiveSlabPolicy,
     ShardPartial,
@@ -483,8 +484,6 @@ class ClusterWorker:
     def _resolve_engine(self, conn: socket.socket, digest: str):
         """Cache hit, or a ``need-payload`` round trip; returns
         ``(engine, cached)`` or ``None`` when the coordinator bailed."""
-        from .sampler import make_sampler
-
         engine = self._cached_engine(digest)
         if engine is not None:
             return engine, "memory"
@@ -515,7 +514,7 @@ class ClusterWorker:
             )
             return None
         protocol, engine_name, judge = pickle.loads(payload_bytes)
-        engine = make_sampler(protocol, engine=engine_name, judge=judge)
+        engine = sim_sampler.make_sampler(protocol, engine=engine_name, judge=judge)
         self._store_engine(digest, engine)
         return engine, "payload"
 

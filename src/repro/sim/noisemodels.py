@@ -75,7 +75,15 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.faults import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
-from .noise import draw_counts, draw_tables, merge_injection_dicts
+from .frame import always_executed
+from .noise import (
+    E1_1,
+    ScaledNoiseModel,
+    _model_rates,
+    draw_counts,
+    draw_tables,
+    merge_injection_dicts,
+)
 from .subset import (
     poisson_binomial_tail,
     poisson_binomial_weight,
@@ -105,8 +113,6 @@ __all__ = [
 def model_location_rates(locations, model) -> np.ndarray:
     """Per-location rate vector from any model (seam fallback chain:
     ``location_rates`` > ``kind_rates`` > per-kind ``probability``)."""
-    from .noise import _model_rates
-
     return _model_rates(locations, model)
 
 
@@ -347,7 +353,6 @@ class CorrelatedPairModel:
     def _base(self):
         if self.base is not None:
             return self.base
-        from .noise import E1_1
 
         return E1_1(p=self.p)
 
@@ -714,8 +719,6 @@ class SiteUniverse:
 
     def _site_checkable(self) -> np.ndarray:
         """Per-site always-executed mask (pair sites: both members)."""
-        from .frame import always_executed
-
         base = np.asarray(
             [always_executed(key) for key, _, _ in self.locations], dtype=bool
         )
@@ -859,8 +862,6 @@ def parse_noise_spec(text: str):
     Returns a frozen model instance (picklable, survives the spawn pool
     and the cluster handshake).
     """
-    from .noise import E1_1, ScaledNoiseModel
-
     name, _, rest = text.strip().partition(":")
     name = name.strip().lower()
     params: dict[str, str] = {}

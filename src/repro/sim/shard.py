@@ -58,6 +58,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..core.errors import error_reducer
+from ..obs import metrics, trace
+from ..store import keys as store_keys
+from . import sampler as sim_sampler
 from .frame import always_executed
 from .noise import (
     draw_counts,
@@ -158,9 +162,7 @@ class AdaptiveSlabPolicy:
         num_wires = int(protocol.num_wires)
         compiled = getattr(engine, "compiled", None)
         if compiled is None:
-            from .sampler import CompiledProtocol
-
-            compiled = CompiledProtocol(protocol)
+            compiled = sim_sampler.CompiledProtocol(protocol)
         image_bits = compiled.num_components
         n = int(protocol.code.n)
         packed_bits = 2 * num_wires + image_bits
@@ -371,19 +373,15 @@ def chunk_token(chunk) -> dict | None:
     for chunks that cannot be named stably (an unpicklable model).
     """
     if isinstance(chunk, StratumChunk):
-        from ..store.keys import DRAW_REVISION
-
         return {
             "type": "stratum",
-            "draw_revision": DRAW_REVISION,
+            "draw_revision": store_keys.DRAW_REVISION,
             "k": int(chunk.k),
             "shots": int(chunk.shots),
             "entropy": [int(e) for e in chunk.entropy],
         }
     if isinstance(chunk, BernoulliChunk):
-        from ..store.keys import model_token
-
-        token = model_token(chunk.model)
+        token = store_keys.model_token(chunk.model)
         if not token:
             return None
         return {
@@ -403,9 +401,7 @@ def chunk_token(chunk) -> dict | None:
     if isinstance(chunk, PairChunk):
         return {"type": "pairs", "lo": int(chunk.lo), "hi": int(chunk.hi)}
     if isinstance(chunk, DictChunk):
-        from ..store.keys import model_token
-
-        token = model_token(chunk.dicts)
+        token = store_keys.model_token(chunk.dicts)
         if not token:
             return None
         return {"type": "dicts", "dicts": token, "threshold": int(chunk.threshold)}
@@ -930,8 +926,6 @@ class _EngineContext:
     @property
     def reducers(self):
         if self._reducers is None:
-            from ..core.errors import error_reducer
-
             code = self.engine.protocol.code
             self._reducers = (
                 error_reducer(code, "X"),
@@ -1095,8 +1089,6 @@ def _observed_run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
     ``REPRO_TRACE``) plus the per-chunk latency histogram. Observation
     only: the compute, its seeds, and the partial are untouched, so
     traced runs stay bit-identical to untraced ones."""
-    from ..obs import metrics, trace
-
     start = time.perf_counter()
     with trace.span(
         "shard.chunk", kind=type(chunk).__name__, index=chunk.index
@@ -1128,10 +1120,9 @@ def _init_spawn_worker(
     protocol, engine_name: str, judge, max_slab: int, model=None
 ) -> None:
     global _WORKER_CONTEXT
-    from .sampler import make_sampler
 
     _WORKER_CONTEXT = _EngineContext(
-        make_sampler(protocol, engine=engine_name, judge=judge),
+        sim_sampler.make_sampler(protocol, engine=engine_name, judge=judge),
         max_slab,
         model=model,
     )
@@ -1156,13 +1147,11 @@ def engine_payload(engine) -> tuple:
     loudly, not be silently replaced by a default — and an unpicklable
     custom judge fails at send time instead of being dropped.
     """
-    from .sampler import _ENGINES
-
     name = getattr(engine, "name", None)
-    if _ENGINES.get(name) is not type(engine):
+    if sim_sampler._ENGINES.get(name) is not type(engine):
         raise ValueError(
             f"cannot ship a {type(engine).__name__} to another process: "
-            f"only the registered engines {sorted(_ENGINES)} can be "
+            f"only the registered engines {sorted(sim_sampler._ENGINES)} can be "
             "rebuilt from a payload (use the fork start method or "
             "workers=1)"
         )
@@ -1282,8 +1271,6 @@ class ShardedEvaluator:
         remaining chunks are never executed inline, and pool work is
         abandoned on :meth:`close`.
         """
-        from ..obs import trace
-
         tracer = trace.current_tracer()
         if tracer is not None:
             # Materialize the (tiny) spec list under a plan span so the
@@ -1301,8 +1288,6 @@ class ShardedEvaluator:
 
     def reduce(self, chunks: Iterable) -> ShardPartial:
         """:meth:`map` + :func:`merge_partials` in one call."""
-        from ..obs import trace
-
         partials = list(self.map(chunks))
         with trace.span("merge", partials=len(partials)):
             return merge_partials(partials)

@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.trace import span as _obs_span
+from . import sampler as sim_sampler
+from .shard import merge_partials, resolve_evaluator
 
 __all__ = [
     "SubsetEstimate",
@@ -236,8 +238,6 @@ def direct_mc(
     only on the evaluator's ``max_slab`` and the rng draw, so a reused
     session returns the same tallies a fresh one would.
     """
-    from .shard import merge_partials, resolve_evaluator
-
     rng = rng if rng is not None else np.random.default_rng()
     entropy = int(rng.integers(0, 2**63))
     owned = evaluator is None
@@ -404,10 +404,8 @@ class SubsetSampler:
         ``mem_budget`` select the execution backend and adaptive slab
         sizing; ``model`` selects the noise model (see class docs).
         """
-        from .sampler import make_sampler  # deferred: sampler imports noise
-
         return cls(
-            make_sampler(protocol, engine=engine, judge=judge),
+            sim_sampler.make_sampler(protocol, engine=engine, judge=judge),
             k_max=k_max,
             rng=rng,
             batch_size=batch_size,
@@ -491,8 +489,6 @@ class SubsetSampler:
         :meth:`close` or by using the sampler as a context manager.
         """
         if self._evaluator is None:
-            from .shard import resolve_evaluator
-
             self._evaluator = resolve_evaluator(
                 self.engine,
                 workers=self.workers,

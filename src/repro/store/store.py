@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from ..obs.metrics import get_registry
+
 __all__ = [
     "ArtifactStore",
     "CodecUnavailable",
@@ -188,8 +190,6 @@ class StoreStats:
     put_errors: int = 0
 
     def count(self, name: str, amount: int = 1) -> None:
-        from ..obs.metrics import get_registry
-
         setattr(self, name, getattr(self, name) + amount)
         get_registry().counter(f"store.{name}").inc(amount)
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..codes.css import CSSCode
 from ..core.protocol import DeterministicProtocol, synthesize_protocol
+from ..pauli.symplectic import independent_rows
 from ..sim.logical import LogicalJudge
 
 __all__ = ["synthesize_plus_protocol", "PlusStateJudge"]
@@ -75,8 +76,6 @@ def plus_state_stabilizers(code: CSSCode) -> np.ndarray:
     Useful for validating plus-state outputs on the tableau simulator in
     the *original* (unconjugated) frame.
     """
-    from ..pauli.symplectic import independent_rows
-
     return independent_rows(
         np.concatenate([code.hx, code.logical_x], axis=0)
     )
