@@ -13,7 +13,8 @@ constant factor, not a complexity change), next to correctness gates:
 * biased batches must run identically on the batched and per-shot
   reference engines;
 * the planner's exact k = 1 mass must match a per-shot
-  ``ReferenceSampler`` sum over ``SiteUniverse.iter_rows()``, for the
+  ``ProtocolRunner`` + ``LogicalJudge`` sum over
+  ``SiteUniverse.iter_rows()``, independent of the index arrays, for the
   biased model and for a correlated-pair model. Steane is fault-tolerant,
   so its biased k = 1 mass is 0 on both paths; a single crosstalk event
   is two faults, so the correlated row has a nonzero mass (f_1 ≈ 0.0131)
@@ -74,7 +75,7 @@ def _k1_masses(protocol, reference, model, seed) -> tuple[float, float]:
     per_shot = sum(
         weight
         for injections, weight in site_universe(reference.locations, model).iter_rows()
-        if reference.failures([injections])[0]
+        if reference.judge.is_logical_failure(reference.runner.run(injections))
     )
     return float(planner.strata[1].rate), float(per_shot)
 

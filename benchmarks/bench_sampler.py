@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.noise import materialize_stratum, sample_injections_stratum
+from repro.sim.noise import sample_injections_stratum
 from repro.sim.sampler import BatchedSampler, ReferenceSampler
 
 from .conftest import FIGURE4_SHOTS, bench_protocol
@@ -42,5 +42,6 @@ def test_reference_engine(benchmark, code_key):
     protocol = bench_protocol(code_key)
     engine = ReferenceSampler(protocol)
     loc_idx, draw_idx = _stratum(protocol)
-    dicts = materialize_stratum(engine.locations, loc_idx, draw_idx)
-    benchmark.pedantic(engine.failures, args=(dicts,), rounds=1, iterations=1)
+    benchmark.pedantic(
+        engine.failures_indexed, args=(loc_idx, draw_idx), rounds=1, iterations=1
+    )

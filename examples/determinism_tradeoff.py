@@ -24,7 +24,7 @@ from repro.codes.catalog import get_code
 from repro.core.metrics import protocol_metrics
 from repro.core.nondeterministic import NonDeterministicRunner
 from repro.core.protocol import synthesize_protocol
-from repro.sim.noise import E1_1, materialize_stratum, sample_injections_model_batch
+from repro.sim.noise import E1_1, sample_injections_model_batch
 from repro.sim.sampler import make_sampler
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -39,9 +39,7 @@ def deterministic_stats(engine, p, shots, rng):
     loc_idx, draw_idx = sample_injections_model_batch(
         engine.locations, E1_1(p=p), shots, rng
     )
-    batch = engine.run(
-        materialize_stratum(engine.locations, loc_idx, draw_idx)
-    )
+    batch = engine.run_indexed(loc_idx, draw_idx)
     failures = int(engine.judge.failure_mask(batch.x_words, shots).sum())
     corrections = sum(len(taken) for taken in batch.branches_taken)
     return failures / shots, corrections / shots

@@ -4,8 +4,9 @@ Times the two execution engines on the same seeded 10k-shot stratum of the
 steane protocol, each as the median of ``REPEATS`` runs, asserts their
 verdicts are bit-for-bit identical, and records the result in
 ``BENCH_sampler.json`` so the repository carries a throughput datapoint per
-change. CI runs this
-in quick mode after the tier-1 suite.
+change. Both engines take the same index arrays, so the per-shot time
+includes expanding them into injection dicts (``materialize_stratum``).
+CI runs this in quick mode after the tier-1 suite.
 
 Usage::
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
-from repro.sim.noise import materialize_stratum, sample_injections_stratum
+from repro.sim.noise import sample_injections_stratum
 from repro.sim.sampler import BatchedSampler, ReferenceSampler
 
 #: Timed runs per engine; the reported time is their median, so one slow
@@ -64,8 +65,9 @@ def run_smoke(code_key: str, shots: int, k: int, seed: int) -> dict:
     batched_seconds, batched_verdicts = median_seconds(
         lambda: batched.failures_indexed(loc_idx, draw_idx)
     )
-    dicts = materialize_stratum(reference.locations, loc_idx, draw_idx)
-    reference_seconds, reference_verdicts = median_seconds(lambda: reference.failures(dicts))
+    reference_seconds, reference_verdicts = median_seconds(
+        lambda: reference.failures_indexed(loc_idx, draw_idx)
+    )
 
     identical = bool(np.array_equal(batched_verdicts, reference_verdicts))
     speedup = reference_seconds / batched_seconds

@@ -132,23 +132,27 @@ def second_order_survey(
 
     The pair draw stream is engine- and worker-count-independent
     (identical to the historical per-shot loop for a given ``rng``); only
-    the evaluation is batched — and, with ``workers > 1``, sharded into
-    ``max_slab`` dict chunks across a process pool. ``executor`` /
-    ``mem_budget`` select the execution backend (e.g. cluster workers)
-    and adaptive slab sizing through the
+    the evaluation is batched — the sampled pairs travel as pairs of
+    checkable row ids and run as ``(pairs, 2)`` index arrays, sharded with
+    ``workers > 1`` into ``max_slab`` chunks across a process pool.
+    ``executor`` / ``mem_budget`` select the execution backend (e.g.
+    cluster workers) and adaptive slab sizing through the
     :func:`repro.sim.shard.resolve_evaluator` seam; the survey numbers
     are identical for every backend.
     """
     rng = rng if rng is not None else np.random.default_rng()
     sampler = sim_sampler.make_sampler(protocol, engine=engine)
-    pool = list(enumerate_checkable_injections(protocol))
-    pairs: list[dict] = []
+    # Row r of the checkable stratum is row r of the planner's
+    # ``checkable_only`` universe, so a sampled pair travels as two row ids.
+    _, loc_idx, _ = _checkable_strata(sampler.locations)
+    row_locations = loc_idx[:, 0].tolist()
+    pairs: list[tuple[int, int]] = []
     for _ in range(samples):
-        i, j = rng.choice(len(pool), size=2, replace=False)
-        (loc_i, inj_i), (loc_j, inj_j) = pool[int(i)], pool[int(j)]
-        if loc_i == loc_j:
+        i, j = rng.choice(len(row_locations), size=2, replace=False)
+        i, j = int(i), int(j)
+        if row_locations[i] == row_locations[j]:
             continue
-        pairs.append({loc_i: inj_i, loc_j: inj_j})
+        pairs.append((i, j))
     with resolve_evaluator(
         sampler,
         workers=workers,
@@ -158,7 +162,7 @@ def second_order_survey(
         default_slab=batch_size,
     ) as evaluator:
         merged = evaluator.reduce(
-            evaluator.planner.plan_dicts(pairs, threshold=2)
+            evaluator.planner.plan_row_pairs(pairs, threshold=2)
         )
     violations = merged.heavy
     checked = len(pairs)
@@ -208,7 +212,8 @@ def check_fault_tolerance(
     """
     sampler = sim_sampler.make_sampler(protocol, engine=engine)
 
-    clean = sampler.run([{}])
+    no_fault = np.zeros((1, 0), dtype=np.intp)
+    clean = sampler.run_indexed(no_fault, no_fault)
     if (
         clean.data_x.any()
         or clean.data_z.any()

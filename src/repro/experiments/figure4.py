@@ -158,10 +158,15 @@ def run_series(
             verification_method="optimal",
         )
     start = time.monotonic()
-    from ..serve.ledger import resolve_ledger
     from ..store import keys as store_keys
 
-    ledger_obj = resolve_ledger(ledger)
+    # Checked before the import: a ``ledger=False`` run never loads
+    # ``repro.serve``.
+    ledger_obj = None
+    if ledger is not False:
+        from ..serve.ledger import resolve_ledger
+
+        ledger_obj = resolve_ledger(ledger)
     series_key = None
     if ledger_obj is not None:
         series_key = store_keys.series_key(

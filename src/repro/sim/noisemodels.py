@@ -96,6 +96,7 @@ __all__ = [
     "CorrelatedPairModel",
     "SiteUniverse",
     "site_universe",
+    "heterogeneous_universe",
     "model_location_rates",
     "model_draw_weights",
     "model_pair_sites",
@@ -843,6 +844,13 @@ class SiteUniverse:
 def site_universe(locations, model) -> SiteUniverse:
     """Build (no caching — planners and samplers hold their instance)."""
     return SiteUniverse(locations, model)
+
+
+def heterogeneous_universe(locations, model) -> SiteUniverse | None:
+    """``model``'s site universe, or None when it is uniform (E1_1 in
+    disguise), which keeps the location-level paths bit-for-bit."""
+    universe = SiteUniverse(locations, model)
+    return None if universe.uniform else universe
 
 
 # -- CLI spec parsing ----------------------------------------------------------

@@ -35,12 +35,16 @@ divergence is handled with per-shot masks — each branch segment is
 applied only to the shots whose verification signature selects it, which
 is exactly the reference runner's control flow evaluated in parallel.
 
-Given the same per-shot injection dicts, the batched engine reproduces the
-reference runner **bit-for-bit**: same data frame, same recorded flips,
-same branches, same termination — the cross-validation suite asserts this
-on enumerated and random fault sets. :class:`ReferenceSampler` wraps the
-per-shot runner behind the same interface so every consumer can switch
-engines with one argument (``engine="batched" | "reference"``).
+Every engine call takes one *indexed batch*: ``(shots, k)`` arrays
+``loc_idx`` / ``draw_idx`` naming, per shot, each fault's location and its
+draw in the location's ``fault_draws`` table (``loc_idx == -1`` slots carry
+no fault). :class:`ReferenceSampler` expands the same arrays into per-shot
+injection dicts (``noise.materialize_stratum``) and walks the per-shot
+runner, so every consumer can switch engines with one argument
+(``engine="batched" | "reference"``). Given the same batch, the batched
+engine reproduces the reference runner **bit-for-bit**: same data frame,
+same recorded flips, same branches, same termination — the
+cross-validation suite asserts this on enumerated and random fault sets.
 
 Packing convention: bit ``s`` of word ``s // 64`` (little bit order), so
 byte-level views match ``np.packbits(..., bitorder="little")`` on
@@ -50,7 +54,7 @@ little-endian hosts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from ..core.faults import propagate_all_faults
 from ..core.protocol import DeterministicProtocol
 from .frame import ProtocolRunner, RunResult, protocol_locations
 from .logical import LogicalJudge
-from .noise import draw_counts, draw_tables, materialize_stratum
+from .noise import draw_counts, materialize_stratum
 
 __all__ = [
     "CompiledSegment",
@@ -138,9 +142,7 @@ class CompiledSegment:
 class CompiledProtocol:
     """All segments of a protocol in compiled F2-linear form.
 
-    Also caches the static location universe and the per-location fault
-    draw tables, so every fault-set consumer (stratum sampling, exact
-    enumeration, certificates, Bernoulli batches) shares one table build.
+    Also holds the static location universe the indexed batches address.
     The segments' components are numbered protocol-wide, each segment's
     from its ``offset``, ``num_components`` in all.
 
@@ -170,7 +172,6 @@ class CompiledProtocol:
                     )
                 seen[bit] = key
         self.locations = protocol_locations(protocol)
-        self.draw_tables = draw_tables(self.locations)
 
     def _add(self, key: tuple, circuit: Circuit) -> None:
         segment = CompiledSegment(key, circuit, self.num_wires, self.num_components)
@@ -191,8 +192,8 @@ class BatchResult:
 
     The batched engine additionally attaches the *packed* residual planes
     (``x_words`` / ``z_words``: data wire-major ``(n, words)`` uint64, bit
-    ``s`` = shot ``s``), which feed the vectorized residual-weight API
-    without a per-shot round trip.
+    ``s`` = shot ``s``), which ``LogicalJudge.failure_mask`` reads without
+    a per-shot round trip.
     """
 
     num_shots: int
@@ -204,31 +205,6 @@ class BatchResult:
     branches_taken: list[list[tuple[int, tuple, tuple]]] = field(default_factory=list)
     x_words: np.ndarray | None = None  # (n, words) uint64 packed plane
     z_words: np.ndarray | None = None
-
-    def flip_of(self, shot: int, bit: str) -> int:
-        values = self.flips.get(bit)
-        return int(values[shot]) if values is not None else 0
-
-    def residual_weights(self, reducer, plane: str = "x") -> np.ndarray:
-        """Stabilizer-reduced residual weight per shot (vectorized).
-
-        ``reducer`` is a :class:`~repro.pauli.group.CosetReducer` (from
-        ``core.errors.error_reducer``); the batch reduction runs once per
-        *distinct* residual pattern, not per shot.
-        """
-        if plane == "x":
-            data = self.data_x
-        elif plane == "z":
-            data = self.data_z
-        else:
-            raise ValueError(f"plane must be 'x' or 'z', got {plane!r}")
-        return reducer.coset_weights_dedup(np.asarray(data, dtype=np.uint8))
-
-    def heavy_mask(self, x_reducer, z_reducer, t: int) -> np.ndarray:
-        """Shots whose residual exceeds weight ``t`` in either plane."""
-        return (self.residual_weights(x_reducer, "x") > t) | (
-            self.residual_weights(z_reducer, "z") > t
-        )
 
     def result(self, shot: int) -> RunResult:
         """Per-shot view, shaped like ``ProtocolRunner.run`` output."""
@@ -293,19 +269,17 @@ class BatchedSampler:
         self.compiled = CompiledProtocol(protocol)
         self.n = protocol.code.n
         self.locations = self.compiled.locations
-        self._draw_tables = self.compiled.draw_tables
         # Pair ids number the (location, draw) pairs location-major.
         counts = draw_counts(self.locations)
         self._pair_starts = np.cumsum(counts) - counts
         self._num_pairs = int(counts.sum())
         self._signature_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pair_ids: dict[tuple, int] = {}
 
     # -- public API ----------------------------------------------------------
 
-    def run(self, injections_per_shot: Sequence[dict]) -> BatchResult:
-        """Execute one batch; returns full per-shot observables."""
-        state = self._execute(injections_per_shot)
+    def run_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> BatchResult:
+        """Execute one indexed batch; returns full per-shot observables."""
+        state = self._execute_indexed(loc_idx, draw_idx)
         num_shots = state.num_shots
         data_x = self._unpack_data(state.x, num_shots)
         data_z = self._unpack_data(state.z, num_shots)
@@ -329,24 +303,16 @@ class BatchedSampler:
             z_words=state.z[: self.n].copy(),
         )
 
-    def failures(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
-        """Logical-failure verdict per shot (the Monte-Carlo fast path)."""
-        if len(injections_per_shot) == 0:
-            return np.zeros(0, dtype=bool)
-        state = self._execute(injections_per_shot)
-        return self.judge.failure_mask(state.x[: self.n], state.num_shots)
-
     def failures_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray
     ) -> np.ndarray:
-        """Verdicts for an indexed stratum batch, skipping dicts entirely.
+        """Logical-failure verdict per shot (the Monte-Carlo fast path).
 
         ``loc_idx`` / ``draw_idx`` are ``(shots, k)`` arrays from
         :func:`repro.sim.noise.sample_injections_stratum` (or the masked
         variable-weight arrays of ``sample_injections_model_batch``, where
         ``loc_idx == -1`` slots carry no fault); every fault's signature
-        lands in one packed fault image with a few array ops instead of
-        ``shots`` dict traversals.
+        lands in one packed fault image with a few array ops.
         """
         num_shots = loc_idx.shape[0]
         if num_shots == 0:
@@ -354,8 +320,8 @@ class BatchedSampler:
         state = self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
         return self.judge.failure_mask(state.x[: self.n], num_shots)
 
-    def residual_weights(
-        self, injections_per_shot: Sequence[dict], x_reducer, z_reducer
+    def residual_weights_indexed(
+        self, loc_idx: np.ndarray, draw_idx: np.ndarray, x_reducer, z_reducer
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot stabilizer-reduced residual weights (both planes).
 
@@ -363,34 +329,13 @@ class BatchedSampler:
         packed, then reduce each *distinct* residual pattern once per plane.
         Returns ``(x_weights, z_weights)``, both ``(shots,)`` int64.
         """
-        state = self._execute(injections_per_shot)
-        return self._state_residual_weights(state, x_reducer, z_reducer)
-
-    def residual_weights_indexed(
-        self, loc_idx: np.ndarray, draw_idx: np.ndarray, x_reducer, z_reducer
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Indexed-batch variant of :meth:`residual_weights`."""
-        num_shots = loc_idx.shape[0]
-        if num_shots == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        state = self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
-        return self._state_residual_weights(state, x_reducer, z_reducer)
+        state = self._execute_indexed(loc_idx, draw_idx)
+        return (
+            x_reducer.coset_weights_dedup(self._unpack_data(state.x, state.num_shots)),
+            z_reducer.coset_weights_dedup(self._unpack_data(state.z, state.num_shots)),
+        )
 
     # -- execution -----------------------------------------------------------
-
-    def _state_residual_weights(
-        self, state: "_PackedState", x_reducer, z_reducer
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if state.num_shots == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        data_x = self._unpack_data(state.x, state.num_shots)
-        data_z = self._unpack_data(state.z, state.num_shots)
-        return (
-            x_reducer.coset_weights_dedup(data_x),
-            z_reducer.coset_weights_dedup(data_z),
-        )
 
     def _signatures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(nonempty, row_starts, pairs)``: the component-major signature
@@ -457,31 +402,6 @@ class BatchedSampler:
         shots = np.repeat(np.arange(num_shots, dtype=np.intp), k)[valid]
         return self._image_pairs(shots, pairs, num_shots)
 
-    def _image_injections(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
-        """Fault image of per-shot injection dicts. Each injection is one
-        of its location's draws, or a composition of draws
-        (``noise.compose_injections``), which is a draw or the identity."""
-        if not self._pair_ids:
-            self._pair_ids = {
-                (key, frozenset(draw.paulis), draw.flip): self._pair_starts[location] + d
-                for location, (key, _, _) in enumerate(self.locations)
-                for d, draw in enumerate(self._draw_tables[location])
-            }
-        shots, pairs = [], []
-        for shot, injections in enumerate(injections_per_shot):
-            for key, injection in injections.items():
-                if injection.paulis or injection.flip:
-                    pair = (key, frozenset(injection.paulis), bool(injection.flip))
-                    if pair not in self._pair_ids:
-                        raise ValueError(f"{injection} is not a fault draw at {key}")
-                    shots.append(shot)
-                    pairs.append(self._pair_ids[pair])
-        return self._image_pairs(
-            np.asarray(shots, dtype=np.intp),
-            np.asarray(pairs, dtype=np.intp),
-            len(injections_per_shot),
-        )
-
     def _unpack_data(self, packed: np.ndarray, num_shots: int) -> np.ndarray:
         bits = np.unpackbits(
             np.ascontiguousarray(packed[: self.n]).view(np.uint8),
@@ -491,11 +411,11 @@ class BatchedSampler:
         )
         return np.ascontiguousarray(bits.T)
 
-    def _execute(self, injections_per_shot: Sequence[dict]) -> _PackedState:
-        num_shots = len(injections_per_shot)
+    def _execute_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> _PackedState:
+        num_shots = loc_idx.shape[0]
         if num_shots == 0:
             return _PackedState(self.compiled.num_wires, num_shots)
-        return self._execute_image(self._image_injections(injections_per_shot), num_shots)
+        return self._execute_image(self._image_indexed(loc_idx, draw_idx), num_shots)
 
     def _execute_image(self, faults: np.ndarray, num_shots: int) -> _PackedState:
         state = _PackedState(self.compiled.num_wires, num_shots)
@@ -566,10 +486,13 @@ class BatchedSampler:
 
 
 class ReferenceSampler:
-    """The per-shot oracle behind the same interface as the batched engine.
+    """The per-shot oracle behind the same indexed interface as the
+    batched engine.
 
-    Wraps :class:`~repro.sim.frame.ProtocolRunner` + :class:`LogicalJudge`;
-    used for cross-validation and as a fallback for exotic protocols.
+    Expands each indexed batch into per-shot injection dicts
+    (``noise.materialize_stratum``) and runs every shot through
+    :class:`~repro.sim.frame.ProtocolRunner` + :class:`LogicalJudge` — the
+    independent reference the batched engine is cross-validated against.
     """
 
     name = "reference"
@@ -581,8 +504,12 @@ class ReferenceSampler:
         self.n = protocol.code.n
         self.locations = protocol_locations(protocol)
 
-    def run(self, injections_per_shot: Sequence[dict]) -> BatchResult:
-        results = [self.runner.run(injections) for injections in injections_per_shot]
+    def _runs(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> Iterator[RunResult]:
+        for injections in materialize_stratum(self.locations, loc_idx, draw_idx):
+            yield self.runner.run(injections)
+
+    def run_indexed(self, loc_idx: np.ndarray, draw_idx: np.ndarray) -> BatchResult:
+        results = list(self._runs(loc_idx, draw_idx))
         num_shots = len(results)
         data_x = np.zeros((num_shots, self.n), dtype=np.uint8)
         data_z = np.zeros((num_shots, self.n), dtype=np.uint8)
@@ -609,45 +536,28 @@ class ReferenceSampler:
             branches_taken=branches,
         )
 
-    def failures(self, injections_per_shot: Sequence[dict]) -> np.ndarray:
-        return np.fromiter(
-            (
-                self.judge.is_logical_failure(self.runner.run(injections))
-                for injections in injections_per_shot
-            ),
-            dtype=bool,
-            count=len(injections_per_shot),
-        )
-
     def failures_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray
     ) -> np.ndarray:
-        """Same indexed-batch contract as the batched engine (for swapping)."""
-        return self.failures(
-            materialize_stratum(self.locations, loc_idx, draw_idx)
+        return np.fromiter(
+            (
+                self.judge.is_logical_failure(result)
+                for result in self._runs(loc_idx, draw_idx)
+            ),
+            dtype=bool,
+            count=loc_idx.shape[0],
         )
-
-    def residual_weights(
-        self, injections_per_shot: Sequence[dict], x_reducer, z_reducer
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot residual weights — the certificate oracle path."""
-        num_shots = len(injections_per_shot)
-        x_weights = np.zeros(num_shots, dtype=np.int64)
-        z_weights = np.zeros(num_shots, dtype=np.int64)
-        for shot, injections in enumerate(injections_per_shot):
-            result = self.runner.run(injections)
-            x_weights[shot] = x_reducer.coset_weight(result.data_x)
-            z_weights[shot] = z_reducer.coset_weight(result.data_z)
-        return x_weights, z_weights
 
     def residual_weights_indexed(
         self, loc_idx: np.ndarray, draw_idx: np.ndarray, x_reducer, z_reducer
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self.residual_weights(
-            materialize_stratum(self.locations, loc_idx, draw_idx),
-            x_reducer,
-            z_reducer,
-        )
+        """Per-shot residual weights — the certificate oracle path."""
+        x_weights = np.zeros(loc_idx.shape[0], dtype=np.int64)
+        z_weights = np.zeros(loc_idx.shape[0], dtype=np.int64)
+        for shot, result in enumerate(self._runs(loc_idx, draw_idx)):
+            x_weights[shot] = x_reducer.coset_weight(result.data_x)
+            z_weights[shot] = z_reducer.coset_weight(result.data_z)
+        return x_weights, z_weights
 
 
 _ENGINES = {

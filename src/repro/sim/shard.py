@@ -9,10 +9,11 @@ module adds the missing level:
 * :class:`StratumPlanner` splits any index-stratum workload — sampled
   strata of fixed weight ``k``, Bernoulli (direct-MC) batches, the exact
   k = 1 (location, draw) enumeration, the exact k = 2 pair enumeration,
-  and explicit injection-dict batches — into **bounded-memory chunks**.
-  Chunk *specs* are a few integers (a shot count plus a deterministic
-  seed, or an index range that the executing side re-materializes), so a
-  stratum of a billion shots plans in O(1) memory: nothing is
+  and explicit lists of checkable row pairs — into **bounded-memory
+  chunks**. Chunk *specs* are plain integers (a shot count plus a
+  deterministic seed, an index range, or row-id pairs that the executing
+  side re-materializes), so a stratum of a billion shots plans in O(1)
+  memory: nothing is
   materialized until a worker executes its chunk, and no chunk
   materializes more than ``max_slab`` configurations — except that a
   pair chunk never splits a single location pair, so its true bound is
@@ -75,7 +76,7 @@ __all__ = [
     "BernoulliChunk",
     "RowChunk",
     "PairChunk",
-    "DictChunk",
+    "RowPairChunk",
     "ShardPartial",
     "merge_partials",
     "chunk_token",
@@ -245,11 +246,16 @@ class PairChunk:
 
 
 @dataclass(frozen=True)
-class DictChunk:
-    """An explicit slice of injection dicts (e.g. sampled fault pairs)."""
+class RowPairChunk:
+    """Explicit pairs of ``checkable_only`` row ids (e.g. the sampled fault
+    pairs of ``second_order_survey``), each run as one two-fault shot.
+
+    ``pairs`` holds ``(row_a, row_b)`` int tuples; ``threshold`` is the
+    residual-weight bound counted as heavy (``wt_S > threshold``).
+    """
 
     index: int
-    dicts: tuple
+    pairs: tuple
     threshold: int = 2
 
 
@@ -370,7 +376,8 @@ def chunk_token(chunk) -> dict | None:
     plan but does not change the chunk's content (the entropy tuple and
     row/pair ranges already pin the draws), so the same chunk reached at
     a different position in a different plan still dedups. Returns None
-    for chunks that cannot be named stably (an unpicklable model).
+    for chunks that cannot be named stably (an unpicklable model) and for
+    row-pair chunks, which no ledger stores.
     """
     if isinstance(chunk, StratumChunk):
         return {
@@ -400,11 +407,6 @@ def chunk_token(chunk) -> dict | None:
         }
     if isinstance(chunk, PairChunk):
         return {"type": "pairs", "lo": int(chunk.lo), "hi": int(chunk.hi)}
-    if isinstance(chunk, DictChunk):
-        token = store_keys.model_token(chunk.dicts)
-        if not token:
-            return None
-        return {"type": "dicts", "dicts": token, "threshold": int(chunk.threshold)}
     return None
 
 
@@ -483,11 +485,12 @@ class _RowUniverse:
 
     def materialize(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``[lo, hi)`` as ``(rows, 1)`` index arrays."""
-        row_ids = np.arange(lo, hi, dtype=np.int64)
+        return self.rows(np.arange(lo, hi, dtype=np.int64)[:, None])
+
+    def rows(self, row_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Global row ids as (unit, draw) index arrays of the same shape."""
         slot = np.searchsorted(self.offsets, row_ids, side="right") - 1
-        loc_idx = self.included[slot][:, None]
-        draw_idx = (row_ids - self.offsets[slot]).astype(np.intp)[:, None]
-        return loc_idx, draw_idx
+        return self.included[slot], (row_ids - self.offsets[slot]).astype(np.intp)
 
 
 class StratumPlanner:
@@ -527,11 +530,9 @@ class StratumPlanner:
         self._universes: dict[bool, _RowUniverse] = {}
         self.universe = None
         if model is not None:
-            from .noisemodels import site_universe
+            from .noisemodels import heterogeneous_universe  # deferred: imports this module
 
-            universe = site_universe(self.locations, model)
-            if not universe.uniform:
-                self.universe = universe
+            self.universe = heterogeneous_universe(self.locations, model)
 
     @property
     def heterogeneous(self) -> bool:
@@ -886,16 +887,16 @@ class StratumPlanner:
             (key_a[0][0], key_b[0][0]),
         )
 
-    # -- explicit dict batches ------------------------------------------------
+    # -- explicit row pairs ---------------------------------------------------
 
-    def plan_dicts(
-        self, dicts: Sequence[dict], *, threshold: int = 2
-    ) -> Iterator[DictChunk]:
-        """Chunk a list of explicit injection dicts (e.g. sampled pairs)."""
-        for index, lo in enumerate(range(0, len(dicts), self.max_slab)):
-            yield DictChunk(
+    def plan_row_pairs(
+        self, pairs: Sequence[tuple[int, int]], *, threshold: int = 2
+    ) -> Iterator[RowPairChunk]:
+        """Chunk explicit pairs of ``checkable_only`` row ids."""
+        for index, lo in enumerate(range(0, len(pairs), self.max_slab)):
+            yield RowPairChunk(
                 index=index,
-                dicts=tuple(dicts[lo : lo + self.max_slab]),
+                pairs=tuple(pairs[lo : lo + self.max_slab]),
                 threshold=threshold,
             )
 
@@ -1067,17 +1068,20 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
             pair_ids=unique.astype(np.int64),
             pair_counts=counts.astype(np.int64),
         )
-    if isinstance(chunk, DictChunk):
+    if isinstance(chunk, RowPairChunk):
+        loc_idx, draw_idx = planner.row_universe(True).rows(
+            np.asarray(chunk.pairs, dtype=np.int64).reshape(-1, 2)
+        )
         x_reducer, z_reducer = ctx.reducers
-        x_weights, z_weights = engine.residual_weights(
-            list(chunk.dicts), x_reducer, z_reducer
+        x_weights, z_weights = engine.residual_weights_indexed(
+            loc_idx, draw_idx, x_reducer, z_reducer
         )
         bad = (x_weights > chunk.threshold) | (z_weights > chunk.threshold)
         # Only the heavy count crosses the pool: the survey (the one
-        # DictChunk consumer) reads nothing else from these partials.
+        # RowPairChunk consumer) reads nothing else from these partials.
         return ShardPartial(
             index=chunk.index,
-            trials=len(chunk.dicts),
+            trials=len(chunk.pairs),
             heavy=int(bad.sum()),
         )
     raise TypeError(f"unknown chunk spec {chunk!r}")

@@ -345,20 +345,11 @@ class SubsetSampler:
             raise ValueError("k_max must be at least 1")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        locations = list(engine.locations)
-        self.model = model
-        self._universe = None
-        if model is not None:
-            from .noisemodels import site_universe
-
-            universe = site_universe(locations, model)
-            if not universe.uniform:
-                self._universe = universe
+        self._bind_model(engine.locations, model)
         if self._universe is not None:
             k_cap = int(self._universe.active_sites.size)
         else:
-            k_cap = len(locations)
-        self.locations = locations
+            k_cap = len(self.locations)
         self.k_max = min(k_max, k_cap)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.engine = engine
@@ -376,7 +367,8 @@ class SubsetSampler:
         zero = self.strata[0]
         zero.exact = True
         zero.trials = 1
-        zero.failures = int(bool(engine.failures([{}])[0]))
+        no_fault = np.zeros((1, 0), dtype=np.intp)
+        zero.failures = int(bool(engine.failures_indexed(no_fault, no_fault)[0]))
 
     @classmethod
     def for_protocol(
@@ -437,15 +429,7 @@ class SubsetSampler:
         dict, or a ``(trials, failures, exact)`` tuple.
         """
         self = object.__new__(cls)
-        self.model = model
-        self._universe = None
-        if model is not None:
-            from .noisemodels import site_universe
-
-            universe = site_universe(list(locations), model)
-            if not universe.uniform:
-                self._universe = universe
-        self.locations = list(locations)
+        self._bind_model(locations, model)
         self.rng = None
         self.engine = None
         self.batch_size = 8192
@@ -475,6 +459,17 @@ class SubsetSampler:
         self.k_max = int(k_max) if k_max is not None else max(self.strata)
         return self
 
+    def _bind_model(self, locations, model) -> None:
+        """Set the location universe and noise model, plus the model's
+        site universe when it is heterogeneous (None otherwise)."""
+        self.locations = list(locations)
+        self.model = model
+        self._universe = None
+        if model is not None:
+            from .noisemodels import heterogeneous_universe  # deferred: imports this module
+
+            self._universe = heterogeneous_universe(self.locations, model)
+
     # -- chunk execution -------------------------------------------------------
 
     @property
@@ -500,14 +495,16 @@ class SubsetSampler:
             )
             # Chunk-partial reuse: wrap the backend so ledger-covered
             # chunks are subtracted from every plan before dispatch.
-            # Pass-through (and bit-identical) when the ledger is off.
-            from ..serve.ledger import LedgerEvaluator, resolve_ledger
+            # Pass-through (and bit-identical) when the ledger is off,
+            # which also skips importing the ledger.
+            if self.ledger is not False:
+                from ..serve.ledger import LedgerEvaluator, resolve_ledger
 
-            ledger = resolve_ledger(self.ledger)
-            if ledger is not None:
-                self._evaluator = LedgerEvaluator(
-                    self._evaluator, ledger, model=self.model
-                )
+                ledger = resolve_ledger(self.ledger)
+                if ledger is not None:
+                    self._evaluator = LedgerEvaluator(
+                        self._evaluator, ledger, model=self.model
+                    )
         return self._evaluator
 
     def close(self) -> None:

@@ -1,11 +1,20 @@
 """Tests for the t = 2 fault-pair survey (paper's future-work metric)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.ftcheck import second_order_survey
+from repro.core.serialize import protocol_from_json
 
 from ..conftest import cached_protocol
+
+FIXTURES = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
+
+# (pairs_checked, violations) of the perfbench fixture protocols at
+# samples=2000 and rng seed 0, identical on every engine and worker count.
+SURVEY_PINS = {"steane": (1870, 0), "carbon": (1955, 143)}
 
 
 class TestSecondOrderSurvey:
@@ -50,3 +59,25 @@ class TestSecondOrderSurvey:
             steane_protocol, samples=2000, rng=np.random.default_rng(2)
         )
         assert survey["violation_fraction"] < 0.5
+
+
+class TestSurveyPins:
+    @pytest.mark.parametrize("name", sorted(SURVEY_PINS))
+    @pytest.mark.parametrize(
+        "engine, workers", [("batched", 1), ("reference", 1), ("batched", 2)]
+    )
+    def test_pinned_counts(self, name, engine, workers):
+        protocol = protocol_from_json((FIXTURES / f"{name}.json").read_text())
+        survey = second_order_survey(
+            protocol,
+            samples=2000,
+            rng=np.random.default_rng(0),
+            engine=engine,
+            workers=workers,
+        )
+        checked, violations = SURVEY_PINS[name]
+        assert survey == {
+            "pairs_checked": checked,
+            "violations": violations,
+            "violation_fraction": violations / checked,
+        }

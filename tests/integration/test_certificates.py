@@ -152,10 +152,7 @@ class TestMatchingJudgeBatch:
         loc_idx, draw_idx = sample_injections_stratum(
             engine.locations, 2, 200, rng
         )
-        from repro.sim.noise import materialize_stratum
-
-        dicts = materialize_stratum(engine.locations, loc_idx, draw_idx)
-        batch = engine.run(dicts)
+        batch = engine.run_indexed(loc_idx, draw_idx)
         expected = np.array(
             [judge.is_logical_failure(batch.result(s)) for s in range(200)]
         )

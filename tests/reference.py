@@ -12,7 +12,11 @@ pair runs of a location universe as index arrays and sums the probability
 of the failing ones. :func:`reference_mass` recomputes the same mass the
 slow, independent way: it walks ``SiteUniverse.iter_rows()`` /
 ``iter_pair_runs()`` as injection dicts and judges each run on its own
-with :class:`ReferenceSampler` (the per-shot ``ProtocolRunner``).
+with ``ProtocolRunner`` + ``LogicalJudge``, never through index arrays.
+
+The engines take indexed batches only; :func:`dicts_to_indexed` turns
+hand-built per-shot injection dicts into such a batch, so dict-shaped
+cases can still be compared against ``ProtocolRunner`` directly.
 
 For the batched engine's packed fault image, :func:`scatter_fault_image`
 is the direct construction the engine's GF(2) product replaces: every
@@ -36,10 +40,10 @@ from repro.core.faults import (
     enumerate_faults,
     propagate_all_faults,
 )
-from repro.sim.frame import protocol_locations
-from repro.sim.noise import E1_1, materialize_stratum
+from repro.sim.frame import ProtocolRunner, protocol_locations
+from repro.sim.logical import LogicalJudge
+from repro.sim.noise import E1_1, draw_tables, materialize_stratum
 from repro.sim.noisemodels import site_universe
-from repro.sim.sampler import ReferenceSampler
 
 
 def propagate(circuit: Circuit, frame: PauliFrame, start: int = 0) -> PauliFrame:
@@ -143,7 +147,7 @@ def scatter_fault_image(engine, shots, pairs, num_shots: int) -> np.ndarray:
     rows = [
         draw_components(engine.compiled, key, injection)
         for location, (key, _, _) in enumerate(engine.locations)
-        for injection in engine.compiled.draw_tables[location]
+        for injection in draw_tables(engine.locations)[location]
     ]
     indptr = np.cumsum([0] + [len(row) for row in rows])
     table = np.concatenate(rows)
@@ -170,6 +174,39 @@ def packed_planes(rows: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def dicts_to_indexed(locations, dicts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shot ``{location key: Injection}`` dicts as one masked indexed
+    batch: each injection becomes its (location, draw) slot, padded with
+    ``-1`` to the widest shot. An injection composed of draws
+    (``noise.compose_injections``) maps to the draw it equals; the
+    identity is skipped. An injection outside its location's draw table
+    is a ``ValueError``."""
+    tables = draw_tables(locations)
+    slots = {
+        (key, frozenset(draw.paulis), bool(draw.flip)): (location, d)
+        for location, (key, _, _) in enumerate(locations)
+        for d, draw in enumerate(tables[location])
+    }
+    rows = []
+    for injections in dicts:
+        row = []
+        for key, injection in injections.items():
+            if injection.paulis or injection.flip:
+                slot = (key, frozenset(injection.paulis), bool(injection.flip))
+                if slot not in slots:
+                    raise ValueError(f"{injection} is not a fault draw at {key}")
+                row.append(slots[slot])
+        rows.append(row)
+    width = max((len(row) for row in rows), default=0)
+    loc_idx = np.full((len(rows), width), -1, dtype=np.intp)
+    draw_idx = np.zeros((len(rows), width), dtype=np.intp)
+    for shot, row in enumerate(rows):
+        for slot, (location, draw) in enumerate(row):
+            loc_idx[shot, slot] = location
+            draw_idx[shot, slot] = draw
+    return loc_idx, draw_idx
+
+
 class FakeEngine:
     """Engine double: a shot fails iff ``predicate(injection_dict)``."""
 
@@ -177,15 +214,15 @@ class FakeEngine:
         self.predicate = predicate
         self.locations = list(locations)
 
-    def failures(self, injections_per_shot):
-        return np.array(
-            [bool(self.predicate(inj)) for inj in injections_per_shot],
-            dtype=bool,
-        )
-
     def failures_indexed(self, loc_idx, draw_idx):
-        return self.failures(
-            materialize_stratum(self.locations, loc_idx, draw_idx)
+        return np.array(
+            [
+                bool(self.predicate(injections))
+                for injections in materialize_stratum(
+                    self.locations, loc_idx, draw_idx
+                )
+            ],
+            dtype=bool,
         )
 
 
@@ -199,9 +236,10 @@ def reference_mass(protocol, k: int, *, model=None) -> float:
         protocol_locations(protocol), model if model is not None else E1_1(p=0.1)
     )
     runs = universe.iter_rows() if k == 1 else universe.iter_pair_runs()
-    engine = ReferenceSampler(protocol)
+    runner = ProtocolRunner(protocol)
+    judge = LogicalJudge(protocol.code)
     total = 0.0
     for injections, weight, *_ in runs:
-        if engine.failures([injections])[0]:
+        if judge.is_logical_failure(runner.run(injections)):
             total += weight
     return total

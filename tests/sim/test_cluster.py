@@ -38,9 +38,9 @@ from repro.sim.sampler import make_sampler
 from repro.sim.shard import (
     AdaptiveSlabPolicy,
     BernoulliChunk,
-    DictChunk,
     PairChunk,
     RowChunk,
+    RowPairChunk,
     ShardedEvaluator,
     StratumChunk,
     engine_payload,
@@ -86,7 +86,7 @@ class TestWireFormat:
             BernoulliChunk(index=1, shots=64, entropy=(5, 1), model=E1_1(p=0.01)),
             RowChunk(index=2, lo=10, hi=74, checkable_only=True, threshold=1),
             PairChunk(index=3, lo=0, hi=9),
-            DictChunk(index=4, dicts=({("prep", 0): 3},), threshold=2),
+            RowPairChunk(index=4, pairs=((0, 5), (3, 17)), threshold=2),
         ]
         left, right = socket.socketpair()
         try:

@@ -8,7 +8,6 @@ from repro.sim.noise import (
     E1_1,
     ScaledNoiseModel,
     draw_counts,
-    materialize_stratum,
     sample_injections_model_batch,
 )
 from repro.sim.sampler import BatchedSampler, ReferenceSampler
@@ -161,21 +160,6 @@ class TestModelBatch:
         assert np.array_equal(
             batched.failures_indexed(loc_idx, draw_idx),
             reference.failures_indexed(loc_idx, draw_idx),
-        )
-
-    def test_masked_indexed_equals_dict_path(self):
-        protocol = cached_protocol("steane")
-        batched = BatchedSampler(protocol)
-        loc_idx, draw_idx = sample_injections_model_batch(
-            batched.locations,
-            E1_1(p=0.1),
-            200,
-            np.random.default_rng(6),
-        )
-        dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        assert np.array_equal(
-            batched.failures_indexed(loc_idx, draw_idx),
-            batched.failures(dicts),
         )
 
     def test_direct_mc_consistent_with_exact_strata(self):

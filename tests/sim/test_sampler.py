@@ -2,11 +2,13 @@
 reference runner.
 
 The batched engine's claim is *bit-for-bit* equivalence: for the same
-injection dicts it must reproduce every observable of
-``ProtocolRunner.run`` — data frame, recorded flips, branch decisions,
-early termination — and hence identical acceptance/logical-failure
-verdicts. These tests pin that on enumerated k<=1 fault sets, sampled
-k=2 pairs, and seeded random strata for the fast catalog codes.
+faults it must reproduce every observable of ``ProtocolRunner.run`` —
+data frame, recorded flips, branch decisions, early termination — and
+hence identical acceptance/logical-failure verdicts. These tests pin that
+on enumerated k<=1 fault sets, sampled k=2 pairs, and seeded random strata
+for the fast catalog codes: each case is written as per-shot injection
+dicts, run through the runner as they are and through the engine as the
+indexed batch ``dicts_to_indexed`` makes of them.
 """
 
 from pathlib import Path
@@ -19,6 +21,7 @@ from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
 from repro.sim.noise import (
     E1_1,
+    draw_tables,
     fault_draws,
     materialize_stratum,
     sample_injections_model_batch,
@@ -33,7 +36,12 @@ from repro.sim.sampler import (
 from repro.sim.subset import SubsetSampler
 
 from ..conftest import FAST_CODES, cached_protocol
-from ..reference import draw_components, reference_mass, scatter_fault_image
+from ..reference import (
+    dicts_to_indexed,
+    draw_components,
+    reference_mass,
+    scatter_fault_image,
+)
 
 CROSS_CODES = ["steane", "shor", "surface_3", "carbon"]
 FIXTURES = Path(__file__).parents[2] / "perfbench" / "fixtures" / "protocols"
@@ -59,7 +67,7 @@ def assert_shot_matches(batch_result, shot, reference_result):
 def assert_batches_match(protocol, injection_dicts):
     batched = BatchedSampler(protocol)
     runner = ProtocolRunner(protocol)
-    batch = batched.run(injection_dicts)
+    batch = batched.run_indexed(*dicts_to_indexed(batched.locations, injection_dicts))
     for shot, injections in enumerate(injection_dicts):
         assert_shot_matches(batch, shot, runner.run(injections))
 
@@ -120,19 +128,23 @@ class TestRandomStrata:
             reference.failures_indexed(loc_idx, draw_idx),
         )
 
-    def test_indexed_equals_dict_path(self):
-        """Grouping by index arrays and by dicts must execute identically."""
-        protocol = cached_protocol("steane")
+    @pytest.mark.parametrize("key", ["steane", "shor"])
+    def test_run_indexed_engines_agree(self, key):
+        """Both engines' ``run_indexed`` return the same observables."""
+        protocol = cached_protocol(key)
         batched = BatchedSampler(protocol)
         rng = np.random.default_rng(11)
-        loc_idx, draw_idx = sample_injections_stratum(
-            batched.locations, 3, 200, rng
-        )
-        dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        assert np.array_equal(
-            batched.failures_indexed(loc_idx, draw_idx),
-            batched.failures(dicts),
-        )
+        batch = sample_injections_model_batch(batched.locations, E1_1(p=0.05), 200, rng)
+        fast = batched.run_indexed(*batch)
+        slow = ReferenceSampler(protocol).run_indexed(*batch)
+        assert np.array_equal(fast.data_x, slow.data_x)
+        assert np.array_equal(fast.data_z, slow.data_z)
+        assert np.array_equal(fast.terminated, slow.terminated)
+        assert fast.branches_taken == slow.branches_taken
+        assert any(fast.branches_taken)
+        zero = np.zeros(200, dtype=np.uint8)
+        for bit in set(fast.flips) | set(slow.flips):
+            assert np.array_equal(fast.flips.get(bit, zero), slow.flips.get(bit, zero))
 
 
 def naive_fault_image(engine, loc_idx, draw_idx) -> np.ndarray:
@@ -145,7 +157,7 @@ def naive_fault_image(engine, loc_idx, draw_idx) -> np.ndarray:
             if location < 0:
                 continue
             key, _, _ = engine.locations[location]
-            injection = compiled.draw_tables[location][draw]
+            injection = draw_tables(engine.locations)[location][draw]
             bits[draw_components(compiled, key, injection), shot] ^= 1
     return bits
 
@@ -164,7 +176,9 @@ def has_repeated_pair(loc_idx, draw_idx) -> bool:
 
 class TestFaultImage:
     """The indexed batch's packed fault image equals the XOR of the
-    per-pair forward-propagated signatures, and so does the dict path's."""
+    per-pair forward-propagated signatures, and so does the image of the
+    same batch after a round trip through injection dicts (repeated
+    draws composed by ``materialize_stratum``)."""
 
     def check(self, engine, loc_idx, draw_idx):
         shots = loc_idx.shape[0]
@@ -174,7 +188,8 @@ class TestFaultImage:
             unpacked(image, shots), naive_fault_image(engine, loc_idx, draw_idx)
         )
         dicts = materialize_stratum(engine.locations, loc_idx, draw_idx)
-        assert np.array_equal(engine._image_injections(dicts), image)
+        round_trip = dicts_to_indexed(engine.locations, dicts)
+        assert np.array_equal(engine._image_indexed(*round_trip), image)
 
     @pytest.mark.parametrize("key", ["steane", "shor"])
     def test_stratum_batch(self, key):
@@ -290,7 +305,7 @@ class TestSignatureTable:
             flipped.setdefault(pair, []).append(component)
         assert 0 <= pairs.min() and pairs.max() < engine._num_pairs
         for location, (key, _, _) in enumerate(engine.locations):
-            table = engine.compiled.draw_tables[location]
+            table = draw_tables(engine.locations)[location]
             for draw, injection in enumerate(table):
                 got = flipped.get(engine._pair_starts[location] + draw, [])
                 assert len(set(got)) == len(got)
@@ -298,8 +313,8 @@ class TestSignatureTable:
                 assert set(got) == set(expected), (key, draw)
 
     def test_composed_draws_use_the_table(self):
-        """The dict path resolves a composition of two draws to its draw
-        (or to nothing) and rejects an injection outside the table."""
+        """``dicts_to_indexed`` resolves a composition of two draws to its
+        draw (or to nothing) and rejects an injection outside the table."""
         from repro.sim.frame import Injection
         from repro.sim.noise import compose_injections
 
@@ -311,12 +326,16 @@ class TestSignatureTable:
         xi, ix = (Injection(paulis=((w, "X"),)) for w in (control, target))
         both = compose_injections(xi, ix)
         dicts = [{key: both}, {key: compose_injections(xi, xi)}]
-        image = unpacked(engine._image_injections(dicts), 2)
+        image = unpacked(
+            engine._image_indexed(*dicts_to_indexed(engine.locations, dicts)), 2
+        )
         expected = np.zeros_like(image)
         expected[draw_components(engine.compiled, key, both), 0] = 1
         assert np.array_equal(image, expected)
         with pytest.raises(ValueError, match="not a fault draw"):
-            engine._image_injections([{key: Injection(paulis=((target + 1, "X"),))}])
+            dicts_to_indexed(
+                engine.locations, [{key: Injection(paulis=((target + 1, "X"),))}]
+            )
 
 
 class TestRepeatedBitNames:
@@ -377,8 +396,8 @@ class TestResidualWeights:
             batched.locations, 2, 120, rng
         )
         dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        x_weights, z_weights = batched.residual_weights(
-            dicts, x_reducer, z_reducer
+        x_weights, z_weights = batched.residual_weights_indexed(
+            loc_idx, draw_idx, x_reducer, z_reducer
         )
         for shot, injections in enumerate(dicts):
             result = runner.run(injections)
@@ -392,8 +411,7 @@ class TestResidualWeights:
         loc_idx, draw_idx = sample_injections_stratum(
             batched.locations, 1, 70, rng
         )
-        dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        batch = batched.run(dicts)
+        batch = batched.run_indexed(loc_idx, draw_idx)
         assert batch.x_words is not None and batch.z_words is not None
         assert batch.x_words.shape == (protocol.code.n, (70 + 63) // 64)
         # Packed planes unpack back to the unpacked data arrays.
@@ -405,29 +423,6 @@ class TestResidualWeights:
             )
             assert np.array_equal(bits, batch.data_x[:, wire])
 
-    def test_batch_result_residual_api(self):
-        from repro.core.errors import error_reducer
-
-        protocol = cached_protocol("steane")
-        x_reducer = error_reducer(protocol.code, "X")
-        z_reducer = error_reducer(protocol.code, "Z")
-        batched = BatchedSampler(protocol)
-        rng = np.random.default_rng(43)
-        loc_idx, draw_idx = sample_injections_stratum(
-            batched.locations, 2, 150, rng
-        )
-        dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        batch = batched.run(dicts)
-        x_weights = batch.residual_weights(x_reducer, "x")
-        z_weights = batch.residual_weights(z_reducer, "z")
-        ex, ez = batched.residual_weights(dicts, x_reducer, z_reducer)
-        assert np.array_equal(x_weights, ex)
-        assert np.array_equal(z_weights, ez)
-        heavy = batch.heavy_mask(x_reducer, z_reducer, 1)
-        assert np.array_equal(heavy, (ex > 1) | (ez > 1))
-        with pytest.raises(ValueError):
-            batch.residual_weights(x_reducer, "y")
-
     def test_empty_batch(self):
         from repro.core.errors import error_reducer
 
@@ -435,8 +430,10 @@ class TestResidualWeights:
         batched = BatchedSampler(protocol)
         x_reducer = error_reducer(protocol.code, "X")
         z_reducer = error_reducer(protocol.code, "Z")
-        xw, zw = batched.residual_weights([], x_reducer, z_reducer)
-        assert xw.size == 0 and zw.size == 0
+        empty = np.zeros((0, 2), dtype=np.intp)
+        for engine in (batched, ReferenceSampler(protocol)):
+            xw, zw = engine.residual_weights_indexed(empty, empty, x_reducer, z_reducer)
+            assert xw.size == 0 and zw.size == 0
 
 
 class TestVectorizedJudge:
@@ -448,8 +445,7 @@ class TestVectorizedJudge:
         loc_idx, draw_idx = sample_injections_stratum(
             batched.locations, 2, 300, rng
         )
-        dicts = materialize_stratum(batched.locations, loc_idx, draw_idx)
-        batch = batched.run(dicts)
+        batch = batched.run_indexed(loc_idx, draw_idx)
         expected = np.array(
             [judge.is_logical_failure(batch.result(s)) for s in range(300)]
         )
@@ -474,7 +470,7 @@ class TestPackedJudge:
             loc_idx, draw_idx
         )
         assert np.array_equal(batched.failures_indexed(loc_idx, draw_idx), expected)
-        batch = batched.run(materialize_stratum(batched.locations, loc_idx, draw_idx))
+        batch = batched.run_indexed(loc_idx, draw_idx)
         assert np.array_equal(judge.failure_mask(batch.x_words, shots), expected)
         return expected
 
@@ -557,7 +553,19 @@ class TestEngineFactory:
                 make_sampler(cached_protocol("steane"), engine=engine)
 
     def test_empty_batch(self):
-        engine = BatchedSampler(cached_protocol("steane"))
-        assert engine.failures([]).size == 0
-        result = engine.run([])
-        assert result.num_shots == 0
+        empty = np.zeros((0, 2), dtype=np.intp)
+        for name in ("batched", "reference"):
+            engine = make_sampler(cached_protocol("steane"), engine=name)
+            assert engine.failures_indexed(empty, empty).size == 0
+            assert engine.run_indexed(empty, empty).num_shots == 0
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_fault_free_shot(self, engine):
+        """A ``(1, 0)`` batch is one fault-free run: silent, not failing."""
+        engine = make_sampler(cached_protocol("steane"), engine=engine)
+        none = np.zeros((1, 0), dtype=np.intp)
+        result = engine.run_indexed(none, none)
+        assert result.num_shots == 1
+        assert not result.data_x.any() and not result.data_z.any()
+        assert not any(values.any() for values in result.flips.values())
+        assert not engine.failures_indexed(none, none)[0]

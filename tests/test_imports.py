@@ -36,16 +36,39 @@ HEAVY = (
 LAZY_PACKAGES = ("repro", "repro.core", "repro.sim", "repro.codes", "repro.experiments")
 
 
-@pytest.mark.parametrize("statement", ENTRY_POINTS)
-def test_entry_point_stays_within_import_budget(statement):
+def _run_probe(probe: str) -> list[str]:
+    """Run ``probe`` in a fresh interpreter; return its printed words."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    probe = f"{statement}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [], f"{statement!r} loaded {result.stdout.split()}"
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize("statement", ENTRY_POINTS)
+def test_entry_point_stays_within_import_budget(statement):
+    probe = f"{statement}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
+    loaded = _run_probe(probe)
+    assert loaded == [], f"{statement!r} loaded {loaded}"
+
+
+def test_series_without_ledger_never_imports_serve():
+    """``run_series(..., ledger=False)`` decides before importing the ledger."""
+    fixture = SRC.parent / "perfbench" / "fixtures" / "protocols" / "steane.json"
+    probe = "\n".join(
+        (
+            "import sys",
+            "from pathlib import Path",
+            "from repro.core.serialize import protocol_from_json",
+            "from repro.experiments.figure4 import run_series",
+            f"protocol = protocol_from_json(Path({str(fixture)!r}).read_text())",
+            "run_series('steane', shots=200, protocol=protocol, ledger=False)",
+            "print(*sorted(m for m in sys.modules if m.startswith('repro.serve')))",
+        )
+    )
+    assert _run_probe(probe) == []
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
