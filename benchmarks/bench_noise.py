@@ -8,8 +8,10 @@ weighted draw-index generation instead of the uniform Floyd k-subset /
 heterogeneous generator costs on the hot path (it must stay a small
 constant factor, not a complexity change), next to correctness gates:
 
-* the E1_1 model routed through the ``model=`` seam must produce
-  bit-identical tallies to the model-free path (the round-trip contract);
+* ``model=E1_1(p)`` and no model must produce bit-identical tallies and
+  ``estimate`` floats (the round-trip contract), and those estimates must
+  be the binomial closed form ``sum_k C(N, k) p^k (1-p)^(N-k) f_k``
+  summed here independently of the estimator;
 * biased batches must run identically on the batched and per-shot
   reference engines;
 * the planner's exact k = 1 mass must match a per-shot
@@ -41,7 +43,12 @@ import numpy as np
 from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
 from repro.sim.noise import E1_1
-from repro.sim.noisemodels import BiasedPauliModel, CorrelatedPairModel, site_universe
+from repro.sim.noisemodels import (
+    BiasedPauliModel,
+    CorrelatedPairModel,
+    binomial_weight,
+    site_universe,
+)
 from repro.sim.sampler import ReferenceSampler, make_sampler
 from repro.sim.subset import SubsetSampler
 
@@ -98,10 +105,21 @@ def run_recorder(code_key: str, shots: int, k: int, eta: float, seed: int) -> di
     )
     seamed.enumerate_k1_exact()
     seamed.sample(2000)
-    seam_identical = all(
-        (plain.strata[s].trials, plain.strata[s].failures)
-        == (seamed.strata[s].trials, seamed.strata[s].failures)
-        for s in plain.strata
+    sweep = [1e-3, 1e-2, 1e-1]
+    closed_form = []
+    for p in sweep:
+        mean = 0.0
+        for s, stats in plain.strata.items():
+            mean += binomial_weight(len(locations), s, p) * stats.rate
+        closed_form.append(mean)
+    seam_identical = (
+        all(
+            (plain.strata[s].trials, plain.strata[s].failures)
+            == (seamed.strata[s].trials, seamed.strata[s].failures)
+            for s in plain.strata
+        )
+        and plain.curve(sweep) == seamed.curve(sweep)
+        and [e.mean for e in plain.curve(sweep)] == closed_form
     )
 
     # Correctness gate 2: biased batches identical on both engines.
@@ -197,7 +215,10 @@ def main() -> int:
     print(f"wrote {args.out}")
 
     if not record["e1_1_seam_identical"]:
-        print("FAIL: E1_1 through the model seam is not bit-identical")
+        print(
+            "FAIL: E1_1 through the model seam is not bit-identical, or "
+            "its estimates are not the binomial closed form"
+        )
         return 1
     if not record["biased_engines_identical"]:
         print("FAIL: biased batches differ between engines")

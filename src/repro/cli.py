@@ -926,14 +926,12 @@ def _cmd_simulate(args) -> int:
         )
         sweep = sorted(args.p)
         ceiling = sampler.p_ceiling
-        if ceiling is not None:
-            skipped = [p for p in sweep if p >= ceiling]
-            if skipped:
-                sweep = [p for p in sweep if p < ceiling]
-                print(
-                    f"  (skipping p >= {ceiling:.3g}: a site rate of the "
-                    "model would reach 1 there)"
-                )
+        if any(p >= ceiling for p in sweep):
+            sweep = [p for p in sweep if p < ceiling]
+            print(
+                f"  (skipping p >= {ceiling:.3g}: a site rate of the "
+                "model would reach 1 there)"
+            )
         for estimate in sampler.curve(sweep):
             print(f"  {estimate}")
         if args.direct:

@@ -21,64 +21,13 @@ protocol per worker) with bit-identical budgets for any worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..sim import sampler as sim_sampler
-from ..sim.noise import draw_tables
 from ..sim.shard import resolve_evaluator
 from .protocol import DeterministicProtocol
 
 __all__ = ["ErrorBudget", "two_fault_error_budget"]
-
-
-def _heterogeneous_budget(protocol, planner, merged, model) -> "ErrorBudget":
-    """Model-weighted budget from the planner's per-pair failing masses."""
-    universe = planner.universe
-    f2 = 0.0
-    by_segment: dict[tuple[str, str], float] = {}
-    by_kind: dict[tuple[str, str], float] = {}
-    if merged.pair_ids is not None and merged.pair_ids.size:
-        # merge_partials returns ascending pair ids, so the accumulation
-        # order is deterministic for a given plan.
-        for pair_id, mass in zip(
-            merged.pair_ids.tolist(), merged.pair_mass.tolist()
-        ):
-            _, kinds, segments = planner.pair_case(int(pair_id))
-            f2 += mass
-            seg_key = tuple(sorted(segments))
-            kind_key = tuple(sorted(kinds))
-            by_segment[seg_key] = by_segment.get(seg_key, 0.0) + mass
-            by_kind[kind_key] = by_kind.get(kind_key, 0.0) + mass
-    # Nominal quadratic coefficient: p_L ~ e_2(rates / p) * f2 * p^2 in
-    # the small-p limit; e_2 over the active sites' relative rates
-    # degenerates to C(N, 2) for uniform models.
-    base_p = float(getattr(model, "p", 0.0))
-    relative = (
-        universe.site_rates[universe.site_rates > 0.0] / base_p
-        if base_p > 0.0
-        else np.zeros(0)
-    )
-    e2_relative = (
-        float((relative.sum() ** 2 - (relative**2).sum()) / 2.0)
-        if relative.size
-        else math.nan
-    )
-    return ErrorBudget(
-        code_name=protocol.code.name,
-        num_locations=len(universe.locations),
-        f2_exact=f2,
-        c2_exact=e2_relative * f2,
-        by_segment_pair=by_segment,
-        by_kind_pair=by_kind,
-    )
-
-
-def _segment_label(location_key) -> str:
-    segment = location_key[0]
-    return segment[0]  # "prep" / "verif" / "branch"
 
 
 @dataclass
@@ -148,18 +97,13 @@ def two_fault_error_budget(
     events, so ``f2_exact`` is the model's true conditional failure
     probability (crosstalk pair sites appear with kind/segment label
     ``"xtalk"``). ``c2_exact`` then reports the nominal quadratic
-    coefficient ``e_2(rates / p) * f2`` — which reduces to
-    ``C(N, 2) * f2`` for uniform models. E1_1 (or ``None``) keeps the
-    historical uniform path bit-for-bit.
+    coefficient ``e_2(rates / p) * f2`` — exactly ``C(N, 2) * f2`` for
+    E1_1 (or ``None``), whose runs all weigh ``1 / (C(N, 2) d_i d_j)``.
 
     Every call builds its engine and enumerates; the daemon caches
     budgets in its results ledger (``repro.serve``).
     """
     sampler = sim_sampler.make_sampler(protocol, engine=engine)
-    locations = sampler.locations
-    tables = draw_tables(locations)
-
-    num = len(locations)
     with resolve_evaluator(
         sampler,
         workers=workers,
@@ -176,42 +120,26 @@ def two_fault_error_budget(
                 f"two-fault budget needs {total_runs} runs (> {max_runs})"
             )
         merged = evaluator.reduce(planner.plan_pairs())
-        if planner.heterogeneous:
-            return _heterogeneous_budget(protocol, planner, merged, model)
-    pair_count = math.comb(num, 2)
-    failing = np.zeros(pair_count, dtype=np.int64)
-    if merged.pair_ids is not None and merged.pair_ids.size:
-        failing[merged.pair_ids] = merged.pair_counts
-
-    # Mass aggregation in the same (i, j) order (and with the same float
-    # operations) as the historical per-shot loop — bit-identical output.
     f2 = 0.0
     by_segment: dict[tuple[str, str], float] = {}
     by_kind: dict[tuple[str, str], float] = {}
-    pair_id = 0
-    for i in range(num):
-        key_i, kind_i, _ = locations[i]
-        seg_i = _segment_label(key_i)
-        for j in range(i + 1, num):
-            key_j, kind_j, _ = locations[j]
-            seg_j = _segment_label(key_j)
-            count = int(failing[pair_id])
-            pair_id += 1
-            if not count:
-                continue
-            weight = 1.0 / (pair_count * len(tables[i]) * len(tables[j]))
-            mass = count * weight
+    if merged.pair_ids is not None and merged.pair_ids.size:
+        # merge_partials returns ascending pair ids, so the masses add up
+        # in one fixed order for a given enumeration.
+        for pair_id, mass in zip(
+            merged.pair_ids.tolist(), merged.pair_mass.tolist()
+        ):
+            _, kinds, segments = planner.pair_case(pair_id)
             f2 += mass
-            seg_key = tuple(sorted((seg_i, seg_j)))
-            kind_key = tuple(sorted((kind_i, kind_j)))
+            seg_key = tuple(sorted(segments))
+            kind_key = tuple(sorted(kinds))
             by_segment[seg_key] = by_segment.get(seg_key, 0.0) + mass
             by_kind[kind_key] = by_kind.get(kind_key, 0.0) + mass
-
     return ErrorBudget(
         code_name=protocol.code.name,
-        num_locations=num,
+        num_locations=len(sampler.locations),
         f2_exact=f2,
-        c2_exact=pair_count * f2,
+        c2_exact=planner.universe.e2_relative() * f2,
         by_segment_pair=by_segment,
         by_kind_pair=by_kind,
     )

@@ -202,8 +202,8 @@ def check_fault_tolerance(
     both member locations — so the certificate answers "does any single
     fault *mechanism the model can produce* break the protocol?". A
     violation at a pair site reports the key/injection *tuples* of both
-    members. E1_1 (or ``None``) keeps the historical per-location fault
-    set bit-for-bit. Note that a weight-2 crosstalk event can legally
+    members. E1_1 (or ``None``) is the uniform universe: every location,
+    each draw once. Note that a weight-2 crosstalk event can legally
     defeat a distance-3 protocol — the certificate then reports it
     rather than hiding it.
 

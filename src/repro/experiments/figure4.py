@@ -207,18 +207,13 @@ def run_series(
         # model's own strength for heterogeneous ones (whose rates may
         # not be rescalable to 0.1 at all).
         sampler.sample(shots, p_ref=None)
+        # A calibrated rate map caps the sweep: points at or above the
+        # strength where a site rate reaches 1 are unreachable.
         ceiling = sampler.p_ceiling
-        if ceiling is not None:
-            # A calibrated rate map caps the sweep: points at or above
-            # the strength where a site rate reaches 1 are unreachable.
-            sweep = [p for p in sweep if p < ceiling]
+        sweep = [p for p in sweep if p < ceiling]
         estimates = sampler.curve(sweep)
         direct = None
-        if (
-            direct_check_at is not None
-            and ceiling is not None
-            and direct_check_at >= ceiling
-        ):
+        if direct_check_at is not None and direct_check_at >= ceiling:
             # Same skip-not-crash rule as the sweep: the model cannot be
             # rescaled to the requested check strength.
             direct_check_at = None
@@ -296,8 +291,7 @@ def _series_from_record(
         locations, record["strata"], model=model, k_max=record["k_max"]
     )
     ceiling = sampler.p_ceiling
-    if ceiling is not None:
-        sweep = [p for p in sweep if p < ceiling]
+    sweep = [p for p in sweep if p < ceiling]
     estimates = sampler.curve(sweep)
     direct = None
     if record.get("direct"):

@@ -327,16 +327,12 @@ class ReproServer:
         cluster fabric) and wraps it in a
         :class:`~repro.serve.ledger.LedgerEvaluator`, so every consumer
         gets chunk-partial reuse and per-chunk progress streaming for
-        free. Accepts both executor-seam call shapes.
+        free.
         """
 
-        def factory(engine, max_slab: int, model=None):
+        def factory(engine, max_slab: int, model):
             if self.executor is not None:
-                inner = (
-                    self.executor(engine, max_slab, model)
-                    if model is not None
-                    else self.executor(engine, max_slab)
-                )
+                inner = self.executor(engine, max_slab, model)
             else:
                 inner = ShardedEvaluator(
                     engine,
@@ -372,12 +368,9 @@ class ReproServer:
                     progress({"phase": "k1-exact"})
                 sampler.sample(norm["shots"], p_ref=None)
                 progress({"phase": "sampled"})
-                ceiling = sampler.p_ceiling
                 direct = None
                 direct_at = norm["direct_check_at"]
-                if direct_at is not None and not (
-                    ceiling is not None and direct_at >= ceiling
-                ):
+                if direct_at is not None and direct_at < sampler.p_ceiling:
                     direct_model = (
                         model.with_p(direct_at)
                         if model is not None
@@ -426,7 +419,7 @@ class ReproServer:
             k_max=record["k_max"],
         )
         ceiling = sampler.p_ceiling
-        grid = [p for p in norm["sweep"] if ceiling is None or p < ceiling]
+        grid = [p for p in norm["sweep"] if p < ceiling]
         f1 = record.get("f1_exact")
         return {
             "code": record["code"],

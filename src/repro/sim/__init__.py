@@ -41,8 +41,13 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "InhomogeneousModel",
             "SiteUniverse",
             "adjacent_2q_pairs",
+            "binomial_weight",
             "parse_noise_spec",
+            "poisson_binomial_tail",
+            "poisson_binomial_weight",
+            "poisson_binomial_weights",
             "site_universe",
+            "tail_weight",
         ),
         "reference": ("TableauProtocolRunner", "TableauRunResult"),
         "sampler": (
@@ -66,12 +71,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "StratumStats",
             "SubsetEstimate",
             "SubsetSampler",
-            "binomial_weight",
             "direct_mc",
-            "poisson_binomial_tail",
-            "poisson_binomial_weight",
-            "poisson_binomial_weights",
-            "tail_weight",
             "wilson_interval",
         ),
         "tableau": ("Tableau", "run_circuit"),

@@ -121,30 +121,6 @@ class ScaledNoiseModel:
         )
 
 
-def _model_rates(locations, model) -> np.ndarray:
-    """Per-location rates from any noise model (vectorized when possible)."""
-    if hasattr(model, "location_rates"):
-        return np.asarray(model.location_rates(locations), dtype=np.float64)
-    if hasattr(model, "kind_rates"):
-        return np.asarray(model.kind_rates(locations), dtype=np.float64)
-    return np.asarray(
-        [model.probability(kind) for _, kind, _ in locations],
-        dtype=np.float64,
-    )
-
-
-def _model_is_plain(locations, model) -> bool:
-    """True when ``model`` keeps E1_1 draw semantics on this universe:
-    uniform conditional draws and no correlated pair sites (rates may
-    still vary per location). Plain models keep the historical Bernoulli
-    batch stream bit-for-bit."""
-    weights_fn = getattr(model, "draw_weights", None)
-    if weights_fn is not None and weights_fn(locations) is not None:
-        return False
-    pairs_fn = getattr(model, "pair_sites", None)
-    return pairs_fn is None or not tuple(pairs_fn(locations))
-
-
 def compose_injections(a: Injection, b: Injection) -> Injection:
     """Phase-free composition of two faults at one location.
 
@@ -292,47 +268,24 @@ def sample_injections_model_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Bernoulli (direct Monte-Carlo) batch at fixed rates.
 
-    Every location of every shot fails independently with its per-kind
-    rate from ``model`` (one ``(shots, locations)`` uniform draw), and
-    each failure draws uniformly within its kind. Because shots have *variable* fault
-    weight, the result is a masked index pair ``(loc_idx, draw_idx)`` of
-    shape ``(shots, k_width)`` where ``k_width`` is the largest per-shot
-    fault count in the batch and unused slots hold ``loc_idx == -1``
-    (ignored by ``failures_indexed`` and :func:`materialize_stratum`).
+    Every location of every shot fails independently with its rate from
+    ``model`` (one ``(shots, locations)`` uniform draw), and each failure
+    draws within its kind. Because shots have *variable* fault weight,
+    the result is a masked index pair ``(loc_idx, draw_idx)`` of shape
+    ``(shots, k_width)`` where ``k_width`` is the largest per-shot fault
+    count in the batch and unused slots hold ``loc_idx == -1`` (ignored
+    by ``failures_indexed`` and :func:`materialize_stratum`).
 
     The batch is identical for every engine consuming it — engine
-    cross-validation stays exact.
-
-    Models with non-uniform draw weights or correlated pair sites
-    (``repro.sim.noisemodels``) route through the compiled
-    :class:`~repro.sim.noisemodels.SiteUniverse` instead: same masked
-    index-pair contract, weighted draw choice, pair firings expanded to
-    both member locations. Plain models keep this historical stream.
+    cross-validation stays exact. The stream is
+    :meth:`repro.sim.noisemodels.SiteUniverse.sample_bernoulli`: E1_1's
+    ``floor(u * count)`` draw for models with uniform draws and no pair
+    sites, weighted draws and pair firings expanded to both member
+    locations otherwise.
     """
-    if not _model_is_plain(locations, model):
-        from .noisemodels import site_universe  # deferred: imports this module
+    from .noisemodels import SiteUniverse  # deferred: imports this module
 
-        return site_universe(locations, model).sample_bernoulli(shots, rng)
-    num = len(locations)
-    rates = _model_rates(locations, model)
-    fails = rng.random((shots, num)) < rates[None, :]
-    per_shot = fails.sum(axis=1)
-    k_width = int(per_shot.max()) if shots else 0
-    loc_idx = np.full((shots, k_width), -1, dtype=np.intp)
-    draw_idx = np.zeros((shots, k_width), dtype=np.intp)
-    shot_ids, locs = np.nonzero(fails)
-    if shot_ids.size:
-        counts = draw_counts(locations)
-        draws = np.floor(
-            rng.random(shot_ids.size) * counts[locs]
-        ).astype(np.intp)
-        # np.nonzero is row-major, so the column of failure f within its
-        # shot is its rank among that shot's failures.
-        offsets = np.concatenate(([0], np.cumsum(per_shot)[:-1]))
-        cols = np.arange(shot_ids.size) - offsets[shot_ids]
-        loc_idx[shot_ids, cols] = locs
-        draw_idx[shot_ids, cols] = draws
-    return loc_idx, draw_idx
+    return SiteUniverse(locations, model).sample_bernoulli(shots, rng)
 
 
 def sample_injections_stratum(

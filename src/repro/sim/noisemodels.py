@@ -31,7 +31,7 @@ A noise model is any object with
 
 :class:`SiteUniverse` compiles a (locations, model) pair into the
 *site* universe — base locations plus composite pair sites — and owns
-all the heterogeneous math:
+all the noise math, uniform and heterogeneous:
 
 * **Poisson-binomial stratum weights.** With per-site rates ``r_i`` the
   fault count ``K`` is Poisson-binomial, so the subset decomposition
@@ -46,7 +46,7 @@ all the heterogeneous math:
 * **Exact k = 1 / k = 2 enumeration weights.** Each (site, draw) row is
   weighted by its own conditional probability
   ``odds_i / e_1 * q_i(d)``; each (site pair, draw, draw) run by
-  ``odds_i odds_j / e_2 * q_i(d) q_j(d')`` — reducing to the uniform
+  ``odds_i odds_j / e_2 * q_i(d) q_j(d')`` — which are the uniform
   ``1 / (N * draws)`` weights when the model is E1_1.
 
 Exactness note: the stratified estimator is exact at the model's own
@@ -59,11 +59,14 @@ conditional subset law drifts at second order in ``p`` away from the
 base point (the odds ratios ``odds_i/odds_j`` are p-invariant only to
 first order). See ``docs/noise.md`` for the derivation.
 
-Uniform fast path: when a model *is* E1_1 in disguise (constant rates,
-uniform draws, no pair sites — :attr:`SiteUniverse.uniform`), every
-consumer falls back to the historical code paths, so routing ``E1_1``
-through this seam is bit-identical to not using it at all. The whole
-existing test suite therefore doubles as the regression harness.
+The uniform case: E1_1 itself, ``model=None`` and every model that is
+E1_1 in disguise (constant rates equal to ``p``, uniform draws, no pair
+sites — :attr:`SiteUniverse.uniform`) compile to a universe whose methods
+return E1_1's closed forms: the Floyd stratum draw, binomial stratum
+weights, ``1 / (N * draws)`` row weights and ``count / (C(N, 2) d_i d_j)``
+pair masses. That decision is made here and nowhere else: the planner,
+sampler, certificate and budget hold a universe for every model and
+never branch on which kind it is.
 """
 
 from __future__ import annotations
@@ -75,19 +78,14 @@ from functools import lru_cache
 import numpy as np
 
 from ..core.faults import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
+from . import noise
 from .frame import always_executed
 from .noise import (
     E1_1,
     ScaledNoiseModel,
-    _model_rates,
     draw_counts,
     draw_tables,
     merge_injection_dicts,
-)
-from .subset import (
-    poisson_binomial_tail,
-    poisson_binomial_weight,
-    poisson_binomial_weights,
 )
 
 __all__ = [
@@ -96,10 +94,11 @@ __all__ = [
     "CorrelatedPairModel",
     "SiteUniverse",
     "site_universe",
-    "heterogeneous_universe",
     "model_location_rates",
     "model_draw_weights",
     "model_pair_sites",
+    "binomial_weight",
+    "tail_weight",
     "poisson_binomial_weights",
     "poisson_binomial_weight",
     "poisson_binomial_tail",
@@ -108,13 +107,73 @@ __all__ = [
 ]
 
 
+# -- stratum weights -----------------------------------------------------------
+
+
+def binomial_weight(num_locations: int, k: int, p: float) -> float:
+    """``P(K = k)`` for ``K ~ Binomial(num_locations, p)``."""
+    return (
+        math.comb(num_locations, k)
+        * p**k
+        * (1.0 - p) ** (num_locations - k)
+    )
+
+
+def tail_weight(num_locations: int, k_max: int, p: float) -> float:
+    """``P(K > k_max)`` — the unsampled-strata weight bound."""
+    head = sum(binomial_weight(num_locations, k, p) for k in range(k_max + 1))
+    return max(0.0, 1.0 - head)
+
+
+def poisson_binomial_weights(rates, k_max: int) -> np.ndarray:
+    """``P(K = k)`` for ``k = 0..k_max`` under heterogeneous Bernoulli rates.
+
+    The heterogeneous generalization of :func:`binomial_weight`: with
+    per-location (per-site) rates ``r_i`` the fault count is
+    Poisson-binomial, and the head distribution folds one location at a
+    time into a truncated convolution — O(N * k_max), deterministic in
+    the location order. For a constant rate vector the values agree with
+    the closed binomial form up to float rounding (a uniform
+    :class:`SiteUniverse` keeps the closed form, so E1_1 results are
+    bit-identical).
+    """
+    rates = np.asarray(rates, dtype=np.float64)
+    if np.any((rates < 0.0) | (rates > 1.0)):
+        raise ValueError("rates must lie in [0, 1]")
+    head = np.zeros(k_max + 1, dtype=np.float64)
+    head[0] = 1.0
+    for r in rates:
+        head[1:] = head[1:] * (1.0 - r) + head[:-1] * r
+        head[0] *= 1.0 - r
+    return head
+
+
+def poisson_binomial_weight(rates, k: int) -> float:
+    """``P(K = k)`` under heterogeneous per-location rates."""
+    return float(poisson_binomial_weights(rates, k)[k])
+
+
+def poisson_binomial_tail(rates, k_max: int) -> float:
+    """``P(K > k_max)`` under heterogeneous per-location rates."""
+    return max(
+        0.0, 1.0 - float(poisson_binomial_weights(rates, k_max).sum())
+    )
+
+
 # -- model helpers -------------------------------------------------------------
 
 
 def model_location_rates(locations, model) -> np.ndarray:
     """Per-location rate vector from any model (seam fallback chain:
     ``location_rates`` > ``kind_rates`` > per-kind ``probability``)."""
-    return _model_rates(locations, model)
+    if hasattr(model, "location_rates"):
+        return np.asarray(model.location_rates(locations), dtype=np.float64)
+    if hasattr(model, "kind_rates"):
+        return np.asarray(model.kind_rates(locations), dtype=np.float64)
+    return np.asarray(
+        [model.probability(kind) for _, kind, _ in locations],
+        dtype=np.float64,
+    )
 
 
 def model_draw_weights(locations, model):
@@ -173,7 +232,7 @@ class BiasedPauliModel:
     letter weighs 1 (so a CX failure is ``eta^2 : eta : 1`` for
     ZZ : ZI : XX, etc.). Resets and measurements have a single draw and
     are unaffected. ``eta = 1`` *is* E1_1: ``draw_weights`` then reports
-    ``None`` and every consumer takes the uniform fast path bit-for-bit.
+    ``None`` and its site universe is uniform, bit-for-bit.
 
     Because the rates are homogeneous, the subset decomposition stays
     exact at every ``p`` (conditioned on ``K = k`` the failing subset is
@@ -200,7 +259,7 @@ class BiasedPauliModel:
 
     def draw_weights(self, locations):
         if self.eta == 1.0:
-            return None  # exactly E1_1 — let consumers keep the uniform path
+            return None  # exactly E1_1: the universe is uniform
         tables = _biased_weight_tables(float(self.eta))
         return [tables[kind] for _, kind, _ in locations]
 
@@ -398,21 +457,26 @@ class CorrelatedPairModel:
 
 
 class SiteUniverse:
-    """(locations, model) compiled into the heterogeneous sampling math.
+    """(locations, model) compiled into the sampling math of one model.
 
     A *site* is one independent fault mechanism: sites ``0..N-1`` are the
     base locations, sites ``N..N+P-1`` the model's composite pair sites.
     Every site has a rate, a draw count (pair sites: the product of their
     two locations' counts), and a draw distribution; :meth:`expand` turns
     (site, draw) index pairs into the masked ``(loc_idx, draw_idx)``
-    arrays the engines execute. All probability math (Poisson-binomial
-    stratum weights, conditional-Bernoulli sampling, exact-enumeration
-    row/pair weights) lives here so the planner, sampler, certificate,
-    and budget share one implementation.
+    arrays the engines execute. All probability math (stratum weights,
+    stratum and Bernoulli sampling, exact-enumeration row/pair weights)
+    lives here so the planner, sampler, certificate, and budget share one
+    implementation and never ask which kind of model they hold.
+
+    ``model=None`` is E1_1 at strength 0: a :attr:`uniform` universe,
+    whose methods take the strength from the caller's sweep ``p``.
     """
 
-    def __init__(self, locations, model):
+    def __init__(self, locations, model=None):
         self.locations = list(locations)
+        if model is None:
+            model = E1_1(p=0.0)
         self.model = model
         self.p = float(getattr(model, "p", math.nan))
         self.loc_rates = model_location_rates(self.locations, model)
@@ -449,10 +513,29 @@ class SiteUniverse:
             ]
         ).astype(np.int64)
         self._loc_counts = loc_counts
-        #: Sites that can actually fire; enumerations skip the rest.
-        self.active_sites = np.flatnonzero(self.site_rates > 0.0).astype(
-            np.intp
+        #: Uniform draws and no pair sites: E1_1's draw semantics, with
+        #: rates that may still vary per location.
+        self.plain_draws = self._weights is None and not self.pairs
+        #: E1_1 in disguise. Constant rates alone are not enough: the
+        #: constant must equal the model's own ``p``, because the uniform
+        #: closed forms evaluate ``binomial_weight(N, k, p_sweep)`` — a
+        #: constant-rate model at ``c * p`` (``ScaledNoiseModel`` with
+        #: every factor 5) keeps its factor through :meth:`rates_at`.
+        self.uniform = (
+            self.plain_draws
+            and self.loc_rates.size > 0
+            and bool((self.loc_rates == self.loc_rates[0]).all())
+            and float(self.loc_rates[0]) == self.p
         )
+        # A uniform universe's rates are a sweep parameter, so all of its
+        # sites count, even at strength 0; otherwise only those that fire.
+        self._live = (
+            np.ones(self.num_sites, dtype=bool)
+            if self.uniform
+            else self.site_rates > 0.0
+        )
+        #: Sites that can actually fire; enumerations skip the rest.
+        self.active_sites = np.flatnonzero(self._live).astype(np.intp)
         self.odds = self.site_rates / (1.0 - self.site_rates)
         # Normalized odds keep the elementary-symmetric DP well scaled;
         # every probability below is a ratio, so the scale cancels.
@@ -464,36 +547,27 @@ class SiteUniverse:
         self._qtables: list[np.ndarray] | None = None
         self._qmat: np.ndarray | None = None
 
-    # -- classification --------------------------------------------------------
-
-    @property
-    def uniform(self) -> bool:
-        """True iff the model is E1_1 in disguise (uniform fast paths OK).
-
-        Constant rates alone are not enough: the constant must equal the
-        model's own ``p``, because the uniform consumers evaluate
-        ``binomial_weight(n, k, p_sweep)`` directly — a constant-rate
-        model at ``c * p`` (e.g. ``ScaledNoiseModel`` with every factor
-        5) must keep its scaling factor through the heterogeneous
-        ``rates_at`` path.
-        """
-        return (
-            not self.pairs
-            and self._weights is None
-            and self.loc_rates.size > 0
-            and bool((self.loc_rates == self.loc_rates[0]).all())
-            and float(self.loc_rates[0]) == self.p
-        )
+    # -- strengths and stratum weights -----------------------------------------
 
     def max_strength(self) -> float:
         """Supremum of strengths ``p`` this model can be rescaled to
         (exclusive): the ``p`` at which the largest site rate reaches 1.
-        ``inf`` when every rate is zero. Sweep consumers use it to skip
+        ``inf`` when every rate is zero and for a uniform universe, whose
+        binomial weights take any ``p``. Sweep consumers use it to skip
         unreachable points instead of raising mid-curve."""
         top = float(self.site_rates.max()) if self.site_rates.size else 0.0
-        if top <= 0.0:
+        if self.uniform or top <= 0.0:
             return math.inf
         return self.p / top
+
+    def reference_strength(self) -> float:
+        """Default DSS variance target ``p_ref``: the paper's ``p_max =
+        0.1`` for a uniform universe, else the model's own strength — a
+        calibrated rate map may not even be rescalable to 0.1, and its
+        natural target is its own operating point."""
+        if self.uniform or math.isnan(self.p):
+            return 0.1
+        return self.p
 
     def rates_at(self, p: float) -> np.ndarray:
         """Every site rate rescaled to strength ``p`` (linear in ``p``)."""
@@ -509,11 +583,22 @@ class SiteUniverse:
         return rates
 
     def stratum_weights(self, k_max: int, p: float | None = None) -> np.ndarray:
-        """Poisson-binomial ``P(K = k)`` head, optionally rescaled to ``p``."""
+        """``P(K = k)`` for ``k = 0..k_max`` at strength ``p`` (default the
+        model's own): binomial for a uniform universe, else
+        Poisson-binomial over the site rates rescaled to ``p``."""
+        if self.uniform:
+            p = self.p if p is None else p
+            return np.asarray(
+                [binomial_weight(self.num_sites, k, p) for k in range(k_max + 1)],
+                dtype=np.float64,
+            )
         rates = self.site_rates if p is None else self.rates_at(p)
         return poisson_binomial_weights(rates, k_max)
 
     def tail_weight(self, k_max: int, p: float | None = None) -> float:
+        """``P(K > k_max)`` at strength ``p`` (default the model's own)."""
+        if self.uniform:
+            return tail_weight(self.num_sites, k_max, self.p if p is None else p)
         head = self.stratum_weights(k_max, p)
         return max(0.0, 1.0 - float(head.sum()))
 
@@ -674,16 +759,17 @@ class SiteUniverse:
     def sample_stratum(
         self, k: int, shots: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted stratum batch: ``shots`` configurations of exactly
-        ``k`` firing sites, as masked engine index arrays.
+        """Stratum batch: ``shots`` configurations of exactly ``k`` firing
+        sites, as masked engine index arrays.
 
-        The heterogeneous counterpart of
-        :func:`repro.sim.noise.sample_injections_stratum`, with the same
-        shapes: sites follow the conditional-Bernoulli law of
-        :meth:`sample_sites` instead of a uniform Floyd subset, and draws
-        follow the model's weights. This stream is not part of the
-        uniform draw revision (``repro.store.keys.DRAW_REVISION``).
+        A uniform universe takes the Floyd draw of
+        :func:`repro.sim.noise.sample_injections_stratum` (the stream of
+        ``repro.store.keys.DRAW_REVISION``). Otherwise sites follow the
+        conditional-Bernoulli law of :meth:`sample_sites` and draws the
+        model's weights, with the same shapes.
         """
+        if self.uniform:
+            return noise.sample_injections_stratum(self.locations, k, shots, rng)
         sites = self.sample_sites(k, shots, rng)
         uniform = rng.random((shots, k))
         draws = self.draw_indices(
@@ -696,11 +782,12 @@ class SiteUniverse:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Direct-MC batch at the model's own rates (variable weight).
 
-        The heterogeneous counterpart of
+        The stream behind
         :func:`repro.sim.noise.sample_injections_model_batch`: every
         *site* (base location or crosstalk pair) fires independently at
-        its rate, draws follow the model's weights, and pair firings
-        expand to both member locations.
+        its rate and pair firings expand to both member locations. With
+        :attr:`plain_draws` a failure draws ``floor(u * count)``, as E1_1
+        always has; otherwise it follows the model's weights.
         """
         fails = rng.random((shots, self.num_sites)) < self.site_rates[None, :]
         per_shot = fails.sum(axis=1)
@@ -709,7 +796,13 @@ class SiteUniverse:
         draw_idx = np.zeros((shots, k_width), dtype=np.intp)
         shot_ids, sites = np.nonzero(fails)
         if shot_ids.size:
-            draws = self.draw_indices(sites, rng.random(shot_ids.size))
+            uniform = rng.random(shot_ids.size)
+            if self.plain_draws:
+                draws = np.floor(uniform * self._loc_counts[sites]).astype(np.intp)
+            else:
+                draws = self.draw_indices(sites, uniform)
+            # np.nonzero is row-major, so the column of failure f within
+            # its shot is its rank among that shot's failures.
             offsets = np.concatenate(([0], np.cumsum(per_shot)[:-1]))
             cols = np.arange(shot_ids.size) - offsets[shot_ids]
             site_idx[shot_ids, cols] = sites
@@ -730,7 +823,7 @@ class SiteUniverse:
 
     def enumeration_sites(self, checkable_only: bool = False) -> np.ndarray:
         """Active sites included in exact enumerations, in site order."""
-        mask = self.site_rates > 0.0
+        mask = self._live.copy()
         if checkable_only:
             mask &= self._site_checkable()
         return np.flatnonzero(mask).astype(np.intp)
@@ -754,8 +847,11 @@ class SiteUniverse:
         return float((w.sum() ** 2 - (w**2).sum()) / 2.0)
 
     def row_weights_for(self, sites: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Conditional probability of (site, draw) rows given ``K = 1``."""
+        """Conditional probability of (site, draw) rows given ``K = 1``:
+        ``1 / (N * d_s)`` when uniform, else ``odds_s / e_1 * q_s(draw)``."""
         sites = np.asarray(sites, dtype=np.intp)
+        if self.uniform:
+            return 1.0 / (self.num_sites * self.site_draw_counts[sites])
         draws = np.asarray(draws, dtype=np.intp)
         q = self._draw_matrix()[sites, draws]
         return (self._w[sites] / self.e1()) * q
@@ -774,6 +870,52 @@ class SiteUniverse:
         qa = qmat[site_a, np.asarray(draw_a, dtype=np.intp)]
         qb = qmat[site_b, np.asarray(draw_b, dtype=np.intp)]
         return (self._w[site_a] * self._w[site_b] / self.e2()) * qa * qb
+
+    def pair_masses(
+        self, sites: np.ndarray, draws: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Failing conditional mass per distinct pair of k = 2 runs, and
+        their total.
+
+        ``sites``/``draws`` are the failing runs' ``(runs, 2)`` site-level
+        arrays, grouped by pair in ascending pair id, ``counts[i]`` runs
+        for pair ``i``. Uniform: every run of a pair weighs
+        ``1 / (C(N, 2) d_a d_b)``, so a pair's mass is ``count`` times that
+        — the product, not a sum of equal weights, which would round
+        differently — and the total adds the pairs one at a time. Otherwise
+        each run's own weight is added to its pair in run order, and numpy
+        sums the pairs. The two summation orders round differently; each
+        is the one its model's recorded k = 2 masses were summed in.
+        """
+        if self.uniform:
+            counts_ab = self.site_draw_counts[sites[np.cumsum(counts) - counts]]
+            weight = 1.0 / (
+                math.comb(self.num_sites, 2) * counts_ab[:, 0] * counts_ab[:, 1]
+            )
+            mass = counts * weight
+            return mass, sum(mass.tolist(), 0.0)
+        mass = np.zeros(counts.size, dtype=np.float64)
+        np.add.at(
+            mass,
+            np.repeat(np.arange(counts.size), counts),
+            self.pair_run_weights_for(
+                sites[:, 0], draws[:, 0], sites[:, 1], draws[:, 1]
+            ),
+        )
+        return mass, float(mass.sum())
+
+    def e2_relative(self) -> float:
+        """``e_2`` of the active site rates relative to ``p``: the nominal
+        quadratic coefficient per unit ``f2`` (``p_L ~ e_2(rates / p) f2
+        p^2`` at small ``p``), exactly ``C(N, 2)`` when uniform."""
+        if self.uniform:
+            return float(math.comb(self.num_sites, 2))
+        if not self.p > 0.0:
+            return math.nan
+        relative = self.site_rates[self.site_rates > 0.0] / self.p
+        if not relative.size:
+            return math.nan
+        return float((relative.sum() ** 2 - (relative**2).sum()) / 2.0)
 
     # -- site metadata (labels, evidence, iteration) ---------------------------
 
@@ -844,13 +986,6 @@ class SiteUniverse:
 def site_universe(locations, model) -> SiteUniverse:
     """Build (no caching — planners and samplers hold their instance)."""
     return SiteUniverse(locations, model)
-
-
-def heterogeneous_universe(locations, model) -> SiteUniverse | None:
-    """``model``'s site universe, or None when it is uniform (E1_1 in
-    disguise), which keeps the location-level paths bit-for-bit."""
-    universe = SiteUniverse(locations, model)
-    return None if universe.uniform else universe
 
 
 # -- CLI spec parsing ----------------------------------------------------------

@@ -51,6 +51,7 @@ integration suite.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
@@ -63,13 +64,8 @@ from ..core.errors import error_reducer
 from ..obs import metrics, trace
 from ..store import keys as store_keys
 from . import sampler as sim_sampler
-from .frame import always_executed
-from .noise import (
-    draw_counts,
-    draw_tables,
-    sample_injections_model_batch,
-    sample_injections_stratum,
-)
+from .noise import sample_injections_model_batch
+from .noisemodels import SiteUniverse
 
 __all__ = [
     "StratumChunk",
@@ -289,8 +285,7 @@ class ShardPartial:
     #: Sparse per-pair failing counts (exact k = 2 enumeration).
     pair_ids: np.ndarray | None = None
     pair_counts: np.ndarray | None = None
-    #: Sparse per-pair failing *mass* (heterogeneous k = 2 enumeration,
-    #: where runs within one pair carry different draw weights).
+    #: Sparse per-pair failing *mass* (exact k = 2 enumeration).
     pair_mass: np.ndarray | None = None
 
 
@@ -456,11 +451,11 @@ def partial_from_jsonable(data: dict, index: int = 0) -> ShardPartial:
 
 
 class _RowUniverse:
-    """Flat row ids over the (location, draw) enumeration of a universe.
+    """Flat row ids over the (site, draw) enumeration of a universe.
 
-    ``included`` are the enumerated unit indices (locations — or *sites*
-    on the heterogeneous path) and ``counts`` their per-unit draw counts;
-    row ``r`` maps back to (unit, draw-within-unit) through the offsets.
+    ``included`` are the enumerated site indices and ``counts`` their
+    per-site draw counts; row ``r`` maps back to (site, draw-within-site)
+    through the offsets.
     """
 
     def __init__(self, included, counts):
@@ -470,25 +465,12 @@ class _RowUniverse:
         ).astype(np.int64)
         self.num_rows = int(self.offsets[-1])
 
-    @classmethod
-    def for_locations(cls, locations, checkable_only: bool) -> "_RowUniverse":
-        counts = draw_counts(locations)
-        if checkable_only:
-            included = [
-                i
-                for i, (key, _, _) in enumerate(locations)
-                if always_executed(key)
-            ]
-        else:
-            included = list(range(len(locations)))
-        return cls(included, counts[np.asarray(included, dtype=np.intp)])
-
     def materialize(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``[lo, hi)`` as ``(rows, 1)`` index arrays."""
         return self.rows(np.arange(lo, hi, dtype=np.int64)[:, None])
 
     def rows(self, row_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Global row ids as (unit, draw) index arrays of the same shape."""
+        """Global row ids as (site, draw) index arrays of the same shape."""
         slot = np.searchsorted(self.offsets, row_ids, side="right") - 1
         return self.included[slot], (row_ids - self.offsets[slot]).astype(np.intp)
 
@@ -504,15 +486,13 @@ class StratumPlanner:
         Upper bound on the configurations any single chunk materializes —
         the peak-memory knob (``--max-slab`` on the CLI). Sampled chunks
         hold at most ``max_slab`` shots; pair chunks expand to at most
-        ``max_slab`` runs (or one location pair, whichever is larger).
+        ``max_slab`` runs (or one site pair, whichever is larger).
     model:
-        Optional noise model (``repro.sim.noisemodels`` seam). A
-        heterogeneous model (per-location rates, weighted draws, or
-        correlated pair sites) switches the planner's enumeration axis
-        from locations to *sites* and all sampled/exact weights to the
-        model's own probabilities; a uniform model (E1_1 in disguise)
-        keeps every historical path bit-for-bit, so routing E1_1 through
-        the seam changes nothing.
+        Optional noise model (``repro.sim.noisemodels`` seam; ``None`` is
+        E1_1), compiled into :attr:`universe`. Exact enumerations run
+        over the universe's *sites* (the locations, plus any correlated
+        pair sites) with its weights, and sampled strata take its draws;
+        the universe alone decides what is uniform.
 
     All ``plan_*`` methods return lazy iterators of specs: planning a
     billion-shot stratum allocates nothing beyond the next spec.
@@ -526,18 +506,8 @@ class StratumPlanner:
         self.locations = list(locations)
         self.max_slab = int(max_slab)
         self.model = model
-        self._counts = draw_counts(self.locations)
-        self._universes: dict[bool, _RowUniverse] = {}
-        self.universe = None
-        if model is not None:
-            from .noisemodels import heterogeneous_universe  # deferred: imports this module
-
-            self.universe = heterogeneous_universe(self.locations, model)
-
-    @property
-    def heterogeneous(self) -> bool:
-        """Whether enumeration runs over model sites with model weights."""
-        return self.universe is not None
+        self.universe = SiteUniverse(self.locations, model)
+        self._row_universes: dict[bool, _RowUniverse] = {}
 
     # -- sampled strata -------------------------------------------------------
 
@@ -581,19 +551,12 @@ class StratumPlanner:
     # -- exact k = 1 rows -----------------------------------------------------
 
     def row_universe(self, checkable_only: bool = False) -> _RowUniverse:
-        universe = self._universes.get(checkable_only)
-        if universe is None:
-            if self.universe is not None:
-                sites = self.universe.enumeration_sites(checkable_only)
-                universe = _RowUniverse(
-                    sites, self.universe.site_draw_counts[sites]
-                )
-            else:
-                universe = _RowUniverse.for_locations(
-                    self.locations, checkable_only
-                )
-            self._universes[checkable_only] = universe
-        return universe
+        rows = self._row_universes.get(checkable_only)
+        if rows is None:
+            sites = self.universe.enumeration_sites(checkable_only)
+            rows = _RowUniverse(sites, self.universe.site_draw_counts[sites])
+            self._row_universes[checkable_only] = rows
+        return rows
 
     def num_rows(self, checkable_only: bool = False) -> int:
         return self.row_universe(checkable_only).num_rows
@@ -601,7 +564,7 @@ class StratumPlanner:
     def plan_rows(
         self, *, checkable_only: bool = False, threshold: int = 1
     ) -> Iterator[RowChunk]:
-        """Chunk the exact (location, draw) enumeration into row ranges."""
+        """Chunk the exact (site, draw) enumeration into row ranges."""
         total = self.num_rows(checkable_only)
         for index, lo in enumerate(range(0, total, self.max_slab)):
             yield RowChunk(
@@ -622,38 +585,15 @@ class StratumPlanner:
     def materialize_rows(
         self, chunk: RowChunk
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-create one row chunk's engine index arrays.
-
-        Uniform: ``(rows, 1)`` (location, draw) arrays. Heterogeneous:
-        the site rows expanded through the model universe — masked
-        ``(rows, 2)`` arrays when correlated pair sites are present, so
-        a pair site's single row injects at both member locations.
-        """
-        loc_idx, draw_idx = self.row_universe(chunk.checkable_only).materialize(
-            chunk.lo, chunk.hi
+        """Re-create one row chunk's engine index arrays: ``(rows, 1)``
+        (location, draw) arrays, or masked ``(rows, 2)`` arrays when the
+        model has correlated pair sites, so a pair site's single row
+        injects at both member locations."""
+        return self.universe.expand(
+            *self.row_universe(chunk.checkable_only).materialize(
+                chunk.lo, chunk.hi
+            )
         )
-        if self.universe is not None:
-            return self.universe.expand(loc_idx, draw_idx)
-        return loc_idx, draw_idx
-
-    def row_weights(
-        self, chunk: RowChunk, loc_idx: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Conditional probability of each row given exactly one fault.
-
-        Uniform: the location is uniform over the *full* universe and the
-        draw uniform within the location, matching
-        :meth:`SubsetSampler.enumerate_k1_exact`'s weighting (pass the
-        chunk's already-materialized ``loc_idx`` to skip re-expansion).
-        Heterogeneous: each (site, draw) row is weighted by its own
-        conditional probability ``odds_s / e_1 * q_s(draw)``.
-        """
-        if self.universe is not None:
-            sites, draws = self._site_rows(chunk)
-            return self.universe.row_weights_for(sites, draws)
-        if loc_idx is None:
-            loc_idx, _ = self.materialize_rows(chunk)
-        return 1.0 / (len(self.locations) * self._counts[loc_idx[:, 0]])
 
     def materialize_rows_with_weights(
         self, chunk: RowChunk
@@ -662,22 +602,15 @@ class StratumPlanner:
         weights, from a single row-universe materialization (the exact
         k = 1 executor path pays the expansion once, not twice)."""
         sites, draws = self._site_rows(chunk)
-        if self.universe is not None:
-            loc_idx, draw_idx = self.universe.expand(
-                sites[:, None], draws[:, None]
-            )
-            return loc_idx, draw_idx, self.universe.row_weights_for(
-                sites, draws
-            )
-        weights = 1.0 / (len(self.locations) * self._counts[sites])
-        return sites[:, None], draws[:, None], weights
+        loc_idx, draw_idx = self.universe.expand(sites[:, None], draws[:, None])
+        return loc_idx, draw_idx, self.universe.row_weights_for(sites, draws)
 
     def row_info(self, row: int, *, checkable_only: bool = False):
         """(location key, Injection) of one global row id.
 
-        Heterogeneous pair sites return a key tuple and an Injection
-        tuple (one per member location); see :meth:`row_case` for the
-        replayable dict form.
+        Pair sites return a key tuple and an Injection tuple (one per
+        member location); see :meth:`row_case` for the replayable dict
+        form.
         """
         location, injection, _ = self.row_case(
             row, checkable_only=checkable_only
@@ -689,73 +622,51 @@ class StratumPlanner:
 
         The dict is directly replayable by a per-shot runner (the FT
         certificate's evidence path); location/injection are the
-        reporting labels — for a heterogeneous pair site, tuples of the
-        two member keys/draws.
+        reporting labels — for a pair site, tuples of the two member
+        keys/draws.
         """
         universe = self.row_universe(checkable_only)
         slot = int(np.searchsorted(universe.offsets, row, side="right") - 1)
-        unit = int(universe.included[slot])
+        site = int(universe.included[slot])
         draw = row - int(universe.offsets[slot])
-        if self.universe is not None:
-            injection, injections = self.universe.site_injections(unit, draw)
-            return self.universe.site_key(unit), injection, injections
-        key = self.locations[unit][0]
-        injection = draw_tables(self.locations)[unit][draw]
-        return key, injection, {key: injection}
+        injection, injections = self.universe.site_injections(site, draw)
+        return self.universe.site_key(site), injection, injections
 
     # -- exact k = 2 pairs ----------------------------------------------------
     #
-    # The pair enumeration runs over *units*: locations on the uniform
-    # path, model sites (base locations + correlated pair sites, active
-    # only) on the heterogeneous path. Pair ids index the lexicographic
-    # (a < b) enumeration of unit *positions*, which coincides with
-    # location indices in the uniform case — the historical contract.
+    # The pair enumeration runs over the universe's enumeration sites
+    # (every location, plus active pair sites). Pair ids index the
+    # lexicographic (a < b) enumeration of site *positions*, which are the
+    # location indices for a model without pair sites.
 
-    def _pair_units(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unit ids, per-unit draw counts) of the pair enumeration.
-
-        Cached: the planner is immutable after construction, and
-        ``pair_case`` / ``pair_of`` call this once per failing pair.
-        """
-        cached = getattr(self, "_pair_units_cache", None)
-        if cached is None:
-            if self.universe is not None:
-                sites = self.universe.enumeration_sites()
-                cached = sites, self.universe.site_draw_counts[sites]
-            else:
-                cached = (
-                    np.arange(len(self.locations), dtype=np.intp),
-                    self._counts.astype(np.int64),
-                )
-            self._pair_units_cache = cached
-        return cached
+    @functools.cached_property
+    def _pair_units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(site ids, per-site draw counts, first pair id of each row) of
+        the pair enumeration."""
+        sites = self.universe.enumeration_sites()
+        num = sites.size
+        before = np.arange(num, dtype=np.int64)
+        starts = before * num - before * (before + 1) // 2
+        return sites, self.universe.site_draw_counts[sites], starts
 
     def num_pairs(self) -> int:
-        num = self._pair_units()[0].size
+        num = self._pair_units[0].size
         return num * (num - 1) // 2
 
     def total_pair_runs(self) -> int:
         """Total (draw × draw) runs of the full pair enumeration."""
-        if self.universe is not None:
-            return self.universe.total_pair_runs()
-        counts = self._pair_units()[1].astype(np.int64)
-        total = int(counts.sum())
-        return int((total * total - int((counts * counts).sum())) // 2)
+        return self.universe.total_pair_runs()
 
     def pair_of(self, pair_id: int) -> tuple[int, int]:
         """Inverse of the lexicographic (a < b) pair enumeration
-        (positions in the unit list; location indices when uniform)."""
-        num = self._pair_units()[0].size
-        i = 0
-        remaining = pair_id
-        while remaining >= num - i - 1:
-            remaining -= num - i - 1
-            i += 1
-        return i, i + 1 + remaining
+        (positions in the site list)."""
+        starts = self._pair_units[2]
+        i = int(np.searchsorted(starts, pair_id, side="right")) - 1
+        return i, i + 1 + pair_id - int(starts[i])
 
     def plan_pairs(self) -> Iterator[PairChunk]:
         """Chunk the pair enumeration, bounding expanded runs per chunk."""
-        _, counts = self._pair_units()
+        counts = self._pair_units[1]
         num = counts.size
         index = 0
         lo = 0
@@ -774,26 +685,28 @@ class StratumPlanner:
         if budget:
             yield PairChunk(index=index, lo=lo, hi=pair_id)
 
-    def materialize_unit_pairs(
+    def materialize_pairs(
         self, chunk: PairChunk
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pair chunk as ``(runs, 2)`` *unit*-level arrays + pair ids."""
-        units, counts = self._pair_units()
+        """One pair chunk as ``(runs, 2)`` (site, draw) arrays plus each
+        run's pair id. The sites are locations unless the model has pair
+        sites; ``universe.expand`` gives the engine arrays either way."""
+        sites, counts, _ = self._pair_units
         num = counts.size
         i, j = self.pair_of(chunk.lo)
-        loc_blocks: list[np.ndarray] = []
+        site_blocks: list[np.ndarray] = []
         draw_blocks: list[np.ndarray] = []
         pair_blocks: list[np.ndarray] = []
         for pair_id in range(chunk.lo, chunk.hi):
             num_i, num_j = int(counts[i]), int(counts[j])
             runs = num_i * num_j
-            loc = np.empty((runs, 2), dtype=np.intp)
-            loc[:, 0] = units[i]
-            loc[:, 1] = units[j]
+            site = np.empty((runs, 2), dtype=np.intp)
+            site[:, 0] = sites[i]
+            site[:, 1] = sites[j]
             draw = np.empty((runs, 2), dtype=np.intp)
             draw[:, 0] = np.repeat(np.arange(num_i, dtype=np.intp), num_j)
             draw[:, 1] = np.tile(np.arange(num_j, dtype=np.intp), num_i)
-            loc_blocks.append(loc)
+            site_blocks.append(site)
             draw_blocks.append(draw)
             pair_blocks.append(np.full(runs, pair_id, dtype=np.intp))
             j += 1
@@ -801,90 +714,22 @@ class StratumPlanner:
                 i += 1
                 j = i + 1
         return (
-            np.concatenate(loc_blocks),
+            np.concatenate(site_blocks),
             np.concatenate(draw_blocks),
             np.concatenate(pair_blocks),
-        )
-
-    def materialize_pairs(
-        self, chunk: PairChunk
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expand one pair chunk into engine index arrays + pair ids.
-
-        Uniform: ``(runs, 2)`` (location, draw) arrays. Heterogeneous:
-        site pairs expanded through the model universe (masked
-        ``(runs, 4)`` when correlated pair sites are present).
-        """
-        unit_idx, draw_idx, pair_ids = self.materialize_unit_pairs(chunk)
-        if self.universe is not None:
-            loc_idx, draw_idx = self.universe.expand(unit_idx, draw_idx)
-            return loc_idx, draw_idx, pair_ids
-        return unit_idx, draw_idx, pair_ids
-
-    def pair_weight(self, pair_id: int) -> float:
-        """Conditional probability of one (pair, draw, draw) run
-        (uniform path; heterogeneous runs use :meth:`pair_run_weights`)."""
-        i, j = self.pair_of(pair_id)
-        _, counts = self._pair_units()
-        return 1.0 / (
-            self.num_pairs() * int(counts[i]) * int(counts[j])
-        )
-
-    def pair_weights(self, chunk: PairChunk) -> np.ndarray:
-        """Per-run weights of each pair in ``[chunk.lo, chunk.hi)``.
-
-        One incremental (i, j) walk over the range — no per-pair
-        triangular inversion — for the chunk-local mass accumulation.
-        (Uniform path: within one pair every draw × draw run shares this
-        weight; heterogeneous chunks get per-run weights from
-        :meth:`pair_run_weights` instead.)
-        """
-        _, counts = self._pair_units()
-        num = counts.size
-        pairs = self.num_pairs()
-        i, j = self.pair_of(chunk.lo)
-        weights = np.empty(chunk.hi - chunk.lo, dtype=np.float64)
-        for offset in range(chunk.hi - chunk.lo):
-            weights[offset] = 1.0 / (
-                pairs * int(counts[i]) * int(counts[j])
-            )
-            j += 1
-            if j == num:
-                i += 1
-                j = i + 1
-        return weights
-
-    def pair_run_weights(
-        self,
-        unit_idx: np.ndarray,
-        draw_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Heterogeneous per-run conditional weights for materialized
-        unit pairs: ``odds_a odds_b / e_2 * q_a(d) q_b(d')``."""
-        if self.universe is None:
-            raise ValueError("pair_run_weights needs a heterogeneous model")
-        return self.universe.pair_run_weights_for(
-            unit_idx[:, 0], draw_idx[:, 0], unit_idx[:, 1], draw_idx[:, 1]
         )
 
     def pair_case(self, pair_id: int):
         """Reporting labels of one pair id: ``((key_a, key_b),
         (kind_a, kind_b), (segment_a, segment_b))``."""
         a, b = self.pair_of(pair_id)
-        units, _ = self._pair_units()
-        if self.universe is not None:
-            sa, sb = int(units[a]), int(units[b])
-            return (
-                (self.universe.site_key(sa), self.universe.site_key(sb)),
-                (self.universe.site_kind(sa), self.universe.site_kind(sb)),
-                (self.universe.site_segment(sa), self.universe.site_segment(sb)),
-            )
-        key_a, kind_a, _ = self.locations[int(units[a])]
-        key_b, kind_b, _ = self.locations[int(units[b])]
+        sites = self._pair_units[0]
+        sa, sb = int(sites[a]), int(sites[b])
+        universe = self.universe
         return (
-            (key_a, key_b),
-            (kind_a, kind_b),
-            (key_a[0][0], key_b[0][0]),
+            (universe.site_key(sa), universe.site_key(sb)),
+            (universe.site_kind(sa), universe.site_kind(sb)),
+            (universe.site_segment(sa), universe.site_segment(sb)),
         )
 
     # -- explicit row pairs ---------------------------------------------------
@@ -939,32 +784,14 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
     """Execute one chunk spec against the process-local engine."""
     engine = ctx.engine
     planner = ctx.planner
-    if isinstance(chunk, StratumChunk):
+    if isinstance(chunk, (StratumChunk, BernoulliChunk)):
         rng = np.random.default_rng(np.random.SeedSequence(chunk.entropy))
-        if planner.heterogeneous:
-            # Conditional-Bernoulli site subsets + weighted draws (the
-            # model travels with the worker context, not the chunk).
+        if isinstance(chunk, StratumChunk):
+            # The model travels with the worker context, not the chunk.
             loc_idx, draw_idx = planner.universe.sample_stratum(
                 chunk.k, chunk.shots, rng
             )
-        else:
-            loc_idx, draw_idx = sample_injections_stratum(
-                engine.locations, chunk.k, chunk.shots, rng
-            )
-        verdicts = np.asarray(
-            engine.failures_indexed(loc_idx, draw_idx), dtype=bool
-        )
-        return ShardPartial(
-            index=chunk.index,
-            trials=chunk.shots,
-            failures=int(verdicts.sum()),
-        )
-    if isinstance(chunk, BernoulliChunk):
-        rng = np.random.default_rng(np.random.SeedSequence(chunk.entropy))
-        if (
-            planner.universe is not None
-            and chunk.model == planner.model
-        ):
+        elif chunk.model == planner.model:
             # Same model as the worker context: reuse its compiled
             # universe (rate vectors, pair adjacency, draw CDFs) instead
             # of rebuilding one per chunk; the draw stream is identical.
@@ -1023,50 +850,25 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
             weighted_mass=float(weights[verdicts].sum()),
         )
     if isinstance(chunk, PairChunk):
-        if planner.heterogeneous:
-            unit_idx, unit_draw, pair_ids = planner.materialize_unit_pairs(
-                chunk
-            )
-            loc_idx, draw_idx = planner.universe.expand(unit_idx, unit_draw)
-            verdicts = np.asarray(
-                engine.failures_indexed(loc_idx, draw_idx), dtype=bool
-            )
-            run_weights = planner.pair_run_weights(unit_idx, unit_draw)
-            failing = pair_ids[verdicts]
-            unique, inverse = np.unique(failing, return_inverse=True)
-            counts = np.zeros(unique.size, dtype=np.int64)
-            np.add.at(counts, inverse, 1)
-            pair_mass = np.zeros(unique.size, dtype=np.float64)
-            np.add.at(pair_mass, inverse, run_weights[verdicts])
-            return ShardPartial(
-                index=chunk.index,
-                trials=int(loc_idx.shape[0]),
-                failures=int(verdicts.sum()),
-                weighted_mass=float(pair_mass.sum()),
-                pair_ids=unique.astype(np.int64),
-                pair_counts=counts,
-                pair_mass=pair_mass,
-            )
-        loc_idx, draw_idx, pair_ids = planner.materialize_pairs(chunk)
+        sites, draws, pair_ids = planner.materialize_pairs(chunk)
+        loc_idx, draw_idx = planner.universe.expand(sites, draws)
         verdicts = np.asarray(
             engine.failures_indexed(loc_idx, draw_idx), dtype=bool
         )
-        failing = pair_ids[verdicts]
-        unique, counts = np.unique(failing, return_counts=True)
-        # Same accumulation order as before (ascending pair id), with the
-        # weights resolved by one chunk-local walk instead of a
-        # triangular inversion per failing pair.
-        weights = planner.pair_weights(chunk)
-        mass = 0.0
-        for pair_id, count in zip(unique.tolist(), counts.tolist()):
-            mass += count * float(weights[pair_id - chunk.lo])
+        # Runs come out grouped by ascending pair id, so each distinct
+        # failing pair is one contiguous block.
+        unique, counts = np.unique(pair_ids[verdicts], return_counts=True)
+        pair_mass, total = planner.universe.pair_masses(
+            sites[verdicts], draws[verdicts], counts
+        )
         return ShardPartial(
             index=chunk.index,
             trials=int(loc_idx.shape[0]),
             failures=int(verdicts.sum()),
-            weighted_mass=mass,
+            weighted_mass=total,
             pair_ids=unique.astype(np.int64),
             pair_counts=counts.astype(np.int64),
+            pair_mass=pair_mass,
         )
     if isinstance(chunk, RowPairChunk):
         loc_idx, draw_idx = planner.row_universe(True).rows(
@@ -1316,7 +1118,7 @@ def resolve_evaluator(
     ``check_fault_tolerance``, ``second_order_survey``,
     ``two_fault_error_budget``, ``figure4``, and ``table1 --verify-ft``:
 
-    * ``executor`` — a callable ``(engine, max_slab) -> evaluator`` (e.g.
+    * ``executor`` — a callable ``(engine, max_slab, model) -> evaluator`` (e.g.
       :class:`repro.sim.cluster.ClusterExecutorFactory` behind the CLI's
       ``--cluster`` flag). When given, it supplies the backend and
       ``workers`` is ignored.
@@ -1334,9 +1136,8 @@ def resolve_evaluator(
     ``model`` threads a noise model (``repro.sim.noisemodels``) into the
     planner, the pool workers, and — through a model-aware ``executor``
     like :class:`repro.sim.cluster.ClusterExecutorFactory` — the cluster
-    handshake, so heterogeneous workloads shard and distribute exactly
-    like uniform ones. Executors that predate the seam (two-argument
-    callables) still work when no model is given.
+    handshake, so every model's workloads shard and distribute the same
+    way.
     """
     if max_slab is None:
         if mem_budget is not None:
@@ -1344,9 +1145,7 @@ def resolve_evaluator(
         else:
             max_slab = default_slab if default_slab is not None else _DEFAULT_SLAB
     if executor is not None:
-        if model is not None:
-            return executor(engine, int(max_slab), model)
-        return executor(engine, int(max_slab))
+        return executor(engine, int(max_slab), model)
     return ShardedEvaluator(
         engine,
         workers=workers,

@@ -49,6 +49,14 @@ import numpy as np
 
 from ..obs.trace import span as _obs_span
 from . import sampler as sim_sampler
+from .noisemodels import (
+    SiteUniverse,
+    binomial_weight,
+    poisson_binomial_tail,
+    poisson_binomial_weight,
+    poisson_binomial_weights,
+    tail_weight,
+)
 from .shard import merge_partials, resolve_evaluator
 
 __all__ = [
@@ -64,55 +72,6 @@ __all__ = [
     "poisson_binomial_weight",
     "poisson_binomial_tail",
 ]
-
-
-def binomial_weight(num_locations: int, k: int, p: float) -> float:
-    """``P(K = k)`` for ``K ~ Binomial(num_locations, p)``."""
-    return (
-        math.comb(num_locations, k)
-        * p**k
-        * (1.0 - p) ** (num_locations - k)
-    )
-
-
-def tail_weight(num_locations: int, k_max: int, p: float) -> float:
-    """``P(K > k_max)`` — the unsampled-strata weight bound."""
-    head = sum(binomial_weight(num_locations, k, p) for k in range(k_max + 1))
-    return max(0.0, 1.0 - head)
-
-
-def poisson_binomial_weights(rates, k_max: int) -> np.ndarray:
-    """``P(K = k)`` for ``k = 0..k_max`` under heterogeneous Bernoulli rates.
-
-    The heterogeneous generalization of :func:`binomial_weight`: with
-    per-location (per-site) rates ``r_i`` the fault count is
-    Poisson-binomial, and the head distribution folds one location at a
-    time into a truncated convolution — O(N * k_max), deterministic in
-    the location order. For a constant rate vector the values agree with
-    the closed binomial form up to float rounding (the uniform consumers
-    keep the closed form, so E1_1 results are bit-identical).
-    """
-    rates = np.asarray(rates, dtype=np.float64)
-    if np.any((rates < 0.0) | (rates > 1.0)):
-        raise ValueError("rates must lie in [0, 1]")
-    head = np.zeros(k_max + 1, dtype=np.float64)
-    head[0] = 1.0
-    for r in rates:
-        head[1:] = head[1:] * (1.0 - r) + head[:-1] * r
-        head[0] *= 1.0 - r
-    return head
-
-
-def poisson_binomial_weight(rates, k: int) -> float:
-    """``P(K = k)`` under heterogeneous per-location rates."""
-    return float(poisson_binomial_weights(rates, k)[k])
-
-
-def poisson_binomial_tail(rates, k_max: int) -> float:
-    """``P(K > k_max)`` under heterogeneous per-location rates."""
-    return max(
-        0.0, 1.0 - float(poisson_binomial_weights(rates, k_max).sum())
-    )
 
 
 def wilson_interval(
@@ -275,9 +234,8 @@ class SubsetSampler:
     ----------
     engine:
         Batch execution engine (``repro.sim.sampler``): an object with a
-        ``locations`` list (:func:`repro.sim.frame.protocol_locations`),
-        ``failures(list_of_injection_dicts) -> bool array`` and
-        ``failures_indexed(loc_idx, draw_idx) -> bool array``. Every
+        ``locations`` list (:func:`repro.sim.frame.protocol_locations`)
+        and ``failures_indexed(loc_idx, draw_idx) -> bool array``. Every
         stratum is evaluated through the stratum planner — use
         :meth:`for_protocol` to build one. Engines built from the same
         protocol produce identical tallies for the same seed, whether
@@ -299,7 +257,7 @@ class SubsetSampler:
         Peak configurations materialized per chunk; defaults to
         ``batch_size``.
     executor:
-        Execution backend factory ``(engine, max_slab) -> evaluator``
+        Execution backend factory ``(engine, max_slab, model) -> evaluator``
         (the ``repro.sim.shard.resolve_evaluator`` seam) — e.g.
         :class:`repro.sim.cluster.ClusterExecutorFactory` to evaluate
         chunks on remote TCP workers. Results stay bit-identical to
@@ -309,18 +267,17 @@ class SubsetSampler:
         adaptively (:class:`repro.sim.shard.AdaptiveSlabPolicy`) when
         ``max_slab`` is not given.
     model:
-        Optional noise model (the ``repro.sim.noisemodels`` seam).
-        ``None`` keeps the historical E1_1 behaviour. A *uniform* model
-        (E1_1 itself, or any model that degenerates to it) routes through
-        the same code paths bit-for-bit. A heterogeneous model switches
-        the strata to the site universe: stratum weights become
-        Poisson-binomial over the per-site rates, sampled strata draw
-        site subsets from the exact conditional-Bernoulli law with the
-        model's draw weights, and the exact k = 1 / k = 2 enumerations
-        weight every (site, draw) by its own conditional probability.
-        ``estimate(p)`` rescales all rates by ``p / model.p`` (exact at
-        the model's own rates; see ``docs/noise.md`` for the sweep
-        semantics).
+        Optional noise model (the ``repro.sim.noisemodels`` seam), compiled
+        into a :class:`~repro.sim.noisemodels.SiteUniverse`; ``None`` is
+        E1_1. The universe supplies the stratum weights, the sampled
+        strata and the exact k = 1 / k = 2 weights: E1_1's binomial
+        weights, Floyd draws and uniform rows for a uniform model;
+        Poisson-binomial weights over the per-site rates,
+        conditional-Bernoulli site subsets with the model's draw weights,
+        and per-(site, draw) conditional probabilities otherwise.
+        ``estimate(p)`` rescales a non-uniform model's rates by
+        ``p / model.p`` (exact at the model's own rates; see
+        ``docs/noise.md`` for the sweep semantics).
     ledger:
         Results-ledger selection for chunk-partial reuse: ``None`` =
         ambient (``REPRO_LEDGER``), ``False`` = off, or a
@@ -346,11 +303,7 @@ class SubsetSampler:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._bind_model(engine.locations, model)
-        if self._universe is not None:
-            k_cap = int(self._universe.active_sites.size)
-        else:
-            k_cap = len(self.locations)
-        self.k_max = min(k_max, k_cap)
+        self.k_max = min(k_max, int(self._universe.active_sites.size))
         self.rng = rng if rng is not None else np.random.default_rng()
         self.engine = engine
         self.batch_size = batch_size
@@ -460,15 +413,11 @@ class SubsetSampler:
         return self
 
     def _bind_model(self, locations, model) -> None:
-        """Set the location universe and noise model, plus the model's
-        site universe when it is heterogeneous (None otherwise)."""
+        """Set the location universe, the noise model and its site
+        universe."""
         self.locations = list(locations)
         self.model = model
-        self._universe = None
-        if model is not None:
-            from .noisemodels import heterogeneous_universe  # deferred: imports this module
-
-            self._universe = heterogeneous_universe(self.locations, model)
+        self._universe = SiteUniverse(self.locations, model)
 
     # -- chunk execution -------------------------------------------------------
 
@@ -612,18 +561,13 @@ class SubsetSampler:
         to 16,031 shots the step is 500 and the stream that of revision
         2).
 
-        ``p_ref`` defaults to the historical ``0.1`` (the paper's
-        ``p_max``) for uniform models, and to the *model's own strength*
-        for heterogeneous ones — a calibrated rate map may not even be
-        rescalable to 0.1 (a site rate would cross 1), and its natural
-        variance target is its own operating point.
+        ``p_ref`` defaults to the universe's
+        :meth:`~repro.sim.noisemodels.SiteUniverse.reference_strength`:
+        the paper's ``p_max = 0.1`` for uniform models, the model's own
+        strength otherwise.
         """
         if p_ref is None:
-            p_ref = (
-                0.1
-                if self._universe is None
-                else float(getattr(self.model, "p", 0.1))
-            )
+            p_ref = self._universe.reference_strength()
         sampled = [k for k in range(1, self.k_max + 1) if not self.strata[k].exact]
         if not sampled:
             return
@@ -634,7 +578,7 @@ class SubsetSampler:
         for k in seeded:
             self.sample_stratum(k, seed)
         spent = seed * len(seeded)
-        head_ref = self._stratum_head(p_ref)
+        head_ref = self._universe.stratum_weights(self.k_max, p_ref)
         while spent < shots:
             target = max(
                 sampled, key=lambda k: head_ref[k] * self.strata[k].std_error()
@@ -643,26 +587,6 @@ class SubsetSampler:
             spent += step
 
     # -- estimation ------------------------------------------------------------
-
-    def _stratum_head(self, p: float) -> np.ndarray:
-        """``P(K = k)`` for ``k = 0..k_max`` at physical strength ``p``.
-
-        Binomial (the historical closed form, bit-identical) when the
-        model is uniform or absent; Poisson-binomial over the site rates
-        rescaled by ``p / model.p`` when heterogeneous.
-        """
-        if self._universe is None:
-            n = len(self.locations)
-            return np.asarray(
-                [binomial_weight(n, k, p) for k in range(self.k_max + 1)],
-                dtype=np.float64,
-            )
-        return self._universe.stratum_weights(self.k_max, p)
-
-    def _tail_weight(self, p: float, head: np.ndarray) -> float:
-        if self._universe is None:
-            return tail_weight(len(self.locations), self.k_max, p)
-        return max(0.0, 1.0 - float(head.sum()))
 
     def estimate(self, p: float, *, z: float = 1.96) -> SubsetEstimate:
         """``p_L(p)`` with Wilson confidence and truncation bounds.
@@ -674,7 +598,7 @@ class SubsetSampler:
         ``BiasedPauliModel``; second-order accurate across the sweep for
         rate-heterogeneous ones — see ``docs/noise.md``).
         """
-        head = self._stratum_head(p)
+        head = self._universe.stratum_weights(self.k_max, p)
         mean = lower = upper = 0.0
         for k, stats in self.strata.items():
             weight = float(head[k])
@@ -682,7 +606,7 @@ class SubsetSampler:
             lo, hi = stats.interval(z)
             lower += weight * lo
             upper += weight * hi
-        tail = self._tail_weight(p, head)
+        tail = self._universe.tail_weight(self.k_max, p)
         return SubsetEstimate(
             p=p,
             mean=mean,
@@ -692,13 +616,11 @@ class SubsetSampler:
         )
 
     @property
-    def p_ceiling(self) -> float | None:
-        """Supremum of strengths the model can be rescaled to (exclusive),
-        or ``None`` for the uniform path (any ``p <= 1`` is valid).
-        ``estimate(p)`` raises at or above it; sweep consumers
-        (``figure4``, the CLI) skip those points instead."""
-        if self._universe is None:
-            return None
+    def p_ceiling(self) -> float:
+        """Supremum of strengths the model can be rescaled to (exclusive;
+        ``inf`` for a uniform model). ``estimate(p)`` raises at or above
+        it; sweep consumers (``figure4``, the CLI) skip those points
+        instead."""
         return self._universe.max_strength()
 
     def curve(self, p_values, *, z: float = 1.96) -> list[SubsetEstimate]:

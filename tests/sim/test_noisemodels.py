@@ -38,6 +38,7 @@ from repro.sim.subset import (
     poisson_binomial_tail,
     poisson_binomial_weight,
     poisson_binomial_weights,
+    tail_weight,
 )
 
 from ..conftest import cached_protocol
@@ -444,6 +445,74 @@ class TestSiteUniverse:
 
         with pytest.raises(ValueError, match="pair rates"):
             site_universe(locations, Sloppy())
+
+
+class TestUniformUniverse:
+    """E1_1's closed forms live inside the universe: ``None``, ``E1_1(p)``
+    and a unit ``ScaledNoiseModel`` all compile to the same uniform one."""
+
+    @pytest.mark.parametrize(
+        "model", [None, E1_1(p=0.0), E1_1(p=0.01), ScaledNoiseModel(p=0.01)]
+    )
+    def test_binomial_weights_and_every_site_live(self, model):
+        locations = toy_locations()
+        universe = SiteUniverse(locations, model)
+        n = len(locations)
+        assert universe.uniform
+        assert universe.active_sites.tolist() == list(range(n))
+        assert universe.enumeration_sites().tolist() == list(range(n))
+        assert universe.max_strength() == math.inf
+        assert universe.reference_strength() == 0.1
+        assert universe.stratum_weights(3, 0.02).tolist() == [
+            binomial_weight(n, k, 0.02) for k in range(4)
+        ]
+        assert universe.tail_weight(3, 0.02) == tail_weight(n, 3, 0.02)
+        assert universe.e2_relative() == math.comb(n, 2)
+
+    def test_row_weights_and_pair_masses(self):
+        locations = toy_locations()
+        universe = SiteUniverse(locations, None)
+        counts = draw_counts(locations)
+        n = len(locations)
+        sites = np.arange(n)
+        assert universe.row_weights_for(sites, np.zeros(n)).tolist() == [
+            1.0 / (n * int(c)) for c in counts
+        ]
+        # Failing runs of pairs (0, 1) x3 and (1, 4) x2, grouped by pair.
+        runs = np.asarray([[0, 1]] * 3 + [[1, 4]] * 2)
+        mass, total = universe.pair_masses(
+            runs, np.zeros_like(runs), np.asarray([3, 2])
+        )
+        expected = [
+            3 * (1.0 / (math.comb(n, 2) * int(counts[0]) * int(counts[1]))),
+            2 * (1.0 / (math.comb(n, 2) * int(counts[1]) * int(counts[4]))),
+        ]
+        assert mass.tolist() == expected
+        assert total == 0.0 + expected[0] + expected[1]
+
+    def test_weighted_universe_keeps_its_ceiling(self):
+        universe = SiteUniverse(toy_locations(), BiasedPauliModel(p=0.01, eta=3.0))
+        assert not universe.uniform
+        assert universe.max_strength() == pytest.approx(1.0)
+        assert universe.reference_strength() == 0.01
+
+    def test_rate_map_keeps_the_floor_draw(self):
+        """Uniform draws with per-location rates: Bernoulli draws are
+        ``floor(u * count)``, the E1_1 stream, not the inverse CDF."""
+        locations = toy_locations()
+        model = InhomogeneousModel(p=0.2, overrides={0: 0.5})
+        universe = SiteUniverse(locations, model)
+        assert universe.plain_draws and not universe.uniform
+        loc_idx, draw_idx = universe.sample_bernoulli(
+            400, np.random.default_rng(4)
+        )
+        rng = np.random.default_rng(4)
+        fails = rng.random((400, len(locations))) < universe.site_rates
+        shot_ids, locs = np.nonzero(fails)
+        draws = np.floor(
+            rng.random(shot_ids.size) * draw_counts(locations)[locs]
+        ).astype(np.intp)
+        assert draw_idx[loc_idx >= 0].tolist() == draws.tolist()
 
 
 class TestComposeInjections:

@@ -161,7 +161,7 @@ class TestResultsComputedEveryCall:
     def _counting_executor(calls):
         from repro.sim.shard import ShardedEvaluator
 
-        def executor(engine, max_slab):
+        def executor(engine, max_slab, model=None):
             calls.append(max_slab)
             return ShardedEvaluator(engine, workers=1, max_slab=max_slab)
 
