@@ -480,13 +480,6 @@ class SiteUniverse:
         self.model = model
         self.p = float(getattr(model, "p", math.nan))
         self.loc_rates = model_location_rates(self.locations, model)
-        if np.any((self.loc_rates < 0.0) | (self.loc_rates >= 1.0)):
-            bad = self.loc_rates[
-                (self.loc_rates < 0.0) | (self.loc_rates >= 1.0)
-            ]
-            raise ValueError(
-                f"location rates must lie in [0, 1): got {bad[:3]}..."
-            )
         self._weights = model_draw_weights(self.locations, model)
         self.pairs = model_pair_sites(self.locations, model)
         self.num_locations = len(self.locations)
@@ -497,8 +490,6 @@ class SiteUniverse:
                 np.asarray([rate for _, _, rate in self.pairs], dtype=np.float64),
             ]
         )
-        if np.any((self.site_rates < 0.0) | (self.site_rates >= 1.0)):
-            raise ValueError("pair rates must lie in [0, 1)")
         loc_counts = draw_counts(self.locations)
         self.site_draw_counts = np.concatenate(
             [
@@ -527,6 +518,19 @@ class SiteUniverse:
             and bool((self.loc_rates == self.loc_rates[0]).all())
             and float(self.loc_rates[0]) == self.p
         )
+        # Odds ratios need every rate below 1; a uniform universe uses none,
+        # so its binomial strength may be 1 (every location fails).
+        bad = (self.loc_rates < 0.0) | (self.loc_rates > 1.0)
+        if not self.uniform:
+            bad |= self.loc_rates == 1.0
+        if bad.any():
+            raise ValueError(
+                "location rates must lie in [0, 1) ([0, 1] for E1_1): "
+                f"got {self.loc_rates[bad][:3]}..."
+            )
+        pair_rates = self.site_rates[self.num_locations :]
+        if np.any((pair_rates < 0.0) | (pair_rates >= 1.0)):
+            raise ValueError("pair rates must lie in [0, 1)")
         # A uniform universe's rates are a sweep parameter, so all of its
         # sites count, even at strength 0; otherwise only those that fire.
         self._live = (
@@ -536,12 +540,17 @@ class SiteUniverse:
         )
         #: Sites that can actually fire; enumerations skip the rest.
         self.active_sites = np.flatnonzero(self._live).astype(np.intp)
-        self.odds = self.site_rates / (1.0 - self.site_rates)
+        with np.errstate(divide="ignore"):
+            self.odds = self.site_rates / (1.0 - self.site_rates)
         # Normalized odds keep the elementary-symmetric DP well scaled;
-        # every probability below is a ratio, so the scale cancels.
-        active_odds = self.odds[self.active_sites]
-        scale = active_odds.mean() if active_odds.size else 1.0
-        self._w = self.odds / scale if scale > 0 else self.odds.copy()
+        # every probability below is a ratio, so the scale cancels. Equal
+        # odds normalize to exactly 1.
+        if self.uniform:
+            self._w = np.ones(self.num_sites, dtype=np.float64)
+        else:
+            active_odds = self.odds[self.active_sites]
+            scale = active_odds.mean() if active_odds.size else 1.0
+            self._w = self.odds / scale if scale > 0 else self.odds.copy()
         self._pinc: dict[int, np.ndarray] = {}
         self._cdfs: np.ndarray | None = None
         self._qtables: list[np.ndarray] | None = None
@@ -839,11 +848,12 @@ class SiteUniverse:
         return int((total * total - int((counts * counts).sum())) // 2)
 
     def e1(self) -> float:
-        """First elementary symmetric polynomial of the (scaled) odds."""
-        return float(self._w[self.site_rates > 0.0].sum())
+        """First elementary symmetric polynomial of the (scaled) odds of
+        the live sites."""
+        return float(self._w[self._live].sum())
 
     def e2(self) -> float:
-        w = self._w[self.site_rates > 0.0]
+        w = self._w[self._live]
         return float((w.sum() ** 2 - (w**2).sum()) / 2.0)
 
     def row_weights_for(self, sites: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -863,10 +873,18 @@ class SiteUniverse:
         site_b: np.ndarray,
         draw_b: np.ndarray,
     ) -> np.ndarray:
-        """Conditional probability of pair runs given ``K = 2``."""
-        qmat = self._draw_matrix()
+        """Conditional probability of pair runs given ``K = 2``:
+        ``1 / (C(N, 2) d_a d_b)`` when uniform, else
+        ``odds_a odds_b / e_2 * q_a(draw_a) q_b(draw_b)``."""
         site_a = np.asarray(site_a, dtype=np.intp)
         site_b = np.asarray(site_b, dtype=np.intp)
+        if self.uniform:
+            return 1.0 / (
+                math.comb(self.num_sites, 2)
+                * self.site_draw_counts[site_a]
+                * self.site_draw_counts[site_b]
+            )
+        qmat = self._draw_matrix()
         qa = qmat[site_a, np.asarray(draw_a, dtype=np.intp)]
         qb = qmat[site_b, np.asarray(draw_b, dtype=np.intp)]
         return (self._w[site_a] * self._w[site_b] / self.e2()) * qa * qb
@@ -956,30 +974,36 @@ class SiteUniverse:
         }
 
     def iter_rows(self, checkable_only: bool = False):
-        """Yield ``(injections_dict, conditional_weight)`` per k=1 row."""
-        tables = self._draw_weight_tables()
-        e1 = self.e1()
+        """Yield ``(injections_dict, conditional_weight)`` per k=1 row,
+        weighted by :meth:`row_weights_for`."""
         for site in self.enumeration_sites(checkable_only).tolist():
-            for draw in range(int(self.site_draw_counts[site])):
+            count = int(self.site_draw_counts[site])
+            draws = np.arange(count)
+            weights = self.row_weights_for(np.full(count, site), draws)
+            for draw, weight in enumerate(weights.tolist()):
                 _, injections = self.site_injections(site, draw)
-                weight = (self._w[site] / e1) * float(tables[site][draw])
                 yield injections, weight
 
     def iter_pair_runs(self):
-        """Yield ``(injections_dict, weight, site_a, site_b)`` per k=2 run."""
-        tables = self._draw_weight_tables()
-        e2 = self.e2()
+        """Yield ``(injections_dict, weight, site_a, site_b)`` per k=2 run,
+        weighted by :meth:`pair_run_weights_for`."""
         sites = self.enumeration_sites().tolist()
         for a_pos, site_a in enumerate(sites):
+            count_a = int(self.site_draw_counts[site_a])
             for site_b in sites[a_pos + 1 :]:
-                pair_w = self._w[site_a] * self._w[site_b] / e2
-                for draw_a in range(int(self.site_draw_counts[site_a])):
-                    _, inj_a = self.site_injections(site_a, draw_a)
-                    qa = float(tables[site_a][draw_a])
-                    for draw_b in range(int(self.site_draw_counts[site_b])):
-                        _, inj_b = self.site_injections(site_b, draw_b)
+                count_b = int(self.site_draw_counts[site_b])
+                draw_a, draw_b = np.divmod(np.arange(count_a * count_b), count_b)
+                weights = self.pair_run_weights_for(
+                    np.full(draw_a.size, site_a),
+                    draw_a,
+                    np.full(draw_b.size, site_b),
+                    draw_b,
+                ).reshape(count_a, count_b)
+                for da in range(count_a):
+                    _, inj_a = self.site_injections(site_a, da)
+                    for db, weight in enumerate(weights[da].tolist()):
+                        _, inj_b = self.site_injections(site_b, db)
                         injections = merge_injection_dicts(inj_a, inj_b)
-                        weight = pair_w * qa * float(tables[site_b][draw_b])
                         yield injections, weight, site_a, site_b
 
 

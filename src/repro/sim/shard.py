@@ -401,7 +401,14 @@ def chunk_token(chunk) -> dict | None:
             "threshold": int(chunk.threshold),
         }
     if isinstance(chunk, PairChunk):
-        return {"type": "pairs", "lo": int(chunk.lo), "hi": int(chunk.hi)}
+        # ``mass``: pair partials carry ``pair_mass`` for every model; the
+        # field keeps records written before E1_1 ones did from matching.
+        return {
+            "type": "pairs",
+            "mass": 1,
+            "lo": int(chunk.lo),
+            "hi": int(chunk.hi),
+        }
     return None
 
 

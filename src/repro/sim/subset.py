@@ -49,14 +49,7 @@ import numpy as np
 
 from ..obs.trace import span as _obs_span
 from . import sampler as sim_sampler
-from .noisemodels import (
-    SiteUniverse,
-    binomial_weight,
-    poisson_binomial_tail,
-    poisson_binomial_weight,
-    poisson_binomial_weights,
-    tail_weight,
-)
+from .noisemodels import SiteUniverse
 from .shard import merge_partials, resolve_evaluator
 
 __all__ = [
@@ -66,11 +59,6 @@ __all__ = [
     "DirectEstimate",
     "direct_mc",
     "wilson_interval",
-    "binomial_weight",
-    "tail_weight",
-    "poisson_binomial_weights",
-    "poisson_binomial_weight",
-    "poisson_binomial_tail",
 ]
 
 

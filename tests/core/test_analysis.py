@@ -65,8 +65,11 @@ class TestBudget:
 class TestConsistencyWithSubsetSampler:
     def test_budget_matches_exact_k2(self, steane_budget):
         """Two independent exact k=2 enumerations must agree to rounding:
-        the budget's and the per-shot reference sum."""
-        assert reference_mass(cached_protocol("steane"), 2) == pytest.approx(
+        the budget's and the per-shot reference sum over the ``None``
+        universe's uniform run weights."""
+        assert reference_mass(
+            cached_protocol("steane"), 2, model=None
+        ) == pytest.approx(
             steane_budget.f2_exact, abs=1e-6
         )
 

@@ -42,7 +42,7 @@ from repro.core.faults import (
 )
 from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
-from repro.sim.noise import E1_1, draw_tables, materialize_stratum
+from repro.sim.noise import draw_tables, materialize_stratum
 from repro.sim.noisemodels import site_universe
 
 
@@ -230,11 +230,10 @@ def reference_mass(protocol, k: int, *, model=None) -> float:
     """Exact ``f_k`` (k = 1 or 2) by a per-shot sum over every run.
 
     ``model=None`` is E1_1, whose conditional strata do not depend on
-    ``p``.
+    ``p``: the universe's uniform ``1 / (N d)`` and
+    ``1 / (C(N, 2) d_a d_b)`` weights.
     """
-    universe = site_universe(
-        protocol_locations(protocol), model if model is not None else E1_1(p=0.1)
-    )
+    universe = site_universe(protocol_locations(protocol), model)
     runs = universe.iter_rows() if k == 1 else universe.iter_pair_runs()
     runner = ProtocolRunner(protocol)
     judge = LogicalJudge(protocol.code)

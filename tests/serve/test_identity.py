@@ -142,6 +142,15 @@ class TestSweepIdentity:
             cold.direct.failures,
         )
 
+    def test_direct_check_at_strength_one(self, server):
+        """E1_1 has no strength ceiling, so a check at p = 1 (every
+        location fails) is run, not raised or skipped."""
+        cold = _cold_series(ledger=False, direct_check_at=1.0, direct_shots=200)
+        line = _daemon_sweep(server, direct_check_at=1.0, direct_shots=200)
+        d = line["result"]["direct"]
+        assert d["trials"] == 200
+        assert (d["p"], d["failures"]) == (cold.direct.p, cold.direct.failures)
+
 
 class TestOtherOpsIdentity:
     def test_ftcheck_identity(self, server):

@@ -22,10 +22,12 @@ import numpy as np
 import pytest
 
 import repro.sim.sampler as sampler_mod
+from repro.core.analysis import two_fault_error_budget
 from repro.experiments.figure4 import run_figure4, run_series
 from repro.serve.ledger import LedgerEvaluator, ResultsLedger
 from repro.sim.sampler import make_sampler
 from repro.sim.shard import (
+    PairChunk,
     ShardedEvaluator,
     ShardPartial,
     StratumChunk,
@@ -436,3 +438,59 @@ class TestDrawRevision:
             baseline.failures,
         )
         assert baseline.failures < baseline.trials
+
+
+def _massless_pair_chunk_key(digest: str, chunk) -> str:
+    """A pair-chunk key as written before pair partials carried
+    ``pair_mass`` for E1_1."""
+    return _pre_revision_key(
+        digest, "chunk", {"type": "pairs", "lo": chunk.lo, "hi": chunk.hi}
+    )
+
+
+class TestPairMassRecords:
+    """An E1_1 pair partial stored without ``pair_mass`` cannot feed the
+    budget's per-pair masses, so its key must not match the current one."""
+
+    def test_helper_rebuilds_the_massless_key(self):
+        chunk = PairChunk(index=0, lo=0, hi=100)
+        assert _massless_pair_chunk_key("ab" * 32, chunk) == (
+            "7daffabe68889f498c67ab1326e5bc5c3d443b068a3401ac2d2e8d442566b099"
+        )
+        assert store_keys.chunk_key("ab" * 32, None, chunk) != (
+            _massless_pair_chunk_key("ab" * 32, chunk)
+        )
+
+    def test_budget_recomputes_over_massless_records(self, ledger):
+        protocol = cached_protocol("steane")
+        cold = two_fault_error_budget(protocol, max_slab=4000)
+        engine = make_sampler(protocol)
+        inline = ShardedEvaluator(engine, max_slab=4000)
+        plan = list(inline.planner.plan_pairs())
+        digest = store_keys.protocol_digest(protocol)
+        for chunk, partial in zip(plan, inline.map(plan)):
+            partial.pair_mass = None
+            ledger.put(
+                "chunk",
+                _massless_pair_chunk_key(digest, chunk),
+                partial_to_jsonable(partial),
+            )
+        wrapped = []
+
+        def executor(engine, max_slab, model):
+            evaluator = LedgerEvaluator(
+                ShardedEvaluator(engine, max_slab=max_slab, model=model),
+                ledger,
+                model=model,
+            )
+            wrapped.append(evaluator)
+            return evaluator
+
+        warm = two_fault_error_budget(protocol, max_slab=4000, executor=executor)
+        assert wrapped[0].chunk_hits == 0
+        assert wrapped[0].chunk_computes == len(plan)
+        assert warm.f2_exact.hex() == cold.f2_exact.hex()
+        assert warm.by_segment_pair == cold.by_segment_pair
+        again = two_fault_error_budget(protocol, max_slab=4000, executor=executor)
+        assert wrapped[1].chunk_hits == len(plan)
+        assert again.f2_exact.hex() == cold.f2_exact.hex()

@@ -30,14 +30,12 @@ from repro.sim.noisemodels import (
     InhomogeneousModel,
     SiteUniverse,
     adjacent_2q_pairs,
-    parse_noise_spec,
-    site_universe,
-)
-from repro.sim.subset import (
     binomial_weight,
+    parse_noise_spec,
     poisson_binomial_tail,
     poisson_binomial_weight,
     poisson_binomial_weights,
+    site_universe,
     tail_weight,
 )
 
@@ -489,6 +487,38 @@ class TestUniformUniverse:
         ]
         assert mass.tolist() == expected
         assert total == 0.0 + expected[0] + expected[1]
+
+    def test_oracle_walks_the_uniform_weights(self):
+        """The per-shot iterators weigh a ``None`` universe's runs as the
+        planner does: ``1 / (N d)`` rows and ``1 / (C(N, 2) d_a d_b)``
+        pair runs, never ``0 / 0`` odds."""
+        locations = toy_locations()
+        universe = SiteUniverse(locations, None)
+        counts = draw_counts(locations)
+        n = len(locations)
+        rows = [weight for _, weight in universe.iter_rows()]
+        assert rows == [
+            1.0 / (n * int(c)) for c in counts for _ in range(int(c))
+        ]
+        assert sum(rows) == pytest.approx(1.0)
+        runs = list(universe.iter_pair_runs())
+        assert [w for _, w, a, b in runs] == [
+            1.0 / (math.comb(n, 2) * int(counts[a]) * int(counts[b]))
+            for _, _, a, b in runs
+        ]
+        assert sum(w for _, w, _, _ in runs) == pytest.approx(1.0)
+        assert universe.e1() == n and universe.e2() == math.comb(n, 2)
+
+    def test_strength_one_fails_every_location(self):
+        """The binomial weights take ``p = 1``, and so does the Bernoulli
+        draw; a weighted universe needs every rate below 1 (odds)."""
+        locations = toy_locations()
+        universe = SiteUniverse(locations, E1_1(p=1.0))
+        loc_idx, _ = universe.sample_bernoulli(5, np.random.default_rng(0))
+        assert loc_idx.tolist() == [list(range(len(locations)))] * 5
+        assert universe.stratum_weights(1, 1.0).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError, match="location rates"):
+            SiteUniverse(locations, InhomogeneousModel(p=0.1, overrides={0: 1.0}))
 
     def test_weighted_universe_keeps_its_ceiling(self):
         universe = SiteUniverse(toy_locations(), BiasedPauliModel(p=0.01, eta=3.0))

@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim.subset import (
-    SubsetSampler,
-    binomial_weight,
-    tail_weight,
-    wilson_interval,
-)
+from repro.sim.noisemodels import binomial_weight, tail_weight
+from repro.sim.subset import SubsetSampler, wilson_interval
 
 from ..reference import FakeEngine
 
