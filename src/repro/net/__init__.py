@@ -1,7 +1,7 @@
 """``repro.net`` — the one transport layer under every repro socket.
 
 The repo grew two disjoint TCP stacks — :mod:`repro.sim.cluster`'s sync
-length-prefixed pickle framer and :mod:`repro.serve`'s asyncio JSON-lines
+length-prefixed JSON framer and :mod:`repro.serve`'s asyncio JSON-lines
 protocol. This package is the shared substrate both consume, so security
 and every future transport feature is built once:
 
@@ -19,11 +19,11 @@ and every future transport feature is built once:
   clients from :class:`Endpoint` fields, including the optional
   required-cert mutual mode.
 * :mod:`repro.net.framing` — the low-level wire plumbing both stacks
-  share: the length-prefixed codec-tagged pickle framer
-  (:class:`PickleFramer`, formerly ``repro.sim.cluster._Framer``), the
-  JSON-lines twin (:class:`JsonLinesTransport`), and the uniform
-  byte/frame counters (:class:`FrameCounters`) behind every
-  ``wire_stats()``.
+  share: the length-prefixed codec-tagged JSON framer
+  (:class:`JsonFramer`), the JSON-lines twin (:class:`JsonLinesTransport`),
+  and the uniform byte/frame counters (:class:`FrameCounters`) behind
+  every ``wire_stats()``. Both carry JSON only: nothing read off a
+  socket is ever unpickled.
 
 See ``docs/net.md`` for the endpoint grammar, the handshake diagram, and
 the self-signed TLS quickstart.
@@ -33,6 +33,7 @@ from .auth import (
     AuthError,
     NONCE_BYTES,
     client_proof,
+    from_hex,
     make_nonce,
     server_proof,
     verify_proof,
@@ -48,8 +49,8 @@ from .endpoint import (
 )
 from .framing import (
     FrameCounters,
+    JsonFramer,
     JsonLinesTransport,
-    PickleFramer,
     recv_frame,
     send_frame,
 )
@@ -62,13 +63,14 @@ __all__ = [
     "ENV_TOKEN",
     "Endpoint",
     "FrameCounters",
+    "JsonFramer",
     "JsonLinesTransport",
     "NONCE_BYTES",
     "NetTLSError",
-    "PickleFramer",
     "ambient_token",
     "client_proof",
     "client_ssl_context",
+    "from_hex",
     "make_nonce",
     "parse_endpoint",
     "parse_endpoints",

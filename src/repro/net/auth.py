@@ -1,6 +1,6 @@
 """HMAC-SHA256 challenge–response token handshake.
 
-Both repro wire protocols (the cluster pickle framer and the serve
+Both repro wire protocols (the cluster JSON framer and the serve
 JSON-lines daemon) authenticate with the same three-message exchange,
 run immediately after their existing version hello::
 
@@ -32,8 +32,8 @@ Properties:
   the ability to detect online guesses.
 
 The functions are transport-agnostic bytes-in/bytes-out so both the
-sync socket path and the asyncio path (hex-encoded in JSON) share one
-implementation — and one test suite.
+sync socket path and the asyncio path (each hex-encoding nonces and
+proofs in JSON) share one implementation — and one test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "AuthError",
     "NONCE_BYTES",
     "client_proof",
+    "from_hex",
     "make_nonce",
     "server_proof",
     "verify_proof",
@@ -65,6 +66,16 @@ class AuthError(RuntimeError):
 
 def make_nonce() -> bytes:
     return os.urandom(NONCE_BYTES)
+
+
+def from_hex(value, size: int | None = None) -> bytes | None:
+    """The bytes of a hex string as both stacks send nonces and proofs
+    (exactly ``size`` of them when given); ``None`` for anything else."""
+    try:
+        data = bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return None
+    return data if size is None or len(data) == size else None
 
 
 def _token_bytes(token: str | bytes) -> bytes:

@@ -1,14 +1,14 @@
 """Shared low-level wire plumbing for both repro stacks.
 
-Extracted from ``repro.sim.cluster`` (which re-exports everything here
-for compatibility) so the cluster fabric and the serve daemon report
-transport the same way:
+The cluster fabric and the serve daemon report transport the same way,
+and both carry UTF-8 JSON only — nothing read off a socket is ever
+unpickled:
 
-* :func:`send_frame` / :func:`recv_frame` — raw length-prefixed pickle
-  frames (the cluster handshake layer; stays uncompressed and
-  untagged so old peers get a readable version reject, never a desync);
-* :class:`PickleFramer` — the codec-tagged compressed frame transport of
-  a post-welcome cluster session (formerly ``cluster._Framer``):
+* :func:`send_frame` / :func:`recv_frame` — raw length-prefixed JSON
+  frames (the cluster handshake layer; stays uncompressed and untagged
+  so mismatched peers get a readable version reject, never a desync);
+* :class:`JsonFramer` — the codec-tagged compressed frame transport of
+  a post-welcome cluster session:
   ``8-byte length | 1 codec byte | payload``, zero per-frame allocation
   churn via a grow-only ``recv_into`` buffer, per-direction byte
   counters;
@@ -16,8 +16,13 @@ transport the same way:
   object per ``\\n``-terminated line over a blocking socket, with the
   *same* counter vocabulary, so ``wire_stats`` from either stack lines
   up column-for-column in benchmarks and the daemon's ``stats`` op;
-* :class:`FrameCounters` — that shared vocabulary (``raw_*`` pickle/json
-  bytes before codec, ``wire_*`` bytes on the wire, ``frames_*``).
+* :class:`FrameCounters` — that shared vocabulary (``raw_*`` JSON bytes
+  before codec, ``wire_*`` bytes on the wire, ``frames_*``).
+
+A frame body that is not JSON — such as a pickle from a peer older than
+cluster protocol 5 — raises :class:`WireProtocolError` with a readable
+reason. JSON turns tuples into lists, so receivers check frame shapes
+as sequences.
 
 Works on plaintext sockets and ``ssl.SSLSocket`` alike — TLS sits below
 this layer entirely.
@@ -26,7 +31,6 @@ this layer entirely.
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 
@@ -35,8 +39,8 @@ from ..store import compress_blob, decompress_blob
 
 __all__ = [
     "FrameCounters",
+    "JsonFramer",
     "JsonLinesTransport",
-    "PickleFramer",
     "WireProtocolError",
     "publish_wire_counters",
     "recv_frame",
@@ -61,12 +65,28 @@ class WireProtocolError(RuntimeError):
     """A peer spoke the wrong magic, version, codec, or frame shape."""
 
 
+def _encode(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def _decode(raw):
+    """One frame body as its JSON value; anything else is refused."""
+    try:
+        return json.loads(str(raw, "utf-8"))
+    except ValueError:
+        raise WireProtocolError(
+            f"frame body is not UTF-8 JSON (starts {bytes(raw[:8])!r}): the "
+            "peer is not speaking repro cluster protocol 5 or later, whose "
+            "frames carry JSON instead of pickles"
+        ) from None
+
+
 # -- raw frames (handshake layer) ----------------------------------------------
 
 
 def send_frame(sock: socket.socket, obj) -> None:
-    """Pickle ``obj`` and send it as one length-prefixed frame."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """Send ``obj`` as one length-prefixed JSON frame."""
+    payload = _encode(obj)
     sock.sendall(_LENGTH.pack(len(payload)) + payload)
 
 
@@ -84,22 +104,10 @@ def _recv_into_exact(sock: socket.socket, view: memoryview) -> bool:
     return True
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes | None:
-    """``size`` bytes, ``None`` on clean EOF at a frame boundary.
-
-    One preallocated ``bytearray`` filled via ``recv_into`` — no
-    per-``recv`` slice copies.
-    """
-    buffer = bytearray(size)
-    if not _recv_into_exact(sock, memoryview(buffer)):
-        return None
-    return bytes(buffer)
-
-
-def recv_frame(sock: socket.socket):
-    """One frame back as the unpickled object; ``None`` on clean EOF."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
+def _recv_length(sock: socket.socket, header: bytearray) -> int | None:
+    """The next frame's length prefix, read into ``header``; ``None`` on
+    clean EOF at a frame boundary."""
+    if not _recv_into_exact(sock, memoryview(header)):
         return None
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
@@ -108,10 +116,21 @@ def recv_frame(sock: socket.socket):
             "repro frame protocol (a TLS client against a plaintext "
             "endpoint?)"
         )
-    payload = _recv_exact(sock, length)
-    if payload is None:
+    return length
+
+
+def _recv_body(sock: socket.socket, body: memoryview) -> memoryview:
+    if not _recv_into_exact(sock, body):
         raise ConnectionError("peer closed between header and payload")
-    return pickle.loads(payload)
+    return body
+
+
+def recv_frame(sock: socket.socket):
+    """One frame back as its JSON value; ``None`` on clean EOF."""
+    length = _recv_length(sock, bytearray(_LENGTH.size))
+    if length is None:
+        return None
+    return _decode(_recv_body(sock, memoryview(bytearray(length))))
 
 
 # -- counters ------------------------------------------------------------------
@@ -167,15 +186,15 @@ def publish_wire_counters(counters: FrameCounters, prefix: str) -> None:
             registry.counter(f"{prefix}.{field}").inc(value)
 
 
-# -- codec-tagged pickle frames (cluster sessions) -----------------------------
+# -- codec-tagged JSON frames (cluster sessions) -------------------------------
 
 
-class PickleFramer(FrameCounters):
+class JsonFramer(FrameCounters):
     """Codec-tagged frame transport of one cluster protocol session.
 
     After ``welcome`` both peers switch from raw frames to
     ``8-byte length | 1 codec byte | payload``: the payload is the
-    pickle compressed with the session's negotiated codec, each frame
+    UTF-8 JSON compressed with the session's negotiated codec, each frame
     tags itself (a frame the codec cannot shrink ships raw under
     ``"none"``, so compression never inflates the wire), and receives
     land in one grow-only reusable buffer via ``recv_into`` — zero
@@ -196,7 +215,7 @@ class PickleFramer(FrameCounters):
         self._buffer = bytearray(1 << 16)
 
     def send(self, obj) -> None:
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        raw = _encode(obj)
         codec, payload = compress_blob(raw, self.codec)
         frame = (
             _LENGTH.pack(1 + len(payload))
@@ -209,22 +228,15 @@ class PickleFramer(FrameCounters):
         self.frames_sent += 1
 
     def recv(self):
-        """One frame back as the unpickled object; ``None`` on clean EOF."""
-        if not _recv_into_exact(self.sock, memoryview(self._header)):
+        """One frame back as its JSON value; ``None`` on clean EOF."""
+        length = _recv_length(self.sock, self._header)
+        if length is None:
             return None
-        (length,) = _LENGTH.unpack(self._header)
         if length < 1:
             raise WireProtocolError("empty frame (missing codec byte)")
-        if length > MAX_FRAME_BYTES:
-            raise WireProtocolError(
-                f"frame length {length} is absurd — peer is not speaking "
-                "the repro frame protocol"
-            )
         if length > len(self._buffer):
             self._buffer = bytearray(max(length, 2 * len(self._buffer)))
-        body = memoryview(self._buffer)[:length]
-        if not _recv_into_exact(self.sock, body):
-            raise ConnectionError("peer closed between header and payload")
+        body = _recv_body(self.sock, memoryview(self._buffer)[:length])
         codec = CODEC_NAMES.get(body[0])
         if codec is None:
             raise WireProtocolError(f"unknown frame codec id {body[0]}")
@@ -232,7 +244,7 @@ class PickleFramer(FrameCounters):
         self.raw_received += len(raw)
         self.wire_received += _LENGTH.size + length
         self.frames_received += 1
-        return pickle.loads(raw)
+        return _decode(raw)
 
 
 # -- JSON lines (serve sessions) -----------------------------------------------
@@ -242,7 +254,7 @@ class JsonLinesTransport(FrameCounters):
     """One JSON object per newline-terminated UTF-8 line, counted.
 
     The serve protocol's framing, routed through the same counter
-    vocabulary as :class:`PickleFramer` so both stacks report
+    vocabulary as :class:`JsonFramer` so both stacks report
     ``wire_stats`` uniformly (``raw_* == wire_*`` here: JSON lines carry
     no codec, recorded as ``codec="none"``). Owns the socket's buffered
     reader; blocking semantics follow the socket's timeout.
@@ -264,7 +276,7 @@ class JsonLinesTransport(FrameCounters):
             self.sock.close()
 
     def send_obj(self, obj: dict) -> None:
-        line = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
+        line = _encode(obj) + b"\n"
         self.sock.sendall(line)
         self.raw_sent += len(line)
         self.wire_sent += len(line)

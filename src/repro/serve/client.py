@@ -29,7 +29,7 @@ import socket
 import ssl
 from collections import deque
 
-from ..net.auth import NONCE_BYTES, client_proof, make_nonce, verify_proof
+from ..net.auth import NONCE_BYTES, client_proof, from_hex, make_nonce, verify_proof
 from ..net.auth import server_proof as _server_proof
 from ..net.endpoint import Endpoint, _env_tls_default, parse_endpoint
 from ..net.framing import JsonLinesTransport, WireProtocolError
@@ -100,6 +100,10 @@ class ServeClient:
         # The greeting and auth exchange run under the connect timeout;
         # request reads switch to the (longer) request timeout after.
         sock.settimeout(connect_timeout)
+        # Five blank lines, which every daemon skips: a TLS daemon reads
+        # them as one malformed five-byte TLS record header and drops us
+        # at once, instead of both sides waiting for the other to speak.
+        sock.sendall(b"\n" * 5)
         self._transport = JsonLinesTransport(sock)
         self._sock = sock
         self._file = self._transport._file
@@ -157,11 +161,8 @@ class ServeClient:
                 "daemon requires a token: connect with ?token=... / "
                 "?token-file=... on the endpoint or set REPRO_NET_TOKEN"
             )
-        try:
-            server_nonce = bytes.fromhex(greeting.get("nonce") or "")
-        except ValueError:
-            server_nonce = b""
-        if len(server_nonce) != NONCE_BYTES:
+        server_nonce = from_hex(greeting.get("nonce"), NONCE_BYTES)
+        if server_nonce is None:
             raise ServeError("daemon sent a malformed auth challenge")
         client_nonce = make_nonce()
         self._transport.send_obj(
@@ -180,13 +181,9 @@ class ServeClient:
             )
         if reply.get("event") == "error":
             raise ServeError(reply.get("error", "token handshake refused"))
-        try:
-            answering_proof = bytes.fromhex(reply.get("proof") or "")
-        except ValueError:
-            answering_proof = b""
         if reply.get("event") != "auth-ok" or not verify_proof(
             _server_proof(self._token, server_nonce, client_nonce),
-            answering_proof,
+            from_hex(reply.get("proof")),
         ):
             # Mutual auth: the daemon accepted *us* but cannot prove it
             # holds the token itself — an impostor that let us in.

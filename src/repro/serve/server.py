@@ -62,6 +62,7 @@ from ..core.protocol import synthesize_protocol
 from ..net.auth import (
     NONCE_BYTES,
     client_proof,
+    from_hex,
     make_nonce,
     server_proof,
     verify_proof,
@@ -610,15 +611,17 @@ class ReproServer:
             )
             return False
 
-        try:
-            line = await asyncio.wait_for(reader.readline(), timeout=30)
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            self.stats.auth_failures += 1
-            return False
+        line = b"\n"
+        while line and not line.strip():  # clients open with a blank line
+            try:
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+            except (asyncio.TimeoutError, ConnectionError, OSError):
+                self.stats.auth_failures += 1
+                return False
+            self._count_request_line(line)
         if not line:
             self.stats.auth_failures += 1
             return False
-        self._count_request_line(line)
         try:
             request = json.loads(line)
             assert isinstance(request, dict)
@@ -634,21 +637,15 @@ class ReproServer:
                 "handshake (connect with ?token=... or set REPRO_NET_TOKEN)",
                 rid,
             )
-        try:
-            client_nonce = bytes.fromhex(request.get("nonce") or "")
-            proof = bytes.fromhex(request.get("proof") or "")
-        except ValueError:
-            return await refuse(
-                "token handshake failed: nonce/proof are not valid hex", rid
-            )
-        if len(client_nonce) != NONCE_BYTES:
+        client_nonce = from_hex(request.get("nonce"), NONCE_BYTES)
+        if client_nonce is None:
             return await refuse(
                 f"token handshake failed: auth nonce must be {NONCE_BYTES} "
-                "bytes",
+                "bytes of hex",
                 rid,
             )
         expected = client_proof(self._token, server_nonce, client_nonce)
-        if not verify_proof(expected, proof):
+        if not verify_proof(expected, from_hex(request.get("proof"))):
             return await refuse(
                 "token handshake failed: client proof does not verify "
                 "(wrong or stale token)",

@@ -1,25 +1,30 @@
 """Multi-node chunk execution: stream shard plans to TCP workers.
 
 ``repro.sim.shard`` stopped parallelism at the process-pool boundary;
-this module takes the same tiny, picklable, deterministically-seeded
-chunk specs (:class:`~repro.sim.shard.StratumChunk` & friends) across
-machines:
+this module takes the same tiny, deterministically-seeded chunk specs
+(:class:`~repro.sim.shard.StratumChunk` & friends) across machines:
 
-* **Wire format** — length-prefixed pickle frames (8-byte big-endian
-  length + pickle payload) over a TCP socket, plaintext or TLS
-  (:mod:`repro.net`). A versioned handshake opens every connection: the
-  coordinator sends the magic, the protocol version, and a
-  *digest-first* session header — the SHA-256 of the pickled engine
-  payload (:func:`repro.sim.shard.engine_payload`), the slab bound, the
-  noise model, and the frame codecs it can read. A worker that already
-  holds the compiled engine for that digest (a previous coordinator
+* **Wire format** — length-prefixed UTF-8 JSON frames (8-byte big-endian
+  length + JSON body) over a TCP socket, plaintext or TLS
+  (:mod:`repro.net`). Chunks travel in their
+  :func:`~repro.sim.shard.chunk_to_jsonable` form, partials in the
+  results ledger's :func:`~repro.sim.shard.partial_to_jsonable` form,
+  noise models in their
+  :func:`~repro.sim.noisemodels.model_to_jsonable` form, and token
+  nonces and proofs as hex. A versioned handshake opens every
+  connection: the coordinator sends the magic, the protocol version,
+  and a *digest-first* session header — the SHA-256 of the canonical
+  JSON engine payload (:func:`repro.sim.shard.engine_payload`), the
+  slab bound, the noise model, and the frame codecs it can read. A
+  worker that already holds the compiled engine for that digest (a previous coordinator
   session shipped it) replies ``welcome`` immediately — **engine-cache
   reuse**: consecutive sessions with the same (protocol, engine, judge)
   skip both the payload transfer and the recompilation. On a cache miss
   the worker answers ``need-payload`` and the coordinator ships the
   payload once per worker, exactly as the spawn-pool fallback in
-  ``shard.py`` does — so only registered engines and picklable judges
-  cross the wire, loudly.
+  ``shard.py`` does — so only registered engines, registry judges and
+  the built-in noise models cross the wire; anything else is refused
+  loudly on the coordinator.
 
 * **Compressed frames** (protocol 3) — every frame after ``welcome``
   carries a one-byte codec tag and a payload compressed with the codec
@@ -32,7 +37,7 @@ machines:
   frame layer counts raw/wire bytes per direction
   (:meth:`ClusterEvaluator.wire_stats` — ``bench_cluster`` records
   them). The frame plumbing itself lives in :mod:`repro.net.framing`
-  (shared with the serve daemon) and is re-exported here.
+  (shared with the serve daemon).
 
 * **Transport security** (protocol 4, :mod:`repro.net`) — addresses are
   endpoint specs (``HOST:PORT[?tls=1&token=...]``,
@@ -84,18 +89,20 @@ float masses — pinned in ``tests/sim/test_cluster.py`` and
 ``tests/net/test_secure_cluster.py`` including under forced worker
 kills.
 
-**Security note.** Frames are pickles: a cluster worker will execute
-whatever an *authenticated* coordinator sends it (and vice versa). The
-token handshake gates who gets that far and TLS keeps the stream
-private, but a peer holding the token is fully trusted — treat the
-token like an SSH key, and prefer ``token-file=`` over inline
-``token=`` where process listings are visible.
+**Security note.** Frames are JSON and nothing read off the wire is
+ever unpickled: a hostile frame — a pickle, a malformed chunk, an
+engine payload that does not compile — gets a readable ``reject`` (or
+:class:`~repro.net.framing.WireProtocolError` on the coordinator), and
+the worker keeps serving. The token handshake gates who may use a
+worker's CPU and TLS keeps the stream private; treat the token like an
+SSH key, and prefer ``token-file=`` over inline ``token=`` where
+process listings are visible.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import pickle
 import socket
 import ssl
 import threading
@@ -107,6 +114,7 @@ from typing import Iterable, Iterator, Sequence
 from ..net.auth import (
     NONCE_BYTES,
     client_proof,
+    from_hex,
     make_nonce,
     server_proof,
     verify_proof,
@@ -120,11 +128,9 @@ from ..net.endpoint import (
 )
 from ..net.framing import (
     CODEC_IDS as _CODEC_IDS,
-    CODEC_NAMES as _CODEC_NAMES,
-    PickleFramer as _Framer,
+    FrameCounters,
+    JsonFramer,
     WireProtocolError,
-    _recv_exact,
-    _recv_into_exact,
     publish_wire_counters,
     recv_frame,
     send_frame,
@@ -133,8 +139,8 @@ from ..net.tls import client_ssl_context, server_ssl_context
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_registry
 from ..store import available_codecs
-from ..store.keys import payload_digest
-from . import sampler as sim_sampler
+from ..store.keys import sha256_hex
+from .noisemodels import model_from_jsonable, model_to_jsonable
 from .shard import (
     AdaptiveSlabPolicy,
     ShardPartial,
@@ -142,16 +148,19 @@ from .shard import (
     _DEFAULT_SLAB,
     _EngineContext,
     _run_chunk,
+    chunk_from_jsonable,
+    chunk_to_jsonable,
+    engine_from_payload,
     engine_payload,
     merge_partials,
+    partial_from_jsonable,
+    partial_to_jsonable,
 )
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ClusterProtocolError",
     "ClusterError",
-    "send_frame",
-    "recv_frame",
     "ClusterWorker",
     "ClusterEvaluator",
     "ClusterExecutorFactory",
@@ -166,10 +175,13 @@ __all__ = [
 #: Version 4: the ``repro.net`` security layer — the hello header
 #: advertises ``auth`` and the token challenge–response runs between
 #: hello and ``need-payload``/``welcome`` (the handshake itself keeps
-#: the raw layout so old peers reject cleanly, never desync).
-PROTOCOL_VERSION = 4
+#: the raw layout so old peers reject cleanly, never desync). Version 5:
+#: every frame is JSON instead of a pickle — chunks, partials and models
+#: in their JSON forms, the engine payload as canonical JSON text,
+#: nonces and proofs as hex.
+PROTOCOL_VERSION = 5
 
-_MAGIC = b"RPRO-CLUSTER"
+_MAGIC = "RPRO-CLUSTER"
 
 #: Compiled engines a worker keeps across coordinator sessions.
 _ENGINE_CACHE_SLOTS = 8
@@ -184,8 +196,8 @@ _MAX_PIPELINE_DEPTH = 32
 
 #: The shared frame-protocol error: a peer spoke the wrong magic,
 #: version, codec, or frame vocabulary (alias so the cluster framer —
-#: now :class:`repro.net.framing.PickleFramer` — and this module raise
-#: one catchable type).
+#: :class:`repro.net.framing.JsonFramer` — and this module raise one
+#: catchable type).
 ClusterProtocolError = WireProtocolError
 
 
@@ -357,14 +369,8 @@ class ClusterWorker:
                 # path, with nothing of ours ever sent in the clear).
                 conn = self._ssl_context.wrap_socket(conn, server_side=True)
             self._serve_connection(conn)
-        except (
-            OSError,
-            ConnectionError,
-            EOFError,
-            pickle.PickleError,
-            ClusterProtocolError,
-        ):
-            pass  # coordinator vanished or spoke garbage; others continue
+        except (OSError, ConnectionError, EOFError):
+            pass  # coordinator vanished; others continue
         finally:
             conn.close()
 
@@ -374,98 +380,63 @@ class ClusterWorker:
         hello = recv_frame(conn)
         if hello is None:
             return None
-        if (
-            not isinstance(hello, tuple)
-            or len(hello) != 4
-            or hello[0] != "hello"
-            or hello[1] != _MAGIC
-        ):
-            send_frame(conn, ("reject", "bad magic: not a repro cluster peer"))
-            return None
+        if not (_is_frame(hello, "hello", 4) and hello[1] == _MAGIC):
+            raise WireProtocolError("bad magic: not a repro cluster peer")
         if hello[2] != PROTOCOL_VERSION:
-            send_frame(
-                conn,
-                (
-                    "reject",
-                    f"protocol version mismatch: coordinator speaks "
-                    f"{hello[2]}, worker speaks {PROTOCOL_VERSION}",
-                ),
+            raise WireProtocolError(
+                f"protocol version mismatch: coordinator speaks "
+                f"{hello[2]}, worker speaks {PROTOCOL_VERSION}"
             )
-            return None
+        header = hello[3]
+        if not (isinstance(header, dict) and isinstance(header.get("digest"), str)):
+            raise WireProtocolError("malformed session header")
         # {"digest", "max_slab", "model", "codecs", "auth"} plus, from a
         # tracing coordinator, "trace": {"id", "parent"} — read with
         # .get() everywhere, so peers without it stay compatible.
-        return hello[3]
+        return header
 
-    def _authenticate(self, conn: socket.socket, header) -> bool:
+    def _authenticate(self, conn: socket.socket, header) -> None:
         """The token challenge–response (:mod:`repro.net.auth`), before
         any engine or chunk state exists for this connection. Every
-        failure path sends a readable ``reject`` and refuses the
-        session; a peer that cannot prove token knowledge never gets a
+        failure raises the readable reason the session rejects with; a
+        peer that cannot prove token knowledge never gets a
         ``need-payload``/``welcome``, so no work is ever dispatched to
         or accepted from it."""
         peer_auth = bool(header.get("auth"))
         if self._token is None:
             if peer_auth:
-                send_frame(
-                    conn,
-                    (
-                        "reject",
-                        "coordinator requires a token but this worker runs "
-                        "open; restart the worker with ?token=... or "
-                        "REPRO_NET_TOKEN set",
-                    ),
+                raise WireProtocolError(
+                    "coordinator requires a token but this worker runs "
+                    "open; restart the worker with ?token=... or "
+                    "REPRO_NET_TOKEN set"
                 )
-                return False
-            return True
+            return
         if not peer_auth:
-            send_frame(
-                conn,
-                (
-                    "reject",
-                    "worker requires a token: connect with ?token=... / "
-                    "?token-file=... on the endpoint or set REPRO_NET_TOKEN",
-                ),
+            raise WireProtocolError(
+                "worker requires a token: connect with ?token=... / "
+                "?token-file=... on the endpoint or set REPRO_NET_TOKEN"
             )
-            return False
         server_nonce = make_nonce()
-        send_frame(conn, ("auth-challenge", server_nonce))
+        send_frame(conn, ["auth-challenge", server_nonce.hex()])
         reply = recv_frame(conn)
         if reply is None:
-            return False
-        if not (
-            isinstance(reply, tuple)
-            and len(reply) == 3
-            and reply[0] == "auth-proof"
-            and isinstance(reply[1], (bytes, bytearray))
-            and len(reply[1]) == NONCE_BYTES
-        ):
-            send_frame(
-                conn,
-                (
-                    "reject",
-                    "token handshake failed: expected an auth-proof frame "
-                    f"carrying a {NONCE_BYTES}-byte nonce",
-                ),
+            raise ConnectionError("coordinator left during the token handshake")
+        client_nonce = _hex_nonce(reply, "auth-proof", 3)
+        if client_nonce is None:
+            raise WireProtocolError(
+                "token handshake failed: expected an auth-proof frame "
+                f"carrying a {NONCE_BYTES}-byte hex nonce"
             )
-            return False
-        client_nonce = bytes(reply[1])
         expected = client_proof(self._token, server_nonce, client_nonce)
-        if not verify_proof(expected, reply[2]):
-            send_frame(
-                conn,
-                (
-                    "reject",
-                    "token handshake failed: coordinator proof does not "
-                    "verify (wrong or stale token)",
-                ),
+        if not verify_proof(expected, from_hex(reply[2])):
+            raise WireProtocolError(
+                "token handshake failed: coordinator proof does not "
+                "verify (wrong or stale token)"
             )
-            return False
         send_frame(
             conn,
-            ("auth-ok", server_proof(self._token, server_nonce, client_nonce)),
+            ["auth-ok", server_proof(self._token, server_nonce, client_nonce).hex()],
         )
-        return True
 
     def _cached_engine(self, digest: str):
         with self._engines_lock:
@@ -483,84 +454,89 @@ class ClusterWorker:
 
     def _resolve_engine(self, conn: socket.socket, digest: str):
         """Cache hit, or a ``need-payload`` round trip; returns
-        ``(engine, cached)`` or ``None`` when the coordinator bailed."""
+        ``(engine, source)`` or ``None`` when the coordinator bailed."""
         engine = self._cached_engine(digest)
         if engine is not None:
             return engine, "memory"
-        send_frame(conn, ("need-payload", digest))
+        send_frame(conn, ["need-payload", digest])
         reply = recv_frame(conn)
         if reply is None:
             return None
-        if not (
-            isinstance(reply, tuple)
-            and len(reply) == 2
-            and reply[0] == "payload"
-            and isinstance(reply[1], bytes)
-        ):
-            send_frame(
-                conn,
-                ("reject", "expected a payload-bytes frame after need-payload"),
-            )
-            return None
-        payload_bytes = reply[1]
-        # The payload travels as the coordinator's raw pickle bytes so the
+        if not (_is_frame(reply, "payload", 2) and isinstance(reply[1], str)):
+            raise WireProtocolError("expected a payload frame after need-payload")
+        # The payload travels as the coordinator's exact JSON text so the
         # worker can verify the advertised digest before caching under it
         # — a mislabeled payload is rejected here instead of permanently
         # poisoning this digest's cache slot for later coordinators.
-        if payload_digest(payload_bytes) != digest:
-            send_frame(
-                conn,
-                ("reject", "payload bytes do not hash to the session digest"),
-            )
-            return None
-        protocol, engine_name, judge = pickle.loads(payload_bytes)
-        engine = sim_sampler.make_sampler(protocol, engine=engine_name, judge=judge)
+        if sha256_hex(reply[1].encode("utf-8")) != digest:
+            raise WireProtocolError("payload bytes do not hash to the session digest")
+        try:
+            engine = engine_from_payload(reply[1])
+        except Exception as exc:
+            raise WireProtocolError(
+                f"engine payload does not build: {exc!r}"
+            ) from None
         self._store_engine(digest, engine)
         return engine, "payload"
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        header = self._handshake(conn)
-        if header is None:
-            return
-        if not self._authenticate(conn, header):
-            return
-        resolved = self._resolve_engine(conn, header["digest"])
-        if resolved is None:
-            return
-        engine, source = resolved
-        context = _EngineContext(
-            engine, header["max_slab"], model=header.get("model")
-        )
-        # Frame compression: pick the first codec in the coordinator's
-        # preference list we can also speak; every frame after the raw
-        # welcome is codec-tagged (see repro.net.framing.PickleFramer).
-        codec = _negotiate_codec(header.get("codecs"))
-        send_frame(
-            conn,
-            (
-                "welcome",
-                PROTOCOL_VERSION,
-                {
-                    "pid": os.getpid(),
-                    "locations": len(engine.locations),
-                    # Where the engine came from: "memory" (LRU) or
-                    # "payload" (shipped and compiled this session).
-                    "engine_source": source,
-                    "codec": codec,
-                    # Security posture of this session, for wire_stats
-                    # and the bench ledger.
-                    "auth": self._token is not None,
-                    "tls": self._ssl_context is not None,
-                },
-            ),
-        )
-        framer = _Framer(conn, codec)
+        # Any WireProtocolError — a frame that is not JSON, a bad hello,
+        # a failed token proof, a payload or chunk that does not decode —
+        # ends the session with its reason in a reject frame, on the raw
+        # layer until welcome and on the session framer after it.
+        send = functools.partial(send_frame, conn)
+        try:
+            header = self._handshake(conn)
+            if header is None:
+                return
+            self._authenticate(conn, header)
+            max_slab = header.get("max_slab")
+            try:
+                if not (type(max_slab) is int and max_slab >= 1):
+                    raise ValueError(f"max_slab {max_slab!r}")
+                model = model_from_jsonable(header.get("model"))
+                # Frame compression: the first codec in the coordinator's
+                # preference list we can also speak; every frame after the
+                # raw welcome is codec-tagged (see repro.net.framing).
+                codec = _negotiate_codec(header.get("codecs"))
+            except (TypeError, ValueError) as exc:
+                raise WireProtocolError(f"malformed session header: {exc}") from None
+            resolved = self._resolve_engine(conn, header["digest"])
+            if resolved is None:
+                return
+            engine, source = resolved
+            context = _EngineContext(engine, max_slab, model=model)
+            send(
+                [
+                    "welcome",
+                    PROTOCOL_VERSION,
+                    {
+                        "pid": os.getpid(),
+                        "locations": len(engine.locations),
+                        # Where the engine came from: "memory" (LRU) or
+                        # "payload" (shipped and compiled this session).
+                        "engine_source": source,
+                        "codec": codec,
+                        # Security posture of this session, for wire_stats
+                        # and the bench ledger.
+                        "auth": self._token is not None,
+                        "tls": self._ssl_context is not None,
+                    },
+                ]
+            )
+            framer = JsonFramer(conn, codec)
+            send = framer.send
+            self._serve_chunks(framer, context, source, header.get("trace"))
+        except WireProtocolError as exc:
+            send(["reject", str(exc)])
+
+    def _serve_chunks(self, framer, context, source: str, trace_ctx) -> None:
         # A tracing coordinator put its {"id", "parent"} context in the
         # handshake header; we cannot share its trace file, so chunk
         # spans are buffered here and shipped back on each reply frame
         # (a 4th element the coordinator ingests — absent for untraced
         # sessions, so the reply shape old coordinators read is intact).
-        tracer = obs_trace.buffering_tracer(header.get("trace"))
+        tracer = obs_trace.buffering_tracer(trace_ctx)
         worker_id = f"{self.host}:{self.port}"
         # The coordinator streams up to its credit window of chunk frames
         # ahead of our replies; we execute and acknowledge strictly in
@@ -568,13 +544,14 @@ class ClusterWorker:
         # the FIFO the coordinator's per-link pending queue assumes.
         while True:
             message = framer.recv()
-            if message is None or message[0] == "bye":
+            if message is None or message == ["bye"]:
                 return
-            if message[0] != "chunk":
-                framer.send(
-                    ("reject", f"unexpected frame {message[0]!r}")
-                )
-                return
+            if not _is_frame(message, "chunk", 2):
+                raise WireProtocolError(f"unexpected frame {message!r:.120}")
+            try:
+                spec = chunk_from_jsonable(message[1])
+            except ValueError as exc:
+                raise WireProtocolError(f"bad chunk frame: {exc}") from None
             if self.max_chunks is not None:
                 with self._served_lock:
                     if self._served >= self.max_chunks:
@@ -584,12 +561,12 @@ class ClusterWorker:
                         # crash: no span is ever shipped for this chunk.
                         self.stop()
                         return
-            spec = message[1]
             start_wall = time.time()
             start = time.monotonic()
             try:
                 partial = _run_chunk(context, spec)
             except Exception as exc:  # deterministic failure: report, don't retry
+                reply = ["error", spec.index, repr(exc)]
                 if tracer is not None:
                     tracer.record(
                         "cluster.chunk",
@@ -600,17 +577,15 @@ class ClusterWorker:
                         index=spec.index,
                         worker=worker_id,
                     )
-                    framer.send(
-                        ("error", spec.index, repr(exc), tracer.sink.drain())
-                    )
-                else:
-                    framer.send(("error", spec.index, repr(exc)))
+                    reply.append(tracer.sink.drain())
+                framer.send(reply)
                 return
             with self._served_lock:
                 self._served += 1
             get_registry().histogram("cluster.worker_chunk_seconds").observe(
                 time.monotonic() - start
             )
+            reply = ["partial", partial.index, partial_to_jsonable(partial)]
             if tracer is not None:
                 tracer.record(
                     "cluster.chunk",
@@ -621,11 +596,18 @@ class ClusterWorker:
                     worker=worker_id,
                     engine_source=source,
                 )
-                framer.send(
-                    ("partial", partial.index, partial, tracer.sink.drain())
-                )
-            else:
-                framer.send(("partial", partial.index, partial))
+                reply.append(tracer.sink.drain())
+            framer.send(reply)
+
+
+def _is_frame(frame, kind: str, size: int) -> bool:
+    """``frame`` is a ``size``-element ``kind`` frame (JSON sends lists)."""
+    return isinstance(frame, list) and len(frame) == size and frame[0] == kind
+
+
+def _hex_nonce(frame, kind: str, size: int) -> bytes | None:
+    """The nonce a ``kind`` frame carries as hex at ``frame[1]``, or None."""
+    return from_hex(frame[1], NONCE_BYTES) if _is_frame(frame, kind, size) else None
 
 
 # -- the coordinator (client) side ---------------------------------------------
@@ -721,21 +703,12 @@ class _WorkerLink:
                 ) from exc
         self.sock.settimeout(None)
         try:
-            send_frame(
-                self.sock, ("hello", _MAGIC, PROTOCOL_VERSION, header)
-            )
+            send_frame(self.sock, ["hello", _MAGIC, PROTOCOL_VERSION, header])
             reply = recv_frame(self.sock)
-            if (
-                isinstance(reply, tuple)
-                and reply
-                and reply[0] == "auth-challenge"
-            ):
+            if _is_frame(reply, "auth-challenge", 2):
                 reply = self._answer_challenge(reply)
-            elif (
-                token is not None
-                and isinstance(reply, tuple)
-                and reply
-                and reply[0] in ("need-payload", "welcome")
+            elif token is not None and (
+                _is_frame(reply, "need-payload", 2) or _is_frame(reply, "welcome", 3)
             ):
                 # A token is configured here but the peer skipped the
                 # challenge: it cannot know the secret. Never ship an
@@ -744,20 +717,16 @@ class _WorkerLink:
                     f"worker {self.address} skipped the token handshake; "
                     "refusing to send work to an unauthenticated peer"
                 )
-            if (
-                isinstance(reply, tuple)
-                and reply
-                and reply[0] == "need-payload"
-            ):
-                send_frame(self.sock, ("payload", payload))
+            if _is_frame(reply, "need-payload", 2):
+                send_frame(self.sock, ["payload", payload])
                 reply = recv_frame(self.sock)
         except (OSError, ConnectionError, ClusterProtocolError):
             self.close()
             raise
-        if not (isinstance(reply, tuple) and reply and reply[0] == "welcome"):
+        if not (_is_frame(reply, "welcome", 3) and isinstance(reply[2], dict)):
             reason = (
                 reply[1]
-                if isinstance(reply, tuple) and len(reply) > 1
+                if isinstance(reply, list) and len(reply) > 1
                 else "connection closed during handshake"
                 + ("" if endpoint.tls else " (does the worker require tls=1?)")
             )
@@ -766,7 +735,7 @@ class _WorkerLink:
         self.info = reply[2]
         # Everything after welcome is codec-tagged and compressed with
         # the codec the worker picked from our advertised preferences.
-        self.framer = _Framer(self.sock, self.info.get("codec", "none"))
+        self.framer = JsonFramer(self.sock, self.info.get("codec", "none"))
 
     def _answer_challenge(self, challenge):
         """Prove token knowledge, verify the worker's answering proof,
@@ -778,32 +747,25 @@ class _WorkerLink:
                 "configured here (pass ?token=... on the endpoint or set "
                 "REPRO_NET_TOKEN)"
             )
-        if not (
-            isinstance(challenge, tuple)
-            and len(challenge) == 2
-            and isinstance(challenge[1], (bytes, bytearray))
-            and len(challenge[1]) == NONCE_BYTES
-        ):
+        server_nonce = _hex_nonce(challenge, "auth-challenge", 2)
+        if server_nonce is None:
             raise ClusterProtocolError(
                 f"worker {self.address} sent a malformed auth challenge"
             )
-        server_nonce = bytes(challenge[1])
         client_nonce = make_nonce()
         send_frame(
             self.sock,
-            (
+            [
                 "auth-proof",
-                client_nonce,
-                client_proof(self._token, server_nonce, client_nonce),
-            ),
+                client_nonce.hex(),
+                client_proof(self._token, server_nonce, client_nonce).hex(),
+            ],
         )
         reply = recv_frame(self.sock)
-        if not (
-            isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "auth-ok"
-        ):
-            return reply  # usually ("reject", readable-reason)
+        if not _is_frame(reply, "auth-ok", 2):
+            return reply  # usually ["reject", readable-reason]
         if not verify_proof(
-            server_proof(self._token, server_nonce, client_nonce), reply[1]
+            server_proof(self._token, server_nonce, client_nonce), from_hex(reply[1])
         ):
             # Mutual auth: the worker accepted *us* but cannot prove it
             # holds the token itself — an impostor that let us in.
@@ -898,30 +860,22 @@ class ClusterEvaluator:
         self.planner = StratumPlanner(
             engine.locations, max_slab=self.max_slab, model=model
         )
-        # The digest and the shipped bytes are one artifact: the worker
-        # re-hashes exactly these bytes before caching under the digest.
-        self._payload_bytes = pickle.dumps(
-            engine_payload(engine), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        self.payload_digest = payload_digest(self._payload_bytes)
+        # The digest and the shipped text are one artifact: the worker
+        # re-hashes exactly this text before caching under the digest.
+        self._payload = engine_payload(engine)
+        self.payload_digest = sha256_hex(self._payload.encode("utf-8"))
         self._header = {
             "digest": self.payload_digest,
             "max_slab": self.max_slab,
-            "model": model,
+            # Refuses a model without a JSON form, readably, right here.
+            "model": model_to_jsonable(model),
             # Frame codecs we can read, best first; the worker replies
             # with its pick in welcome info["codec"].
             "codecs": available_codecs(),
         }
         #: Cumulative frame-layer byte counters of retired connections;
         #: live links are folded in by :meth:`wire_stats`.
-        self._wire_totals = {
-            "raw_sent": 0,
-            "wire_sent": 0,
-            "raw_received": 0,
-            "wire_received": 0,
-            "frames_sent": 0,
-            "frames_received": 0,
-        }
+        self._wire_totals = FrameCounters()
         self._links: list[_WorkerLink] | None = None
         #: True while a map() generator is live; close() must then drop
         #: connections instead of sending "bye" frames that would race
@@ -964,7 +918,7 @@ class ClusterEvaluator:
                         _WorkerLink(
                             endpoint,
                             header,
-                            self._payload_bytes,
+                            self._payload,
                             self.connect_timeout,
                             token=token,
                         )
@@ -988,8 +942,7 @@ class ClusterEvaluator:
         framer = getattr(link, "framer", None)
         if framer is None:
             return
-        for key in self._wire_totals:
-            self._wire_totals[key] += getattr(framer, key)
+        self._wire_totals.absorb(framer)
         # Same seam, second audience: the process-global metrics
         # registry keeps the bytes after this evaluator is gone.
         publish_wire_counters(framer, "cluster.wire")
@@ -997,28 +950,23 @@ class ClusterEvaluator:
     def wire_stats(self) -> dict:
         """Frame-layer transport counters of this evaluator's sessions.
 
-        ``raw_*`` are pickle bytes before/after compression, ``wire_*``
-        the bytes actually on the wire (length prefix + codec tag +
+        ``raw_*`` are JSON bytes before compression, ``wire_*`` the
+        bytes actually on the wire (length prefix + codec tag +
         payload); ``compression_ratio`` is raw/wire across both
         directions (1.0 = incompressible or ``codec == "none"``).
         ``transport``/``auth`` record the security posture — TLS adds
         record overhead *below* this layer, so wire counters are
         transport-invariant by construction.
         """
-        stats = dict(self._wire_totals)
+        totals = FrameCounters()
+        totals.absorb(self._wire_totals)
         codecs = set()
-        if self._links is not None:
-            for link in self._links:
-                framer = getattr(link, "framer", None)
-                if framer is None:
-                    continue
+        for link in self._links or ():
+            framer = getattr(link, "framer", None)
+            if framer is not None:
                 codecs.add(framer.codec)
-                for key in stats:
-                    stats[key] += getattr(framer, key)
-        raw = stats["raw_sent"] + stats["raw_received"]
-        wire = stats["wire_sent"] + stats["wire_received"]
-        stats["compression_ratio"] = (raw / wire) if wire else 1.0
-        stats["codec"] = sorted(codecs)[0] if codecs else None
+                totals.absorb(framer)
+        stats = totals.stats(sorted(codecs)[0] if codecs else None)
         stats["pipeline_depth"] = self.pipeline_depth
         stats["transport"] = (
             "tls" if any(ep.tls for ep in self.endpoints) else "plaintext"
@@ -1038,7 +986,7 @@ class ClusterEvaluator:
         if self._links is not None:
             for link in self._links:
                 try:
-                    link.framer.send(("bye",))
+                    link.framer.send(["bye"])
                 except (OSError, ConnectionError):
                     pass
                 self._absorb_wire_counters(link)
@@ -1114,7 +1062,7 @@ class ClusterEvaluator:
                     continue
             try:
                 for chunk in to_send:
-                    link.framer.send(("chunk", chunk))
+                    link.framer.send(["chunk", chunk_to_jsonable(chunk)])
                 reply = link.framer.recv()
                 if reply is None:
                     raise ConnectionError("worker closed the connection")
@@ -1162,16 +1110,21 @@ class ClusterEvaluator:
                     cond.notify_all()
                 return
             except Exception as exc:
-                # Anything else (e.g. unpickling a partial from a worker
-                # with mismatched package versions) is not a transport
-                # fault: retrying elsewhere would fail the same way, and
-                # dying silently would hang map() forever. Fail the run.
+                # Anything else (e.g. a reply frame that is not JSON) is
+                # not a transport fault: retrying elsewhere would fail
+                # the same way, and dying silently would hang map()
+                # forever. Fail the run.
                 link.close()
                 with cond:
                     state.in_flight.pop(link_id, None)
                     state.live -= 1
                     if state.failure is None and not state.stop:
-                        state.failure = ClusterError(
+                        error = (
+                            ClusterProtocolError
+                            if isinstance(exc, ClusterProtocolError)
+                            else ClusterError
+                        )
+                        state.failure = error(
                             f"worker {link.address}: reply for chunk "
                             f"{pending[0].index if pending else '?'} "
                             f"could not be read: {exc!r}"
@@ -1184,7 +1137,8 @@ class ClusterEvaluator:
                 elapsed = time.monotonic() - sent_mono
                 try:
                     if reply[0] == "partial":
-                        index, partial = reply[1], reply[2]
+                        index = reply[1]
+                        partial = partial_from_jsonable(reply[2], index)
                         # A tracing worker appends its buffered chunk
                         # spans as a 4th element; copy them into our
                         # trace file under their original ids.
@@ -1225,7 +1179,7 @@ class ClusterEvaluator:
                     else:
                         state.failure = ClusterProtocolError(
                             f"worker {link.address} sent unexpected frame "
-                            f"{reply[0]!r}"
+                            f"{reply!r:.200}"
                         )
                 except Exception as exc:  # malformed reply shape
                     state.failure = ClusterProtocolError(

@@ -37,18 +37,32 @@ class LookupDecoder:
         self._build()
 
     def _build(self) -> None:
+        # Breadth-first over weights; within one weight the first support
+        # in ``itertools.combinations`` order wins. A support's syndrome id
+        # is the XOR of its qubits' column ids, so each weight is one
+        # vectorized pass instead of one matrix product per support.
+        column_ids = np.left_shift(1, np.arange(self.m, dtype=np.int64)) @ self.checks
         zero = np.zeros(self.n, dtype=np.uint8)
         self._table[self._key(zero)] = zero
         total = 1 << self.m
         for weight in range(1, self.n + 1):
             if len(self._table) == total:
                 break
-            for support in itertools.combinations(range(self.n), weight):
-                error = np.zeros(self.n, dtype=np.uint8)
-                error[list(support)] = 1
-                key = self._key(error)
-                if key not in self._table:
-                    self._table[key] = error
+            supports = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.combinations(range(self.n), weight)
+                ),
+                dtype=np.intp,
+            ).reshape(-1, weight)
+            ids, first = np.unique(
+                np.bitwise_xor.reduce(column_ids[supports], axis=1),
+                return_index=True,
+            )
+            bits = ((ids[:, None] >> np.arange(self.m)) & 1).astype(np.uint8)
+            errors = np.zeros((ids.size, self.n), dtype=np.uint8)
+            np.put_along_axis(errors, supports[first], 1, axis=1)
+            for syndrome, error in zip(bits, errors):
+                self._table.setdefault(syndrome.tobytes(), error)
         # Some syndromes may be unreachable if checks are dependent; that is
         # fine — decode() raises only if asked for one of those.
 

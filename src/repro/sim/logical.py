@@ -52,17 +52,6 @@ class LogicalJudge:
         self._supported, self._support_starts = np.unique(rows, return_index=True)
         self._parity_memo: dict[int, np.ndarray] = {}
 
-    def __getstate__(self):
-        # The memo is a per-process cache: a pickled judge (the cluster
-        # payload) has the same bytes before and after use.
-        state = self.__dict__.copy()
-        del state["_parity_memo"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._parity_memo = {}
-
     @classmethod
     def with_matching(cls, code: CSSCode) -> "LogicalJudge":
         """Judge backed by the MWPM decoder (requires a matchable ``hz``)."""

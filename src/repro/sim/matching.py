@@ -74,11 +74,6 @@ class MatchingDecoder:
         # calls (batched judging memoizes in LogicalJudge).
         self._decode_cache: dict[bytes, np.ndarray] = {}
 
-    def __getstate__(self):
-        # The memo is per-process: a pickled decoder (part of a cluster
-        # payload) has the same bytes before and after use.
-        return {**self.__dict__, "_decode_cache": {}}
-
     # -- api -----------------------------------------------------------------
 
     def syndrome(self, error) -> np.ndarray:

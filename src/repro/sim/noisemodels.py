@@ -72,7 +72,7 @@ never branch on which kind it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -104,6 +104,8 @@ __all__ = [
     "poisson_binomial_tail",
     "adjacent_2q_pairs",
     "parse_noise_spec",
+    "model_to_jsonable",
+    "model_from_jsonable",
 ]
 
 
@@ -1026,8 +1028,8 @@ def parse_noise_spec(text: str):
     """``--noise`` model specs, e.g. ``biased:eta=100,p=1e-3``.
 
     Grammar: ``NAME:key=value,key=value,...`` — see ``docs/noise.md``.
-    Returns a frozen model instance (picklable, survives the spawn pool
-    and the cluster handshake).
+    Returns a frozen model instance (picklable for the spawn pool, and
+    JSON-able through :func:`model_to_jsonable` for the cluster wire).
     """
     name, _, rest = text.strip().partition(":")
     name = name.strip().lower()
@@ -1098,3 +1100,88 @@ def parse_noise_spec(text: str):
             f"[{_SPEC_HELP}]"
         )
     return model
+
+
+# -- the JSON wire form --------------------------------------------------------
+#
+# The cluster handshake header and every BernoulliChunk carry a model.
+# ``parse_noise_spec`` cannot express a nested ``base`` or location-key
+# ``overrides``, so the wire form is the class name plus its dataclass
+# fields; each class's ``__post_init__`` re-checks the decoded values.
+# Chunk specs (``repro.sim.shard``) use the same tagged-dataclass form.
+
+_MODEL_TYPES = {
+    cls.__name__: cls
+    for cls in (
+        E1_1,
+        ScaledNoiseModel,
+        BiasedPauliModel,
+        InhomogeneousModel,
+        CorrelatedPairModel,
+    )
+}
+_MODEL_NAMES = {cls: name for name, cls in _MODEL_TYPES.items()}
+
+
+def to_jsonable(value):
+    """Tuples as lists, numpy scalars as Python ones, models as
+    :func:`model_to_jsonable` dicts; other scalars pass through."""
+    if isinstance(value, tuple):
+        return [to_jsonable(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return model_to_jsonable(value)
+
+
+def from_jsonable(value):
+    """Inverse of :func:`to_jsonable`: lists back to tuples, dicts to models."""
+    if isinstance(value, list):
+        return tuple(from_jsonable(item) for item in value)
+    if isinstance(value, dict):
+        return model_from_jsonable(value)
+    return value
+
+
+def tagged_to_jsonable(obj, names: dict) -> dict:
+    """``{"type": names[type(obj)], field: value, ...}`` of a dataclass."""
+    data = {"type": names[type(obj)]}
+    for item in fields(obj):
+        data[item.name] = to_jsonable(getattr(obj, item.name))
+    return data
+
+
+def tagged_from_jsonable(data, types: dict):
+    """Inverse of :func:`tagged_to_jsonable` over ``{name: class}``; an
+    unknown type, a missing or unknown field, or a value the class
+    rejects raises ``ValueError``."""
+    kind = data.get("type") if isinstance(data, dict) else None
+    cls = types.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown type in {data!r}")
+    values = {key: from_jsonable(value) for key, value in data.items()}
+    del values["type"]
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind}: {exc}") from None
+
+
+def model_to_jsonable(model):
+    """JSON form of a noise model (``None`` stays ``None``); only the five
+    built-in classes have one, any other is refused with ``ValueError``."""
+    if model is None:
+        return None
+    if type(model) not in _MODEL_NAMES:
+        raise ValueError(
+            f"a {type(model).__name__} noise model has no JSON form: only "
+            f"{sorted(_MODEL_TYPES)} can cross a process or machine boundary"
+        )
+    return tagged_to_jsonable(model, _MODEL_NAMES)
+
+
+def model_from_jsonable(data):
+    """Rebuild a model from :func:`model_to_jsonable` output; the result
+    compares equal to the original."""
+    return None if data is None else tagged_from_jsonable(data, _MODEL_TYPES)

@@ -25,7 +25,7 @@ module adds the missing level:
   its signature caches) is built **once** and inherited by forked
   workers — it is never re-pickled per task; only the tiny chunk specs
   travel. On platforms without ``fork`` the evaluator falls back to
-  ``spawn`` with a one-time per-worker ``(protocol, engine)`` payload.
+  ``spawn`` with a one-time per-worker JSON engine payload.
   ``workers=1`` runs the identical chunk plan inline, which is what
   makes the parallel path *bit-identical* to the single-process path:
   results depend only on the plan, never on the worker count.
@@ -52,10 +52,11 @@ integration suite.
 from __future__ import annotations
 
 import functools
+import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,8 +65,14 @@ from ..core.errors import error_reducer
 from ..obs import metrics, trace
 from ..store import keys as store_keys
 from . import sampler as sim_sampler
+from .logical import LogicalJudge
 from .noise import sample_injections_model_batch
-from .noisemodels import SiteUniverse
+from .noisemodels import (
+    SiteUniverse,
+    model_to_jsonable,
+    tagged_from_jsonable,
+    tagged_to_jsonable,
+)
 
 __all__ = [
     "StratumChunk",
@@ -76,6 +83,8 @@ __all__ = [
     "ShardPartial",
     "merge_partials",
     "chunk_token",
+    "chunk_to_jsonable",
+    "chunk_from_jsonable",
     "partial_to_jsonable",
     "partial_from_jsonable",
     "StratumPlanner",
@@ -83,6 +92,7 @@ __all__ = [
     "AdaptiveSlabPolicy",
     "parse_mem_budget",
     "engine_payload",
+    "engine_from_payload",
     "resolve_evaluator",
     "default_start_method",
 ]
@@ -187,7 +197,8 @@ class AdaptiveSlabPolicy:
 
 # -- chunk specs ---------------------------------------------------------------
 #
-# Every spec is tiny and picklable: it describes how to *re-create* one
+# Every spec is tiny, picklable (the process pool) and JSON-able (the
+# cluster wire, :func:`chunk_to_jsonable`): it describes how to *re-create* one
 # bounded batch, not the batch itself. ``index`` orders the exact merge.
 
 
@@ -364,52 +375,90 @@ _PARTIAL_ARRAYS = (
 )
 
 
+_CHUNK_TYPES = {
+    "stratum": StratumChunk,
+    "bernoulli": BernoulliChunk,
+    "rows": RowChunk,
+    "pairs": PairChunk,
+    "row_pairs": RowPairChunk,
+}
+_CHUNK_NAMES = {cls: name for name, cls in _CHUNK_TYPES.items()}
+
+
+def chunk_to_jsonable(chunk) -> dict:
+    """JSON form of a chunk spec (the cluster wire form): its ``type``
+    plus every field, ``index`` and a row-pair chunk's explicit pairs
+    included; a Bernoulli chunk's model in its
+    :func:`~repro.sim.noisemodels.model_to_jsonable` form."""
+    return tagged_to_jsonable(chunk, _CHUNK_NAMES)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def chunk_from_jsonable(data) -> object:
+    """Rebuild a chunk spec from :func:`chunk_to_jsonable` output.
+
+    A wrong type, a missing or unknown field, or a value out of range
+    (a negative count, a non-boolean flag, an entropy that is not two
+    non-negative integers, a pair that is not two row ids, a model
+    that is not one of the built-in ones) raises ``ValueError``.
+    """
+    chunk = tagged_from_jsonable(data, _CHUNK_TYPES)
+    for item in fields(chunk):
+        value = getattr(chunk, item.name)
+        if item.name == "checkable_only":
+            valid = type(value) is bool
+        elif item.name == "model":
+            model_to_jsonable(value)  # ValueError unless a built-in model
+            valid = True
+        elif item.name in ("entropy", "pairs"):
+            rows = (value,) if item.name == "entropy" else value
+            valid = isinstance(rows, tuple) and all(
+                isinstance(row, tuple) and len(row) == 2 and all(map(_is_count, row))
+                for row in rows
+            )
+        else:
+            valid = _is_count(value)
+        if not valid:
+            raise ValueError(
+                f"{data['type']} chunk field {item.name!r} out of range: {value!r}"
+            )
+    return chunk
+
+
 def chunk_token(chunk) -> dict | None:
     """Canonical JSON-able description of a chunk spec (for ledger keys).
 
-    ``index`` is deliberately excluded — it orders the merge within one
-    plan but does not change the chunk's content (the entropy tuple and
-    row/pair ranges already pin the draws), so the same chunk reached at
-    a different position in a different plan still dedups. Returns None
-    for chunks that cannot be named stably (an unpicklable model) and for
-    row-pair chunks, which no ledger stores.
+    The :func:`chunk_to_jsonable` form without ``index``: it orders the
+    merge within one plan but does not change the chunk's content (the
+    entropy tuple and row/pair ranges already pin the draws), so the
+    same chunk reached at a different position in a different plan still
+    dedups. A stratum token adds the draw revision, a pair token
+    ``"mass": 1`` (pair partials carry ``pair_mass`` for every model;
+    the field keeps records written before E1_1 ones did from matching)
+    and a Bernoulli token names its model by
+    :func:`~repro.store.keys.model_token`. Returns None for chunks that
+    cannot be named stably (an unpicklable model) and for row-pair
+    chunks, which no ledger stores.
     """
-    if isinstance(chunk, StratumChunk):
-        return {
-            "type": "stratum",
-            "draw_revision": store_keys.DRAW_REVISION,
-            "k": int(chunk.k),
-            "shots": int(chunk.shots),
-            "entropy": [int(e) for e in chunk.entropy],
-        }
+    if isinstance(chunk, RowPairChunk):
+        return None
     if isinstance(chunk, BernoulliChunk):
-        token = store_keys.model_token(chunk.model)
-        if not token:
+        model = store_keys.model_token(chunk.model)
+        if not model:
             return None
-        return {
-            "type": "bernoulli",
-            "shots": int(chunk.shots),
-            "entropy": [int(e) for e in chunk.entropy],
-            "model": token,
-        }
-    if isinstance(chunk, RowChunk):
-        return {
-            "type": "rows",
-            "lo": int(chunk.lo),
-            "hi": int(chunk.hi),
-            "checkable_only": bool(chunk.checkable_only),
-            "threshold": int(chunk.threshold),
-        }
-    if isinstance(chunk, PairChunk):
-        # ``mass``: pair partials carry ``pair_mass`` for every model; the
-        # field keeps records written before E1_1 ones did from matching.
-        return {
-            "type": "pairs",
-            "mass": 1,
-            "lo": int(chunk.lo),
-            "hi": int(chunk.hi),
-        }
-    return None
+        chunk = replace(chunk, model=None)
+    token = chunk_to_jsonable(chunk)
+    del token["index"]
+    if isinstance(chunk, StratumChunk):
+        token["draw_revision"] = store_keys.DRAW_REVISION
+    elif isinstance(chunk, BernoulliChunk):
+        token["model"] = model
+    elif isinstance(chunk, PairChunk):
+        token["mass"] = 1
+    return token
 
 
 def partial_to_jsonable(partial: ShardPartial) -> dict:
@@ -929,15 +978,11 @@ def _init_fork_worker() -> None:
     _WORKER_CONTEXT = _EngineContext(engine, max_slab, model=model)
 
 
-def _init_spawn_worker(
-    protocol, engine_name: str, judge, max_slab: int, model=None
-) -> None:
+def _init_spawn_worker(payload: str, max_slab: int, model=None) -> None:
     global _WORKER_CONTEXT
 
     _WORKER_CONTEXT = _EngineContext(
-        sim_sampler.make_sampler(protocol, engine=engine_name, judge=judge),
-        max_slab,
-        model=model,
+        engine_from_payload(payload), max_slab, model=model
     )
 
 
@@ -950,16 +995,58 @@ def default_start_method() -> str:
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-def engine_payload(engine) -> tuple:
-    """``(protocol, engine_name, judge)`` to rebuild ``engine`` elsewhere.
+def _plus_judge(code):
+    from ..synth.plus import PlusStateJudge
 
-    The one payload that crosses a process or machine boundary: spawn pool
-    workers and cluster workers both reconstruct their engine with
-    ``make_sampler(protocol, engine=name, judge=judge)``. Only the
-    registered engines qualify — a custom engine object must refuse
-    loudly, not be silently replaced by a default — and an unpicklable
-    custom judge fails at send time instead of being dropped.
+    return PlusStateJudge(code.dual())
+
+
+#: The judges an engine payload can name, each rebuilt from the
+#: protocol's code (a plus-state protocol's code is the dual frame).
+_JUDGES = {
+    "lookup": LogicalJudge,
+    "plus": _plus_judge,
+    "matching": LogicalJudge.with_matching,
+}
+
+
+def _judge_name(judge, code) -> str:
+    """The registry name whose rebuild from ``code`` is exactly ``judge``:
+    the same classes, decoder checks and logical operators."""
+    for name, build in _JUDGES.items():
+        try:
+            rebuilt = build(code)
+        except ValueError:  # a code the matching decoder cannot match
+            continue
+        if (
+            (type(rebuilt), type(rebuilt.x_decoder))
+            == (type(judge), type(judge.x_decoder))
+            and np.array_equal(rebuilt.x_decoder.checks, judge.x_decoder.checks)
+            and np.array_equal(rebuilt.logical_z, judge.logical_z)
+        ):
+            return name
+    raise ValueError(
+        f"cannot ship a {type(judge).__name__} over "
+        f"{type(judge.x_decoder).__name__} to another process: only the "
+        f"{sorted(_JUDGES)} judges of the protocol's own code can be "
+        "rebuilt from a payload"
+    )
+
+
+def engine_payload(engine) -> str:
+    """Canonical JSON text that rebuilds ``engine`` elsewhere: the
+    engine name, the judge's registry name and the protocol's
+    :func:`~repro.core.serialize.protocol_to_json` text.
+
+    The one payload that crosses a process or machine boundary: spawn
+    pool workers and cluster workers both rebuild their engine with
+    :func:`engine_from_payload`, and the cluster session digest is the
+    SHA-256 of these bytes. Only the registered engines and the judges
+    the registry rebuilds exactly qualify — a custom engine or judge
+    refuses loudly here instead of being silently replaced by a default.
     """
+    from ..core.serialize import protocol_to_json
+
     name = getattr(engine, "name", None)
     if sim_sampler._ENGINES.get(name) is not type(engine):
         raise ValueError(
@@ -968,7 +1055,29 @@ def engine_payload(engine) -> tuple:
             "rebuilt from a payload (use the fork start method or "
             "workers=1)"
         )
-    return engine.protocol, name, getattr(engine, "judge", None)
+    payload = {
+        "engine": name,
+        "judge": _judge_name(engine.judge, engine.protocol.code),
+        "protocol": protocol_to_json(engine.protocol),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def engine_from_payload(payload: str):
+    """Compile the engine an :func:`engine_payload` text describes.
+
+    One fault-free run follows the compile, so a payload whose circuits
+    do not fit its wires fails here rather than on its first chunk.
+    """
+    from ..core.serialize import protocol_from_json
+
+    data = json.loads(payload)
+    protocol = protocol_from_json(data["protocol"])
+    judge = _JUDGES[data["judge"]](protocol.code)
+    engine = sim_sampler.make_sampler(protocol, engine=data["engine"], judge=judge)
+    no_faults = np.zeros((1, 0), dtype=np.intp)
+    engine.failures_indexed(no_faults, no_faults)
+    return engine
 
 
 class ShardedEvaluator:
@@ -990,10 +1099,9 @@ class ShardedEvaluator:
         Peak configurations per chunk (see :class:`StratumPlanner`).
     start_method:
         ``"fork"`` | ``"spawn"`` | ``None`` (auto). The spawn fallback
-        re-builds the engine once per worker from ``(protocol, engine
-        name, judge)`` — the judge is pickled with the payload, so an
-        unpicklable custom judge fails pool creation instead of being
-        silently replaced by the default.
+        re-builds the engine once per worker from its
+        :func:`engine_payload`, so a custom engine or judge fails pool
+        creation instead of being silently replaced by the default.
 
     Use as a context manager (or call :meth:`close`) so pool processes
     are reaped deterministically::
@@ -1042,17 +1150,14 @@ class ShardedEvaluator:
                 finally:
                     _FORK_PAYLOAD = None
             else:
-                # Spawn workers rebuild the engine from its registry name,
-                # so only the built-in engines can cross a spawn boundary
-                # — a custom engine object must refuse, not be silently
-                # replaced. The judge travels in the payload (an
-                # unpicklable custom judge fails pool creation loudly),
-                # and so does the noise model (frozen dataclasses).
-                protocol, name, judge = engine_payload(self.engine)
+                # Spawn workers rebuild the engine from its payload, so
+                # only the built-in engines and registry judges cross a
+                # spawn boundary — a custom one refuses at pool creation
+                # instead of being silently replaced.
                 self._pool = ctx.Pool(
                     self.workers,
                     initializer=_init_spawn_worker,
-                    initargs=(protocol, name, judge, self.max_slab, self.model),
+                    initargs=(engine_payload(self.engine), self.max_slab, self.model),
                 )
         return self._pool
 

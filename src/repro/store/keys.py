@@ -1,13 +1,7 @@
-"""Stable content keys for the artifact store, the results ledger, and
-the cluster handshake.
+"""Stable content keys for the artifact store and the results ledger.
 
 One digest scheme, shared by every layer that names expensive artifacts:
 
-* :func:`payload_digest` — SHA-256 of pickled engine-payload bytes. This
-  is the digest the cluster handshake has always used (extracted here
-  from ``repro.sim.cluster``): the coordinator advertises it in the
-  session header, and the worker re-hashes the shipped bytes against it
-  before caching the compiled engine in its in-memory LRU.
 * :func:`protocol_key` — what ``synthesize_protocol`` is *about to
   compute*: the code's check matrices plus every synthesis parameter
   (and the serialization format version and :data:`SYNTHESIS_REVISION`,
@@ -18,14 +12,18 @@ One digest scheme, shared by every layer that names expensive artifacts:
   instruction-for-instruction identical), which makes it the right base
   for the results ledger's keys (:func:`result_key` and its wrappers).
 
-Pickle-based digests (:func:`payload_digest`, :func:`model_token`) are
-representation-sensitive: two *functionally* identical objects with
-different in-memory provenance can pickle differently. That is fine for
-cache keys — a key split costs a recompute, never a wrong result — but
-it is why result keys are built on :func:`protocol_digest`
-(canonical JSON) rather than protocol pickles: the JSON digest is
-identical across processes, start methods, and pickle round-trips
-(verified across fork and spawn workers in ``tests/store/test_keys.py``).
+The cluster session digest is :func:`sha256_hex` of the canonical JSON
+engine payload (``repro.sim.shard.engine_payload``).
+
+:func:`model_token` hashes a model's pickle bytes; nothing here ever
+unpickles them. A pickle digest is representation-sensitive: two
+*functionally* identical objects with different in-memory provenance
+can pickle differently. That is fine for cache keys — a key split costs
+a recompute, never a wrong result — but it is why result keys are built
+on :func:`protocol_digest` (canonical JSON) rather than protocol
+pickles: the JSON digest is identical across processes, start methods,
+and pickle round-trips (verified across fork and spawn workers in
+``tests/store/test_keys.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "chunk_key",
     "direct_key",
     "model_token",
-    "payload_digest",
     "protocol_digest",
     "protocol_key",
     "result_key",
@@ -58,14 +55,6 @@ def _json_key(obj) -> str:
     return sha256_hex(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
     )
-
-
-# -- engines / cluster handshake ----------------------------------------------
-
-
-def payload_digest(payload_bytes: bytes) -> str:
-    """Digest of pickled engine-payload bytes (the cluster session digest)."""
-    return sha256_hex(payload_bytes)
 
 
 # -- protocols ----------------------------------------------------------------

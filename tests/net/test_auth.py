@@ -8,6 +8,7 @@ from repro.net import (
     AuthError,
     NONCE_BYTES,
     client_proof,
+    from_hex,
     make_nonce,
     server_proof,
     verify_proof,
@@ -58,3 +59,14 @@ class TestNonces:
         nonces = {make_nonce() for _ in range(64)}
         assert len(nonces) == 64
         assert all(len(n) == NONCE_BYTES for n in nonces)
+
+
+class TestFromHex:
+    def test_round_trips_a_nonce(self):
+        nonce = make_nonce()
+        assert from_hex(nonce.hex(), NONCE_BYTES) == nonce
+        assert from_hex(nonce.hex()) == nonce
+
+    @pytest.mark.parametrize("value", [None, 7, b"ab", "xyz", "abc", "ab" * 31])
+    def test_anything_else_is_none(self, value):
+        assert from_hex(value, NONCE_BYTES) is None

@@ -1,9 +1,10 @@
 """The shared frame plumbing (``repro.net.framing``): both transports,
-the counter vocabulary, the absurd-length guard, and the compatibility
-re-exports the cluster module promises."""
+the counter vocabulary, the absurd-length guard, and the refusal of any
+frame body that is not JSON."""
 
 from __future__ import annotations
 
+import pickle
 import socket
 import struct
 
@@ -11,9 +12,9 @@ import pytest
 
 from repro.net.framing import (
     FrameCounters,
+    JsonFramer,
     JsonLinesTransport,
     MAX_FRAME_BYTES,
-    PickleFramer,
     WireProtocolError,
     recv_frame,
     send_frame,
@@ -32,7 +33,8 @@ class TestRawFrames:
     def test_round_trip(self, sock_pair):
         left, right = sock_pair
         send_frame(left, ("hello", {"k": [1, 2, 3]}))
-        assert recv_frame(right) == ("hello", {"k": [1, 2, 3]})
+        # JSON: tuples come back as lists.
+        assert recv_frame(right) == ["hello", {"k": [1, 2, 3]}]
 
     def test_clean_eof_is_none(self, sock_pair):
         left, right = sock_pair
@@ -48,12 +50,21 @@ class TestRawFrames:
         with pytest.raises(WireProtocolError, match="absurd"):
             recv_frame(right)
 
+    def test_pickle_body_is_a_readable_error(self, sock_pair):
+        """A pre-JSON peer's pickle (first byte 0x80) is refused, never
+        unpickled."""
+        left, right = sock_pair
+        body = pickle.dumps(("hello", b"RPRO-CLUSTER", 4, {}))
+        left.sendall(struct.pack(">Q", len(body)) + body)
+        with pytest.raises(WireProtocolError, match="not UTF-8 JSON"):
+            recv_frame(right)
 
-class TestPickleFramer:
+
+class TestJsonFramer:
     def test_round_trip_and_counters(self, sock_pair):
         left, right = sock_pair
-        tx, rx = PickleFramer(left), PickleFramer(right)
-        payload = {"blob": bytes(2048), "n": 7}
+        tx, rx = JsonFramer(left), JsonFramer(right)
+        payload = {"blob": "x" * 2048, "n": 7}
         tx.send(payload)
         assert rx.recv() == payload
         assert tx.frames_sent == 1 and rx.frames_received == 1
@@ -63,8 +74,8 @@ class TestPickleFramer:
 
     def test_zlib_codec_shrinks_compressible_frames(self, sock_pair):
         left, right = sock_pair
-        tx, rx = PickleFramer(left, codec="zlib"), PickleFramer(right)
-        tx.send({"zeros": bytes(1 << 16)})
+        tx, rx = JsonFramer(left, codec="zlib"), JsonFramer(right)
+        tx.send({"zeros": "0" * (1 << 16)})
         rx.recv()
         assert tx.wire_sent < tx.raw_sent
         stats = rx.stats("zlib")
@@ -72,19 +83,26 @@ class TestPickleFramer:
 
     def test_unknown_codec_name_refused(self, sock_pair):
         with pytest.raises(WireProtocolError, match="codec"):
-            PickleFramer(sock_pair[0], codec="brotli")
+            JsonFramer(sock_pair[0], codec="brotli")
 
     def test_unknown_codec_id_on_the_wire_refused(self, sock_pair):
         left, right = sock_pair
         left.sendall(struct.pack(">Q", 2) + bytes([250, 0]))
         with pytest.raises(WireProtocolError, match="codec id"):
-            PickleFramer(right).recv()
+            JsonFramer(right).recv()
 
     def test_absurd_length_guard(self, sock_pair):
         left, right = sock_pair
         left.sendall(struct.pack(">Q", MAX_FRAME_BYTES + 1))
         with pytest.raises(WireProtocolError, match="absurd"):
-            PickleFramer(right).recv()
+            JsonFramer(right).recv()
+
+    def test_pickle_body_is_a_readable_error(self, sock_pair):
+        left, right = sock_pair
+        body = b"\x00" + pickle.dumps(["chunk", None])  # codec "none"
+        left.sendall(struct.pack(">Q", len(body)) + body)
+        with pytest.raises(WireProtocolError, match="not UTF-8 JSON"):
+            JsonFramer(right).recv()
 
 
 class TestJsonLinesTransport:
@@ -122,13 +140,12 @@ class TestJsonLinesTransport:
 
 class TestCompatibilityReexports:
     def test_cluster_module_reexports(self):
-        """The extraction keeps every pre-refactor cluster name alive."""
+        """The cluster module keeps its error alias; the frame plumbing
+        is imported from ``repro.net.framing`` only."""
         from repro.sim import cluster
 
         assert cluster.ClusterProtocolError is WireProtocolError
-        assert cluster._Framer is PickleFramer
-        assert cluster.recv_frame is recv_frame
-        assert cluster.send_frame is send_frame
+        assert not {"_Framer", "send_frame", "recv_frame"} & set(cluster.__all__)
 
     def test_counters_absorb(self):
         a, b = FrameCounters(), FrameCounters()

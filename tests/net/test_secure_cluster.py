@@ -147,8 +147,8 @@ class TestTokenFaultInjection:
             kind, server_nonce = recv_frame(sock)
             assert kind == "auth-challenge"
             client_nonce = make_nonce()
-            proof = client_proof("s3cret", server_nonce, client_nonce)
-            send_frame(sock, ("auth-proof", client_nonce, proof[:-1]))
+            proof = client_proof("s3cret", bytes.fromhex(server_nonce), client_nonce)
+            send_frame(sock, ("auth-proof", client_nonce.hex(), proof[:-1].hex()))
             reply = recv_frame(sock)
             assert reply[0] == "reject" and "does not verify" in reply[1]
         assert worker._served == 0
@@ -160,7 +160,7 @@ class TestTokenFaultInjection:
                 sock, ("hello", _MAGIC, PROTOCOL_VERSION, _fake_header(True))
             )
             assert recv_frame(sock)[0] == "auth-challenge"
-            send_frame(sock, ("auth-proof", b"short", b"junk"))
+            send_frame(sock, ("auth-proof", "abcd", "junk"))
             reply = recv_frame(sock)
             assert reply[0] == "reject" and "auth-proof" in reply[1]
         assert worker._served == 0
@@ -175,10 +175,10 @@ class TestTokenFaultInjection:
             )
             kind, first_nonce = recv_frame(sock)
             assert kind == "auth-challenge"
-            recorded_nonce = make_nonce()
+            recorded_nonce = make_nonce().hex()
             recorded_proof = client_proof(
-                "s3cret", first_nonce, recorded_nonce
-            )
+                "s3cret", bytes.fromhex(first_nonce), bytes.fromhex(recorded_nonce)
+            ).hex()
             send_frame(sock, ("auth-proof", recorded_nonce, recorded_proof))
             assert recv_frame(sock)[0] == "auth-ok"  # the original works
         with socket.create_connection(endpoint.address, timeout=10) as sock:

@@ -215,6 +215,23 @@ class TestTLSFaultInjection:
             ServeClient(endpoint, connect_timeout=5.0)
         assert server.stats.requests == 0
 
+    def test_plaintext_client_refused_at_once(self, spin_server, tls_cert_pair):
+        """The client's opening blank lines are a malformed TLS record to
+        a TLS daemon, so the refusal does not wait out the timeout."""
+        _, secure = spin_server(tls_pair=tls_cert_pair)
+        start = time.monotonic()
+        with pytest.raises((ServeError, ConnectionError), match="tls=1|greeting"):
+            ServeClient(Endpoint("127.0.0.1", secure.port), connect_timeout=5.0)
+        assert time.monotonic() - start < 0.5
+
+    def test_token_daemon_skips_the_opening_blank_lines(self, spin_server):
+        """A token daemon's first read skips the client's blank lines
+        instead of refusing them as a request before auth."""
+        server, endpoint = spin_server(token="s3cret")
+        with ServeClient(endpoint, token="s3cret") as client:
+            assert client.ping()["ok"] is True
+        assert server.stats.auth_failures == 0
+
     def test_tls_token_answers_bit_identical_to_plaintext(
         self, spin_server, tls_cert_pair
     ):

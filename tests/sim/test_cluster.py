@@ -4,7 +4,7 @@ Mirrors ``tests/sim/test_shard.py`` one level up the distribution stack
 and pins the cluster path's contracts:
 
 * **wire round-trips** — chunk specs and partials survive the
-  length-prefixed pickle framing, and the versioned handshake refuses
+  length-prefixed JSON framing, and the versioned handshake refuses
   mismatched peers instead of desyncing;
 * **exactly-once merging** — a worker killed mid-stream gets its
   unacknowledged chunk requeued to the survivors and the merged
@@ -17,6 +17,7 @@ and pins the cluster path's contracts:
   results on a two-worker localhost cluster and ``workers=1`` inline.
 """
 
+import json
 import socket
 import threading
 
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.net import parse_endpoint
+from repro.net.framing import recv_frame, send_frame
 from repro.sim.cluster import (
     ClusterError,
     ClusterEvaluator,
@@ -31,8 +33,6 @@ from repro.sim.cluster import (
     ClusterProtocolError,
     ClusterWorker,
     PROTOCOL_VERSION,
-    recv_frame,
-    send_frame,
 )
 from repro.sim.sampler import make_sampler
 from repro.sim.shard import (
@@ -43,6 +43,8 @@ from repro.sim.shard import (
     RowPairChunk,
     ShardedEvaluator,
     StratumChunk,
+    chunk_from_jsonable,
+    chunk_to_jsonable,
     engine_payload,
     parse_mem_budget,
     resolve_evaluator,
@@ -80,7 +82,7 @@ def spin_workers():
 
 class TestWireFormat:
     def test_chunk_specs_round_trip_frames(self):
-        """Every chunk-spec type survives the framing byte-for-byte."""
+        """Every chunk-spec type survives the JSON framing exactly."""
         specs = [
             StratumChunk(index=0, k=2, shots=500, entropy=(77, 0)),
             BernoulliChunk(index=1, shots=64, entropy=(5, 1), model=E1_1(p=0.01)),
@@ -91,11 +93,11 @@ class TestWireFormat:
         left, right = socket.socketpair()
         try:
             for spec in specs:
-                send_frame(left, ("chunk", spec))
+                send_frame(left, ("chunk", chunk_to_jsonable(spec)))
             for spec in specs:
                 kind, received = recv_frame(right)
                 assert kind == "chunk"
-                assert received == spec
+                assert chunk_from_jsonable(received) == spec
         finally:
             left.close()
             right.close()
@@ -110,12 +112,12 @@ class TestWireFormat:
 
     def test_handshake_round_trip(self, steane_engine, spin_workers):
         (address,) = spin_workers(1)
-        protocol, name, judge = engine_payload(steane_engine)
+        payload = json.loads(engine_payload(steane_engine))
         evaluator = ClusterEvaluator(steane_engine, [address], max_slab=32)
         links = evaluator._ensure_links()
         assert len(links) == 1
         assert links[0].info["locations"] == len(steane_engine.locations)
-        assert (protocol, name) == (steane_engine.protocol, "batched")
+        assert (payload["engine"], payload["judge"]) == ("batched", "lookup")
         evaluator.close()
 
     def test_version_mismatch_rejected(self, steane_engine, spin_workers):
@@ -123,12 +125,12 @@ class TestWireFormat:
         import repro.sim.cluster as cluster_module
 
         (address,) = spin_workers(1)
-        payload = (*engine_payload(steane_engine), 64)
+        header = {"digest": "0" * 64, "max_slab": 64}
         sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
             send_frame(
                 sock,
-                ("hello", cluster_module._MAGIC, PROTOCOL_VERSION + 1, payload),
+                ("hello", cluster_module._MAGIC, PROTOCOL_VERSION + 1, header),
             )
             reply = recv_frame(sock)
         finally:
@@ -140,7 +142,7 @@ class TestWireFormat:
         (address,) = spin_workers(1)
         sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
-            send_frame(sock, ("hello", b"NOT-REPRO", PROTOCOL_VERSION, None))
+            send_frame(sock, ("hello", "NOT-REPRO", PROTOCOL_VERSION, None))
             reply = recv_frame(sock)
         finally:
             sock.close()
@@ -606,12 +608,10 @@ class TestEngineCacheReuse:
         """The worker re-hashes the payload bytes before caching: a
         payload that does not hash to the advertised digest is refused,
         so a buggy coordinator cannot poison the digest's cache slot."""
-        import pickle
-
         import repro.sim.cluster as cluster_module
 
         (address,) = spin_workers(1)
-        payload_bytes = pickle.dumps(engine_payload(steane_engine))
+        payload = engine_payload(steane_engine)
         header = {"digest": "0" * 64, "max_slab": 64, "model": None}
         sock = socket.create_connection(parse_endpoint(address).address, timeout=5)
         try:
@@ -621,7 +621,7 @@ class TestEngineCacheReuse:
             )
             kind, _ = recv_frame(sock)
             assert kind == "need-payload"
-            send_frame(sock, ("payload", payload_bytes))
+            send_frame(sock, ("payload", payload))
             reply = recv_frame(sock)
         finally:
             sock.close()
@@ -867,25 +867,26 @@ class TestPipelinedFabric:
         assert closed["raw_received"] >= live["raw_received"]
 
     def test_framer_round_trip_and_counters(self):
-        from repro.sim.cluster import _Framer
+        from repro.net.framing import JsonFramer
         from repro.store import preferred_codec
 
         left, right = socket.socketpair()
-        sender = _Framer(left, preferred_codec())
-        receiver = _Framer(right, preferred_codec())
+        sender = JsonFramer(left, preferred_codec())
+        receiver = JsonFramer(right, preferred_codec())
         try:
-            compressible = ("chunk", {"rows": list(range(2000))})
+            compressible = ["chunk", {"rows": list(range(2000))}]
             sender.send(compressible)
             assert receiver.recv() == compressible
-            # 2000 small ints pickle highly redundantly: the codec must
-            # have shrunk the wire below the raw pickle size.
+            # 2000 consecutive ints are highly redundant JSON: the codec
+            # must have shrunk the wire below the raw JSON size.
             assert sender.wire_sent < sender.raw_sent
             assert receiver.raw_received == sender.raw_sent
             # An incompressible payload ships raw under the "none" tag
             # instead of inflating the wire (9 bytes framing overhead).
+            import base64
             import os as _os
 
-            noise = ("blob", _os.urandom(1 << 14))
+            noise = ("blob", base64.b64encode(_os.urandom(1 << 14)).decode())
             sender.send(noise)
             kind, blob = receiver.recv()
             assert kind == "blob" and blob == noise[1]
@@ -895,15 +896,15 @@ class TestPipelinedFabric:
             right.close()
 
     def test_framer_rejects_unknown_codec(self):
-        from repro.sim.cluster import _Framer
+        from repro.net.framing import JsonFramer
 
         left, right = socket.socketpair()
         try:
             with pytest.raises(ClusterProtocolError, match="unknown frame codec"):
-                _Framer(left, "martian")
+                JsonFramer(left, "martian")
             # An unknown codec id on the wire is a protocol error, not
             # a silent mis-decode.
-            framer = _Framer(right, "none")
+            framer = JsonFramer(right, "none")
             import struct as _struct
 
             left.sendall(_struct.pack(">Q", 2) + bytes((250, 0)))

@@ -1,7 +1,5 @@
 """Unit tests for logical-failure determination."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -115,18 +113,6 @@ class TestFailureMaskMemo:
         for batch in batches:
             per_shot = [judge.is_logical_failure(result_with(row, code.n)) for row in batch]
             assert self.mask(judge, batch).tolist() == per_shot
-
-    @pytest.mark.parametrize("matching", [False, True])
-    def test_pickle_bytes_unchanged_by_use(self, matching):
-        code = cached_protocol("surface_3").code
-        judge = LogicalJudge.with_matching(code) if matching else LogicalJudge(code)
-        before = pickle.dumps(judge)
-        for batch in self.batches(code.n):
-            self.mask(judge, batch)
-        assert pickle.dumps(judge) == before
-        clone = pickle.loads(before)
-        batch = self.batches(code.n, count=1, seed=9)[0]
-        assert np.array_equal(self.mask(clone, batch), self.mask(judge, batch))
 
     def test_wide_syndrome_ids(self):
         """A decoder with more than 16 checks gets 32- or 64-bit syndrome
