@@ -90,6 +90,12 @@ class TestModelCodec:
 
         with pytest.raises(ValueError, match="no JSON form"):
             model_to_jsonable(HomeGrown(p=0.1))
+        # The coordinator refuses it before opening any connection.
+        from repro.sim.cluster import ClusterEvaluator
+
+        engine = make_sampler(cached_protocol("steane"))
+        with pytest.raises(ValueError, match="HomeGrown noise model has no JSON"):
+            ClusterEvaluator(engine, ["127.0.0.1:1"], model=HomeGrown(p=0.1))
 
     @pytest.mark.parametrize(
         "data, match",
