@@ -16,7 +16,7 @@ subprocesses (default, ``--spawn 2``) so the benchmark runs anywhere::
 
     PYTHONPATH=src python -m benchmarks.bench_cluster [--code steane]
         [--shots 20000] [--cluster 127.0.0.1:7781,127.0.0.1:7782]
-        [--spawn 2] [--mem-budget 64M] [--pipeline-depth 4]
+        [--spawn 2] [--pipeline-depth 4]
         [--out BENCH_cluster.json]
 
 The record now also carries the protocol-3 fabric datapoints: the
@@ -57,7 +57,7 @@ from repro.core.protocol import synthesize_protocol
 from repro.net import Endpoint, parse_endpoints
 from repro.sim.cluster import ClusterEvaluator
 from repro.sim.sampler import make_sampler
-from repro.sim.shard import ShardedEvaluator, parse_mem_budget
+from repro.sim.shard import ShardedEvaluator
 
 
 def _wait_for_port(endpoint: Endpoint, timeout: float = 30.0) -> None:
@@ -158,7 +158,6 @@ def run_recorder(
     seed: int,
     addresses,
     max_slab: int,
-    mem_budget: int | None,
     drill_addresses=None,
     pipeline_depth: int | None = None,
 ) -> dict:
@@ -167,15 +166,8 @@ def run_recorder(
     synth_seconds = time.perf_counter() - synth_start
     engine = make_sampler(protocol)
 
-    slab_kwargs = (
-        {"mem_budget": mem_budget}
-        if mem_budget is not None
-        else {"max_slab": max_slab}
-    )
-
     # Inline baseline: certificate rows, budget, deep stratum.
-    with ShardedEvaluator(engine, **slab_kwargs) as inline:
-        effective_slab = inline.max_slab
+    with ShardedEvaluator(engine, max_slab=max_slab) as inline:
         start = time.perf_counter()
         rows_base = inline.reduce(
             inline.planner.plan_rows(checkable_only=True, threshold=1)
@@ -183,8 +175,8 @@ def run_recorder(
         rows_seconds = time.perf_counter() - start
         stratum_base, stratum_seconds = _timed_stratum(inline, k, shots, seed)
         inline_seconds = rows_seconds + stratum_seconds
-    budget_base = two_fault_error_budget(protocol, **slab_kwargs)
-    ft_base = check_fault_tolerance(protocol, **slab_kwargs)
+    budget_base = two_fault_error_budget(protocol, max_slab=max_slab)
+    ft_base = check_fault_tolerance(protocol, max_slab=max_slab)
 
     # The same plans on the cluster (pipelined, compressed frames).
     # A tiny warmup reduce first: it opens the connections, runs the
@@ -192,7 +184,7 @@ def run_recorder(
     # setup the steady-state numbers should not carry (consumers hold
     # one evaluator across many reduces, so chunks never pay it again).
     with ClusterEvaluator(
-        engine, addresses, pipeline_depth=pipeline_depth, **slab_kwargs
+        engine, addresses, pipeline_depth=pipeline_depth, max_slab=max_slab
     ) as cluster:
         effective_depth = cluster.pipeline_depth
         cluster.reduce(cluster.planner.plan_stratum(k, 64, seed + 1))
@@ -211,7 +203,7 @@ def run_recorder(
     # old protocol's cadence, so the record shows what the credit
     # window itself buys on this workload (same warmup, same plans).
     with ClusterEvaluator(
-        engine, addresses, pipeline_depth=1, **slab_kwargs
+        engine, addresses, pipeline_depth=1, max_slab=max_slab
     ) as lockstep:
         lockstep.reduce(lockstep.planner.plan_stratum(k, 64, seed + 1))
         stratum_lockstep, lockstep_seconds = _timed_stratum(
@@ -224,9 +216,9 @@ def run_recorder(
         tuple(addresses), pipeline_depth=pipeline_depth
     )
     budget_cluster = two_fault_error_budget(
-        protocol, executor=factory, **slab_kwargs
+        protocol, executor=factory, max_slab=max_slab
     )
-    ft_cluster = check_fault_tolerance(protocol, executor=factory, **slab_kwargs)
+    ft_cluster = check_fault_tolerance(protocol, executor=factory, max_slab=max_slab)
 
     rows_identical = (
         rows_base.trials == rows_cluster.trials
@@ -243,7 +235,7 @@ def run_recorder(
     # Forced-disconnect drill: one dying worker in the set, same answer.
     drill_identical = None
     if drill_addresses is not None:
-        with ClusterEvaluator(engine, drill_addresses, **slab_kwargs) as drill:
+        with ClusterEvaluator(engine, drill_addresses, max_slab=max_slab) as drill:
             drill_identical = (
                 _stratum(drill, k, shots, seed) == stratum_base
             )
@@ -259,8 +251,7 @@ def run_recorder(
         "stratum_k": k,
         "seed": seed,
         "cluster_workers": len(parse_endpoints(addresses)),
-        "max_slab": effective_slab,
-        "mem_budget": mem_budget,
+        "max_slab": max_slab,
         "synthesis_seconds": round(synth_seconds, 4),
         "inline_seconds": round(inline_seconds, 4),
         "cluster_seconds": round(cluster_seconds, 4),
@@ -330,12 +321,6 @@ def main() -> int:
         help="outstanding chunks per worker (default: module default of 4)",
     )
     parser.add_argument(
-        "--mem-budget",
-        type=parse_mem_budget,
-        default=None,
-        help="size slabs adaptively from a per-worker byte budget instead",
-    )
-    parser.add_argument(
         "--skip-drill",
         action="store_true",
         help="skip the forced worker-disconnect drill",
@@ -371,7 +356,6 @@ def main() -> int:
             args.seed,
             addresses,
             args.max_slab,
-            args.mem_budget,
             drill_addresses=drill_addresses,
             pipeline_depth=args.pipeline_depth,
         )

@@ -89,17 +89,6 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--mem-budget",
-        type=str,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "per-worker slab memory budget (accepts K/M/G suffixes, e.g. "
-            "64M); sizes the chunk bound adaptively from the engine's "
-            "packed-word footprint when --max-slab is not given"
-        ),
-    )
-    parser.add_argument(
         "--cluster",
         type=str,
         default=None,
@@ -122,9 +111,8 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "outstanding chunks per cluster worker (credit window; only "
-            "meaningful with --cluster). Default: sized from --mem-budget "
-            "via AdaptiveSlabPolicy, else 4; 1 degenerates to strict "
-            "ack-per-chunk lockstep"
+            "meaningful with --cluster). Default 4; 1 degenerates to "
+            "strict ack-per-chunk lockstep"
         ),
     )
     parser.add_argument(
@@ -725,14 +713,8 @@ def _shard_kwargs(args) -> dict:
     """Resolve the sharding flags into consumer kwargs.
 
     ``--cluster`` becomes an executor factory on the
-    ``repro.sim.shard.resolve_evaluator`` seam; ``--mem-budget`` is
-    parsed into bytes for adaptive slab sizing.
+    ``repro.sim.shard.resolve_evaluator`` seam.
     """
-    mem_budget = None
-    if getattr(args, "mem_budget", None):
-        from .sim.shard import parse_mem_budget
-
-        mem_budget = parse_mem_budget(args.mem_budget)
     executor = None
     if getattr(args, "cluster", None):
         from .sim.cluster import ClusterExecutorFactory
@@ -742,13 +724,11 @@ def _shard_kwargs(args) -> dict:
         executor = ClusterExecutorFactory(
             args.cluster,
             pipeline_depth=getattr(args, "pipeline_depth", None),
-            mem_budget=mem_budget,
         )
     return {
         "workers": args.workers,
         "max_slab": args.max_slab,
         "executor": executor,
-        "mem_budget": mem_budget,
     }
 
 
@@ -1043,6 +1023,33 @@ def _format_age(seconds: float) -> str:
     return f"{seconds:.0f}s"
 
 
+_BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+
+
+def parse_bytes(text: str | int) -> int:
+    """Parse ``--max-bytes``: a byte count with optional binary
+    ``K``/``M``/``G`` suffix.
+
+    ``"64M"`` -> 67108864; a bare integer (or int) passes through.
+    ``repro store gc`` and ``repro ledger gc`` use this.
+    """
+    if isinstance(text, int):
+        count = text
+    else:
+        cleaned = text.strip().lower().removesuffix("ib").removesuffix("b")
+        factor = 1
+        if cleaned and cleaned[-1] in _BYTE_SUFFIXES:
+            factor = _BYTE_SUFFIXES[cleaned[-1]]
+            cleaned = cleaned[:-1]
+        try:
+            count = int(cleaned) * factor
+        except ValueError:
+            raise ValueError(f"unparseable memory budget {text!r}") from None
+    if count < 1:
+        raise ValueError(f"memory budget must be positive, got {text!r}")
+    return count
+
+
 def _cmd_store(args) -> int:
     import time
 
@@ -1102,9 +1109,7 @@ def _cmd_store(args) -> int:
         )
         return 1 if report["quarantined"] else 0
     # gc
-    from .sim.shard import parse_mem_budget
-
-    result = store.gc(parse_mem_budget(args.max_bytes))
+    result = store.gc(parse_bytes(args.max_bytes))
     print(
         f"evicted {result['evicted']} entries "
         f"({result['evicted_bytes']} bytes); "
@@ -1143,7 +1148,6 @@ def _cmd_serve(args) -> int:
             compute_threads=args.compute_threads,
             workers=kwargs["workers"],
             max_slab=kwargs["max_slab"],
-            mem_budget=kwargs["mem_budget"],
             executor=kwargs["executor"],
             allow=args.allow,
         )
@@ -1357,9 +1361,7 @@ def _cmd_ledger(args) -> int:
         )
         return 1 if report["quarantined"] else 0
     # gc
-    from .sim.shard import parse_mem_budget
-
-    result = ledger.gc(parse_mem_budget(args.max_bytes))
+    result = ledger.gc(parse_bytes(args.max_bytes))
     print(
         f"evicted {result['evicted']} records; {result['records']} records "
         f"({result['bytes']} bytes) remain"

@@ -69,11 +69,9 @@ def two_fault_error_budget(
     *,
     max_runs: int | None = 2_000_000,
     engine: str = "batched",
-    batch_size: int = 8192,
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
 ) -> ErrorBudget:
     """Exact two-fault enumeration with per-pair attribution.
@@ -82,11 +80,11 @@ def two_fault_error_budget(
     :meth:`repro.sim.subset.SubsetSampler.enumerate_k2_exact` but keeps
     the failing mass split by (segment, segment) and (kind, kind) pairs.
     The draw x draw cross products are planned into bounded pair chunks
-    (at most ``max_slab`` runs each, defaulting to ``batch_size``) and
-    evaluated as k = 2 index strata on the selected engine — across
-    ``workers`` processes, or on the ``executor`` backend (e.g.
-    ``repro.sim.cluster`` TCP workers), when asked; ``mem_budget`` sizes
-    the chunks adaptively. Per-pair failing counts are exact integers
+    (at most ``max_slab`` runs each, ``None`` = 8192) and evaluated as
+    k = 2 index strata on the selected engine — across ``workers``
+    processes, or on the ``executor`` backend (e.g.
+    ``repro.sim.cluster`` TCP workers), when asked. Per-pair failing
+    counts are exact integers
     and the mass aggregation order matches the per-shot loop, so the
     result is bit-identical across engines, worker counts, backends,
     and slab sizes.
@@ -109,8 +107,6 @@ def two_fault_error_budget(
         workers=workers,
         max_slab=max_slab,
         executor=executor,
-        mem_budget=mem_budget,
-        default_slab=batch_size,
         model=model,
     ) as evaluator:
         planner = evaluator.planner

@@ -113,11 +113,9 @@ def second_order_survey(
     samples: int = 2000,
     rng=None,
     engine: str = "batched",
-    batch_size: int = 8192,
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
 ) -> dict:
     """Survey Definition 1 at t = 2: fraction of fault *pairs* leaving
     ``wt_S > 2`` residuals.
@@ -135,10 +133,9 @@ def second_order_survey(
     the evaluation is batched — the sampled pairs travel as pairs of
     checkable row ids and run as ``(pairs, 2)`` index arrays, sharded with
     ``workers > 1`` into ``max_slab`` chunks across a process pool.
-    ``executor`` / ``mem_budget`` select the execution backend (e.g.
-    cluster workers) and adaptive slab sizing through the
-    :func:`repro.sim.shard.resolve_evaluator` seam; the survey numbers
-    are identical for every backend.
+    ``executor`` selects the execution backend (e.g. cluster workers)
+    through the :func:`repro.sim.shard.resolve_evaluator` seam; the
+    survey numbers are identical for every backend.
     """
     rng = rng if rng is not None else np.random.default_rng()
     sampler = sim_sampler.make_sampler(protocol, engine=engine)
@@ -158,8 +155,6 @@ def second_order_survey(
         workers=workers,
         max_slab=max_slab,
         executor=executor,
-        mem_budget=mem_budget,
-        default_slab=batch_size,
     ) as evaluator:
         merged = evaluator.reduce(
             evaluator.planner.plan_row_pairs(pairs, threshold=2)
@@ -178,11 +173,9 @@ def check_fault_tolerance(
     *,
     max_violations: int = 10,
     engine: str = "batched",
-    batch_size: int = 8192,
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
 ) -> list[FTViolation]:
     """Run every single-fault scenario; return violations (empty = FT).
@@ -193,8 +186,7 @@ def check_fault_tolerance(
     processes (or the ``executor`` backend, e.g. ``repro.sim.cluster``
     TCP workers) when asked; violations come back in enumeration order,
     capped at ``max_violations``, exactly as the per-shot walk reported
-    them, for every engine, worker count, and backend. ``mem_budget``
-    sizes the row chunks adaptively instead of ``max_slab``.
+    them, for every engine, worker count, and backend.
 
     ``model`` generalizes the certificate's fault set to a noise model's
     single *events* (``repro.sim.noisemodels``): sites with zero rate are
@@ -231,8 +223,6 @@ def check_fault_tolerance(
         workers=workers,
         max_slab=max_slab,
         executor=executor,
-        mem_budget=mem_budget,
-        default_slab=batch_size,
         model=model,
     ) as evaluator:
         planner = evaluator.planner

@@ -230,13 +230,32 @@ def protocol_from_json(text: str) -> DeterministicProtocol:
                 branches=branches,
             )
         )
-    return DeterministicProtocol(
+    protocol = DeterministicProtocol(
         code=code,
         prep=prep,
         layers=layers,
         num_wires=obj["num_wires"],
         prep_segment=_circuit_from_obj(obj["prep_segment"]),
     )
+    _check_widths(protocol)
+    return protocol
+
+
+def _check_widths(protocol: DeterministicProtocol) -> None:
+    """Refuse a circuit wider than ``num_wires``: the engines size their
+    frames by ``num_wires``, so it would load and compile, then index
+    out of bounds on the first shot."""
+    circuits = [("prep_segment", protocol.prep_segment)]
+    for i, layer in enumerate(protocol.layers):
+        circuits.append((f"layer {i}", layer.circuit))
+        for signature, branch in layer.branches.items():
+            circuits.append((f"branch {signature} of layer {i}", branch.circuit))
+    for name, circuit in circuits:
+        if circuit.num_qubits > protocol.num_wires:
+            raise ValueError(
+                f"{name} acts on {circuit.num_qubits} qubits but the protocol "
+                f"has num_wires = {protocol.num_wires}"
+            )
 
 
 def dump_protocol(protocol: DeterministicProtocol, path) -> None:

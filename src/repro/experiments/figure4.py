@@ -111,7 +111,6 @@ def run_series(
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
     ledger=None,
 ) -> Figure4Series:
@@ -129,7 +128,7 @@ def run_series(
     pool of ``workers`` processes, so the series is identical for any
     worker count. ``executor`` runs the same chunks on a different
     backend (``repro.sim.cluster`` TCP workers) with bit-identical
-    series, and ``mem_budget`` sizes the chunks adaptively.
+    series.
 
     ``direct_check_at`` additionally runs ``direct_shots`` of plain
     Bernoulli Monte-Carlo at that physical rate on the same engine — an
@@ -177,7 +176,6 @@ def run_series(
             seed=seed,
             exact_k1=exact_k1,
             max_slab=max_slab,
-            mem_budget=mem_budget,
             direct_check_at=direct_check_at,
             direct_shots=direct_shots,
         )
@@ -197,7 +195,6 @@ def run_series(
         workers=workers,
         max_slab=max_slab,
         executor=executor,
-        mem_budget=mem_budget,
         model=model,
         ledger=ledger,
     ) as sampler:
@@ -324,7 +321,6 @@ def _series_task(args: tuple) -> Figure4Series:
         workers,
         max_slab,
         executor,
-        mem_budget,
         model,
         ledger,
     ) = args
@@ -338,7 +334,6 @@ def _series_task(args: tuple) -> Figure4Series:
         workers=workers,
         max_slab=max_slab,
         executor=executor,
-        mem_budget=mem_budget,
         model=model,
         ledger=ledger,
     )
@@ -355,7 +350,6 @@ def run_figure4(
     direct_check_at: float | None = None,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
     ledger=None,
 ) -> list[Figure4Series]:
@@ -392,7 +386,6 @@ def run_figure4(
             1 if per_code else workers,
             max_slab,
             executor,
-            mem_budget,
             model,
             ledger,
         )

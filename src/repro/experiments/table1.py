@@ -103,7 +103,6 @@ def run_row(
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
 ) -> Table1Row:
     """Synthesize one Table-I row and extract its metrics.
@@ -113,9 +112,8 @@ def run_row(
     on the batched engine, so the regenerated table can carry a proof
     column next to the metrics. ``workers`` / ``max_slab`` shard that
     certificate's enumeration (``repro.sim.shard``) for the big codes;
-    ``executor`` / ``mem_budget`` select the execution backend (e.g.
-    ``repro.sim.cluster`` TCP workers) and adaptive slab sizing;
-    ``model`` certifies against a noise model's fault set
+    ``executor`` selects the execution backend (e.g.
+    ``repro.sim.cluster`` TCP workers); ``model`` certifies against a noise model's fault set
     (``repro.sim.noisemodels`` — ``None`` keeps the E1_1 enumeration).
     """
     code = get_code(code_key)
@@ -145,7 +143,6 @@ def run_row(
             workers=workers,
             max_slab=max_slab,
             executor=executor,
-            mem_budget=mem_budget,
             model=model,
         )
     return Table1Row(
@@ -167,7 +164,6 @@ def run_table1(
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     model=None,
 ) -> list[Table1Row]:
     """Regenerate Table I (all rows by default)."""
@@ -182,7 +178,6 @@ def run_table1(
             workers=workers,
             max_slab=max_slab,
             executor=executor,
-            mem_budget=mem_budget,
             model=model,
         )
         for code, prep, verif in rows

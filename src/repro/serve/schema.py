@@ -170,7 +170,6 @@ def request_key(
     model,
     *,
     max_slab: int | None = None,
-    mem_budget: int | None = None,
 ) -> tuple[str, str | None]:
     """(ledger kind, ledger key) of a normalized compute request.
 
@@ -179,7 +178,7 @@ def request_key(
     are absent; results are engine- and backend-invariant). For sweeps
     the requested ``sweep`` grid is excluded too: estimates are derived
     per-point from the keyed tally record, so one record serves every
-    grid. ``max_slab``/``mem_budget`` are the *server's* slab
+    grid. ``max_slab`` is the *server's* slab
     configuration — part of the chunk plan, hence part of the key.
     Returns ``(kind, None)`` when the model cannot be tokenized.
     """
@@ -192,7 +191,6 @@ def request_key(
             seed=norm["seed"],
             exact_k1=norm["exact_k1"],
             max_slab=max_slab,
-            mem_budget=mem_budget,
             direct_check_at=norm["direct_check_at"],
             direct_shots=norm["direct_shots"],
         )
@@ -216,6 +214,5 @@ def request_key(
             shots=norm["shots"],
             seed=norm["seed"],
             max_slab=max_slab,
-            mem_budget=mem_budget,
         )
     raise ServeRequestError(f"op {op!r} has no ledger key")

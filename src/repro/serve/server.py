@@ -128,7 +128,7 @@ class _Inflight:
 class ReproServer:
     """The daemon. See the module docstring for the request flow.
 
-    Parameters mirror the CLI: ``workers``/``max_slab``/``mem_budget``
+    Parameters mirror the CLI: ``workers``/``max_slab``
     configure the in-process sharded backend, ``executor`` swaps in a
     cluster factory, ``ledger`` selects the results ledger (``None`` =
     ambient ``REPRO_LEDGER``, ``False`` = off), ``engine_slots`` bounds
@@ -152,7 +152,6 @@ class ReproServer:
         engine_slots: int = 8,
         workers: int = 1,
         max_slab: int | None = None,
-        mem_budget: int | None = None,
         executor=None,
         compute_threads: int = 4,
         token: str | None = None,
@@ -178,7 +177,6 @@ class ReproServer:
         self.engine_slots = int(engine_slots)
         self.workers = int(workers)
         self.max_slab = max_slab
-        self.mem_budget = mem_budget
         self.executor = executor
         self.stats = ServeStats()
         self._pool = ThreadPoolExecutor(
@@ -450,7 +448,6 @@ class ReproServer:
             max_violations=norm["max_violations"],
             engine=norm["engine"],
             max_slab=self.max_slab,
-            mem_budget=self.mem_budget,
             executor=self._evaluator_factory(digest, progress),
             model=model,
         )
@@ -478,7 +475,6 @@ class ReproServer:
             max_runs=norm["max_runs"],
             engine=norm["engine"],
             max_slab=self.max_slab,
-            mem_budget=self.mem_budget,
             executor=self._evaluator_factory(digest, progress),
             model=model,
         )
@@ -508,7 +504,6 @@ class ReproServer:
                 rng=np.random.default_rng(norm["seed"]),
                 executor=self._evaluator_factory(digest, progress),
                 max_slab=self.max_slab,
-                mem_budget=self.mem_budget,
             )
         return {
             "code": norm["code"],
@@ -837,7 +832,6 @@ class ReproServer:
             digest,
             key_model,
             max_slab=self.max_slab,
-            mem_budget=self.mem_budget,
         )
 
         async def respond(record, source: str, spans=None) -> None:

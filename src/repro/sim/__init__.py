@@ -58,12 +58,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "make_sampler",
         ),
         "shard": (
-            "AdaptiveSlabPolicy",
             "ShardedEvaluator",
             "ShardPartial",
             "StratumPlanner",
             "merge_partials",
-            "parse_mem_budget",
             "resolve_evaluator",
         ),
         "subset": (

@@ -65,9 +65,7 @@ this module takes the same tiny, deterministically-seeded chunk specs
   unchanged through the :func:`repro.sim.shard.resolve_evaluator` seam.
   Scheduling is a **work-stealing shared queue** with a **credit
   window**: one thread per worker connection keeps up to
-  ``pipeline_depth`` chunks outstanding on its link (default 4, or
-  sized from the byte budget via
-  :meth:`~repro.sim.shard.AdaptiveSlabPolicy.pipeline_depth_for`), so
+  ``pipeline_depth`` chunks outstanding on its link (default 4), so
   a worker always has the next chunk queued locally instead of idling
   a round trip between chunks — and fast workers still naturally take
   more chunks. Every chunk is acknowledged individually, in send
@@ -142,7 +140,6 @@ from ..store import available_codecs
 from ..store.keys import sha256_hex
 from .noisemodels import model_from_jsonable, model_to_jsonable
 from .shard import (
-    AdaptiveSlabPolicy,
     ShardPartial,
     StratumPlanner,
     _DEFAULT_SLAB,
@@ -186,11 +183,11 @@ _MAGIC = "RPRO-CLUSTER"
 #: Compiled engines a worker keeps across coordinator sessions.
 _ENGINE_CACHE_SLOTS = 8
 
-#: Outstanding chunks per worker link when neither ``--pipeline-depth``
-#: nor a byte budget picks one; 1 degenerates to ack-per-chunk lockstep.
+#: Outstanding chunks per worker link unless ``--pipeline-depth`` picks
+#: one; 1 degenerates to ack-per-chunk lockstep.
 _DEFAULT_PIPELINE_DEPTH = 4
 
-#: Ceiling on any derived pipeline depth (beyond ~32 outstanding chunks
+#: Ceiling on any pipeline depth (beyond ~32 outstanding chunks
 #: the window only buys memory pressure, not latency hiding).
 _MAX_PIPELINE_DEPTH = 32
 
@@ -800,10 +797,9 @@ class ClusterEvaluator:
         or an iterable of specs / :class:`~repro.net.Endpoint` objects
         (:func:`repro.net.parse_endpoints`). Connections are opened
         lazily on the first ``map`` and reused across calls.
-    max_slab / mem_budget:
+    max_slab:
         Chunk memory bound, forwarded to the planner *and* to every
-        worker in the handshake header. ``mem_budget`` sizes the slab
-        adaptively (:class:`~repro.sim.shard.AdaptiveSlabPolicy`).
+        worker in the handshake header.
     model:
         Optional noise model (``repro.sim.noisemodels``), forwarded to
         the planner and in the handshake header so remote chunk
@@ -832,14 +828,11 @@ class ClusterEvaluator:
         addresses,
         *,
         max_slab: int = _DEFAULT_SLAB,
-        mem_budget: int | None = None,
         connect_timeout: float = 10.0,
         model=None,
         pipeline_depth: int | None = None,
         token: str | None = None,
     ):
-        if mem_budget is not None:
-            max_slab = AdaptiveSlabPolicy(mem_budget).slab_for(engine)
         self.engine = engine
         self.endpoints = parse_endpoints(addresses)
         self.addresses = tuple(ep.address for ep in self.endpoints)
@@ -848,12 +841,7 @@ class ClusterEvaluator:
         self.model = model
         self.connect_timeout = connect_timeout
         if pipeline_depth is None:
-            if mem_budget is not None:
-                pipeline_depth = AdaptiveSlabPolicy(
-                    mem_budget
-                ).pipeline_depth_for(engine, self.max_slab)
-            else:
-                pipeline_depth = _DEFAULT_PIPELINE_DEPTH
+            pipeline_depth = _DEFAULT_PIPELINE_DEPTH
         #: Outstanding chunks per worker link (credit window); 1 is the
         #: old ack-per-chunk lockstep, bit-identical either way.
         self.pipeline_depth = max(1, min(_MAX_PIPELINE_DEPTH, int(pipeline_depth)))
@@ -1301,12 +1289,8 @@ class ClusterExecutorFactory:
 
     addresses: tuple[str, ...]
     connect_timeout: float = 10.0
-    #: Outstanding chunks per worker (None = derive from ``mem_budget``
-    #: via AdaptiveSlabPolicy when given, else the module default of 4).
+    #: Outstanding chunks per worker (None = the module default of 4).
     pipeline_depth: int | None = None
-    #: Byte budget that sizes the default pipeline depth (the CLI's
-    #: ``--mem-budget``; the slab bound itself arrives pre-resolved).
-    mem_budget: int | None = None
     #: Evaluator-level token fallback (endpoint token=/token-file= and
     #: the environment still apply; see ClusterEvaluator).
     token: str | None = None
@@ -1321,17 +1305,12 @@ class ClusterExecutorFactory:
         )
 
     def __call__(self, engine, max_slab: int, model=None) -> ClusterEvaluator:
-        depth = self.pipeline_depth
-        if depth is None and self.mem_budget is not None:
-            depth = AdaptiveSlabPolicy(self.mem_budget).pipeline_depth_for(
-                engine, max_slab
-            )
         return ClusterEvaluator(
             engine,
             self.addresses,
             max_slab=max_slab,
             connect_timeout=self.connect_timeout,
             model=model,
-            pipeline_depth=depth,
+            pipeline_depth=self.pipeline_depth,
             token=self.token,
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class E1_1:
     """Uniform single-parameter depolarizing model."""
 
     p: float
+
+    def __post_init__(self):
+        # NaN fails the range test; a bool is an int but not a rate.
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, Real) or not 0 <= p <= 1:
+            raise ValueError(f"E1_1 rate p must be a real in [0, 1], got {p!r}")
 
     def with_p(self, p: float) -> "E1_1":
         """The same model at strength ``p`` (the sweep knob of the

@@ -89,8 +89,6 @@ __all__ = [
     "partial_from_jsonable",
     "StratumPlanner",
     "ShardedEvaluator",
-    "AdaptiveSlabPolicy",
-    "parse_mem_budget",
     "engine_payload",
     "engine_from_payload",
     "resolve_evaluator",
@@ -98,101 +96,6 @@ __all__ = [
 ]
 
 _DEFAULT_SLAB = 8192
-
-_MEM_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-
-
-def parse_mem_budget(text: str | int) -> int:
-    """Parse a byte count with optional binary ``K``/``M``/``G`` suffix.
-
-    ``"64M"`` -> 67108864; a bare integer (or int) passes through. The
-    CLI's ``--mem-budget`` flag and the benchmark scripts both use this.
-    """
-    if isinstance(text, int):
-        budget = text
-    else:
-        cleaned = text.strip().lower().removesuffix("ib").removesuffix("b")
-        factor = 1
-        if cleaned and cleaned[-1] in _MEM_SUFFIXES:
-            factor = _MEM_SUFFIXES[cleaned[-1]]
-            cleaned = cleaned[:-1]
-        try:
-            budget = int(cleaned) * factor
-        except ValueError:
-            raise ValueError(f"unparseable memory budget {text!r}") from None
-    if budget < 1:
-        raise ValueError(f"memory budget must be positive, got {text!r}")
-    return budget
-
-
-@dataclass(frozen=True)
-class AdaptiveSlabPolicy:
-    """Sizes ``max_slab`` from a per-worker memory budget in bytes.
-
-    Instead of hard-coding a shot count, the slab bound is derived from
-    what one configuration actually costs the engine to materialize:
-
-    * the packed X/Z frame planes — one bit per wire per plane per shot,
-      in ``uint64`` words (``2 * num_wires / 8`` bytes per shot);
-    * the fault image — one bit per compiled component per shot
-      (``num_components / 8`` bytes; 2.6× the location count on
-      steane, 4.8× on 16_2_4). The count is the protocol's, whatever
-      the engine: the reference engine has no image of its own but
-      must get the same slab, so the same seed draws the same chunks;
-    * the unpacked per-shot data (``2 * n`` bytes per shot): the judge's
-      check and logical-Z rows, the residual planes of the certificate
-      path;
-    * a fixed allowance for index arrays, verdict masks, and scratch.
-
-    This is a deliberate *upper-bound* heuristic: ``slab_for`` never
-    returns a slab whose estimated footprint exceeds the budget (while a
-    single configuration always fits — the slab floor is 1), so both the
-    in-process :class:`ShardedEvaluator` and the cluster backend can run
-    deep strata inside a known per-worker memory envelope.
-    """
-
-    #: Bytes one worker may commit to a single materialized slab.
-    mem_budget: int
-    #: Hard upper bound on the slab regardless of budget (keeps a huge
-    #: budget from producing pathological single-chunk plans).
-    ceiling: int = 1 << 22
-    #: Fixed per-configuration allowance for indices/verdicts/scratch.
-    overhead_bytes: int = 64
-
-    def __post_init__(self):
-        if self.mem_budget < 1:
-            raise ValueError("mem_budget must be positive")
-
-    def bytes_per_config(self, engine) -> int:
-        """Estimated peak bytes one configuration adds to a slab."""
-        protocol = engine.protocol
-        num_wires = int(protocol.num_wires)
-        compiled = getattr(engine, "compiled", None)
-        if compiled is None:
-            compiled = sim_sampler.CompiledProtocol(protocol)
-        image_bits = compiled.num_components
-        n = int(protocol.code.n)
-        packed_bits = 2 * num_wires + image_bits
-        return -(-packed_bits // 8) + 2 * n + self.overhead_bytes
-
-    def slab_for(self, engine) -> int:
-        """Largest slab whose estimated footprint fits ``mem_budget``."""
-        per_config = self.bytes_per_config(engine)
-        return max(1, min(self.ceiling, self.mem_budget // per_config))
-
-    def pipeline_depth_for(self, engine, max_slab: int) -> int:
-        """Cluster credit window sized so the whole in-flight pipeline
-        stays inside the byte budget.
-
-        A worker with ``depth`` unacknowledged chunks may materialize
-        (at worst, back to back) ``depth`` slabs' worth of
-        configurations, so the window is ``mem_budget`` divided by one
-        slab's estimated footprint — floored at 2 (pipelining stays on;
-        a budget-derived slab already fills the budget by itself) and
-        capped at 32 (past that the window hides no more latency).
-        """
-        slab_bytes = max(1, int(max_slab)) * self.bytes_per_config(engine)
-        return max(2, min(32, self.mem_budget // max(1, slab_bytes)))
 
 
 # -- chunk specs ---------------------------------------------------------------
@@ -1117,13 +1020,10 @@ class ShardedEvaluator:
         workers: int = 1,
         max_slab: int = _DEFAULT_SLAB,
         start_method: str | None = None,
-        mem_budget: int | None = None,
         model=None,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
-        if mem_budget is not None:
-            max_slab = AdaptiveSlabPolicy(mem_budget).slab_for(engine)
         self.engine = engine
         self.workers = int(workers)
         self.max_slab = int(max_slab)
@@ -1220,8 +1120,6 @@ def resolve_evaluator(
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
-    default_slab: int | None = None,
     model=None,
 ):
     """Build the chunk executor every routed consumer evaluates through.
@@ -1237,11 +1135,8 @@ def resolve_evaluator(
     * otherwise an in-process :class:`ShardedEvaluator` with ``workers``
       pool processes (``1`` = inline).
 
-    The slab bound resolves in priority order: an explicit ``max_slab``
-    wins; else ``mem_budget`` sizes it adaptively
-    (:class:`AdaptiveSlabPolicy`); else ``default_slab`` (the consumer's
-    historical ``batch_size``) or the module default. Every evaluator
-    returned here supports ``map``/``reduce``/``close`` and the context
+    ``max_slab`` bounds every chunk (``None`` = the module default,
+    8192 configurations). Every evaluator returned here supports ``map``/``reduce``/``close`` and the context
     manager protocol, and executes the *same* chunk plans — results are
     bit-identical across backends, worker counts, and worker sets.
 
@@ -1252,10 +1147,7 @@ def resolve_evaluator(
     way.
     """
     if max_slab is None:
-        if mem_budget is not None:
-            max_slab = AdaptiveSlabPolicy(mem_budget).slab_for(engine)
-        else:
-            max_slab = default_slab if default_slab is not None else _DEFAULT_SLAB
+        max_slab = _DEFAULT_SLAB
     if executor is not None:
         return executor(engine, int(max_slab), model)
     return ShardedEvaluator(

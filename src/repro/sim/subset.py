@@ -156,11 +156,9 @@ def direct_mc(
     shots: int,
     *,
     rng: np.random.Generator | None = None,
-    batch_size: int = 8192,
     workers: int = 1,
     max_slab: int | None = None,
     executor=None,
-    mem_budget: int | None = None,
     evaluator=None,
 ) -> DirectEstimate:
     """Direct Monte-Carlo at a fixed physical rate on a batch engine.
@@ -173,12 +171,12 @@ def direct_mc(
     whose strata are not p-independent.
 
     The workload is planned (``repro.sim.shard``) into at most
-    ``max_slab``-shot Bernoulli chunks (default ``batch_size``) seeded
-    from one draw of ``rng``, and executed inline (``workers=1``) or
-    across a process pool — identical tallies for any worker count.
-    ``executor`` swaps the backend behind the same chunk plan (e.g.
-    ``repro.sim.cluster`` TCP workers — bit-identical tallies again),
-    and ``mem_budget`` sizes the slab adaptively. ``evaluator`` reuses
+    ``max_slab``-shot Bernoulli chunks (``None`` = 8192) seeded from one
+    draw of ``rng``, and executed inline (``workers=1``) or across a
+    process pool — identical tallies for any worker count. ``executor``
+    swaps the backend behind the same chunk plan (e.g.
+    ``repro.sim.cluster`` TCP workers — bit-identical tallies again).
+    ``evaluator`` reuses
     an already-open chunk executor (e.g. a sampler's live cluster
     session — one handshake/compile per worker instead of one per call)
     without closing it; the caller keeps ownership. The plan depends
@@ -194,8 +192,6 @@ def direct_mc(
             workers=workers,
             max_slab=max_slab,
             executor=executor,
-            mem_budget=mem_budget,
-            default_slab=batch_size,
             model=model,
         )
     try:
@@ -233,27 +229,18 @@ class SubsetSampler:
         truncation bound for everything above it.
     rng:
         Numpy generator (seeded for reproducibility).
-    batch_size:
-        Default slab size: the largest number of configurations one chunk
-        materializes when neither ``max_slab`` nor ``mem_budget`` is
-        given.
     workers:
         Process-pool size for the chunk plans (``repro.sim.shard``):
         ``1`` (default) runs them inline, larger counts fan the chunks
         across a pool. Results are identical for every worker count.
     max_slab:
-        Peak configurations materialized per chunk; defaults to
-        ``batch_size``.
+        Peak configurations materialized per chunk (``None`` = 8192).
     executor:
         Execution backend factory ``(engine, max_slab, model) -> evaluator``
         (the ``repro.sim.shard.resolve_evaluator`` seam) — e.g.
         :class:`repro.sim.cluster.ClusterExecutorFactory` to evaluate
         chunks on remote TCP workers. Results stay bit-identical to
         ``workers=1`` inline for any worker set.
-    mem_budget:
-        Per-worker slab memory budget in bytes; sizes ``max_slab``
-        adaptively (:class:`repro.sim.shard.AdaptiveSlabPolicy`) when
-        ``max_slab`` is not given.
     model:
         Optional noise model (the ``repro.sim.noisemodels`` seam), compiled
         into a :class:`~repro.sim.noisemodels.SiteUniverse`; ``None`` is
@@ -278,26 +265,20 @@ class SubsetSampler:
         *,
         k_max: int = 3,
         rng: np.random.Generator | None = None,
-        batch_size: int = 8192,
         workers: int = 1,
         max_slab: int | None = None,
         executor=None,
-        mem_budget: int | None = None,
         model=None,
         ledger=None,
     ):
         if k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self._bind_model(engine.locations, model)
         self.k_max = min(k_max, int(self._universe.active_sites.size))
         self.rng = rng if rng is not None else np.random.default_rng()
         self.engine = engine
-        self.batch_size = batch_size
         self.workers = workers
         self.executor = executor
-        self.mem_budget = mem_budget
         self.max_slab = max_slab
         self.ledger = ledger
         self._evaluator = None
@@ -320,11 +301,9 @@ class SubsetSampler:
         judge=None,
         k_max: int = 3,
         rng: np.random.Generator | None = None,
-        batch_size: int = 8192,
         workers: int = 1,
         max_slab: int | None = None,
         executor=None,
-        mem_budget: int | None = None,
         model=None,
         ledger=None,
     ) -> "SubsetSampler":
@@ -333,19 +312,17 @@ class SubsetSampler:
         ``engine="batched"`` runs strata through the bit-packed engine
         (:class:`repro.sim.sampler.BatchedSampler`); ``"reference"`` keeps
         the per-shot oracle behind the identical interface. ``workers`` /
-        ``max_slab`` size the chunk pool and slabs; ``executor`` /
-        ``mem_budget`` select the execution backend and adaptive slab
-        sizing; ``model`` selects the noise model (see class docs).
+        ``max_slab`` size the chunk pool and slabs; ``executor`` selects
+        the execution backend; ``model`` selects the noise model (see
+        class docs).
         """
         return cls(
             sim_sampler.make_sampler(protocol, engine=engine, judge=judge),
             k_max=k_max,
             rng=rng,
-            batch_size=batch_size,
             workers=workers,
             max_slab=max_slab,
             executor=executor,
-            mem_budget=mem_budget,
             model=model,
             ledger=ledger,
         )
@@ -373,10 +350,8 @@ class SubsetSampler:
         self._bind_model(locations, model)
         self.rng = None
         self.engine = None
-        self.batch_size = 8192
         self.workers = 1
         self.executor = None
-        self.mem_budget = None
         self.max_slab = None
         self.ledger = False
         self._evaluator = None
@@ -426,8 +401,6 @@ class SubsetSampler:
                 workers=self.workers,
                 max_slab=self.max_slab,
                 executor=self.executor,
-                mem_budget=self.mem_budget,
-                default_slab=self.batch_size,
                 model=self.model,
             )
             # Chunk-partial reuse: wrap the backend so ledger-covered

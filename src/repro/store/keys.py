@@ -71,7 +71,7 @@ SYNTHESIS_REVISION = 3
 #: and stratum :func:`chunk_key`. Bump it whenever the same seed and plan
 #: may draw different configurations, so a ledger filled by older code
 #: misses instead of serving tallies of the older stream. Revision 2:
-#: Floyd k-subset stratum draws, and ``mem_budget`` slabs sized by the
+#: Floyd k-subset stratum draws, and byte-budget slabs sized by the
 #: compiled fault image. Revision 3: DSS allocation rounds of
 #: ``max(500, shots // 32)`` shots (budgets up to 16,031 shots draw as in 2).
 DRAW_REVISION = 3
@@ -169,7 +169,6 @@ def series_key(
     seed: int,
     exact_k1: bool = True,
     max_slab: int | None = None,
-    mem_budget: int | None = None,
     direct_check_at: float | None = None,
     direct_shots: int = 0,
 ) -> str | None:
@@ -187,7 +186,10 @@ def series_key(
         "exact_k1": bool(exact_k1),
         "draw_revision": DRAW_REVISION,
         "max_slab": None if max_slab is None else int(max_slab),
-        "mem_budget": None if mem_budget is None else int(mem_budget),
+        # A retired byte-budget slab field, always null: it keeps the key
+        # bytes pinned by tests/serve/test_keys.py::
+        # test_series_key_bytes_are_pinned, so warm ledgers keep hitting.
+        "mem_budget": None,
         "direct_check_at": direct_check_at,
         "direct_shots": int(direct_shots) if direct_check_at is not None else 0,
     }
@@ -201,20 +203,21 @@ def direct_key(
     shots: int,
     seed: int,
     max_slab: int | None = None,
-    mem_budget: int | None = None,
 ) -> str | None:
     """Key of a direct Monte-Carlo tally (``direct_mc``).
 
     ``model`` is the *effective* model the Bernoulli draws use (i.e.
     after any ``with_p`` rescaling), so the physical rate is inside the
-    token and needs no separate plan field. ``max_slab`` and
-    ``mem_budget`` size the Bernoulli chunks, so both are in the plan.
+    token and needs no separate plan field. ``max_slab`` sizes the
+    Bernoulli chunks, so it is in the plan.
     """
     plan = {
         "shots": int(shots),
         "seed": int(seed),
         "max_slab": None if max_slab is None else int(max_slab),
-        "mem_budget": None if mem_budget is None else int(mem_budget),
+        # Always null, like the series plan's field: it keeps existing
+        # direct keys unchanged.
+        "mem_budget": None,
     }
     return result_key("direct", protocol_digest_hex, model, plan)
 

@@ -93,3 +93,45 @@ class TestFormat:
         branch = obj["layers"][0]["branches"][0]
         for entry in branch["recoveries"]:
             assert isinstance(entry["pauli"], list)
+
+
+class TestWidthsCheckedOnLoad:
+    """A circuit wider than ``num_wires`` would load and compile, then
+    index out of bounds on the first shot; loading refuses it instead,
+    naming the circuit."""
+
+    @staticmethod
+    def _obj():
+        return json.loads(protocol_to_json(cached_protocol("steane")))
+
+    def _mutations(self):
+        short = self._obj()
+        short["num_wires"] -= 1
+        wide_prep = self._obj()
+        wide_prep["prep_segment"]["num_qubits"] = 24
+        wide_layer = self._obj()
+        wide_layer["layers"][0]["circuit"]["num_qubits"] += 1
+        wide_branch = self._obj()
+        wide_branch["layers"][0]["branches"][0]["circuit"]["num_qubits"] += 1
+        return [
+            (short, "prep_segment acts on 12 qubits .* num_wires = 11"),
+            (wide_prep, "prep_segment acts on 24 qubits"),
+            (wide_layer, "layer 0 acts on 13 qubits"),
+            (wide_branch, r"branch \(.*\) of layer 0 acts on 13 qubits"),
+        ]
+
+    def test_protocol_from_json_refuses(self):
+        for obj, match in self._mutations():
+            with pytest.raises(ValueError, match=match):
+                protocol_from_json(json.dumps(obj))
+
+    def test_load_protocol_refuses(self, tmp_path):
+        path = tmp_path / "p.json"
+        for obj, match in self._mutations():
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ValueError, match=match):
+                load_protocol(path)
+
+    def test_exact_width_still_loads(self):
+        protocol = protocol_from_json(json.dumps(self._obj()))
+        assert protocol.num_wires == 12

@@ -117,8 +117,8 @@ class TestBudgetCrossValidation:
         assert batched == reference
 
     def test_batch_slab_size_does_not_change_result(self, steane_protocol):
-        small = two_fault_error_budget(steane_protocol, batch_size=257)
-        large = two_fault_error_budget(steane_protocol, batch_size=100_000)
+        small = two_fault_error_budget(steane_protocol, max_slab=257)
+        large = two_fault_error_budget(steane_protocol, max_slab=100_000)
         assert small == large
 
 

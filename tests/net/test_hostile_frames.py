@@ -157,13 +157,15 @@ def _negative_generator(protocol):
 
 
 def _qubit_out_of_range(protocol):
-    protocol["num_wires"] -= 1  # the last ancilla wire no longer exists
+    # The last ancilla wire no longer exists: loading refuses the wider
+    # circuits by name instead of indexing out of bounds on a shot.
+    protocol["num_wires"] -= 1
 
 
 BAD_PAYLOADS = {
     "float-index": (_float_index, TypeError),
     "negative-generator": (_negative_generator, OverflowError),
-    "qubit-out-of-range": (_qubit_out_of_range, IndexError),
+    "qubit-out-of-range": (_qubit_out_of_range, ValueError),
 }
 
 
@@ -195,6 +197,16 @@ class TestWorkerRefusesBadInput:
             (
                 {"type": "stratum", "index": 0, "k": 1, "shots": -5, "entropy": [1, 0]},
                 "'shots' out of range",
+            ),
+            (
+                {
+                    "type": "bernoulli",
+                    "index": 0,
+                    "shots": 16,
+                    "entropy": [1, 0],
+                    "model": {"type": "E1_1", "p": "x"},
+                },
+                "E1_1 rate p must be a real in [0, 1], got 'x'",
             ),
         ],
     )

@@ -52,7 +52,6 @@ class TestKeyScheme:
             dict(_series_kwargs(), seed=2026),
             dict(_series_kwargs(), exact_k1=False),
             dict(_series_kwargs(), max_slab=4096),
-            dict(_series_kwargs(), mem_budget=1 << 20),
             dict(_series_kwargs(), direct_check_at=1e-3),
         ]
         keys = [store_keys.series_key(digest, None, **kw) for kw in variants]
@@ -131,17 +130,15 @@ class TestKeyScheme:
             digest, E1_1(p=2e-3), shots=4000, seed=2025
         )
 
-    def test_direct_key_includes_mem_budget(self, digest):
-        """``mem_budget`` sizes the Bernoulli chunks, so daemons sharing a
-        ledger with different budgets must not serve each other."""
+    def test_direct_key_bytes_are_pinned(self):
+        """Direct keys keep their bytes, so warm ledgers keep hitting."""
         model = E1_1(p=1e-3)
-        keys = {
-            store_keys.direct_key(
-                digest, model, shots=4000, seed=2025, mem_budget=budget
-            )
-            for budget in (None, 1 << 20, 1 << 24)
-        }
-        assert None not in keys and len(keys) == 3
+        assert store_keys.direct_key(
+            "ab" * 32, model, shots=4000, seed=2025
+        ) == "2c4328eaf7d56dba574a2f7f20cee5ae60a7265afd23d897c8a67cff49ecd9fb"
+        assert store_keys.direct_key(
+            "ab" * 32, model, shots=4000, seed=2025, max_slab=512
+        ) == "5e82ca3df91323472412ee76b7d4f045ac89de437cbdcc22118c3f01fe983f53"
 
     def test_unpicklable_model_disables_caching(self, digest):
         key = store_keys.series_key(

@@ -10,9 +10,9 @@ and pins the cluster path's contracts:
   unacknowledged chunk requeued to the survivors and the merged
   :class:`~repro.sim.shard.ShardPartial` stays bit-identical to the
   inline run (never double-counted);
-* **adaptive slab sizing** — :class:`~repro.sim.shard.AdaptiveSlabPolicy`
-  never sizes a slab whose estimated footprint exceeds the memory
-  budget, on either backend;
+* **one slab knob** — an explicit ``max_slab`` (or the default) bounds
+  every chunk, and a small one splits plans identically on either
+  engine;
 * **per-consumer parity** — every routed consumer produces bit-identical
   results on a two-worker localhost cluster and ``workers=1`` inline.
 """
@@ -36,7 +36,6 @@ from repro.sim.cluster import (
 )
 from repro.sim.sampler import make_sampler
 from repro.sim.shard import (
-    AdaptiveSlabPolicy,
     BernoulliChunk,
     PairChunk,
     RowChunk,
@@ -46,7 +45,6 @@ from repro.sim.shard import (
     chunk_from_jsonable,
     chunk_to_jsonable,
     engine_payload,
-    parse_mem_budget,
     resolve_evaluator,
 )
 from repro.sim.subset import SubsetSampler, direct_mc
@@ -183,35 +181,15 @@ class TestWireFormat:
 
 
 class TestAdaptiveSlabPolicy:
-    def test_slab_never_exceeds_budget(self, steane_engine):
-        """The invariant the policy exists for: estimated slab footprint
-        stays inside the budget for any budget that fits one config."""
-        policy_probe = AdaptiveSlabPolicy(mem_budget=1)
-        per_config = policy_probe.bytes_per_config(steane_engine)
-        for budget in (per_config, 10_000, 123_456, 1 << 20, 1 << 30):
-            policy = AdaptiveSlabPolicy(mem_budget=budget)
-            slab = policy.slab_for(steane_engine)
-            assert slab >= 1
-            if budget >= per_config:
-                assert slab * per_config <= budget
-
-    def test_counts_the_compiled_fault_image(self, steane_engine):
-        """Steane: 12 wires, n = 7, 28 locations, 74 compiled components.
-        The image is 74 bits per shot: ceil((2·12 + 74) / 8) = 13 bytes
-        + 2·7 + 64 = 91. The reference engine has no compiled image of
-        its own but is sized by the protocol's, so it gets 91 too."""
-        policy = AdaptiveSlabPolicy(mem_budget=1 << 20)
-        assert steane_engine.compiled.num_components == 74
-        assert policy.bytes_per_config(steane_engine) == 91
-        assert policy.slab_for(steane_engine) == (1 << 20) // 91
-        reference = make_sampler(steane_engine.protocol, engine="reference")
-        assert policy.bytes_per_config(reference) == 91
+    """Chunk sizing has one knob: an explicit ``max_slab``, or the module
+    default of 8192 configurations."""
 
     def test_budgeted_series_is_engine_invariant(self, steane_engine):
-        """Ledger keys leave the engine out, so a ``mem_budget`` plan must
-        not depend on it: batched and reference draw the same chunks and
-        give bit-identical strata and direct tallies. The budget and
-        shot counts split every sampled plan into several chunks."""
+        """Ledger keys leave the engine out, so a small-slab plan must not
+        depend on it: batched and reference draw the same chunks and give
+        bit-identical strata and direct tallies. A 64-configuration slab
+        splits every sampled plan (500 stratum shots, 400 direct shots)
+        into several chunks."""
         from repro.experiments.figure4 import run_series
 
         def series(engine):
@@ -224,7 +202,7 @@ class TestAdaptiveSlabPolicy:
                 engine=engine,
                 direct_check_at=0.05,
                 direct_shots=400,
-                mem_budget=1 << 14,
+                max_slab=64,
                 ledger=False,
             )
 
@@ -236,80 +214,34 @@ class TestAdaptiveSlabPolicy:
             reference.direct.failures,
         )
 
-    def test_slab_monotone_in_budget(self, steane_engine):
-        slabs = [
-            AdaptiveSlabPolicy(mem_budget=budget).slab_for(steane_engine)
-            for budget in (1 << 12, 1 << 16, 1 << 20, 1 << 24)
-        ]
-        assert slabs == sorted(slabs)
-
-    def test_tiny_budget_floors_at_one_config(self, steane_engine):
-        assert AdaptiveSlabPolicy(mem_budget=1).slab_for(steane_engine) == 1
-
-    def test_ceiling_caps_huge_budgets(self, steane_engine):
-        policy = AdaptiveSlabPolicy(mem_budget=1 << 60, ceiling=4096)
-        assert policy.slab_for(steane_engine) == 4096
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            AdaptiveSlabPolicy(mem_budget=0)
-
     def test_parse_mem_budget(self):
-        assert parse_mem_budget("4096") == 4096
-        assert parse_mem_budget("64K") == 64 << 10
-        assert parse_mem_budget("2m") == 2 << 20
-        assert parse_mem_budget("1GiB") == 1 << 30
-        assert parse_mem_budget(512) == 512
-        with pytest.raises(ValueError):
-            parse_mem_budget("lots")
-        with pytest.raises(ValueError):
-            parse_mem_budget("-3")
+        from repro.cli import parse_bytes
 
-    def test_sharded_evaluator_takes_mem_budget(self, steane_engine):
-        budget = 1 << 20
-        evaluator = ShardedEvaluator(steane_engine, mem_budget=budget)
-        expected = AdaptiveSlabPolicy(budget).slab_for(steane_engine)
-        assert evaluator.max_slab == expected
-        assert evaluator.planner.max_slab == expected
-
-    def test_cluster_evaluator_takes_mem_budget(self, steane_engine):
-        budget = 1 << 20
-        evaluator = ClusterEvaluator(
-            steane_engine, ["127.0.0.1:1"], mem_budget=budget
-        )
-        expected = AdaptiveSlabPolicy(budget).slab_for(steane_engine)
-        assert evaluator.max_slab == expected
-        # The budget-derived bound also travels to workers in the header.
-        assert evaluator._header["max_slab"] == expected
+        assert parse_bytes("4096") == 4096
+        assert parse_bytes("64K") == 64 << 10
+        assert parse_bytes("2m") == 2 << 20
+        assert parse_bytes("1GiB") == 1 << 30
+        assert parse_bytes(512) == 512
+        with pytest.raises(ValueError):
+            parse_bytes("lots")
+        with pytest.raises(ValueError):
+            parse_bytes("-3")
 
     def test_resolve_evaluator_priority(self, steane_engine):
-        # Explicit max_slab wins over mem_budget; mem_budget over default.
-        explicit = resolve_evaluator(
-            steane_engine, max_slab=123, mem_budget=1 << 20
-        )
-        assert explicit.max_slab == 123
-        adaptive = resolve_evaluator(steane_engine, mem_budget=1 << 20)
-        assert adaptive.max_slab == AdaptiveSlabPolicy(1 << 20).slab_for(
-            steane_engine
-        )
-        defaulted = resolve_evaluator(steane_engine, default_slab=777)
-        assert defaulted.max_slab == 777
-
-    def test_budgeted_run_matches_explicit_slab(self, steane_engine):
-        """A mem-budget run is just a re-slabbed plan: same totals as the
-        equivalent explicit max_slab (enumerations are slab-invariant)."""
-        budget = 1 << 18
-        slab = AdaptiveSlabPolicy(budget).slab_for(steane_engine)
-        budgeted = ShardedEvaluator(steane_engine, mem_budget=budget)
-        explicit = ShardedEvaluator(steane_engine, max_slab=slab)
-        merged_budgeted = budgeted.reduce(
-            budgeted.planner.plan_rows(checkable_only=True)
-        )
-        merged_explicit = explicit.reduce(
-            explicit.planner.plan_rows(checkable_only=True)
-        )
-        assert merged_budgeted.trials == merged_explicit.trials
-        assert merged_budgeted.heavy == merged_explicit.heavy
+        # An explicit max_slab wins; None is the module default.
+        explicit = resolve_evaluator(steane_engine, max_slab=123)
+        assert explicit.max_slab == explicit.planner.max_slab == 123
+        defaulted = resolve_evaluator(steane_engine)
+        assert defaulted.max_slab == defaulted.planner.max_slab == 8192
+        # A cluster backend plans with the same bound and sends it to
+        # every worker in the handshake header.
+        factory = ClusterExecutorFactory(("127.0.0.1:1",))
+        for max_slab, expected in ((123, 123), (None, 8192)):
+            cluster = resolve_evaluator(
+                steane_engine, max_slab=max_slab, executor=factory
+            )
+            assert cluster.max_slab == cluster.planner.max_slab == expected
+            assert cluster._header["max_slab"] == expected
 
 
 class TestExactlyOnceMerging:
@@ -809,40 +741,14 @@ class TestPipelinedFabric:
             ).pipeline_depth
             == 1
         )
-        # mem_budget sizes the window so depth x slab footprint fits.
-        budget = 1 << 22
-        sized = ClusterEvaluator(
-            steane_engine, addresses, mem_budget=budget
-        )
-        policy = AdaptiveSlabPolicy(budget)
-        assert sized.pipeline_depth == policy.pipeline_depth_for(
-            steane_engine, sized.max_slab
-        )
-
-    def test_pipeline_depth_for_fits_budget(self, steane_engine):
-        policy = AdaptiveSlabPolicy(mem_budget=1 << 24)
-        slab = policy.slab_for(steane_engine)
-        depth = policy.pipeline_depth_for(steane_engine, slab)
-        per_config = policy.bytes_per_config(steane_engine)
-        assert 2 <= depth <= 32
-        # The floor is 2 (a window of 1 is lockstep, allowed only by
-        # explicit request); above the floor the window fits the budget.
-        if depth > 2:
-            assert depth * slab * per_config <= policy.mem_budget
 
     def test_executor_factory_forwards_depth(self, steane_engine):
         explicit = ClusterExecutorFactory(
             ("127.0.0.1:1",), pipeline_depth=7
         )
         assert explicit(steane_engine, 64).pipeline_depth == 7
-        budget = 1 << 22
-        derived = ClusterExecutorFactory(
-            ("127.0.0.1:1",), mem_budget=budget
-        )
-        expected = AdaptiveSlabPolicy(budget).pipeline_depth_for(
-            steane_engine, 64
-        )
-        assert derived(steane_engine, 64).pipeline_depth == expected
+        defaulted = ClusterExecutorFactory(("127.0.0.1:1",))
+        assert defaulted(steane_engine, 64).pipeline_depth == 4
 
     def test_wire_stats_counts_and_survives_close(
         self, steane_engine, spin_workers

@@ -104,6 +104,15 @@ class TestModel:
         with pytest.raises(Exception):
             model.p = 0.2
 
+    def test_rate_must_be_a_real_in_the_unit_interval(self):
+        for p in (0, 0.0, 1, 1.0, np.float64(0.25)):
+            assert E1_1(p=p).p == p
+        for p in (2.0, -0.1, float("nan"), True, "x", None):
+            with pytest.raises(ValueError, match="E1_1 rate p"):
+                E1_1(p=p)
+        with pytest.raises(ValueError, match="E1_1 rate p"):
+            E1_1(p=0.1).with_p(1.5)
+
 
 class TestStratumDraw:
     """The Floyd k-subset draw of ``sample_injections_stratum``."""

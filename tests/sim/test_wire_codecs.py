@@ -106,6 +106,10 @@ class TestModelCodec:
             ({"type": "E1_1", "p": 0.1, "q": 2}, "malformed E1_1"),
             ({"type": "BiasedPauliModel", "p": 2.0, "eta": 1.0}, "outside"),
             ({"type": "BiasedPauliModel", "p": "x", "eta": 1.0}, "malformed"),
+            ({"type": "E1_1", "p": "x"}, "E1_1 rate p"),
+            ({"type": "E1_1", "p": 2.0}, "E1_1 rate p"),
+            ({"type": "E1_1", "p": True}, "E1_1 rate p"),
+            ({"type": "E1_1", "p": float("nan")}, "E1_1 rate p"),
         ],
     )
     def test_bad_forms_raise_value_error(self, data, match):
@@ -160,6 +164,7 @@ class TestChunkCodec:
     def test_bad_fields_of_the_other_types(self):
         bad = [
             dict(chunk_to_jsonable(CHUNKS[1]), model={"type": "Martian"}),
+            dict(chunk_to_jsonable(CHUNKS[1]), model={"type": "E1_1", "p": "x"}),
             dict(chunk_to_jsonable(CHUNKS[1]), model=7),
             dict(chunk_to_jsonable(CHUNKS[2]), checkable_only=1),
             dict(chunk_to_jsonable(CHUNKS[3]), lo="0"),

@@ -34,19 +34,19 @@ class TestParser:
             assert args.workers == 1, command
             assert args.max_slab is None, command
             assert args.cluster is None, command
-            assert args.mem_budget is None, command
             args = build_parser().parse_args(
                 command
                 + [
                     "--workers", "4", "--max-slab", "2048",
                     "--cluster", "127.0.0.1:7781,127.0.0.1:7782",
-                    "--mem-budget", "64M",
                 ]
             )
             assert args.workers == 4
             assert args.max_slab == 2048
             assert args.cluster == "127.0.0.1:7781,127.0.0.1:7782"
-            assert args.mem_budget == "64M"
+            # --max-slab is the only chunk-size flag.
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--mem-budget", "64M"])
 
     def test_pipeline_depth_on_every_engine_backed_subcommand(self):
         for command in (
@@ -258,13 +258,6 @@ class TestCommands:
         finally:
             for worker in workers:
                 worker.stop()
-
-    def test_budget_mem_budget_identical(self, capsys):
-        """Adaptive slab sizing never changes exact enumerations."""
-        assert main(["budget", "steane"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["budget", "steane", "--mem-budget", "1M"]) == 0
-        assert capsys.readouterr().out == serial
 
     def test_ftcheck(self, capsys):
         assert main(["ftcheck", "steane"]) == 0
