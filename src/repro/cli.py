@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gc.add_argument(
         "--max-bytes",
-        type=str,
+        type=parse_bytes,
         required=True,
         metavar="BYTES",
         help=(
@@ -666,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ledger_gc.add_argument(
         "--max-bytes",
-        type=str,
+        type=parse_bytes,
         required=True,
         metavar="BYTES",
         help=(
@@ -1026,6 +1026,10 @@ def _format_age(seconds: float) -> str:
 _BYTE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
+class _ByteCountError(argparse.ArgumentTypeError, ValueError):
+    """A bad byte count; as a ``type=`` error argparse prints its message."""
+
+
 def parse_bytes(text: str | int) -> int:
     """Parse ``--max-bytes``: a byte count with optional binary
     ``K``/``M``/``G`` suffix.
@@ -1044,9 +1048,9 @@ def parse_bytes(text: str | int) -> int:
         try:
             count = int(cleaned) * factor
         except ValueError:
-            raise ValueError(f"unparseable memory budget {text!r}") from None
+            raise _ByteCountError(f"unparseable byte count {text!r}") from None
     if count < 1:
-        raise ValueError(f"memory budget must be positive, got {text!r}")
+        raise _ByteCountError(f"byte count must be positive, got {text!r}")
     return count
 
 
@@ -1109,7 +1113,7 @@ def _cmd_store(args) -> int:
         )
         return 1 if report["quarantined"] else 0
     # gc
-    result = store.gc(parse_bytes(args.max_bytes))
+    result = store.gc(args.max_bytes)
     print(
         f"evicted {result['evicted']} entries "
         f"({result['evicted_bytes']} bytes); "
@@ -1361,7 +1365,7 @@ def _cmd_ledger(args) -> int:
         )
         return 1 if report["quarantined"] else 0
     # gc
-    result = ledger.gc(parse_bytes(args.max_bytes))
+    result = ledger.gc(args.max_bytes)
     print(
         f"evicted {result['evicted']} records; {result['records']} records "
         f"({result['bytes']} bytes) remain"

@@ -224,17 +224,34 @@ def min_weight_vector_in_coset(group: np.ndarray, vec: np.ndarray) -> np.ndarray
     return shifted[int(weights.argmin())].copy()
 
 
+def _packed(mat: np.ndarray) -> list[int]:
+    """The rows of a bit matrix as ints (column 0 is the highest bit)."""
+    return [
+        int.from_bytes(row.tobytes(), "big") for row in np.packbits(mat, axis=1)
+    ]
+
+
+def _independent(rows: list[int]) -> list[int]:
+    """Indices of the packed ``rows`` independent of the rows before them.
+
+    One incremental echelon, each kept row keyed by its highest set bit:
+    reducing a row walks down its leading bits instead of taking a rank.
+    """
+    pivots: dict[int, int] = {}
+    kept = []
+    for i, row in enumerate(rows):
+        while row and (pivot := pivots.get(row.bit_length() - 1)):
+            row ^= pivot
+        if row:
+            pivots[row.bit_length() - 1] = row
+            kept.append(i)
+    return kept
+
+
 def independent_rows(mat: np.ndarray) -> np.ndarray:
     """Subset of the original rows forming a basis of the row space."""
     mat = as_bit_matrix(mat)
-    kept: list[int] = []
-    current = np.zeros((0, mat.shape[1]), dtype=np.uint8)
-    for i in range(mat.shape[0]):
-        candidate = np.concatenate([current, mat[i : i + 1]], axis=0)
-        if rank(candidate) > current.shape[0]:
-            current = candidate
-            kept.append(i)
-    return mat[kept].copy()
+    return mat[_independent(_packed(mat))].copy()
 
 
 def augment_to_basis(subspace: np.ndarray, space: np.ndarray) -> np.ndarray:
@@ -243,25 +260,13 @@ def augment_to_basis(subspace: np.ndarray, space: np.ndarray) -> np.ndarray:
     Returns only the *added* rows. Requires rowspan(subspace) to be contained
     in rowspan(space); raises ValueError otherwise.
     """
-    subspace = as_bit_matrix(subspace, space.shape[1])
-    for row in subspace:
-        if not row_space_contains(space, row):
-            raise ValueError("subspace is not contained in space")
-    added: list[np.ndarray] = []
-    current = independent_rows(subspace)
-    target_rank = rank(space)
-    for row in space:
-        if current.shape[0] == target_rank:
-            break
-        candidate = np.concatenate([current, row.reshape(1, -1)], axis=0)
-        if rank(candidate) > current.shape[0]:
-            current = candidate
-            added.append(row.copy())
-    return (
-        np.array(added, dtype=np.uint8)
-        if added
-        else np.zeros((0, space.shape[1]), dtype=np.uint8)
-    )
+    sub_rows = _packed(as_bit_matrix(subspace, space.shape[1]))
+    space_rows = _packed(as_bit_matrix(space))
+    if any(i >= len(space_rows) for i in _independent(space_rows + sub_rows)):
+        raise ValueError("subspace is not contained in space")
+    m = len(sub_rows)
+    added = [i - m for i in _independent(sub_rows + space_rows) if i >= m]
+    return space[added].astype(np.uint8)
 
 
 def random_full_rank(

@@ -100,8 +100,8 @@ class LedgerStats:
     def count(self, name: str, amount: int = 1) -> None:
         """Increment a counter here *and* in the process-global metrics
         registry (``ledger.<name>``) — ledger instances are ephemeral
-        (``active_ledger`` builds a fresh one per call, the daemon one
-        per request), so the registry is what survives them."""
+        (``active_ledger`` builds a fresh one per call, each daemon its
+        own), so the registry is what survives them."""
         setattr(self, name, getattr(self, name) + amount)
         get_registry().counter(f"ledger.{name}").inc(amount)
 
@@ -124,6 +124,10 @@ class ResultsLedger:
     kind. Instances are picklable (the path travels, the in-memory index
     does not), so a ledger can cross the figure4 spawn-pool boundary the
     same way :class:`repro.store.ArtifactStore` does.
+
+    ``repro serve``'s loop thread reads one instance while its pool
+    threads append: the daemon loads every kind it reads before it
+    listens, and a ``put`` publishes its entry with one dict assignment.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -177,7 +181,8 @@ class ResultsLedger:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    def _load(self, kind: str) -> dict[str, dict]:
+    def load(self, kind: str) -> dict[str, dict]:
+        """The verified key -> entry index of one kind, read once, kept."""
         cached = self._index.get(kind)
         if cached is not None:
             return cached
@@ -234,7 +239,7 @@ class ResultsLedger:
         """The latest verified record for ``key``, or None."""
         if key is None:
             return None
-        entry = self._load(kind).get(key)
+        entry = self.load(kind).get(key)
         if entry is None:
             self.stats.count("misses")
             return None
@@ -249,7 +254,7 @@ class ResultsLedger:
         """
         if key is None:
             return False
-        index = self._load(kind)
+        index = self.load(kind)
         live = index.get(key)
         # Compare post-round-trip so an in-memory record equal to the
         # stored one (floats and all) is recognized as a duplicate.
@@ -291,7 +296,7 @@ class ResultsLedger:
     def entries(self, kind: str | None = None) -> Iterator[LedgerEntry]:
         """Live (latest-per-key) records, newest first within a kind."""
         for k in [kind] if kind else self.kinds():
-            index = self._load(k)
+            index = self.load(k)
             for key, entry in sorted(
                 index.items(), key=lambda item: item[1]["ts"], reverse=True
             ):
@@ -308,7 +313,7 @@ class ResultsLedger:
         records = 0
         size = 0
         for kind in self.kinds():
-            index = self._load(kind)
+            index = self.load(kind)
             records += len(index)
             size += sum(entry["size"] for entry in index.values())
         return {
@@ -328,7 +333,7 @@ class ResultsLedger:
         self.refresh()
         live: list[tuple[float, str, str]] = []  # (ts, kind, key)
         for kind in self.kinds():
-            for key, entry in self._load(kind).items():
+            for key, entry in self.load(kind).items():
                 live.append((entry["ts"], kind, key))
         total = sum(self._index[kind][key]["size"] for _, kind, key in live)
         evicted = 0

@@ -116,6 +116,11 @@ class ServeStats:
         return dict(vars(self))
 
 
+def _at(model, p: float):
+    """``model`` rescaled to strength ``p`` (E1_1 when there is none)."""
+    return E1_1(p=p) if model is None else model.with_p(p)
+
+
 class _Inflight:
     """One in-progress computation identical requests coalesce onto."""
 
@@ -134,7 +139,7 @@ class ReproServer:
     ambient ``REPRO_LEDGER``, ``False`` = off), ``engine_slots`` bounds
     the resident-engine LRU, and ``compute_threads`` bounds concurrent
     computations (keep it >= 2 so a long compute never blocks protocol
-    resolution for other clients).
+    synthesis for other clients; ledger hits never use the pool).
 
     Transport security (:mod:`repro.net`): ``token`` arms the handshake
     (``None`` falls back to ambient ``REPRO_NET_TOKEN``; ``""`` runs
@@ -186,13 +191,13 @@ class ReproServer:
         # (code, prep, verification) -> (protocol, digest); protocols
         # are small (instruction lists), so this tier is unbounded.
         self._protocols: dict[tuple, tuple] = {}
-        self._protocol_lock = threading.Lock()
         # engine store-key -> (engine, per-engine compute lock), LRU.
         self._engines: "OrderedDict[str, tuple]" = OrderedDict()
         self._engine_lock = threading.Lock()
         # (kind, key) -> _Inflight; loop-confined (touched only on the
         # event loop), which is what makes check-then-register atomic.
         self._inflight: dict[tuple, _Inflight] = {}
+        self._connections: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._stop_event: asyncio.Event | None = None
@@ -222,8 +227,12 @@ class ReproServer:
     async def _main(self, ready: threading.Event | None = None) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        if self.ledger is not None:
+            # Loaded before listening: a lookup on the loop reads no disk.
+            for kind in ("series", "ftcheck", "budget", "direct"):
+                self.ledger.load(kind)
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, ssl=self._ssl_context
+            self._accept, self.host, self.port, ssl=self._ssl_context
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if ready is not None:
@@ -270,23 +279,24 @@ class ReproServer:
 
     # -- resident state --------------------------------------------------------
 
-    def _resolve_protocol(self, norm: dict) -> tuple:
-        """(protocol, digest) for a request; synthesized once, kept."""
+    async def _resolve_protocol(self, norm: dict) -> tuple:
+        """(protocol, digest) for a request; synthesized once (in the
+        pool), kept in ``_protocols``, which only the loop touches."""
         key = (norm["code"], norm["prep"], norm["verification"])
-        with self._protocol_lock:
-            entry = self._protocols.get(key)
+        entry = self._protocols.get(key)
         if entry is not None:
             return entry
 
-        protocol = synthesize_protocol(
-            get_code(norm["code"]),
-            prep_method=norm["prep"],
-            verification_method=norm["verification"],
-        )
-        entry = (protocol, store_keys.protocol_digest(protocol))
-        with self._protocol_lock:
-            self._protocols.setdefault(key, entry)
-            return self._protocols[key]
+        def synthesize() -> tuple:
+            protocol = synthesize_protocol(
+                get_code(norm["code"]),
+                prep_method=norm["prep"],
+                verification_method=norm["verification"],
+            )
+            return protocol, store_keys.protocol_digest(protocol)
+
+        entry = await self._loop.run_in_executor(self._pool, synthesize)
+        return self._protocols.setdefault(key, entry)
 
     def _get_engine(self, protocol, digest: str, engine_name: str) -> tuple:
         """(engine, compute lock) from the LRU, compiling on miss."""
@@ -312,12 +322,6 @@ class ReproServer:
                 self._engines.popitem(last=False)
                 get_registry().counter("serve.engine_evictions").inc()
             return entry
-
-    def _model_for(self, norm: dict):
-        if not norm.get("noise"):
-            return None
-
-        return parse_noise_spec(norm["noise"])
 
     def _evaluator_factory(self, digest: str, progress):
         """The ``executor=`` seam every compute op dispatches through.
@@ -370,14 +374,9 @@ class ReproServer:
                 direct = None
                 direct_at = norm["direct_check_at"]
                 if direct_at is not None and direct_at < sampler.p_ceiling:
-                    direct_model = (
-                        model.with_p(direct_at)
-                        if model is not None
-                        else E1_1(p=direct_at)
-                    )
                     direct = direct_mc(
                         engine,
-                        direct_model,
+                        _at(model, direct_at),
                         norm["direct_shots"],
                         rng=np.random.default_rng(norm["seed"] + 1),
                         evaluator=sampler.evaluator,
@@ -511,9 +510,6 @@ class ReproServer:
             "trials": int(estimate.trials),
             "failures": int(estimate.failures),
         }
-
-    def _effective_direct_model(self, norm: dict, model):
-        return model.with_p(norm["p"]) if model is not None else E1_1(p=norm["p"])
 
     # -- observability ---------------------------------------------------------
 
@@ -665,6 +661,14 @@ class ReproServer:
         if line.strip():
             self._wire.frames_received += 1
 
+    def _accept(self, reader, writer) -> None:
+        # The connection runs as the daemon's own task: shutdown cancels
+        # it, and a cancelled task of start_server's would make asyncio's
+        # stream callback print the cancellation as a traceback.
+        task = self._loop.create_task(self._handle_client(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _handle_client(self, reader, writer):
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -808,7 +812,6 @@ class ReproServer:
             self._stop_event.set()
             return
 
-        loop = asyncio.get_running_loop()
         compute = {
             "sweep": self._compute_sweep,
             "ftcheck": self._compute_ftcheck,
@@ -816,35 +819,33 @@ class ReproServer:
             "direct": self._compute_direct,
         }[op]
 
-        # Protocol synthesis and noise parsing run off-loop (synthesis
-        # can be SAT-heavy on a cold store).
-        protocol, digest = await loop.run_in_executor(
-            self._pool, self._resolve_protocol, norm
-        )
-        model = await loop.run_in_executor(self._pool, self._model_for, norm)
-        key_model = compute_model = model
-        if op == "direct":
-            compute_model = self._effective_direct_model(norm, model)
-            key_model = compute_model
+        # A ledger hit is answered on the loop: the resident protocol,
+        # the model, the key, the lookup and the sweep replay only read
+        # memory. The pool runs synthesis, computes and ledger appends.
+        protocol, digest = await self._resolve_protocol(norm)
+        model = parse_noise_spec(norm["noise"]) if norm.get("noise") else None
+        # direct runs (and is keyed by) the model rescaled to its p.
+        compute_model = _at(model, norm["p"]) if op == "direct" else model
         kind, key = request_key(
-            op,
-            norm,
-            digest,
-            key_model,
-            max_slab=self.max_slab,
+            op, norm, digest, compute_model, max_slab=self.max_slab
         )
 
         async def respond(record, source: str, spans=None) -> None:
-            if op == "sweep":
-                result = await loop.run_in_executor(
-                    self._pool, self._sweep_response, record, protocol, model, norm
+            if source != "computed":
+                spans = self._control_trace(
+                    trace_ctx,
+                    op,
+                    start_wall,
+                    start_mono,
+                    source=source,
+                    code=norm.get("code"),
                 )
-            else:
-                result = record
+            if op == "sweep":
+                record = self._sweep_response(record, protocol, model, norm)
             payload = {
                 "id": rid,
                 "event": "result",
-                "result": result,
+                "result": record,
                 "source": source,
                 "key": key,
             }
@@ -852,20 +853,12 @@ class ReproServer:
                 payload["trace"] = spans
             await self._send(writer, write_lock, payload)
 
-        # 1. Ledger hit: no compute, no engine touch.
+        # 1. Ledger hit: no compute, no engine touch, no pool hop.
         if key is not None and self.ledger is not None:
-            record = await loop.run_in_executor(self._pool, self.ledger.get, kind, key)
+            record = self.ledger.get(kind, key)
             if record is not None:
                 self.stats.ledger_hits += 1
-                spans = self._control_trace(
-                    trace_ctx,
-                    op,
-                    start_wall,
-                    start_mono,
-                    source="ledger",
-                    code=norm.get("code"),
-                )
-                await respond(record, "ledger", spans)
+                await respond(record, "ledger")
                 return
 
         # 2. Identical request in flight: await it (exactly-one-compute).
@@ -876,15 +869,7 @@ class ReproServer:
                 await inflight.event.wait()
                 if inflight.error is not None:
                     raise inflight.error
-                spans = self._control_trace(
-                    trace_ctx,
-                    op,
-                    start_wall,
-                    start_mono,
-                    source="coalesced",
-                    code=norm.get("code"),
-                )
-                await respond(inflight.record, "coalesced", spans)
+                await respond(inflight.record, "coalesced")
                 return
 
         # 3. Compute, streaming progress events as chunks land.
@@ -895,7 +880,7 @@ class ReproServer:
 
         def progress(info: dict) -> None:
             try:
-                loop.call_soon_threadsafe(queue.put_nowait, info)
+                self._loop.call_soon_threadsafe(queue.put_nowait, info)
             except RuntimeError:  # loop shut down mid-compute
                 pass
 
@@ -925,7 +910,7 @@ class ReproServer:
                 )
             return record, tracer.sink.drain()
 
-        compute_future = loop.run_in_executor(self._pool, run_compute)
+        compute_future = self._loop.run_in_executor(self._pool, run_compute)
         try:
             while True:
                 getter = asyncio.ensure_future(queue.get())
@@ -946,7 +931,7 @@ class ReproServer:
         else:
             inflight.record = record
             if key is not None and self.ledger is not None:
-                await loop.run_in_executor(
+                await self._loop.run_in_executor(
                     self._pool, self.ledger.put, kind, key, record
                 )
             await respond(record, "computed", shipped)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.codes.catalog import CATALOG, get_code
 from repro.pauli.symplectic import (
     as_bit_matrix,
     as_bit_vector,
@@ -19,6 +20,8 @@ from repro.pauli.symplectic import (
     span_iter,
     span_matrix,
 )
+
+from ..reference import rank_augment_to_basis, rank_independent_rows
 
 
 class TestAsBitMatrix:
@@ -253,6 +256,57 @@ class TestAugmentToBasis:
         space = as_bit_matrix(["110", "011"])
         added = augment_to_basis(as_bit_matrix([], 3), space)
         assert rank(added) == 2
+
+
+def _same_outcome(fn, reference, *args):
+    """``fn`` and ``reference`` return equal matrices or both refuse."""
+    try:
+        expected = reference(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            fn(*args)
+        return False
+    got = fn(*args)
+    assert got.dtype == expected.dtype == np.uint8
+    assert got.shape == expected.shape
+    assert (got == expected).all()
+    return True
+
+
+class TestEchelonMatchesRankReference:
+    """The incremental echelon picks exactly the rows (and raises exactly
+    where) the rank-per-row loops in ``tests/reference.py`` do."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_codes(self, name):
+        code = get_code(name)
+        hx, hz = code.hx, code.hz
+        kx, kz = kernel(hx), kernel(hz)
+        for mat in (hx, hz, kx, kz, np.concatenate([hz, kx, hz])):
+            _same_outcome(independent_rows, rank_independent_rows, mat)
+        for sub, space in ((hz, kx), (hx, kz), (hx, kx), (hz, kz), (kx, hz)):
+            _same_outcome(augment_to_basis, rank_augment_to_basis, sub, space)
+
+    def test_seeded_random_matrices(self):
+        rng = np.random.default_rng(2025)
+        outcomes = []
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            rows = int(rng.integers(0, 12))
+            space = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+            _same_outcome(independent_rows, rank_independent_rows, space)
+            # Half the subspaces are spans of space rows (accepted), half
+            # arbitrary rows (mostly refused).
+            rows = int(rng.integers(0, 6))
+            if rng.random() < 0.5 and space.shape[0]:
+                mix = rng.integers(0, 2, size=(rows, space.shape[0]), dtype=np.uint8)
+                sub = mix @ space % 2
+            else:
+                sub = rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+            outcomes.append(
+                _same_outcome(augment_to_basis, rank_augment_to_basis, sub, space)
+            )
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestRandomFullRank:

@@ -24,6 +24,10 @@ is the direct construction the engine's GF(2) product replaces: every
 pair-major signature table of forward-propagated draws.
 :func:`packed_planes` packs ``(shots, n)`` residual rows the way the
 engine does, for feeding ``LogicalJudge.failure_mask`` directly.
+
+:func:`rank_independent_rows` and :func:`rank_augment_to_basis` are the
+GF(2) basis helpers that ``repro.pauli.symplectic`` replaced with one
+incremental echelon: they decide each candidate row by a full rank.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.core.faults import (
     enumerate_faults,
     propagate_all_faults,
 )
+from repro.pauli.symplectic import as_bit_matrix, rank, row_space_contains
 from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
 from repro.sim.noise import draw_tables, materialize_stratum
@@ -242,3 +247,39 @@ def reference_mass(protocol, k: int, *, model=None) -> float:
         if judge.is_logical_failure(runner.run(injections)):
             total += weight
     return total
+
+
+def rank_independent_rows(mat: np.ndarray) -> np.ndarray:
+    """``independent_rows`` by one rank per candidate row."""
+    mat = as_bit_matrix(mat)
+    kept: list[int] = []
+    current = np.zeros((0, mat.shape[1]), dtype=np.uint8)
+    for i in range(mat.shape[0]):
+        candidate = np.concatenate([current, mat[i : i + 1]], axis=0)
+        if rank(candidate) > current.shape[0]:
+            current = candidate
+            kept.append(i)
+    return mat[kept].copy()
+
+
+def rank_augment_to_basis(subspace: np.ndarray, space: np.ndarray) -> np.ndarray:
+    """``augment_to_basis`` by one rank per candidate row."""
+    subspace = as_bit_matrix(subspace, space.shape[1])
+    for row in subspace:
+        if not row_space_contains(space, row):
+            raise ValueError("subspace is not contained in space")
+    added: list[np.ndarray] = []
+    current = rank_independent_rows(subspace)
+    target_rank = rank(space)
+    for row in space:
+        if current.shape[0] == target_rank:
+            break
+        candidate = np.concatenate([current, row.reshape(1, -1)], axis=0)
+        if rank(candidate) > current.shape[0]:
+            current = candidate
+            added.append(row.copy())
+    return (
+        np.array(added, dtype=np.uint8)
+        if added
+        else np.zeros((0, space.shape[1]), dtype=np.uint8)
+    )

@@ -61,7 +61,16 @@ class TestParser:
         args = build_parser().parse_args(["ledger", "show", "series", "abc"])
         assert (args.kind, args.key) == ("series", "abc")
         args = build_parser().parse_args(["ledger", "gc", "--max-bytes", "1M"])
-        assert args.max_bytes == "1M"
+        assert args.max_bytes == 1 << 20
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-3"])
+    def test_bad_max_bytes_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["ledger", "gc", "--max-bytes", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-bytes" in err and "byte count" in err
+        assert "Traceback" not in err
 
 
 class TestLedgerFlagFold:

@@ -12,9 +12,17 @@ What must hold on the wire:
   engine dispatches, and a daemon restarted over the same ledger root
   resumes fully warm;
 * a client that disconnects mid-stream never cancels the computation
-  or poisons the ledger: the record lands and the next client gets it.
+  or poisons the ledger: the record lands and the next client gets it;
+* a ledger hit is answered on the event loop, with no submission to the
+  compute pool, also on the first request after a restart;
+* a ``shutdown`` with a client still connected exits 0 without a
+  traceback.
 """
 
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
 
@@ -43,9 +51,7 @@ def ledger_root(tmp_path):
     return tmp_path / "ledger"
 
 
-@pytest.fixture
-def server(ledger_root):
-    instance = ReproServer("127.0.0.1", 0, ledger=ledger_root)
+def _prewarm(instance):
     # Synthesis is session-cached in-process; pre-warm the protocol tier
     # so per-test latency is the simulation, not SAT.
     protocol = cached_protocol("steane")
@@ -53,6 +59,12 @@ def server(ledger_root):
         protocol,
         store_keys.protocol_digest(protocol),
     )
+    return instance
+
+
+@pytest.fixture
+def server(ledger_root):
+    instance = _prewarm(ReproServer("127.0.0.1", 0, ledger=ledger_root))
     instance.start_background()
     yield instance
     instance.stop()
@@ -294,3 +306,139 @@ class TestConcurrency:
             line = c.sweep("steane", **SWEEP_PARAMS)
         assert line["source"] == "ledger"
         assert server.stats.computes == 1
+
+
+class CountingPool:
+    """The daemon's compute pool, counting what is submitted to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.submissions = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submissions += 1
+        return self.inner.submit(fn, *args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self.inner.shutdown(*args, **kwargs)
+
+
+HIT_OPS = [
+    ("sweep", SWEEP_PARAMS),
+    ("ftcheck", {}),
+    ("budget", {}),
+    ("direct", {"p": 1e-3, "shots": 400}),
+]
+
+
+def _counted(instance):
+    instance._pool = CountingPool(instance._pool)
+    instance.start_background()
+    return instance
+
+
+class TestHitPath:
+    @pytest.fixture
+    def counted(self, ledger_root):
+        instance = _counted(
+            _prewarm(ReproServer("127.0.0.1", 0, ledger=ledger_root))
+        )
+        yield instance
+        instance.stop()
+
+    def test_warm_hits_never_touch_the_pool(self, counted):
+        with ServeClient(counted.host, counted.port, timeout=120.0) as c:
+            for op, params in HIT_OPS:
+                assert c.request(op, code="steane", **params)["source"] == "computed"
+            counted._pool.submissions = 0
+            for op, params in HIT_OPS:
+                assert c.request(op, code="steane", **params)["source"] == "ledger"
+        assert counted._pool.submissions == 0
+
+    def test_fresh_sweep_computes_in_the_pool(self, counted):
+        with ServeClient(counted.host, counted.port, timeout=120.0) as c:
+            line = c.sweep("steane", **SWEEP_PARAMS)
+        assert line["source"] == "computed"
+        assert counted._pool.submissions >= 1
+
+    def test_first_hit_after_restart_never_touches_the_pool(
+        self, server, ledger_root
+    ):
+        with ServeClient(server.host, server.port, timeout=120.0) as c:
+            for op, params in HIT_OPS:
+                c.request(op, code="steane", **params)
+        server.stop()
+        reborn = _counted(
+            _prewarm(ReproServer("127.0.0.1", 0, ledger=ledger_root))
+        )
+        try:
+            # Loaded before the listener opened: no hit reads disk.
+            assert {"series", "ftcheck", "budget", "direct"} <= set(
+                reborn.ledger._index
+            )
+            with ServeClient(reborn.host, reborn.port) as c:
+                for op, params in HIT_OPS:
+                    line = c.request(op, code="steane", **params)
+                    assert line["source"] == "ledger"
+                    assert reborn._pool.submissions == 0
+        finally:
+            reborn.stop()
+
+    def test_loop_reads_race_pool_appends(self, server):
+        """The loop looks keys up in the ledger index while pool threads
+        append to it. Six clients (more than the cores) ask for eight
+        keys twice each, with a short switch interval: every key computes
+        once and every answer equals the one its key computed."""
+        seeds = list(range(8)) * 2
+        answers: dict[int, list] = {seed: [] for seed in seeds}
+
+        def ask(order):
+            with ServeClient(server.host, server.port, timeout=120.0) as c:
+                for seed in order:
+                    line = c.direct("steane", 1e-2, shots=64, seed=seed)
+                    answers[seed].append(line["result"])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=ask, args=(seeds[i:] + seeds[:i],))
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert server.stats.computes == 8
+        assert all(len(got) == 12 for got in answers.values())
+        assert all(got.count(got[0]) == 12 for got in answers.values())
+        assert len(list(server.ledger.entries("direct"))) == 8
+
+
+def test_shutdown_with_a_connected_client_exits_cleanly(tmp_path):
+    """The shutdown op ends a ``repro serve`` process with exit 0 and
+    nothing on stderr about the connection it cancelled."""
+    env = dict(os.environ, REPRO_LEDGER=str(tmp_path / "ledger"), REPRO_STORE="off")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        banner = daemon.stdout.readline()
+        host, port = re.search(r"listening on (\S+):(\d+)", banner).groups()
+        with ServeClient(host, int(port)) as c:
+            assert c.ping()["ok"] is True
+            assert c.shutdown() == {"stopping": True}
+            _, stderr = daemon.communicate(timeout=60)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.communicate()
+    assert daemon.returncode == 0
+    assert "Traceback" not in stderr

@@ -47,9 +47,18 @@ class TestParser:
             ["store", "--store", "/x", "gc", "--max-bytes", "512M"]
         )
         assert args.store_command == "gc"
-        assert args.max_bytes == "512M"
+        assert args.max_bytes == 512 << 20
         with pytest.raises(SystemExit):
             build_parser().parse_args(["store", "gc"])  # --max-bytes required
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-3"])
+    def test_bad_max_bytes_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "--store", "/x", "gc", "--max-bytes", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-bytes" in err and "byte count" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:
