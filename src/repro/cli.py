@@ -1160,7 +1160,11 @@ def _cmd_serve(args) -> int:
         return 2
     # Background start so the bound address is printed (and flushed)
     # before any request is served; PORT 0 reports the ephemeral port.
-    bound_host, bound_port = server.start_background()
+    try:
+        bound_host, bound_port = server.start_background()
+    except OSError as exc:
+        print(f"error: repro serve failed to start: {exc}", file=sys.stderr)
+        return 1
     ledger_label = "off" if server.ledger is None else str(server.ledger.root)
     print(
         f"repro serve listening on {bound_host}:{bound_port} "

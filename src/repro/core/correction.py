@@ -157,12 +157,9 @@ def _candidate_pool(
     """Recovery candidates and the ok[error][candidate] predicate."""
     n = reducer.n
     singles = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
-    pool = reducer.dedupe([error ^ r for error in errors for r in singles])
-    pool_matrix = np.array(pool, dtype=np.uint8)
-    ok = np.array(
-        [reducer.coset_weights_batch(pool_matrix ^ error) <= 1 for error in errors]
-    )
-    return pool, ok
+    error_matrix = np.array(errors, dtype=np.uint8)
+    pool = reducer.dedupe((error_matrix[:, None, :] ^ singles).reshape(-1, n))
+    return pool, reducer.within_one(error_matrix, pool)
 
 
 def _maximal_columns(ok: np.ndarray) -> np.ndarray:

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symplectic import (
-    as_bit_matrix,
-    as_bit_vector,
-    min_weight_in_coset,
-    min_weight_vector_in_coset,
-    rref,
-    span_matrix,
-)
+from .symplectic import as_bit_matrix, as_bit_vector, popcount, rref, span_matrix
 
 __all__ = ["CosetReducer"]
 
@@ -82,12 +75,22 @@ class CosetReducer:
         mat = np.asarray(errors, dtype=np.uint8).reshape(-1, self.n)
         keys = self._row_keys(mat)
         labels = np.empty_like(keys)
+        lightest = np.empty(len(keys), dtype=np.intp)
         step = max(1, (1 << 18) // len(self._keys))
         for start in range(0, len(keys), step):
-            chunk = keys[start : start + step, None]
-            labels[start : start + step] = (chunk ^ self._keys).min(axis=1)
+            shifted = keys[start : start + step, None] ^ self._keys
+            labels[start : start + step] = shifted.min(axis=1)
+            lightest[start : start + step] = popcount(shifted).argmin(axis=1)
         _, first = np.unique(labels, return_index=True)
-        return [self.reduce(mat[i]) for i in np.sort(first)]
+        first = np.sort(first)
+        return list(mat[first] ^ self._span[lightest[first]])
+
+    def within_one(self, rows, others) -> np.ndarray:
+        """``out[i][j]``: whether ``rows[i] + others[j]`` has coset weight
+        <= 1, i.e. its key is that of a group element plus <= 1 qubit."""
+        near = np.concatenate([self._keys, (self._keys[:, None] ^ self._place).ravel()])
+        pairs = self._row_keys(np.asarray(rows, dtype=np.uint8))[:, None]
+        return np.isin(pairs ^ self._row_keys(np.asarray(others, dtype=np.uint8)), near)
 
     def coset_weights_batch(self, mat) -> np.ndarray:
         """Coset weights for every row of ``mat`` at once."""
@@ -122,8 +125,3 @@ class CosetReducer:
         """True iff ``vec`` is itself a group element."""
         vec = as_bit_vector(vec, self.n)
         return bool((self._span == vec).all(axis=1).any())
-
-
-# Re-export the one-shot helpers so callers without a reducer can use them.
-coset_weight = min_weight_in_coset
-coset_reduce = min_weight_vector_in_coset

@@ -29,6 +29,7 @@ __all__ = [
     "independent_rows",
     "augment_to_basis",
     "random_full_rank",
+    "popcount",
 ]
 
 
@@ -222,6 +223,21 @@ def min_weight_vector_in_coset(group: np.ndarray, vec: np.ndarray) -> np.ndarray
     shifted = span ^ as_bit_vector(vec)
     weights = shifted.sum(axis=1)
     return shifted[int(weights.argmin())].copy()
+
+
+_BYTE_WEIGHTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def popcount(keys: np.ndarray) -> np.ndarray:
+    """Set-bit counts of non-negative integer keys (object arrays hold
+    Python ints; numpy < 2, which lacks ``bitwise_count``, reads bytes)."""
+    if keys.dtype == object:
+        return np.frompyfunc(int.bit_count, 1, 1)(keys).astype(np.int64)
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(keys)
+    keys = np.ascontiguousarray(keys)
+    counts = _BYTE_WEIGHTS[keys.view(np.uint8)].reshape(*keys.shape, keys.itemsize)
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def _packed(mat: np.ndarray) -> list[int]:

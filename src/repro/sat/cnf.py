@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["CNF", "lit_to_internal", "internal_to_lit"]
+__all__ = ["CNF", "lit_to_internal", "clause_to_internal", "internal_to_lit"]
 
 
 def lit_to_internal(lit: int) -> int:
     """Signed DIMACS literal -> internal index (2v / 2v+1)."""
     return 2 * lit if lit > 0 else -2 * lit + 1
+
+
+def clause_to_internal(clause: Iterable[int]) -> list[int]:
+    """:func:`lit_to_internal` over a clause, inlined: the solver converts
+    every clause and assumption list through here."""
+    return [l + l if l > 0 else 1 - l - l for l in clause]
 
 
 def internal_to_lit(internal: int) -> int:

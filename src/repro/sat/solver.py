@@ -21,7 +21,7 @@ seconds, which matches how the authors use Z3 (many small decision queries).
 
 from __future__ import annotations
 
-from .cnf import CNF, lit_to_internal
+from .cnf import CNF, clause_to_internal
 
 __all__ = ["Solver", "SolveResult"]
 
@@ -111,7 +111,7 @@ class Solver:
         self.decisions = 0
         self.propagations = 0
         for clause in cnf.clauses:
-            if not self._add_clause([lit_to_internal(l) for l in clause]):
+            if not self._add_clause(clause_to_internal(clause)):
                 self._ok = False
                 break
 
@@ -119,13 +119,16 @@ class Solver:
 
     def _add_clause(self, lits: list[int]) -> bool:
         """Add an original clause (internal literals). False if UNSAT now."""
-        lits = self._simplify_clause(lits)
-        if lits is None:  # tautology or satisfied at level 0
-            return True
-        if not lits:
-            return False
-        if len(lits) == 1:
-            return self._enqueue(lits[0], None) and self._propagate() is None
+        # With no level-0 assignment, a clause over >= 2 distinct
+        # variables has nothing to simplify.
+        if self._trail or len(lits) < 2 or len({l >> 1 for l in lits}) < len(lits):
+            lits = self._simplify_clause(lits)
+            if lits is None:  # tautology or satisfied at level 0
+                return True
+            if not lits:
+                return False
+            if len(lits) == 1:
+                return self._enqueue(lits[0], None) and self._propagate() is None
         self._attach(lits)
         self._clauses.append(lits)
         return True
@@ -193,31 +196,32 @@ class Solver:
                     watch_list[j] = clause
                     j += 1
                     continue
-                # Find a new literal to watch.
-                for k in range(2, len(clause)):
+                # Find a new literal to watch in clause[2:], if any.
+                k, size = 2, len(clause)
+                while k < size and assign[clause[k]] == 0:
+                    k += 1
+                if k < size:
                     other = clause[k]
-                    if assign[other] != 0:
-                        clause[1] = other
-                        clause[k] = false_lit
-                        watches[other ^ 1].append(clause)
-                        moved += 1
-                        break
-                else:
-                    # Clause is unit or conflicting.
-                    watch_list[j] = clause
-                    j += 1
-                    if fval == 0:  # first is false too -> conflict
-                        # j + moved clauses were visited; keep the rest.
-                        del watch_list[j:j + moved]
-                        self._qhead = qhead
-                        self.propagations += qhead - start
-                        return clause
-                    assign[first] = 1
-                    assign[first ^ 1] = 0
-                    var = first >> 1
-                    levels[var] = level
-                    reasons[var] = clause
-                    trail.append(first)
+                    clause[1] = other
+                    clause[k] = false_lit
+                    watches[other ^ 1].append(clause)
+                    moved += 1
+                    continue
+                # Clause is unit or conflicting.
+                watch_list[j] = clause
+                j += 1
+                if fval == 0:  # first is false too -> conflict
+                    # j + moved clauses were visited; keep the rest.
+                    del watch_list[j:j + moved]
+                    self._qhead = qhead
+                    self.propagations += qhead - start
+                    return clause
+                assign[first] = 1
+                assign[first ^ 1] = 0
+                var = first >> 1
+                levels[var] = level
+                reasons[var] = clause
+                trail.append(first)
             del watch_list[j:]
         self._qhead = qhead
         self.propagations += qhead - start
@@ -432,7 +436,7 @@ class Solver:
         if not self._ok:
             return SolveResult(False, None, self.conflicts, self.decisions,
                                self.propagations)
-        assumption_lits = [lit_to_internal(l) for l in (assumptions or [])]
+        assumption_lits = clause_to_internal(assumptions or [])
         self._backtrack(0)
         conflict = self._propagate()
         if conflict is not None:

@@ -251,17 +251,28 @@ class ReproServer:
         """Run the daemon on a dedicated thread; returns the bound address.
 
         The test-suite (and embedding) entry point: the port is
-        ephemeral by default, so read it from the return value.
+        ephemeral by default, so read it from the return value. An error
+        before the listener opens (port in use, bad ledger) is raised here.
         """
         ready = threading.Event()
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main(ready)),
-            name="repro-serve-loop",
-            daemon=True,
-        )
+        failed: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                asyncio.run(self._main(ready))
+            except BaseException as exc:
+                if ready.is_set():
+                    raise
+                failed.append(exc)
+                ready.set()
+
+        self._thread = threading.Thread(target=run, name="repro-serve-loop", daemon=True)
         self._thread.start()
         if not ready.wait(timeout=30):
             raise RuntimeError("server failed to start within 30s")
+        if failed:
+            self.stop()
+            raise failed[0]
         return self.host, self.port
 
     def stop(self) -> None:

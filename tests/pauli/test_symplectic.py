@@ -12,6 +12,7 @@ from repro.pauli.symplectic import (
     kernel,
     min_weight_in_coset,
     min_weight_vector_in_coset,
+    popcount,
     random_full_rank,
     rank,
     row_space_contains,
@@ -219,6 +220,25 @@ class TestCosetWeight:
         assert rep.sum() == min_weight_in_coset(group, vec)
         # Representative differs from vec by a group element.
         assert row_space_contains(group, rep ^ vec)
+
+
+class TestPopcount:
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint8])
+    @pytest.mark.parametrize("has_bitwise_count", [True, False])
+    def test_matches_bit_count(self, dtype, has_bitwise_count, monkeypatch):
+        # Without bitwise_count (numpy < 2) popcount reads a byte table.
+        if not has_bitwise_count:
+            monkeypatch.delattr(np, "bitwise_count", raising=False)
+        rng = np.random.default_rng(4)
+        high = int(np.iinfo(dtype).max)
+        keys = rng.integers(0, high, size=(7, 5), dtype=dtype, endpoint=True)
+        expected = [[int(k).bit_count() for k in row] for row in keys.tolist()]
+        assert popcount(keys).tolist() == expected
+        assert popcount(keys[:, ::2]).tolist() == [row[::2] for row in expected]
+
+    def test_python_int_keys(self):
+        keys = np.array([0, (1 << 70) - 1, 1 << 90], dtype=object)
+        assert popcount(keys).tolist() == [0, 70, 1]
 
 
 class TestIndependentRows:

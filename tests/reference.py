@@ -28,10 +28,25 @@ engine does, for feeding ``LogicalJudge.failure_mask`` directly.
 :func:`rank_independent_rows` and :func:`rank_augment_to_basis` are the
 GF(2) basis helpers that ``repro.pauli.symplectic`` replaced with one
 incremental echelon: they decide each candidate row by a full rank.
+
+:func:`loop_reduce_columns` is the optimal-prep column reduction as a scan
+over every (target, source) pair, which ``repro.synth.prep`` replaced with
+one array op per step; :func:`reduction_mismatches` compares the two over
+a code's information sets. :func:`per_row_dedupe` and
+:func:`per_error_candidate_pool` are ``CosetReducer.dedupe`` with one
+``reduce`` per first-seen row and the correction candidate pool with one
+bit-matrix coset-weight broadcast per error, which the reducer's integer
+row keys (one chunked pass in ``dedupe``, one ``isin`` in ``within_one``)
+replaced.
+
+:func:`reference_load` builds a ``Solver``'s clause database by passing
+every clause through ``Solver._simplify_clause``, as ``_add_clause`` did
+before it learnt to skip clauses with nothing to simplify.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +60,8 @@ from repro.core.faults import (
     propagate_all_faults,
 )
 from repro.pauli.symplectic import as_bit_matrix, rank, row_space_contains
+from repro.sat.cnf import CNF, lit_to_internal
+from repro.sat.solver import Solver
 from repro.sim.frame import ProtocolRunner, protocol_locations
 from repro.sim.logical import LogicalJudge
 from repro.sim.noise import draw_tables, materialize_stratum
@@ -283,3 +300,113 @@ def rank_augment_to_basis(subspace: np.ndarray, space: np.ndarray) -> np.ndarray
         if added
         else np.zeros((0, space.shape[1]), dtype=np.uint8)
     )
+
+
+def loop_reduce_columns(generator: np.ndarray, pivots: list[int]) -> list[tuple[int, int]]:
+    """``synth.prep._reduce_columns`` by a strict ``>`` scan over targets,
+    then sources, with two array calls per pair."""
+    work = generator.copy()
+    r, n = work.shape
+    pivot_set = set(pivots)
+    non_pivots = [q for q in range(n) if q not in pivot_set]
+    ops: list[tuple[int, int]] = []
+    while True:
+        weights = work.sum(axis=0)
+        remaining = int(weights[non_pivots].sum())
+        if remaining == 0:
+            break
+        best_gain = 0
+        best_op: tuple[int, int] | None = None
+        for t in non_pivots:
+            if weights[t] == 0:
+                continue
+            col_t = work[:, t]
+            for c in range(n):
+                if c == t:
+                    continue
+                col_c = work[:, c]
+                if not col_c.any():
+                    continue
+                gain = int(weights[t]) - int((col_t ^ col_c).sum())
+                if gain > best_gain:
+                    best_gain = gain
+                    best_op = (c, t)
+        if best_op is None:
+            t = next(q for q in non_pivots if weights[q])
+            i = int(np.nonzero(work[:, t])[0][0])
+            best_op = (pivots[i], t)
+        c, t = best_op
+        work[:, t] ^= work[:, c]
+        ops.append((c, t))
+    return ops
+
+
+def reduction_mismatches(code, sample: int | None = None, seed: int = 0) -> tuple[int, list]:
+    """Compare ``_reduce_columns`` with :func:`loop_reduce_columns` on every
+    information set of ``code``, or on ``sample`` seeded ones. Returns the
+    number of sets compared and the pivot lists whose op lists differ."""
+    from repro.synth.prep import _reduce_columns, _rref_with_pivots
+
+    hx = as_bit_matrix(code.hx)
+    r = rank(hx)
+    if sample is None:
+        candidates = itertools.combinations(range(code.n), r)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (sorted(rng.choice(code.n, size=r, replace=False).tolist())
+                      for _ in itertools.count())
+    compared, mismatches = 0, []
+    for columns in candidates:
+        generator = _rref_with_pivots(hx, list(columns))
+        if generator is None:
+            continue
+        compared += 1
+        if _reduce_columns(generator, list(columns)) != loop_reduce_columns(generator, list(columns)):
+            mismatches.append(list(columns))
+        if compared == sample:
+            break
+    return compared, mismatches
+
+
+def per_row_dedupe(reducer, errors) -> list[np.ndarray]:
+    """``CosetReducer.dedupe`` with one ``reduce`` call per first-seen row."""
+    mat = np.asarray(errors, dtype=np.uint8).reshape(-1, reducer.n)
+    keys = reducer._row_keys(mat)
+    labels = np.array([(key ^ reducer._keys).min() for key in keys], dtype=keys.dtype)
+    _, first = np.unique(labels, return_index=True)
+    return [reducer.reduce(mat[i]) for i in np.sort(first)]
+
+
+def per_error_candidate_pool(errors, reducer) -> tuple[list[np.ndarray], np.ndarray]:
+    """``core.correction._candidate_pool`` with ``ok`` built one error at a
+    time from a (candidates, span, n) bit broadcast."""
+    n = reducer.n
+    singles = np.vstack([np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+    pool = per_row_dedupe(reducer, [error ^ r for error in errors for r in singles])
+    pool_matrix = np.array(pool, dtype=np.uint8)
+    ok = np.array([
+        ((pool_matrix ^ error)[:, None, :] ^ reducer._span).sum(axis=2).min(axis=1) <= 1
+        for error in errors
+    ])
+    return pool, ok
+
+
+def reference_load(cnf: CNF) -> Solver:
+    """A ``Solver`` for ``cnf`` whose clauses all went through
+    ``_simplify_clause``."""
+    blank = CNF()
+    blank.new_vars(cnf.num_vars)
+    solver = Solver(blank)
+    for clause in cnf.clauses:
+        lits = solver._simplify_clause([lit_to_internal(lit) for lit in clause])
+        if lits is None:  # tautology or satisfied at level 0
+            continue
+        if len(lits) >= 2:
+            solver._attach(lits)
+            solver._clauses.append(lits)
+        elif not lits or not (
+            solver._enqueue(lits[0], None) and solver._propagate() is None
+        ):
+            solver._ok = False
+            break
+    return solver

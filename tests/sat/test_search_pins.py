@@ -14,14 +14,39 @@ import pytest
 from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
 from repro.sat.cardinality import Totalizer
+from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
 from repro.store.keys import protocol_digest
 
+from ..reference import reference_load
 from .test_solver import pigeonhole, random_kcnf
 
 
 def fingerprint(result) -> tuple:
     return (result.sat, result.conflicts, result.decisions, result.propagations)
+
+
+def loader_cnf(rng, num_vars: int = 50, num_clauses: int = 185) -> CNF:
+    """Random 3-CNF that makes the loader simplify: mid-stream units (one
+    of which propagates a second unit), repeated literals and tautologies."""
+    cnf = CNF()
+    cnf.new_vars(num_vars)
+    for i in range(num_clauses):
+        if i == 60:
+            cnf.add_clause([5])
+        elif i == 61:
+            cnf.add_clause([-5, 12])
+        elif i == 140:
+            cnf.add_clause([-9])
+        else:
+            chosen = rng.choice(num_vars, size=3, replace=False)
+            lits = [int(v + 1) * (1 if rng.integers(0, 2) else -1) for v in chosen]
+            if i % 23 == 10:
+                lits.append(lits[0])  # repeated literal
+            if i % 29 == 17:
+                lits.append(-lits[1])  # tautology
+            cnf.add_clause(lits)
+    return cnf
 
 
 class TestFixedCnfPins:
@@ -34,6 +59,12 @@ class TestFixedCnfPins:
         got = [fingerprint(Solver(random_kcnf(rng, 60, 256, 3)).solve())
                for _ in range(len(RANDOM_3SAT))]
         assert got == RANDOM_3SAT
+
+    def test_loader_simplification_batch(self):
+        rng = np.random.default_rng(35)
+        got = [fingerprint(Solver(loader_cnf(rng)).solve())
+               for _ in range(len(LOADER_CNF))]
+        assert got == LOADER_CNF
 
     def test_totalizer_bound_tightening(self):
         # The optimality-loop pattern: one solver, a shrinking weight bound
@@ -51,8 +82,51 @@ class TestFixedCnfPins:
         assert got == TOTALIZER_SEQUENCE
 
 
+def loaded_state(solver) -> tuple:
+    return (solver._ok, solver._clauses, solver._watches, solver._trail,
+            solver._assign, solver._qhead, solver.propagations)
+
+
+class TestLoaderState:
+    """Skipping ``_simplify_clause`` where it has nothing to do leaves the
+    clause database, watch lists and level-0 trail exactly as simplifying
+    every clause does."""
+
+    def test_fixed_cnfs(self):
+        rng = np.random.default_rng(35)
+        cnfs = [loader_cnf(rng) for _ in range(len(LOADER_CNF))]
+        cnfs += [pigeonhole(6, 5), random_kcnf(rng, 60, 256, 3)]
+        conflicting = CNF()
+        a, b = conflicting.new_vars(2)
+        for clause in ([a, b], [a], [-a, b], [-b], [a, b, -b]):
+            conflicting.add_clause(clause)
+        for cnf in cnfs + [conflicting]:
+            assert loaded_state(Solver(cnf)) == loaded_state(reference_load(cnf))
+        assert not Solver(conflicting)._ok
+
+    @pytest.mark.parametrize("name", ["steane", "11_1_3"])
+    def test_synthesis_cnfs(self, name, monkeypatch):
+        init = Solver.__init__
+        cnfs = []
+
+        def recorded(self, cnf):
+            cnfs.append(CNF())
+            cnfs[-1].new_vars(cnf.num_vars)
+            cnfs[-1].clauses = [list(clause) for clause in cnf.clauses]
+            init(self, cnf)
+
+        monkeypatch.setattr(Solver, "__init__", recorded)
+        synthesize_protocol(get_code(name), store=False)
+        monkeypatch.undo()
+        assert cnfs
+        for cnf in cnfs:
+            assert loaded_state(Solver(cnf)) == loaded_state(reference_load(cnf))
+
+
 class TestSynthesisPins:
-    @pytest.mark.parametrize("name", ["steane", "shor", "surface_3", "11_1_3"])
+    @pytest.mark.parametrize(
+        "name", ["steane", "shor", "surface_3", "11_1_3", "tetrahedral", "16_2_4"]
+    )
     def test_summed_effort_and_digest(self, name, monkeypatch):
         effort = [0, 0, 0, 0, 0]  # calls, unsat calls, conflicts, decisions, props
         solve = Solver.solve
@@ -79,6 +153,10 @@ RANDOM_3SAT = [
     (False, 79, 92, 1346), (False, 118, 147, 1867), (True, 7, 18, 174),
     (True, 93, 120, 1508), (True, 36, 51, 702),
 ]
+LOADER_CNF = [
+    (True, 1, 5, 63), (True, 4, 16, 95), (True, 11, 19, 160), (True, 3, 19, 77),
+    (False, 27, 27, 437), (True, 1, 10, 54), (True, 13, 27, 251), (False, 11, 12, 163),
+]
 # (bound, sat, conflicts, decisions, propagations); the counts accumulate
 # over the solver's lifetime.
 TOTALIZER_SEQUENCE = [
@@ -102,4 +180,8 @@ SYNTHESIS_PINS = {
                   "322dcc4261284ad2bb1fe309d4e7e43b459704daba377c430b8d5e2d735eaa7c"),
     "11_1_3": ((12, 3, 69, 216, 2731),
                "fd5b319e6d16294bc827e880afab04bf63ad6f049a89198366183e08b7990213"),
+    "tetrahedral": ((14, 4, 1573, 3323, 126115),
+                    "0990318bae66af8c2a6e8b738e14aa3f460ab95254efe680168150c116245eba"),
+    "16_2_4": ((27, 6, 769, 2116, 69049),
+               "ce1d1086b0f5239a6c98def58077f6cb1670e77b99cb8863c6a0ca31e91c9fda"),
 }

@@ -152,6 +152,13 @@ class TestServeCommand:
         assert main(["serve", "--listen", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
+    def test_bad_ledger_root_fails_at_once(self, monkeypatch, tmp_path, capsys):
+        not_a_dir = tmp_path / "ledger"
+        not_a_dir.write_text("")
+        monkeypatch.setenv(ENV_VAR, str(not_a_dir))
+        assert main(["serve", "--listen", "127.0.0.1:0"]) == 1
+        assert "failed to start: [Errno 20] Not a directory" in capsys.readouterr().err
+
     def test_noise_flag_rejected(self, capsys):
         assert (
             main(["serve", "--listen", "127.0.0.1:0", "--noise", "biased:eta=10,p=1e-3"])

@@ -16,11 +16,14 @@ What must hold on the wire:
 * a ledger hit is answered on the event loop, with no submission to the
   compute pool, also on the first request after a restart;
 * a ``shutdown`` with a client still connected exits 0 without a
-  traceback.
+  traceback;
+* a daemon that dies before it listens raises its own error from
+  ``start_background`` at once, not after the 30 s start-up wait.
 """
 
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -335,6 +338,31 @@ def _counted(instance):
     instance._pool = CountingPool(instance._pool)
     instance.start_background()
     return instance
+
+
+class TestStartupFailure:
+    """``start_background`` re-raises the loop thread's start-up error."""
+
+    def _raises_fast(self, server, error, match):
+        start = time.monotonic()
+        with pytest.raises(error, match=match):
+            server.start_background()
+        assert time.monotonic() - start < 1.0
+        assert server._thread is None
+
+    def test_port_in_use(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            server = ReproServer("127.0.0.1", port, ledger=False)
+            self._raises_fast(server, OSError, "address already in use")
+
+    def test_ledger_root_is_a_regular_file(self, tmp_path, monkeypatch):
+        not_a_dir = tmp_path / "ledger"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("REPRO_LEDGER", str(not_a_dir))
+        self._raises_fast(ReproServer("127.0.0.1", 0), NotADirectoryError, "Not a directory")
 
 
 class TestHitPath:
