@@ -19,8 +19,8 @@ from repro.core.protocol import synthesize_protocol
 PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "fast")
 FULL = PROFILE == "full"
 
-#: Codes simulated in the default profile (tesseract's SAT synthesis alone
-#: takes ~2 minutes; the full profile includes it).
+#: Codes simulated in the default profile (the full profile adds tesseract,
+#: whose cold synthesis takes ~0.5 s).
 BENCH_CODES = [
     "steane",
     "shor",

@@ -64,8 +64,10 @@ def _json_key(obj) -> str:
 #: for the same code and parameters, so a store filled by older code misses
 #: instead of serving the older protocols. Revision 2: correction probes the
 #: span-weight floor first. Revision 3: correction encodes only the maximal
-#: recovery candidates.
-SYNTHESIS_REVISION = 3
+#: recovery candidates. Revision 4: correction picks its u = 1 measurement
+#: and its floor-weight sets by enumeration, so tied optima move to the
+#: lexicographically first.
+SYNTHESIS_REVISION = 4
 
 #: Revision of the sampled draw stream, part of every :func:`series_key`
 #: and stratum :func:`chunk_key`. Bump it whenever the same seed and plan

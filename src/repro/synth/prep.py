@@ -127,10 +127,12 @@ def _reduce_columns(
 
     Returns the list of (source, target) column additions performed, in
     reduction order. Strategy: steepest descent — at each step apply the
-    addition removing the most ones. Adding a pivot column always removes
-    exactly one 1 from a non-pivot column, so progress is guaranteed and the
-    result never exceeds the fan-out cost; equal non-pivot columns collapse
-    in a single operation, which is where the savings come from.
+    addition removing the most ones. Column ``pivots[i]`` must be the unit
+    vector of row ``i`` (``ValueError`` otherwise), so adding it to a
+    non-pivot column with row ``i`` set removes exactly that 1: every step
+    gains at least 1 and the result never exceeds the fan-out cost; equal
+    non-pivot columns collapse in a single operation, which is where the
+    savings come from.
 
     Columns are packed into integers (row ``i`` at bit ``i``; Python ints
     from 63 rows on). A step scores the gain ``wt(t) - wt(t ^ c)`` of every
@@ -140,6 +142,8 @@ def _reduce_columns(
     r, n = generator.shape
     place = np.array([1 << i for i in range(r)], dtype=np.int64 if r < 63 else object)
     cols = place @ generator.astype(place.dtype)
+    if len(pivots) != r or (cols[pivots] != place).any():
+        raise ValueError("pivot columns must be the unit vectors of their rows")
     targets = np.ones(n, dtype=bool)
     targets[pivots] = False
     ops: list[tuple[int, int]] = []
@@ -152,13 +156,7 @@ def _reduce_columns(
         gain[:, cols == 0] = 0  # a zero source changes nothing
         gain[np.arange(len(live)), live] = 0  # nor does c == t
         best = int(gain.argmax())
-        if gain.flat[best] > 0:
-            t, c = int(live[best // n]), best % n
-        else:
-            # Fall back to clearing a single entry with its pivot column.
-            t = int(live[0])
-            low = int(cols[t])
-            c = pivots[(low & -low).bit_length() - 1]
+        t, c = int(live[best // n]), best % n
         cols[t] ^= cols[c]
         ops.append((c, t))
 

@@ -3,8 +3,9 @@
 At the minimal ``u`` an optimal measurement set is linearly independent,
 so its total weight is at least the sum of the ``u`` lightest nonzero
 vectors of the detection span. The searches never probe a bound below
-that floor; correction probes the floor first and steps down by one only
-when the floor is UNSAT. These tests record every weight probe of whole
+that floor. Correction settles u = 1 and the floor itself by enumeration
+and probes with SAT from one above the floor; verification steps down
+from its first model. These tests record every weight probe of whole
 syntheses and check the optima they return by brute force.
 """
 
@@ -148,9 +149,9 @@ class TestProbes:
 
 
 class TestAboveTheFloor:
-    """16_2_4's u = 1 branch: the floor probe is UNSAT, so the search
-    steps down by one, and the optimum it returns is checked by brute
-    force over every single measurement of the span."""
+    """16_2_4's u = 1 branch ends above its floor. The single-measurement
+    scan settles it without SAT, and the optimum it returns is checked by
+    brute force over every single measurement of the span."""
 
     @pytest.fixture(scope="class")
     def branch(self, code_16_2_4_calls):
@@ -161,12 +162,22 @@ class TestAboveTheFloor:
         assert len(above) == 1
         return above[0]
 
-    def test_floor_probe_is_unsat_then_steps_down(self, branch):
+    def test_u1_branch_makes_no_sat_call(self, branch, monkeypatch):
         assert branch.result.num_ancillas == 1
-        assert branch.probes[0] == (branch.floor, False)
-        bounds = [k for k, _ in branch.probes[1:]]
-        assert bounds == sorted(bounds, reverse=True)
-        assert branch.probes[-1] == (branch.result.cnot_count - 1, False)
+        assert branch.probes == []
+        calls = []
+        solve = Solver.solve
+
+        def counted(self, assumptions=None):
+            calls.append(assumptions)
+            return solve(self, assumptions)
+
+        monkeypatch.setattr(Solver, "solve", counted)
+        again = protocol_module.synthesize_correction(
+            branch.errors, branch.basis, branch.reducer
+        )
+        assert calls == []
+        assert (again.num_ancillas, again.cnot_count) == (1, branch.result.cnot_count)
 
     def test_optimum_by_brute_force(self, branch):
         reducer, result = branch.reducer, branch.result

@@ -42,6 +42,11 @@ replaced.
 :func:`reference_load` builds a ``Solver``'s clause database by passing
 every clause through ``Solver._simplify_clause``, as ``_add_clause`` did
 before it learnt to skip clauses with nothing to simplify.
+
+:func:`sat_correction` is correction synthesis with SAT at every ``u >= 1``
+(a first model, then weight probes from the span-weight floor down), as
+``repro.core.correction`` ran before it enumerated the ``u = 1`` scan and
+the floor sets itself.
 """
 
 from __future__ import annotations
@@ -59,7 +64,20 @@ from repro.core.faults import (
     enumerate_faults,
     propagate_all_faults,
 )
-from repro.pauli.symplectic import as_bit_matrix, rank, row_space_contains
+from repro.core.correction import (
+    CorrectionCircuit,
+    CorrectionInfeasible,
+    _candidate_pool,
+    _common_recovery,
+    _CorrectionEncoder,
+    _maximal_columns,
+)
+from repro.pauli.symplectic import (
+    as_bit_matrix,
+    rank,
+    row_space_contains,
+    span_weight_floors,
+)
 from repro.sat.cnf import CNF, lit_to_internal
 from repro.sat.solver import Solver
 from repro.sim.frame import ProtocolRunner, protocol_locations
@@ -410,3 +428,45 @@ def reference_load(cnf: CNF) -> Solver:
             solver._ok = False
             break
     return solver
+
+
+def sat_correction(errors, detection_basis, reducer, *, max_measurements: int = 4):
+    """``synthesize_correction`` deciding every ``u >= 1`` and every weight
+    bound with the SAT encoder."""
+    errors = reducer.dedupe(errors)
+    n = reducer.n
+    if not errors:
+        return CorrectionCircuit([], {})
+    candidates, ok = _candidate_pool(errors, reducer)
+    # u = 0: one shared recovery, checked directly.
+    direct = _common_recovery(range(len(errors)), candidates, ok)
+    if direct is not None:
+        return CorrectionCircuit(
+            [], {(): candidates[direct].copy()}, num_errors=len(errors)
+        )
+    basis = as_bit_matrix(detection_basis, n)
+    cover = _maximal_columns(ok)
+    for u in range(1, max_measurements + 1):
+        encoder = _CorrectionEncoder(basis, errors, cover, u)
+        solver = Solver(encoder.cnf)
+        result = solver.solve()
+        if not result.sat:
+            continue
+        best = encoder.extract(result.model, errors, candidates, ok)
+        # Probe the floor first; only if it is UNSAT step the bound down
+        # by one from the model in hand. ``lowest`` is the least weight
+        # not yet refuted.
+        lowest = bound = int(span_weight_floors(basis)[u - 1])
+        while best.cnot_count > lowest:
+            probe = solver.solve(assumptions=encoder.totalizer.at_most(bound))
+            if probe.sat:
+                best = encoder.extract(probe.model, errors, candidates, ok)
+            else:
+                lowest = bound + 1
+            bound = best.cnot_count - 1
+        best.num_errors = len(errors)
+        return best
+    raise CorrectionInfeasible(
+        f"no correction with <= {max_measurements} measurements for "
+        f"{len(errors)} errors"
+    )

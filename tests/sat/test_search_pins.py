@@ -172,16 +172,16 @@ TOTALIZER_SEQUENCE = [
 ]
 # code -> ((calls, unsat calls, conflicts, decisions, propagations), digest)
 SYNTHESIS_PINS = {
-    "steane": ((3, 0, 6, 33, 236),
+    "steane": ((1, 0, 0, 13, 32),
                "ec1cf91e59407e21f8ac00da31447525361b182cd3b12e71110df8175ad1a85b"),
-    "shor": ((4, 2, 8, 57, 217),
+    "shor": ((2, 1, 3, 27, 96),
              "33c592f9405a04a46125a147b65642975e7d4af2968d345e9a2c3185c59c8b81"),
-    "surface_3": ((6, 2, 9, 61, 358),
+    "surface_3": ((3, 1, 4, 31, 121),
                   "322dcc4261284ad2bb1fe309d4e7e43b459704daba377c430b8d5e2d735eaa7c"),
-    "11_1_3": ((12, 3, 69, 216, 2731),
+    "11_1_3": ((5, 0, 13, 96, 640),
                "fd5b319e6d16294bc827e880afab04bf63ad6f049a89198366183e08b7990213"),
-    "tetrahedral": ((14, 4, 1573, 3323, 126115),
-                    "0990318bae66af8c2a6e8b738e14aa3f460ab95254efe680168150c116245eba"),
-    "16_2_4": ((27, 6, 769, 2116, 69049),
-               "ce1d1086b0f5239a6c98def58077f6cb1670e77b99cb8863c6a0ca31e91c9fda"),
+    "tetrahedral": ((6, 2, 375, 923, 15857),
+                    "b63e8de4b42255aea5818fa1e9a8be036c8e219c0b91581df5f37efe7cef2621"),
+    "16_2_4": ((11, 2, 433, 951, 38286),
+               "23e57ea8047f7686b3aa795b79c47bde361255a7b234b19ecfbb855f786bbde5"),
 }

@@ -47,3 +47,17 @@ def test_same_ops_past_62_rows():
     generator = (rng.random((r, n)) < 0.3).astype(np.uint8)
     generator[:, pivots] = np.eye(r, dtype=np.uint8)
     assert _reduce_columns(generator, pivots) == loop_reduce_columns(generator, pivots)
+
+
+@pytest.mark.parametrize("case", ["two ones", "swapped rows", "too few pivots"])
+def test_non_unit_pivot_columns_are_refused(case):
+    generator = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
+    pivots = [0, 1]
+    if case == "two ones":
+        generator[1, 0] = 1
+    elif case == "swapped rows":
+        generator = generator[::-1].copy()
+    else:
+        pivots = [0]
+    with pytest.raises(ValueError, match="unit vectors"):
+        _reduce_columns(generator, pivots)
