@@ -5,14 +5,16 @@ exact two-fault budget, and a deep sampled stratum of one catalog code
 executed twice — ``workers=1`` inline (the bit-identity baseline) and on
 a localhost TCP cluster (``repro.sim.cluster``) — asserting every tally,
 histogram, and float mass is identical. A third pass repeats the stratum
-with a **fault-injection worker** (``--max-chunks``: dies mid-stream with
-its in-flight chunk unacknowledged) to prove the requeue path is also
-bit-identical, then everything lands in ``BENCH_cluster.json`` for the
-CI artifact/delta machinery.
+with a **fault-injection worker** (an in-process ``ClusterWorker`` with
+``max_chunks=3``, the drill behind ``repro cluster worker --max-chunks``:
+it dies mid-stream with its in-flight chunk unacknowledged) to prove the
+requeue path is also bit-identical, then everything lands in
+``BENCH_cluster.json`` for the CI artifact/delta machinery.
 
 Workers are either external (``--cluster HOST:PORT,...`` — the CI smoke
-job spins up two ``repro cluster worker`` processes) or self-spawned
-subprocesses (default, ``--spawn 2``) so the benchmark runs anywhere::
+job spins up two ``repro cluster worker`` processes) or ``--spawn N``
+loopback workers (default 2; ``repro.sim.cluster.LocalWorkers``, the
+``workers=N`` backend) so the benchmark runs anywhere::
 
     PYTHONPATH=src python -m benchmarks.bench_cluster [--code steane]
         [--shots 20000] [--cluster 127.0.0.1:7781,127.0.0.1:7782]
@@ -25,10 +27,11 @@ effective ``pipeline_depth``, a depth-1 lockstep rerun of the stratum
 codec, compression ratio, and bytes-on-wire from
 :meth:`ClusterEvaluator.wire_stats` — plus the ``repro.net`` security
 posture (``transport: plaintext|tls`` and ``auth``). ``--tls-cert``/
-``--tls-key`` spawn the workers behind TLS (CI generates an ephemeral
-self-signed pair), and an ambient ``REPRO_NET_TOKEN`` arms the token
-handshake on both sides; the identity gates hold regardless, because
-results never depend on the transport.
+``--tls-key`` put the drill worker behind TLS to match TLS ``--cluster``
+workers (CI generates an ephemeral self-signed pair), and an ambient
+``REPRO_NET_TOKEN`` arms the token handshake on both sides; loopback
+workers carry their own per-launch token. The identity gates hold
+regardless, because results never depend on the transport.
 
 Cluster speedup on a single-core container is physical nonsense (same
 box, extra sockets), so like ``bench_shard`` there is no hard speedup
@@ -39,13 +42,12 @@ wall-clocks are the recorded trend datapoints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
-import re
 import socket
-import subprocess
-import sys
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,7 +57,12 @@ from repro.core.analysis import two_fault_error_budget
 from repro.core.ftcheck import check_fault_tolerance
 from repro.core.protocol import synthesize_protocol
 from repro.net import Endpoint, parse_endpoints
-from repro.sim.cluster import ClusterEvaluator
+from repro.sim.cluster import (
+    ClusterEvaluator,
+    ClusterExecutorFactory,
+    ClusterWorker,
+    LocalWorkers,
+)
 from repro.sim.sampler import make_sampler
 from repro.sim.shard import ShardedEvaluator
 
@@ -73,64 +80,30 @@ def _wait_for_port(endpoint: Endpoint, timeout: float = 30.0) -> None:
             time.sleep(0.2)
 
 
-def _spawn_workers(
-    count: int,
-    max_chunks: int | None = None,
-    tls: tuple[str, str] | None = None,
-):
-    """Launch ``repro cluster worker`` subprocesses on ephemeral ports.
+def _drill_worker(tls: tuple[str, str] | None, token: str | None) -> Endpoint:
+    """Start an in-process ``ClusterWorker`` that crashes after 3 chunks
+    (its ``max_chunks`` drill) and return its connect endpoint.
 
-    With ``tls=(certfile, keyfile)`` the workers listen over TLS and the
-    returned connect endpoints pin the server cert as the CA. A token, if
-    wanted, rides in ambient ``REPRO_NET_TOKEN`` — the spawned workers
-    inherit the environment, so both sides pick it up without any flag.
+    With ``tls=(certfile, keyfile)`` it listens over TLS and the endpoint
+    pins the cert as the CA; ``token`` (else the ambient
+    ``REPRO_NET_TOKEN``) arms the handshake, as for the other workers.
     """
-    processes = []
-    endpoints = []
-    for _ in range(count):
-        listen = Endpoint(
-            "127.0.0.1",
-            0,
-            tls=tls is not None,
-            certfile=tls[0] if tls else None,
-            keyfile=tls[1] if tls else None,
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "cluster",
-                "worker",
-                "--listen",
-                listen.render(),
-            ]
-            + (["--max-chunks", str(max_chunks)] if max_chunks else []),
-            stdout=subprocess.PIPE,
-            text=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(
-                    [str(Path(__file__).resolve().parents[1] / "src")]
-                    + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                ).strip(os.pathsep),
-            },
-        )
-        line = process.stdout.readline()
-        match = re.search(r"listening on (\S+):(\d+)", line)
-        if not match:
-            process.kill()
-            raise RuntimeError(f"worker failed to report its port: {line!r}")
-        processes.append(process)
-        endpoints.append(
-            Endpoint(
-                match.group(1),
-                int(match.group(2)),
-                tls=tls is not None,
-                cafile=tls[0] if tls else None,
-            )
-        )
-    return processes, endpoints
+    listen = Endpoint(
+        "127.0.0.1",
+        0,
+        tls=tls is not None,
+        certfile=tls[0] if tls else None,
+        keyfile=tls[1] if tls else None,
+        token=token,
+    )
+    worker = ClusterWorker.from_endpoint(listen, max_chunks=3)
+    threading.Thread(target=worker.serve_forever, daemon=True).start()
+    return Endpoint(
+        "127.0.0.1",
+        worker.port,
+        tls=tls is not None,
+        cafile=tls[0] if tls else None,
+    )
 
 
 def _stratum(evaluator, k: int, shots: int, seed: int):
@@ -160,6 +133,7 @@ def run_recorder(
     max_slab: int,
     drill_addresses=None,
     pipeline_depth: int | None = None,
+    token: str | None = None,
 ) -> dict:
     synth_start = time.perf_counter()
     protocol = synthesize_protocol(get_code(code_key))
@@ -184,7 +158,11 @@ def run_recorder(
     # setup the steady-state numbers should not carry (consumers hold
     # one evaluator across many reduces, so chunks never pay it again).
     with ClusterEvaluator(
-        engine, addresses, pipeline_depth=pipeline_depth, max_slab=max_slab
+        engine,
+        addresses,
+        pipeline_depth=pipeline_depth,
+        max_slab=max_slab,
+        token=token,
     ) as cluster:
         effective_depth = cluster.pipeline_depth
         cluster.reduce(cluster.planner.plan_stratum(k, 64, seed + 1))
@@ -203,17 +181,15 @@ def run_recorder(
     # old protocol's cadence, so the record shows what the credit
     # window itself buys on this workload (same warmup, same plans).
     with ClusterEvaluator(
-        engine, addresses, pipeline_depth=1, max_slab=max_slab
+        engine, addresses, pipeline_depth=1, max_slab=max_slab, token=token
     ) as lockstep:
         lockstep.reduce(lockstep.planner.plan_stratum(k, 64, seed + 1))
         stratum_lockstep, lockstep_seconds = _timed_stratum(
             lockstep, k, shots, seed
         )
 
-    from repro.sim.cluster import ClusterExecutorFactory
-
     factory = ClusterExecutorFactory(
-        tuple(addresses), pipeline_depth=pipeline_depth
+        tuple(addresses), pipeline_depth=pipeline_depth, token=token
     )
     budget_cluster = two_fault_error_budget(
         protocol, executor=factory, max_slab=max_slab
@@ -235,7 +211,9 @@ def run_recorder(
     # Forced-disconnect drill: one dying worker in the set, same answer.
     drill_identical = None
     if drill_addresses is not None:
-        with ClusterEvaluator(engine, drill_addresses, max_slab=max_slab) as drill:
+        with ClusterEvaluator(
+            engine, drill_addresses, max_slab=max_slab, token=token
+        ) as drill:
             drill_identical = (
                 _stratum(drill, k, shots, seed) == stratum_base
             )
@@ -295,14 +273,15 @@ def main() -> int:
         "--spawn",
         type=int,
         default=2,
-        help="self-spawn this many worker subprocesses (ignored with --cluster)",
+        help="start this many loopback workers (ignored with --cluster)",
     )
     parser.add_argument(
         "--tls-cert",
         default=None,
         metavar="PEM",
         help=(
-            "spawn the workers behind TLS with this certificate (needs "
+            "run the disconnect-drill worker behind TLS with this "
+            "certificate, to match TLS --cluster workers (needs "
             "--tls-key; the cert doubles as the client-side pinned CA). "
             "Set REPRO_NET_TOKEN to add the token handshake on top."
         ),
@@ -336,19 +315,18 @@ def main() -> int:
         parser.error("--tls-cert and --tls-key go together")
     tls = (args.tls_cert, args.tls_key) if args.tls_cert else None
 
-    processes = []
-    try:
+    with contextlib.ExitStack() as stack:
+        token = None
         if args.cluster:
             addresses = list(parse_endpoints(args.cluster))
             for endpoint in addresses:
                 _wait_for_port(endpoint)
         else:
-            processes, addresses = _spawn_workers(max(2, args.spawn), tls=tls)
+            workers = stack.enter_context(LocalWorkers(max(2, args.spawn)))
+            addresses, token = list(workers.endpoints), workers.token
         drill_addresses = None
         if not args.skip_drill:
-            drill_processes, dying = _spawn_workers(1, max_chunks=3, tls=tls)
-            processes += drill_processes
-            drill_addresses = dying + addresses
+            drill_addresses = [_drill_worker(tls, token)] + addresses
         record = run_recorder(
             args.code,
             args.shots,
@@ -358,15 +336,8 @@ def main() -> int:
             args.max_slab,
             drill_addresses=drill_addresses,
             pipeline_depth=args.pipeline_depth,
+            token=token,
         )
-    finally:
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
 
     # The coordinator runs in this process, so the registry holds the
     # cluster-side numbers: requeues, chunk latency histograms, wire

@@ -3,14 +3,16 @@
 The ISSUE-3 acceptance workload: a deep sampled stratum of the *largest*
 catalog code ([[16,6,4]] tesseract, 221 fault locations) executed through
 the sharded evaluation path (``repro.sim.shard``) with ``workers=1``
-(inline, the bit-identity baseline) and ``workers=N`` (process pool,
-compiled protocol inherited per worker). Asserts the tallies are
+(inline, the bit-identity baseline) and ``workers=N`` (N loopback
+cluster workers, ``repro.sim.cluster.LocalWorkers``, each compiling the
+protocol once from its JSON payload). Worker start-up and the handshake
+are paid by an untimed warm-up pass. Asserts the tallies are
 identical — the sharded path's core contract — and that no chunk exceeds
 the ``--max-slab`` memory bound, then records wall-clocks and speedup in
 ``BENCH_shard.json`` (picked up by ``scripts/bench_delta.py`` in CI).
 
 Parallel speedup is physical, not magic: on a ``cpu_count=1`` box the
-pool only adds overhead, so the >= 2x floor is enforced only when the
+workers only add overhead, so the >= 2x floor is enforced only when the
 machine actually has at least 4 cores (``--floor 0`` disables it, e.g.
 on shared CI runners whose core counts jitter). The recorded
 ``cpu_count`` field says which regime a datapoint came from.
@@ -37,7 +39,7 @@ import numpy as np
 from repro.codes.catalog import get_code
 from repro.core.protocol import synthesize_protocol
 from repro.sim.sampler import make_sampler
-from repro.sim.shard import ShardedEvaluator, merge_partials
+from repro.sim.shard import merge_partials, resolve_evaluator
 from repro.store import resolve_store
 
 
@@ -53,11 +55,11 @@ def _run_sharded(protocol, k, shots, seed, workers, max_slab):
         return original(loc_idx, draw_idx)
 
     if workers == 1:
-        # Only the inline path can observe per-call slab sizes; pooled
+        # Only the inline path can observe per-call slab sizes; the
         # workers execute in their own processes.
         engine.failures_indexed = recording
-    with ShardedEvaluator(engine, workers=workers, max_slab=max_slab) as ev:
-        list(ev.map(ev.planner.plan_stratum(k, 256, seed)))  # warm the pool
+    with resolve_evaluator(engine, workers=workers, max_slab=max_slab) as ev:
+        list(ev.map(ev.planner.plan_stratum(k, 256, seed)))  # warm the workers
         start = time.perf_counter()
         merged = merge_partials(
             ev.map(ev.planner.plan_stratum(k, shots, seed))

@@ -18,9 +18,9 @@ The certificate (``check`` / ``ftcheck``), budget, and simulation commands
 all evaluate on the batched bit-packed engine by default; ``--engine
 reference`` swaps in the per-shot oracle (identical output, slower).
 Every engine-backed subcommand takes ``--workers N`` (shard the workload
-within the code across N processes — results identical for any worker
-count) and ``--max-slab M`` (bound the configurations materialized per
-chunk, i.e. peak slab memory); see ``docs/cli.md`` for the full tour.
+within the code across N loopback cluster workers — results identical
+for any worker count) and ``--max-slab M`` (bound the configurations
+materialized per chunk, i.e. peak slab memory); see ``docs/cli.md``.
 Every command prints human-readable output; machine-readable artifacts go
 through ``--output`` (protocol JSON) and ``--qasm`` (OpenQASM export).
 
@@ -72,8 +72,8 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help=(
-            "process-pool shards for the engine workload (1 = inline; "
-            "results are identical for any worker count)"
+            "loopback cluster worker processes for the engine workload "
+            "(1 = inline; results are identical for any worker count)"
         ),
     )
     parser.add_argument(
@@ -95,8 +95,8 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
         metavar="ENDPOINT[,ENDPOINT...]",
         help=(
             "execute chunks on remote cluster workers (start them with "
-            "'repro cluster worker --listen HOST:PORT') instead of local "
-            "processes; each endpoint is "
+            "'repro cluster worker --listen HOST:PORT') instead of "
+            "--workers loopback ones; each endpoint is "
             "HOST:PORT[?tls=1&cafile=...&token=...] (see docs/net.md; "
             "REPRO_NET_TOKEN/REPRO_NET_TLS supply ambient defaults); "
             "results are bit-identical to the same command "
@@ -140,7 +140,7 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "append a span-based JSONL trace of this invocation to PATH "
             "(default: the REPRO_TRACE environment variable; one stitched "
-            "trace spans the CLI, pool children, and cluster workers; "
+            "trace spans the CLI, its child processes, and cluster workers; "
             "traced runs are bit-identical to untraced ones — inspect "
             "with 'repro trace summarize PATH')"
         ),
@@ -1429,7 +1429,7 @@ def main(argv: list[str] | None = None) -> int:
     _apply_store_flags(args)
     _apply_ledger_flags(args)
     # --trace (or ambient REPRO_TRACE) wraps the whole invocation in the
-    # trace's root span; every descendant — pool children via the
+    # trace's root span; every descendant — figure4's code pool via the
     # environment, cluster workers and the serve daemon via their wires
     # — stitches into the same JSONL file under this root. Observation
     # only: a traced run is bit-identical to the same run untraced.

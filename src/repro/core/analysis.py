@@ -15,8 +15,9 @@ aggregated with one scatter-add — identical verdicts and bit-identical
 masses to the per-shot walk (``engine="reference"``), minus the
 O(locations^2 * draws^2) Python loop. The pair enumeration is planned by
 :class:`repro.sim.shard.StratumPlanner` into bounded ``max_slab`` chunks,
-so ``workers > 1`` fans the slabs across a process pool (one compiled
-protocol per worker) with bit-identical budgets for any worker count.
+so ``workers > 1`` fans the slabs across loopback cluster workers (one
+compiled protocol per worker) with bit-identical budgets for any worker
+count.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def two_fault_error_budget(
     The draw x draw cross products are planned into bounded pair chunks
     (at most ``max_slab`` runs each, ``None`` = 8192) and evaluated as
     k = 2 index strata on the selected engine — across ``workers``
-    processes, or on the ``executor`` backend (e.g.
+    loopback worker processes, or on the ``executor`` backend (e.g.
     ``repro.sim.cluster`` TCP workers), when asked. Per-pair failing
     counts are exact integers
     and the mass aggregation order matches the per-shot loop, so the

@@ -19,9 +19,10 @@ cross-validated in ``tests/integration/test_certificates.py``).
 
 Both certificate entry points accept ``workers`` / ``max_slab``: the
 enumeration is planned into bounded row chunks by
-:class:`repro.sim.shard.StratumPlanner` and fanned across a process pool
-(compiled protocol inherited per worker, never re-pickled per task), with
-violations reported in enumeration order regardless of the worker count.
+:class:`repro.sim.shard.StratumPlanner` and fanned across loopback
+cluster workers (each compiles the protocol once from its JSON payload),
+with violations reported in enumeration order regardless of the worker
+count.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def second_order_survey(
     (identical to the historical per-shot loop for a given ``rng``); only
     the evaluation is batched — the sampled pairs travel as pairs of
     checkable row ids and run as ``(pairs, 2)`` index arrays, sharded with
-    ``workers > 1`` into ``max_slab`` chunks across a process pool.
+    ``workers > 1`` into ``max_slab`` chunks across loopback workers.
     ``executor`` selects the execution backend (e.g. cluster workers)
     through the :func:`repro.sim.shard.resolve_evaluator` seam; the
     survey numbers are identical for every backend.

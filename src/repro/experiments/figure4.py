@@ -124,9 +124,9 @@ def run_series(
 
     Sampled strata, the exact k = 1 enumeration and the direct check
     split into ``max_slab``-bounded chunks with deterministic seeds
-    (``repro.sim.shard``), run inline at ``workers=1`` or across a
-    pool of ``workers`` processes, so the series is identical for any
-    worker count. ``executor`` runs the same chunks on a different
+    (``repro.sim.shard``), run inline at ``workers=1`` or across
+    ``workers`` loopback cluster workers, so the series is identical for
+    any worker count. ``executor`` runs the same chunks on a different
     backend (``repro.sim.cluster`` TCP workers) with bit-identical
     series.
 
@@ -361,7 +361,7 @@ def run_figure4(
     than one code, ``workers > 1`` and no ``executor``, whole codes go
     to a spawn pool (each series runs ``workers=1`` inline — good when
     many codes are requested); otherwise codes run in turn and each
-    code's chunks shard across ``workers`` processes or the
+    code's chunks shard across ``workers`` loopback workers or the
     ``executor`` backend (good when one large code dominates the
     wall-clock). Results come back in input order. ``max_slab`` bounds
     the configurations materialized per chunk.

@@ -28,6 +28,7 @@ free, and that global never scores worse than sequential-optimal.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -168,20 +169,26 @@ def run_table1(
 ) -> list[Table1Row]:
     """Regenerate Table I (all rows by default)."""
     rows = TABLE1_ROWS if rows is None else rows
-    return [
-        run_row(
-            code,
-            prep,
-            verif,
-            global_time_budget=global_time_budget,
-            verify_ft=verify_ft,
-            workers=workers,
-            max_slab=max_slab,
-            executor=executor,
-            model=model,
-        )
-        for code, prep, verif in rows
-    ]
+    with contextlib.ExitStack() as stack:
+        if verify_ft and workers > 1 and executor is None:
+            from ..sim.cluster import LocalWorkers
+
+            # One worker set certifies every row, not one launch per row.
+            executor = stack.enter_context(LocalWorkers(workers))
+        return [
+            run_row(
+                code,
+                prep,
+                verif,
+                global_time_budget=global_time_budget,
+                verify_ft=verify_ft,
+                workers=workers,
+                max_slab=max_slab,
+                executor=executor,
+                model=model,
+            )
+            for code, prep, verif in rows
+        ]
 
 
 def render_table1(rows: list[Table1Row]) -> str:

@@ -21,8 +21,9 @@ request already in flight? await it (``source: "coalesced"``; the
 exactly-one-compute guarantee) -> else compute on a worker thread,
 streaming per-chunk progress events, persist, answer
 (``source: "computed"``). Sweep/ftcheck/budget/direct all dispatch
-through the one ``resolve_evaluator`` seam — inline, process pool
-(``workers``), or the cluster fabric (an ``executor`` factory like
+through the one ``resolve_evaluator`` seam — inline, one set of
+loopback cluster workers started with the daemon (``workers``), or the
+cluster fabric (an ``executor`` factory like
 :class:`repro.sim.cluster.ClusterExecutorFactory`) — wrapped in a
 :class:`repro.serve.ledger.LedgerEvaluator`, so partially-covered
 plans compute only their missing chunks.
@@ -76,7 +77,7 @@ from ..sim import sampler as sim_sampler
 from ..sim.frame import protocol_locations
 from ..sim.noise import E1_1
 from ..sim.noisemodels import parse_noise_spec
-from ..sim.shard import ShardedEvaluator
+from ..sim.shard import resolve_evaluator
 from ..sim.subset import SubsetSampler, direct_mc
 from ..store import keys as store_keys
 from .ledger import LedgerEvaluator, ResultsLedger, resolve_ledger
@@ -133,9 +134,10 @@ class _Inflight:
 class ReproServer:
     """The daemon. See the module docstring for the request flow.
 
-    Parameters mirror the CLI: ``workers``/``max_slab``
-    configure the in-process sharded backend, ``executor`` swaps in a
-    cluster factory, ``ledger`` selects the results ledger (``None`` =
+    Parameters mirror the CLI: ``max_slab`` bounds every chunk,
+    ``workers > 1`` starts that many loopback cluster workers before the
+    listener opens and stops them on shutdown, ``executor`` swaps in a
+    cluster factory instead, ``ledger`` selects the results ledger (``None`` =
     ambient ``REPRO_LEDGER``, ``False`` = off), ``engine_slots`` bounds
     the resident-engine LRU, and ``compute_threads`` bounds concurrent
     computations (keep it >= 2 so a long compute never blocks protocol
@@ -202,6 +204,9 @@ class ReproServer:
         self._server: asyncio.base_events.Server | None = None
         self._stop_event: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
+        #: The ``LocalWorkers`` of ``workers > 1`` without ``executor``,
+        #: alive while listening.
+        self._local_workers = None
 
     @classmethod
     def from_endpoint(cls, endpoint, **kwargs) -> "ReproServer":
@@ -231,14 +236,24 @@ class ReproServer:
             # Loaded before listening: a lookup on the loop reads no disk.
             for kind in ("series", "ftcheck", "budget", "direct"):
                 self.ledger.load(kind)
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port, ssl=self._ssl_context
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready.set()
-        async with self._server:
-            await self._stop_event.wait()
+        if self.executor is None and self.workers > 1:
+            from ..sim.cluster import LocalWorkers
+
+            # One worker set for every compute: a request never forks.
+            self._local_workers = LocalWorkers(self.workers)
+        try:
+            self._server = await asyncio.start_server(
+                self._accept, self.host, self.port, ssl=self._ssl_context
+            )
+            self.port = self._server.sockets[0].getsockname()[1]
+            if ready is not None:
+                ready.set()
+            async with self._server:
+                await self._stop_event.wait()
+        finally:
+            if self._local_workers is not None:
+                self._local_workers.close()
+                self._local_workers = None
 
     def serve_forever(self) -> None:
         """Run the listener on this thread until interrupted."""
@@ -337,23 +352,18 @@ class ReproServer:
     def _evaluator_factory(self, digest: str, progress):
         """The ``executor=`` seam every compute op dispatches through.
 
-        Builds the configured backend (in-process sharded pool or the
-        cluster fabric) and wraps it in a
+        Builds the configured backend (inline, the daemon's loopback
+        workers, or the cluster fabric) and wraps it in a
         :class:`~repro.serve.ledger.LedgerEvaluator`, so every consumer
         gets chunk-partial reuse and per-chunk progress streaming for
         free.
         """
 
         def factory(engine, max_slab: int, model):
-            if self.executor is not None:
-                inner = self.executor(engine, max_slab, model)
-            else:
-                inner = ShardedEvaluator(
-                    engine,
-                    workers=max(1, self.workers),
-                    max_slab=max_slab,
-                    model=model,
-                )
+            executor = self.executor or self._local_workers  # None: inline
+            inner = resolve_evaluator(
+                engine, max_slab=max_slab, model=model, executor=executor
+            )
             return LedgerEvaluator(
                 inner, self.ledger, digest, model, on_partial=progress
             )

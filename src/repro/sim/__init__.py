@@ -17,7 +17,12 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "cluster": ("ClusterEvaluator", "ClusterExecutorFactory", "ClusterWorker"),
+        "cluster": (
+            "ClusterEvaluator",
+            "ClusterExecutorFactory",
+            "ClusterWorker",
+            "LocalWorkers",
+        ),
         "decoder": ("LookupDecoder",),
         "frame": ("Injection", "ProtocolRunner", "RunResult", "protocol_locations"),
         "logical": ("LogicalJudge",),

@@ -1,8 +1,8 @@
 """Multi-node chunk execution: stream shard plans to TCP workers.
 
-``repro.sim.shard`` stopped parallelism at the process-pool boundary;
-this module takes the same tiny, deterministically-seeded chunk specs
-(:class:`~repro.sim.shard.StratumChunk` & friends) across machines:
+``repro.sim.shard`` plans workloads into tiny, deterministically-seeded
+chunk specs (:class:`~repro.sim.shard.StratumChunk` & friends); this
+module executes them on worker processes, local or on other machines:
 
 * **Wire format** — length-prefixed UTF-8 JSON frames (8-byte big-endian
   length + JSON body) over a TCP socket, plaintext or TLS
@@ -21,43 +21,28 @@ this module takes the same tiny, deterministically-seeded chunk specs
   reuse**: consecutive sessions with the same (protocol, engine, judge)
   skip both the payload transfer and the recompilation. On a cache miss
   the worker answers ``need-payload`` and the coordinator ships the
-  payload once per worker, exactly as the spawn-pool fallback in
-  ``shard.py`` does — so only registered engines, registry judges and
-  the built-in noise models cross the wire; anything else is refused
-  loudly on the coordinator.
+  payload once per worker — so only registered engines, registry judges
+  and the built-in noise models cross the wire; anything else is
+  refused loudly on the coordinator.
 
-* **Compressed frames** (protocol 3) — every frame after ``welcome``
-  carries a one-byte codec tag and a payload compressed with the codec
-  the worker picked from the coordinator's advertised preferences
-  (``repro.store``'s zstd-with-zlib-fallback layer; a frame the codec
-  cannot shrink ships raw under ``"none"``). The handshake itself keeps
-  the raw version-2 layout, so a version-mismatched peer is rejected
-  with a readable reason instead of a desync. Receives land in
-  preallocated buffers via ``recv_into`` (no per-recv copies), and the
-  frame layer counts raw/wire bytes per direction
-  (:meth:`ClusterEvaluator.wire_stats` — ``bench_cluster`` records
-  them). The frame plumbing itself lives in :mod:`repro.net.framing`
-  (shared with the serve daemon).
-
-* **Transport security** (protocol 4, :mod:`repro.net`) — addresses are
-  endpoint specs (``HOST:PORT[?tls=1&token=...]``,
-  :func:`repro.net.parse_endpoint`). A worker or coordinator holding a
-  token (inline, ``token-file=``, or ambient ``REPRO_NET_TOKEN``) runs
-  the HMAC-SHA256 challenge–response handshake of :mod:`repro.net.auth`
-  immediately after the version hello: the coordinator proves token
-  knowledge over fresh per-connection nonces, the worker proves it
-  back, and either side that cannot is rejected with a readable reason
-  **before any engine payload or chunk crosses the wire**. ``tls=1``
-  wraps the socket in TLS below the frame layer (self-signed
-  quickstart in ``docs/net.md``); ``--allow`` CIDR/host allowlists are
-  checked at ``accept`` time, before even the hello. The handshake
-  stays raw-framed, so old peers still get a readable version reject.
+* **Frames and transport** (:mod:`repro.net`) — after ``welcome``
+  every frame carries a codec tag and a payload compressed with the
+  codec the worker picked from the coordinator's preferences
+  (:mod:`repro.net.framing`, shared with the serve daemon; it counts the
+  bytes :meth:`ClusterEvaluator.wire_stats` reports). Addresses are
+  endpoint specs (``HOST:PORT[?tls=1&token=...]``). With a token in
+  play the HMAC challenge–response of :mod:`repro.net.auth` runs right
+  after the hello, so a peer that cannot prove the token is refused
+  readably **before any engine payload or chunk crosses the wire**;
+  ``tls=1`` wraps the socket below the frame layer, and ``--allow``
+  lists drop peers at ``accept``. The handshake stays raw-framed, so a
+  peer of another protocol version gets a readable reject.
 
 * :class:`ClusterWorker` — the server side (``repro cluster worker
-  --listen HOST:PORT``). It accepts one coordinator at a time, rebuilds
-  the engine from the handshake payload, then answers each ``chunk``
-  frame with a ``partial`` frame carrying the executed
-  :class:`~repro.sim.shard.ShardPartial`.
+  --listen HOST:PORT``). It serves each coordinator connection on its
+  own thread, rebuilds the engine from the handshake payload, then
+  answers each ``chunk`` frame with a ``partial`` frame carrying the
+  executed :class:`~repro.sim.shard.ShardPartial`.
 
 * :class:`ClusterEvaluator` — the coordinator. It mirrors
   :class:`~repro.sim.shard.ShardedEvaluator`'s ``map``/``reduce``/
@@ -75,6 +60,11 @@ this module takes the same tiny, deterministically-seeded chunk specs
   no matter how many times delivery was attempted — partials are never
   double-counted before :func:`~repro.sim.shard.merge_partials`.
   ``pipeline_depth=1`` degenerates to the old ack-per-chunk lockstep.
+
+* :class:`LocalWorkers` — ``count`` loopback workers this process
+  starts, token-armed and stopped with it: the backend of ``workers=N``
+  (:func:`local_evaluator`, reached through ``resolve_evaluator``) and
+  of a ``repro serve --workers N`` daemon.
 
 **Bit-identity.** Results depend only on the chunk plan, never on which
 worker executed a chunk, in what order, how many disconnect/retry
@@ -101,12 +91,16 @@ from __future__ import annotations
 
 import functools
 import os
+import secrets
 import socket
 import ssl
+import subprocess
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from ..net.auth import (
@@ -141,9 +135,9 @@ from ..store.keys import sha256_hex
 from .noisemodels import model_from_jsonable, model_to_jsonable
 from .shard import (
     ShardPartial,
+    ShardedEvaluator,
     StratumPlanner,
     _DEFAULT_SLAB,
-    _EngineContext,
     _run_chunk,
     chunk_from_jsonable,
     chunk_to_jsonable,
@@ -161,6 +155,8 @@ __all__ = [
     "ClusterWorker",
     "ClusterEvaluator",
     "ClusterExecutorFactory",
+    "LocalWorkers",
+    "local_evaluator",
 ]
 
 #: Bumped whenever the frame vocabulary or handshake payload changes;
@@ -502,7 +498,7 @@ class ClusterWorker:
             if resolved is None:
                 return
             engine, source = resolved
-            context = _EngineContext(engine, max_slab, model=model)
+            context = ShardedEvaluator(engine, max_slab=max_slab, model=model)
             send(
                 [
                     "welcome",
@@ -870,6 +866,8 @@ class ClusterEvaluator:
         #: the worker threads' own sends on the same sockets.
         self._active = False
         self.failed_addresses: list[tuple[tuple[str, int], str]] = []
+        #: The :class:`LocalWorkers` :meth:`close` stops, if it owns any.
+        self.local_workers: LocalWorkers | None = None
 
     # -- connection lifecycle --------------------------------------------------
 
@@ -970,8 +968,7 @@ class ClusterEvaluator:
             # its worker threads may still use the sockets — drop the
             # connections rather than racing them with "bye" frames.
             self._teardown()
-            return
-        if self._links is not None:
+        elif self._links is not None:
             for link in self._links:
                 try:
                     link.framer.send(["bye"])
@@ -980,6 +977,9 @@ class ClusterEvaluator:
                 self._absorb_wire_counters(link)
                 link.close()
             self._links = None
+        if self.local_workers is not None:
+            self.local_workers.close()
+            self.local_workers = None
 
     def _teardown(self) -> None:
         """Abandon the session: connections may hold in-flight frames."""
@@ -1314,3 +1314,108 @@ class ClusterExecutorFactory:
             pipeline_depth=self.pipeline_depth,
             token=self.token,
         )
+
+
+# -- loopback workers ----------------------------------------------------------
+
+#: The child command of a :class:`LocalWorkers` launch.
+_LOOPBACK_MAIN = "from repro.sim.cluster import _serve_loopback; _serve_loopback()"
+
+
+def _serve_loopback() -> None:
+    """One :class:`LocalWorkers` child: serve on an ephemeral loopback
+    port under the ambient ``REPRO_NET_TOKEN``, print the port, and exit
+    at stdin EOF, i.e. with the launcher. (``repro cluster worker`` does
+    not watch stdin: its launchers may leave it open.)"""
+    worker = ClusterWorker("127.0.0.1", 0)
+    threading.Thread(target=worker.serve_forever, daemon=True).start()
+    print(worker.port, flush=True)
+    sys.stdin.buffer.read()
+    worker.stop()
+
+
+class LocalWorkers:
+    """``count`` loopback cluster workers, the backend of ``workers=N``.
+
+    Each is a child interpreter on ``127.0.0.1:0`` that prints its port.
+    A fresh token per launch (``REPRO_NET_TOKEN`` in the children) keeps
+    other local processes out. Children run one BLAS thread each and get
+    no ``REPRO_TRACE``, so their spans arrive once, through the
+    handshake. They exit at stdin EOF: on :meth:`close`, or when this
+    process dies. Calling the instance is the ``executor=`` seam.
+    """
+
+    def __init__(self, count: int):
+        if count < 1:
+            raise ValueError("workers must be positive")
+        self.token = secrets.token_hex(32)
+        env = dict(
+            os.environ,
+            REPRO_NET_TOKEN=self.token,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+        )
+        env.pop(obs_trace.TRACE_ENV, None)
+        env.pop(obs_trace.TRACE_CTX_ENV, None)
+        # The children import this very package, wherever it lives.
+        package_root = str(Path(__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (package_root, env.get("PYTHONPATH")))
+        )
+        self._processes: list[subprocess.Popen] = []
+        try:
+            for _ in range(count):
+                self._processes.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", _LOOPBACK_MAIN],
+                        stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE,
+                        env=env,
+                    )
+                )
+            ports = [process.stdout.readline() for process in self._processes]
+            if not all(port.strip().isdigit() for port in ports):
+                raise ClusterError(
+                    f"a loopback cluster worker did not report its port "
+                    f"(read {ports!r}; see its stderr)"
+                )
+        except BaseException:
+            self.close()
+            raise
+        self.endpoints = tuple(Endpoint("127.0.0.1", int(port)) for port in ports)
+
+    def __call__(self, engine, max_slab: int, model=None) -> ClusterEvaluator:
+        return ClusterEvaluator(
+            engine, self.endpoints, max_slab=max_slab, model=model, token=self.token
+        )
+
+    def close(self) -> None:
+        """Stop every worker and reap it; idempotent. A worker holds no
+        state worth a graceful exit, so it is killed outright."""
+        for process in self._processes:
+            process.stdin.close()
+            process.stdout.close()
+            process.kill()
+        for process in self._processes:
+            process.wait()
+        self._processes = []
+
+    def __enter__(self) -> "LocalWorkers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def local_evaluator(engine, workers: int, max_slab: int, model=None):
+    """A :class:`ClusterEvaluator` over ``workers`` fresh
+    :class:`LocalWorkers`, which its ``close`` stops."""
+    launch = LocalWorkers(workers)
+    try:
+        evaluator = launch(engine, max_slab, model)
+    except BaseException:
+        launch.close()
+        raise
+    evaluator.local_workers = launch
+    return evaluator

@@ -1,10 +1,6 @@
 """Streamed intra-code sharding of batch-engine workloads.
 
-PR 1–2 made every fault-set consumer evaluate on the bit-packed batch
-engine, but parallelism stopped at the *code* boundary
-(``run_figure4(workers=N)`` ships whole codes to worker processes) and
-exact enumerations / deep strata had to fit in memory as one slab. This
-module adds the missing level:
+Parallelism and bounded memory *within* one code's engine workload:
 
 * :class:`StratumPlanner` splits any index-stratum workload — sampled
   strata of fixed weight ``k``, Bernoulli (direct-MC) batches, the exact
@@ -20,15 +16,13 @@ module adds the missing level:
   ``max(max_slab, largest single pair)`` (at most 15 × 15 = 225 runs
   under the E1_1 draw tables).
 
-* :class:`ShardedEvaluator` fans chunks across a process pool. The
-  compiled engine (:class:`~repro.sim.sampler.CompiledProtocol` and all
-  its signature caches) is built **once** and inherited by forked
-  workers — it is never re-pickled per task; only the tiny chunk specs
-  travel. On platforms without ``fork`` the evaluator falls back to
-  ``spawn`` with a one-time per-worker JSON engine payload.
-  ``workers=1`` runs the identical chunk plan inline, which is what
-  makes the parallel path *bit-identical* to the single-process path:
-  results depend only on the plan, never on the worker count.
+* :class:`ShardedEvaluator` executes chunks inline, and
+  :func:`resolve_evaluator` is the one seam that picks the backend: that
+  inline evaluator, or at ``workers > 1`` a cluster evaluator over that
+  many loopback workers (:mod:`repro.sim.cluster`), which rebuild the
+  engine from its JSON :func:`engine_payload`. Only the tiny chunk specs
+  travel per task. Results depend only on the plan, never on the worker
+  count, so the parallel path is *bit-identical* to the inline one.
 
 * :class:`ShardPartial` is the accumulator protocol: each chunk returns
   a small partial (failure counts, residual-weight histograms, heavy
@@ -53,8 +47,6 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Sequence
@@ -92,7 +84,6 @@ __all__ = [
     "engine_payload",
     "engine_from_payload",
     "resolve_evaluator",
-    "default_start_method",
 ]
 
 _DEFAULT_SLAB = 8192
@@ -100,8 +91,8 @@ _DEFAULT_SLAB = 8192
 
 # -- chunk specs ---------------------------------------------------------------
 #
-# Every spec is tiny, picklable (the process pool) and JSON-able (the
-# cluster wire, :func:`chunk_to_jsonable`): it describes how to *re-create* one
+# Every spec is tiny and JSON-able (the cluster wire,
+# :func:`chunk_to_jsonable`): it describes how to *re-create* one
 # bounded batch, not the batch itself. ``index`` orders the exact merge.
 
 
@@ -705,42 +696,12 @@ class StratumPlanner:
             )
 
 
-# -- worker-side execution -----------------------------------------------------
+# -- chunk execution -----------------------------------------------------------
 
 
-class _EngineContext:
-    """Per-process execution state: the engine, its planner, lazy reducers."""
-
-    def __init__(
-        self,
-        engine,
-        max_slab: int,
-        planner: StratumPlanner | None = None,
-        model=None,
-    ):
-        self.engine = engine
-        # Pool workers build their own planner; the inline context shares
-        # the evaluator's so row-universe caches exist once per process.
-        self.planner = (
-            planner
-            if planner is not None
-            else StratumPlanner(engine.locations, max_slab=max_slab, model=model)
-        )
-        self._reducers = None
-
-    @property
-    def reducers(self):
-        if self._reducers is None:
-            code = self.engine.protocol.code
-            self._reducers = (
-                error_reducer(code, "X"),
-                error_reducer(code, "Z"),
-            )
-        return self._reducers
-
-
-def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
-    """Execute one chunk spec against the process-local engine."""
+def _run_chunk(ctx: ShardedEvaluator, chunk) -> ShardPartial:
+    """Execute one chunk spec on ``ctx``'s engine (inline, or in a
+    cluster worker)."""
     engine = ctx.engine
     planner = ctx.planner
     if isinstance(chunk, (StratumChunk, BernoulliChunk)):
@@ -838,7 +799,7 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
             loc_idx, draw_idx, x_reducer, z_reducer
         )
         bad = (x_weights > chunk.threshold) | (z_weights > chunk.threshold)
-        # Only the heavy count crosses the pool: the survey (the one
+        # Only the heavy count crosses the wire: the survey (the one
         # RowPairChunk consumer) reads nothing else from these partials.
         return ShardPartial(
             index=chunk.index,
@@ -848,12 +809,11 @@ def _run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
     raise TypeError(f"unknown chunk spec {chunk!r}")
 
 
-def _observed_run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
+def _observed_run_chunk(ctx: ShardedEvaluator, chunk) -> ShardPartial:
     """:func:`_run_chunk` under observability: a ``shard.chunk`` span
-    (no-op unless a tracer is active — pool children self-install from
-    ``REPRO_TRACE``) plus the per-chunk latency histogram. Observation
-    only: the compute, its seeds, and the partial are untouched, so
-    traced runs stay bit-identical to untraced ones."""
+    (no-op unless a tracer is active) plus the per-chunk latency
+    histogram. Observation only: the compute, its seeds, and the partial
+    are untouched, so traced runs stay bit-identical to untraced ones."""
     start = time.perf_counter()
     with trace.span(
         "shard.chunk", kind=type(chunk).__name__, index=chunk.index
@@ -865,37 +825,6 @@ def _observed_run_chunk(ctx: _EngineContext, chunk) -> ShardPartial:
         time.perf_counter() - start
     )
     return partial
-
-
-# Module globals for pool workers. ``_FORK_PAYLOAD`` is set in the parent
-# immediately before forking so children inherit the *built* engine (the
-# whole point: CompiledProtocol compiles once and is never re-pickled);
-# ``_WORKER_CONTEXT`` is each worker's process-local handle.
-_FORK_PAYLOAD: tuple | None = None
-_WORKER_CONTEXT: _EngineContext | None = None
-
-
-def _init_fork_worker() -> None:
-    global _WORKER_CONTEXT
-    engine, max_slab, model = _FORK_PAYLOAD
-    _WORKER_CONTEXT = _EngineContext(engine, max_slab, model=model)
-
-
-def _init_spawn_worker(payload: str, max_slab: int, model=None) -> None:
-    global _WORKER_CONTEXT
-
-    _WORKER_CONTEXT = _EngineContext(
-        engine_from_payload(payload), max_slab, model=model
-    )
-
-
-def _pool_task(chunk) -> ShardPartial:
-    return _observed_run_chunk(_WORKER_CONTEXT, chunk)
-
-
-def default_start_method() -> str:
-    """``fork`` where available (engine inherited for free), else ``spawn``."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def _plus_judge(code):
@@ -932,7 +861,8 @@ def _judge_name(judge, code) -> str:
         f"cannot ship a {type(judge).__name__} over "
         f"{type(judge.x_decoder).__name__} to another process: only the "
         f"{sorted(_JUDGES)} judges of the protocol's own code can be "
-        "rebuilt from a payload"
+        "rebuilt from a payload, so it cannot run on workers; run it "
+        "with workers=1"
     )
 
 
@@ -941,8 +871,8 @@ def engine_payload(engine) -> str:
     engine name, the judge's registry name and the protocol's
     :func:`~repro.core.serialize.protocol_to_json` text.
 
-    The one payload that crosses a process or machine boundary: spawn
-    pool workers and cluster workers both rebuild their engine with
+    The one payload that crosses a process or machine boundary: every
+    cluster worker (loopback ones included) rebuilds its engine with
     :func:`engine_from_payload`, and the cluster session digest is the
     SHA-256 of these bytes. Only the registered engines and the judges
     the registry rebuilds exactly qualify — a custom engine or judge
@@ -955,8 +885,8 @@ def engine_payload(engine) -> str:
         raise ValueError(
             f"cannot ship a {type(engine).__name__} to another process: "
             f"only the registered engines {sorted(sim_sampler._ENGINES)} can be "
-            "rebuilt from a payload (use the fork start method or "
-            "workers=1)"
+            "rebuilt from a payload, so it cannot run on workers; "
+            "run it with workers=1"
         )
     payload = {
         "engine": name,
@@ -984,88 +914,38 @@ def engine_from_payload(payload: str):
 
 
 class ShardedEvaluator:
-    """Executes planner chunks on an engine, inline or across a pool.
+    """Executes planner chunks inline on an engine.
 
     Parameters
     ----------
     engine:
         A built execution engine (:func:`repro.sim.sampler.make_sampler`).
-        With the default ``fork`` start method, worker processes inherit
-        this exact object — compiled segment maps, and the signature
-        table and judge memo if already filled — so per-task cost is one
-        tiny chunk spec.
-    workers:
-        Process count. ``1`` (default) executes inline on the calling
-        process with the *same* chunk plan, so any-worker-count runs are
-        bit-identical.
     max_slab:
         Peak configurations per chunk (see :class:`StratumPlanner`).
-    start_method:
-        ``"fork"`` | ``"spawn"`` | ``None`` (auto). The spawn fallback
-        re-builds the engine once per worker from its
-        :func:`engine_payload`, so a custom engine or judge fails pool
-        creation instead of being silently replaced by the default.
 
-    Use as a context manager (or call :meth:`close`) so pool processes
-    are reaped deterministically::
+    It runs the same chunk plan the cluster backend distributes, so
+    results are bit-identical to any worker set;
+    :func:`resolve_evaluator` picks the backend::
 
-        with ShardedEvaluator(engine, workers=4, max_slab=4096) as ev:
+        with ShardedEvaluator(engine, max_slab=4096) as ev:
             merged = merge_partials(ev.map(ev.planner.plan_stratum(3, 10**6, 7)))
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        workers: int = 1,
-        max_slab: int = _DEFAULT_SLAB,
-        start_method: str | None = None,
-        model=None,
-    ):
-        if workers < 1:
-            raise ValueError("workers must be positive")
+    def __init__(self, engine, *, max_slab: int = _DEFAULT_SLAB, model=None):
         self.engine = engine
-        self.workers = int(workers)
         self.max_slab = int(max_slab)
-        self.model = model
-        self.start_method = start_method or default_start_method()
         self.planner = StratumPlanner(
             engine.locations, max_slab=max_slab, model=model
         )
-        self._context = _EngineContext(engine, self.max_slab, planner=self.planner)
-        self._pool = None
 
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None and self.workers > 1:
-            ctx = multiprocessing.get_context(self.start_method)
-            if self.start_method == "fork":
-                global _FORK_PAYLOAD
-                _FORK_PAYLOAD = (self.engine, self.max_slab, self.model)
-                try:
-                    self._pool = ctx.Pool(
-                        self.workers, initializer=_init_fork_worker
-                    )
-                finally:
-                    _FORK_PAYLOAD = None
-            else:
-                # Spawn workers rebuild the engine from its payload, so
-                # only the built-in engines and registry judges cross a
-                # spawn boundary — a custom one refuses at pool creation
-                # instead of being silently replaced.
-                self._pool = ctx.Pool(
-                    self.workers,
-                    initializer=_init_spawn_worker,
-                    initargs=(engine_payload(self.engine), self.max_slab, self.model),
-                )
-        return self._pool
+    @functools.cached_property
+    def reducers(self):
+        """The code's (X, Z) error reducers, built on first use."""
+        code = self.engine.protocol.code
+        return error_reducer(code, "X"), error_reducer(code, "Z")
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Nothing to release inline; kept so every evaluator closes alike."""
 
     def __enter__(self) -> "ShardedEvaluator":
         return self
@@ -1073,21 +953,14 @@ class ShardedEvaluator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # best-effort; prefer close()/context manager
-        try:
-            self.close()
-        except Exception:
-            pass
-
     # -- execution ------------------------------------------------------------
 
     def map(self, chunks: Iterable) -> Iterator[ShardPartial]:
         """Execute chunk specs, yielding partials in chunk order.
 
-        Streams: chunks are materialized worker-side one slab at a time,
-        and consumers may stop iterating early (e.g. a violation cap) —
-        remaining chunks are never executed inline, and pool work is
-        abandoned on :meth:`close`.
+        Streams: chunks are materialized one slab at a time, and
+        consumers may stop iterating early (e.g. a violation cap) — the
+        remaining chunks are never executed.
         """
         tracer = trace.current_tracer()
         if tracer is not None:
@@ -1097,12 +970,8 @@ class ShardedEvaluator:
             with tracer.span("plan", backend="shard") as planning:
                 chunks = list(chunks)
                 planning.set(chunks=len(chunks))
-        pool = self._ensure_pool()
-        if pool is None:
-            for chunk in chunks:
-                yield _observed_run_chunk(self._context, chunk)
-            return
-        yield from pool.imap(_pool_task, chunks)
+        for chunk in chunks:
+            yield _observed_run_chunk(self, chunk)
 
     def reduce(self, chunks: Iterable) -> ShardPartial:
         """:meth:`map` + :func:`merge_partials` in one call."""
@@ -1132,27 +1001,29 @@ def resolve_evaluator(
       :class:`repro.sim.cluster.ClusterExecutorFactory` behind the CLI's
       ``--cluster`` flag). When given, it supplies the backend and
       ``workers`` is ignored.
-    * otherwise an in-process :class:`ShardedEvaluator` with ``workers``
-      pool processes (``1`` = inline).
+    * ``workers > 1`` — a :class:`~repro.sim.cluster.ClusterEvaluator`
+      over ``workers`` loopback cluster workers started for it
+      (:class:`~repro.sim.cluster.LocalWorkers`); closing it stops them.
+    * otherwise an inline :class:`ShardedEvaluator`.
 
     ``max_slab`` bounds every chunk (``None`` = the module default,
-    8192 configurations). Every evaluator returned here supports ``map``/``reduce``/``close`` and the context
-    manager protocol, and executes the *same* chunk plans — results are
-    bit-identical across backends, worker counts, and worker sets.
+    8192 configurations). Every evaluator returned here supports
+    ``map``/``reduce``/``close`` and the context manager protocol, and
+    executes the *same* chunk plans — results are bit-identical across
+    backends, worker counts, and worker sets.
 
     ``model`` threads a noise model (``repro.sim.noisemodels``) into the
-    planner, the pool workers, and — through a model-aware ``executor``
-    like :class:`repro.sim.cluster.ClusterExecutorFactory` — the cluster
-    handshake, so every model's workloads shard and distribute the same
-    way.
+    planner and — through the cluster handshake — every worker, so every
+    model's workloads shard and distribute the same way.
     """
     if max_slab is None:
         max_slab = _DEFAULT_SLAB
     if executor is not None:
         return executor(engine, int(max_slab), model)
-    return ShardedEvaluator(
-        engine,
-        workers=workers,
-        max_slab=int(max_slab),
-        model=model,
-    )
+    if workers > 1:
+        from .cluster import local_evaluator
+
+        return local_evaluator(engine, workers, int(max_slab), model)
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    return ShardedEvaluator(engine, max_slab=int(max_slab), model=model)

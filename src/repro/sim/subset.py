@@ -33,8 +33,8 @@ default the bit-packed ``"batched"`` engine, and ``judge=`` swaps the
 failure criterion). Each stratum has one draw stream: chunk plans from
 :class:`repro.sim.shard.StratumPlanner` (bounded ``max_slab`` memory,
 deterministic per-chunk seeds), executed inline at ``workers=1`` or
-across a process pool or cluster with results identical for every
-worker count and backend. The independent reference for the planner's
+across loopback or remote cluster workers with results identical for
+every worker count and backend. The independent reference for the planner's
 exact enumerations is a per-shot sum in the test suite:
 ``SiteUniverse.iter_rows`` / ``iter_pair_runs`` judged one run at a time
 by :class:`repro.sim.sampler.ReferenceSampler`. See ``docs/sampler.md``.
@@ -172,8 +172,8 @@ def direct_mc(
 
     The workload is planned (``repro.sim.shard``) into at most
     ``max_slab``-shot Bernoulli chunks (``None`` = 8192) seeded from one
-    draw of ``rng``, and executed inline (``workers=1``) or across a
-    process pool — identical tallies for any worker count. ``executor``
+    draw of ``rng``, and executed inline (``workers=1``) or on loopback
+    workers — identical tallies for any worker count. ``executor``
     swaps the backend behind the same chunk plan (e.g.
     ``repro.sim.cluster`` TCP workers — bit-identical tallies again).
     ``evaluator`` reuses
@@ -230,9 +230,9 @@ class SubsetSampler:
     rng:
         Numpy generator (seeded for reproducibility).
     workers:
-        Process-pool size for the chunk plans (``repro.sim.shard``):
-        ``1`` (default) runs them inline, larger counts fan the chunks
-        across a pool. Results are identical for every worker count.
+        Loopback cluster workers for the chunk plans (``1``, the
+        default, runs them inline). Results are identical for every
+        worker count.
     max_slab:
         Peak configurations materialized per chunk (``None`` = 8192).
     executor:
@@ -391,7 +391,7 @@ class SubsetSampler:
         A :class:`repro.sim.shard.ShardedEvaluator` by default, or
         whatever backend the ``executor`` factory builds (e.g. a
         :class:`repro.sim.cluster.ClusterEvaluator`). Created on first
-        engine call and kept alive (one pool / one set of worker
+        engine call and kept alive (one set of workers and worker
         connections per sampler, not per stratum batch); release with
         :meth:`close` or by using the sampler as a context manager.
         """
@@ -418,7 +418,7 @@ class SubsetSampler:
         return self._evaluator
 
     def close(self) -> None:
-        """Reap any sharding worker pool (idempotent)."""
+        """Close the chunk executor and any workers it started (idempotent)."""
         if self._evaluator is not None:
             self._evaluator.close()
             self._evaluator = None
@@ -448,7 +448,7 @@ class SubsetSampler:
 
         The enumeration routes through the stratum planner
         (``repro.sim.shard``) in ``max_slab`` row chunks — streamed, and
-        fanned across the worker pool when ``workers > 1``, with the same
+        fanned across workers when ``workers > 1``, with the same
         mass for any worker count. Under a heterogeneous model the rows
         are the model's active *sites* (correlated pair sites included,
         firing as one event) and each (site, draw) row carries its own
@@ -474,7 +474,7 @@ class SubsetSampler:
         the Steane protocol, minutes for the largest codes); ``max_runs``
         guards against accidental huge enumerations. The runs route
         through the stratum planner in ``max_slab``-run chunks (streamed,
-        pool-fanned when ``workers > 1``, worker-count independent).
+        across workers when ``workers > 1``, worker-count independent).
         """
         if self.k_max < 2:
             raise ValueError("k_max < 2: stratum 2 is not tracked")

@@ -14,7 +14,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes.catalog import get_code
 from repro.core.correction import (
     CorrectionInfeasible,
     _first_cover,
@@ -23,11 +22,15 @@ from repro.core.correction import (
     _split_matrix,
     synthesize_correction,
 )
-from repro.core.errors import detection_basis, error_reducer
 from repro.pauli.symplectic import as_bit_matrix, span_matrix
 
 from ..reference import sat_correction
-from .test_weight_floor import correctable, record_synthesis, recovery_table
+from .test_weight_floor import (
+    correctable,
+    random_correction_classes,
+    record_synthesis,
+    recovery_table,
+)
 
 
 def uv(synthesize, *args, **kwargs):
@@ -59,18 +62,8 @@ def test_same_optimum_as_sat_on_every_branch(key):
 
 
 def test_same_optimum_as_sat_on_random_classes():
-    rng = np.random.default_rng(36)
-    codes = ["steane", "shor", "surface_3", "11_1_3"]
     seen = set()
-    for trial in range(50):
-        code = get_code(codes[trial % len(codes)])
-        kind = "XZ"[trial // len(codes) % 2]
-        reducer, basis = error_reducer(code, kind), detection_basis(code, kind)
-        errors = [np.zeros(code.n, dtype=np.uint8)]
-        for _ in range(rng.integers(3, 11)):
-            error = np.zeros(code.n, dtype=np.uint8)
-            error[rng.choice(code.n, size=rng.integers(1, 4), replace=False)] = 1
-            errors.append(error)
+    for errors, basis, reducer in random_correction_classes():
         got = uv(synthesize_correction, errors, basis, reducer, max_measurements=2)
         assert got == uv(sat_correction, errors, basis, reducer, max_measurements=2)
         seen.add(got if got is None else got[0])

@@ -10,6 +10,7 @@ syntheses and check the optima they return by brute force.
 """
 
 import itertools
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +18,8 @@ import pytest
 
 import repro.core.protocol as protocol_module
 from repro.codes.catalog import get_code
+from repro.core.correction import CorrectionInfeasible, synthesize_correction
+from repro.core.errors import detection_basis, error_reducer
 from repro.pauli.symplectic import as_bit_matrix, span_matrix, span_weight_floors
 from repro.sat.cardinality import Totalizer
 from repro.sat.solver import Solver
@@ -47,11 +50,11 @@ class Call(NamedTuple):
         return floor_of(self.basis, self.result.num_ancillas)
 
 
-def record_synthesis(code_key: str) -> dict[str, list[Call]]:
-    """Synthesize ``code_key`` and log every correction/verification call."""
+@contextmanager
+def recorded_probes():
+    """Log the ``(k, sat)`` of every ``at_most(k)`` solve issued inside."""
     probes: list[tuple[int, bool]] = []
     last_bound = [None]
-    calls: dict[str, list] = {"correction": [], "verification": []}
     at_most, solve = Totalizer.at_most, Solver.solve
 
     def tagged(self, k):
@@ -63,6 +66,16 @@ def record_synthesis(code_key: str) -> dict[str, list[Call]]:
         if assumptions:
             probes.append((last_bound[0], result.sat))
         return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Totalizer, "at_most", tagged)
+        mp.setattr(Solver, "solve", counted)
+        yield probes
+
+
+def record_synthesis(code_key: str) -> dict[str, list[Call]]:
+    """Synthesize ``code_key`` and log every correction/verification call."""
+    calls: dict[str, list] = {"correction": [], "verification": []}
 
     def recorded(kind, synthesize):
         def wrapper(*args, **kwargs):
@@ -76,15 +89,31 @@ def record_synthesis(code_key: str) -> dict[str, list[Call]]:
             return result
         return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Totalizer, "at_most", tagged)
-        mp.setattr(Solver, "solve", counted)
+    with recorded_probes() as probes, pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol_module, "synthesize_correction",
                    recorded("correction", protocol_module.synthesize_correction))
         mp.setattr(protocol_module, "synthesize_verification_optimal",
                    recorded("verification", protocol_module.synthesize_verification_optimal))
         protocol_module.synthesize_protocol(get_code(code_key), store=False)
     return calls
+
+
+def random_correction_classes():
+    """Seeded random ``(errors, basis, reducer)`` correction inputs over
+    four small codes: u = 0, 1, 2 and infeasible all occur (at
+    ``max_measurements=2``), and some reach the SAT weight descent,
+    which no Table I correction does."""
+    rng = np.random.default_rng(36)
+    codes = ["steane", "shor", "surface_3", "11_1_3"]
+    for trial in range(50):
+        code = get_code(codes[trial % len(codes)])
+        kind = "XZ"[trial // len(codes) % 2]
+        errors = [np.zeros(code.n, dtype=np.uint8)]
+        for _ in range(rng.integers(3, 11)):
+            error = np.zeros(code.n, dtype=np.uint8)
+            error[rng.choice(code.n, size=rng.integers(1, 4), replace=False)] = 1
+            errors.append(error)
+        yield errors, detection_basis(code, kind), error_reducer(code, kind)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +124,22 @@ def tesseract_calls():
 @pytest.fixture(scope="module")
 def code_16_2_4_calls():
     return record_synthesis("16_2_4")
+
+
+@pytest.fixture(scope="module")
+def random_correction_calls():
+    """Every feasible random class's correction call and its probes."""
+    calls = []
+    for errors, basis, reducer in random_correction_classes():
+        with recorded_probes() as probes:
+            try:
+                result = synthesize_correction(
+                    errors, basis, reducer, max_measurements=2
+                )
+            except CorrectionInfeasible:
+                continue
+        calls.append(Call(errors, basis, reducer, result, probes))
+    return calls
 
 
 def correctable(errors, measurements, ok) -> bool:
@@ -131,16 +176,24 @@ class TestFloors:
 
 class TestProbes:
     @pytest.mark.parametrize("kind", ["correction", "verification"])
-    def test_no_probe_below_the_floor(self, tesseract_calls, code_16_2_4_calls, kind):
-        for calls in (tesseract_calls, code_16_2_4_calls):
-            for call in calls[kind]:
-                assert all(k >= call.floor for k, _ in call.probes)
+    def test_no_probe_below_the_floor(
+        self, tesseract_calls, code_16_2_4_calls, random_correction_calls, kind
+    ):
+        calls = tesseract_calls[kind] + code_16_2_4_calls[kind]
+        if kind == "correction":
+            calls += random_correction_calls
+        probes = [(k, call.floor) for call in calls for k, _ in call.probes]
+        assert probes, "no weight probe was checked"
+        assert all(k >= floor for k, floor in probes)
 
-    def test_correction_probes_the_floor_first(self, tesseract_calls, code_16_2_4_calls):
-        for calls in (tesseract_calls, code_16_2_4_calls):
-            for call in calls["correction"]:
-                if call.probes:
-                    assert call.probes[0][0] == call.floor
+    def test_correction_probes_the_floor_first(self, random_correction_calls):
+        """Enumeration settles the floor itself, so the SAT descent's
+        first probe is ``floor + 1`` and no probe is at or below it."""
+        probed = [call for call in random_correction_calls if call.probes]
+        assert probed, "no random class reached the SAT descent"
+        for call in probed:
+            assert call.probes[0][0] == call.floor + 1
+            assert all(k > call.floor for k, _ in call.probes)
 
     def test_tesseract_issues_no_unsat_weight_probe(self, tesseract_calls):
         for kind in ("correction", "verification"):

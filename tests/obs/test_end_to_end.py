@@ -119,6 +119,34 @@ class TestTracedFigure4Cluster:
         )
 
 
+class TestTracedLocalWorkers:
+    def test_ftcheck_on_workers_traces_every_span_once(self, tmp_path, capsys):
+        """``--workers 2`` runs two loopback workers; their chunk spans
+        arrive once, through the handshake, and the traced output equals
+        the untraced one."""
+        cached_protocol("steane")  # warm the synthesis cache
+        trace_path = tmp_path / "ftcheck.jsonl"
+        base = ["ftcheck", "steane", "--workers", "2", "--max-slab", "16"]
+        assert cli_main(base + ["--trace", str(trace_path)]) == 0
+        traced_out = capsys.readouterr().out
+        assert cli_main(base) == 0
+        assert _strip_timings(traced_out) == _strip_timings(capsys.readouterr().out)
+
+        assert cli_main(["trace", "verify", str(trace_path)]) == 0
+        spans = load_trace(trace_path)
+        report = verify_trace(spans)
+        assert report["ok"], report["errors"]
+        assert report["roots"] == ["repro.ftcheck"]
+        ids = [record["span"] for record in spans]
+        assert len(ids) == len(set(ids))
+        chunks = [record for record in spans if record["name"] == "cluster.chunk"]
+        dispatches = [
+            record for record in spans if record["name"] == "cluster.dispatch"
+        ]
+        assert chunks and len(chunks) == len(dispatches)
+        assert len({record["attrs"]["worker"] for record in chunks}) == 2
+
+
 class TestTracedFaultInjection:
     def test_worker_kill_mid_stream_leaves_wellformed_trace(
         self, spin_workers, tmp_path

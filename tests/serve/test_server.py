@@ -470,3 +470,44 @@ def test_shutdown_with_a_connected_client_exits_cleanly(tmp_path):
             daemon.communicate()
     assert daemon.returncode == 0
     assert "Traceback" not in stderr
+
+
+def test_workers_daemon_never_forks(tmp_path, monkeypatch):
+    """``workers=2`` starts one loopback worker set before the listener
+    opens and computes on it: with ``os.fork`` and ``multiprocessing``
+    pools made to raise, a sweep and an ftcheck still answer exactly
+    what the inline daemon answers, and shutdown reaps the workers."""
+    import multiprocessing
+    import multiprocessing.context
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the daemon forked")
+
+    answers = {}
+    for workers in (1, 2):
+        with monkeypatch.context() as patch:
+            if workers > 1:
+                patch.setattr(os, "fork", refuse)
+                patch.setattr(multiprocessing, "Pool", refuse)
+                patch.setattr(multiprocessing.context.BaseContext, "Pool", refuse)
+            server = _prewarm(
+                ReproServer(
+                    "127.0.0.1", 0, ledger=tmp_path / f"l{workers}", workers=workers
+                )
+            )
+            server.start_background()
+            try:
+                launched = server._local_workers
+                assert (launched is not None) == (workers > 1)
+                processes = list(launched._processes) if launched else []
+                assert len(processes) == (workers if workers > 1 else 0)
+                with ServeClient(server.host, server.port, timeout=120.0) as c:
+                    sweep = c.sweep("steane", **SWEEP_PARAMS)
+                    ftcheck = c.ftcheck("steane")
+                assert sweep["source"] == ftcheck["source"] == "computed"
+                answers[workers] = (sweep["result"], ftcheck["result"])
+            finally:
+                server.stop()
+        assert all(process.returncode is not None for process in processes)
+        assert server._local_workers is None
+    assert answers[2] == answers[1]

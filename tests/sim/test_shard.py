@@ -309,17 +309,6 @@ class TestBoundedStreaming:
         assert first.trials == 8
         stream.close()  # abandon the rest without evaluating it
 
-    def test_spawn_start_method_round_trips(self, steane_engine):
-        """The no-fork fallback rebuilds the engine per worker from the
-        pickled (protocol, engine-name) payload."""
-        with ShardedEvaluator(
-            steane_engine, workers=2, max_slab=64, start_method="spawn"
-        ) as evaluator:
-            merged = merge_partials(
-                evaluator.map(evaluator.planner.plan_rows())
-            )
-        assert merged.trials == evaluator.planner.num_rows()
-
 
 class TestSamplerIntegration:
     def test_evaluator_reused_and_closed(self):

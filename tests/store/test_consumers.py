@@ -163,7 +163,7 @@ class TestResultsComputedEveryCall:
 
         def executor(engine, max_slab, model=None):
             calls.append(max_slab)
-            return ShardedEvaluator(engine, workers=1, max_slab=max_slab)
+            return ShardedEvaluator(engine, max_slab=max_slab)
 
         return executor
 
