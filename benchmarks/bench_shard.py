@@ -11,6 +11,15 @@ identical — the sharded path's core contract — and that no chunk exceeds
 the ``--max-slab`` memory bound, then records wall-clocks and speedup in
 ``BENCH_shard.json`` (picked up by ``scripts/bench_delta.py`` in CI).
 
+Tier-1 holds both gates at test size:
+
+* tally identity —
+  ``tests/sim/test_shard.py::TestWorkerCountDeterminism::test_tesseract_stratum_identical_across_workers``
+  (a tesseract k = 3 stratum at ``workers=1`` and ``workers=2``);
+* slab bound —
+  ``tests/sim/test_shard.py::TestBoundedStreaming::test_engine_never_sees_more_than_max_slab``
+  (no inline chunk exceeds ``max_slab``).
+
 Parallel speedup is physical, not magic: on a ``cpu_count=1`` box the
 workers only add overhead, so the >= 2x floor is enforced only when the
 machine actually has at least 4 cores (``--floor 0`` disables it, e.g.

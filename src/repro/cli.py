@@ -5,43 +5,43 @@ Usage (after ``pip install -e .``)::
     python -m repro codes                      # list the catalog
     python -m repro synthesize steane          # synthesize + metrics
     python -m repro synthesize steane -o p.json --qasm out_dir
-    python -m repro check steane               # exhaustive FT certificate
-    python -m repro check --load p.json
-    python -m repro ftcheck steane --survey 2000   # certificate + t=2 survey
+    python -m repro ftcheck steane             # exhaustive FT certificate
+    python -m repro ftcheck --load p.json --survey 2000   # + t=2 survey
     python -m repro budget steane              # exact two-fault error budget
     python -m repro simulate steane --shots 4000 --p 1e-3 1e-2
     python -m repro simulate steane --direct   # Bernoulli direct MC per p
     python -m repro table1 --fast              # regenerate Table I
     python -m repro figure4 --codes steane shor --shots 2000
 
-The certificate (``check`` / ``ftcheck``), budget, and simulation commands
-all evaluate on the batched bit-packed engine by default; ``--engine
-reference`` swaps in the per-shot oracle (identical output, slower).
-Every engine-backed subcommand takes ``--workers N`` (shard the workload
-within the code across N loopback cluster workers — results identical
-for any worker count) and ``--max-slab M`` (bound the configurations
-materialized per chunk, i.e. peak slab memory); see ``docs/cli.md``.
-Every command prints human-readable output; machine-readable artifacts go
-through ``--output`` (protocol JSON) and ``--qasm`` (OpenQASM export).
+``check`` is an alias of ``ftcheck``. Each flag group is declared once,
+as an argparse parent that the subcommands taking it list (see
+``docs/cli.md``):
 
-Synthesized protocols, the expensive artifact, are cached persistently
-in the content-addressed artifact store (``repro.store``, default
-``~/.cache/repro-store``). Every pipeline
-subcommand takes ``--store PATH`` to point at a different root and
-``--no-store`` to bypass caching entirely — results are bit-identical
-either way. ``python -m repro store ls|verify|gc`` inspects and
-maintains the store itself.
+* shard — ``--workers N`` (N loopback cluster workers; results are
+  identical for any count), ``--max-slab M`` (configurations per chunk,
+  i.e. peak slab memory), ``--cluster`` and ``--pipeline-depth``;
+* ``--engine`` — the batched bit-packed engine (default) or the
+  per-shot ``reference`` oracle (identical output, slower);
+* ``--noise SPEC`` — a noise model other than the paper's E1_1;
+* ``--trace PATH`` — a span trace of the invocation;
+* ``--store PATH``/``--no-store`` — the content-addressed artifact store
+  (``repro.store``, default ``~/.cache/repro-store``) that caches
+  synthesized protocols;
+* ``--ledger PATH``/``--no-ledger`` — the append-only results ledger
+  (``repro.serve.ledger``, default ``~/.cache/repro-ledger``) that
+  ``simulate``/``figure4`` and the daemon consult before engine work;
+* listen — ``--listen``/``--allow`` of ``serve`` and ``cluster worker``;
+* protocol choice — ``--prep``/``--verification`` of ``synthesize`` and
+  the ``query`` compute ops.
 
-Computed *results* (sweep tallies, FT certificates, error budgets,
-direct-MC estimates) are deduplicated through a second cache, the
-append-only results ledger (``repro.serve.ledger``, default
-``~/.cache/repro-ledger``): ``simulate``/``figure4`` consult it before
-dispatching engine work, ``--ledger PATH`` / ``--no-ledger`` mirror the
-store flags, and ``python -m repro ledger ls|show|verify|gc`` maintains
-it. ``python -m repro serve --listen HOST:PORT`` runs the resident
-simulation daemon on top of both caches; ``python -m repro query
---connect HOST:PORT sweep|ftcheck|budget|direct|stats|ping|shutdown``
-talks to it (see ``docs/serve.md``).
+Results are bit-identical with or without either cache; ``repro store``
+and ``repro ledger`` (``ls|verify|gc``, plus ``ledger show``) maintain
+them. ``repro serve --listen HOST:PORT`` runs the resident simulation
+daemon on both caches and ``repro query --connect HOST:PORT
+sweep|ftcheck|budget|direct|stats|ping|shutdown`` talks to it (see
+``docs/serve.md``). Every command prints human-readable output;
+machine-readable artifacts go through ``--output`` (protocol JSON) and
+``--qasm`` (OpenQASM export).
 """
 
 from __future__ import annotations
@@ -56,18 +56,25 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser, help: str) -> None:
-    """``--engine``, with one choice per entry of the engine registry."""
+#: The two caches: flag name -> (environment variable, what it is, the
+#: noun of its ``ls`` rows, the time field an ``ls`` row ages from).
+_CACHES = {
+    "store": ("REPRO_STORE", "artifact store", "entries", "atime"),
+    "ledger": ("REPRO_LEDGER", "results ledger", "records", "ts"),
+}
+
+
+def _flag_group() -> argparse.ArgumentParser:
+    """An empty argparse parent; a subcommand lists it in ``parents=``."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def build_parser() -> argparse.ArgumentParser:
     from .sim.sampler import _ENGINES
 
-    parser.add_argument(
-        "--engine", choices=list(_ENGINES), default="batched", help=help
-    )
-
-
-def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
-    """The intra-code sharding knobs shared by engine-backed subcommands."""
-    parser.add_argument(
+    # -- flag groups, each declared once ---------------------------------------
+    shard = _flag_group()
+    shard.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -76,7 +83,7 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "(1 = inline; results are identical for any worker count)"
         ),
     )
-    parser.add_argument(
+    shard.add_argument(
         "--max-slab",
         type=int,
         default=None,
@@ -88,7 +95,7 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "max(M, draws_i * draws_j))"
         ),
     )
-    parser.add_argument(
+    shard.add_argument(
         "--cluster",
         type=str,
         default=None,
@@ -104,7 +111,7 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "worker disconnects"
         ),
     )
-    parser.add_argument(
+    shard.add_argument(
         "--pipeline-depth",
         type=int,
         default=None,
@@ -115,7 +122,8 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "strict ack-per-chunk lockstep"
         ),
     )
-    parser.add_argument(
+    noise = _flag_group()
+    noise.add_argument(
         "--noise",
         type=str,
         default=None,
@@ -128,11 +136,19 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
             "omitted = the paper's uniform E1_1 model (see docs/noise.md)"
         ),
     )
-
-
-def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
-    """The observability knob shared by every traced subcommand."""
-    parser.add_argument(
+    engine = _flag_group()
+    engine.add_argument(
+        "--engine",
+        choices=list(_ENGINES),
+        default="batched",
+        help=(
+            "execution engine: the bit-packed batched sampler or the "
+            "per-shot reference runner (identical results; batched is "
+            "~10x+ faster)"
+        ),
+    )
+    trace = _flag_group()
+    trace.add_argument(
         "--trace",
         type=Path,
         default=None,
@@ -145,78 +161,64 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
             "with 'repro trace summarize PATH')"
         ),
     )
-
-
-def _add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """The artifact-store knobs shared by every pipeline subcommand."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--store",
-        type=Path,
+    caches = {}
+    for name, (env, what, _, _) in _CACHES.items():
+        caches[name] = _flag_group()
+        pair = caches[name].add_mutually_exclusive_group()
+        pair.add_argument(
+            f"--{name}",
+            type=Path,
+            default=None,
+            metavar="PATH",
+            help=(
+                f"{what} root for this invocation (default: the {env} "
+                f"environment variable, else ~/.cache/repro-{name})"
+            ),
+        )
+        pair.add_argument(
+            f"--no-{name}",
+            action="store_true",
+            help=(
+                f"bypass the {what}: recompute everything, record nothing "
+                "(results are bit-identical with or without it)"
+            ),
+        )
+    store, ledger = caches["store"], caches["ledger"]
+    listen = _flag_group()
+    listen.add_argument(
+        "--listen",
+        required=True,
+        metavar="ENDPOINT",
+        help=(
+            "listen endpoint: HOST:PORT[?tls=1&certfile=...&keyfile=..."
+            "&token=...] (PORT 0 binds an ephemeral port and prints it; "
+            "':PORT' binds all interfaces; REPRO_NET_TOKEN supplies an "
+            "ambient token — see docs/net.md)"
+        ),
+    )
+    listen.add_argument(
+        "--allow",
+        action="append",
         default=None,
-        metavar="PATH",
+        metavar="CIDR|HOST",
         help=(
-            "artifact-store root for this invocation (default: the "
-            "REPRO_STORE environment variable, else ~/.cache/repro-store)"
+            "allowlist of peer addresses (repeatable; CIDR blocks, IPs, "
+            "or hostnames); connections from anywhere else are dropped "
+            "before any handshake byte"
         ),
     )
-    group.add_argument(
-        "--no-store",
-        action="store_true",
-        help=(
-            "bypass the artifact store: recompute everything, write "
-            "nothing (results are bit-identical with or without it)"
-        ),
+    protocol = _flag_group()
+    protocol.add_argument(
+        "--prep", choices=["heuristic", "optimal"], default="heuristic"
     )
-
-
-def _apply_store_flags(args) -> None:
-    """Fold ``--store`` / ``--no-store`` into the ambient resolution.
-
-    The store is resolved per call from ``REPRO_STORE`` (``repro.store``),
-    so setting the environment variable here threads the choice through
-    every layer — experiments, pools (children inherit the environment),
-    and cluster coordinators — without a parameter relay.
-    """
-    if getattr(args, "no_store", False):
-        os.environ["REPRO_STORE"] = "off"
-    elif getattr(args, "store", None):
-        os.environ["REPRO_STORE"] = str(args.store)
-
-
-def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
-    """The results-ledger knobs (``repro.serve.ledger``)."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--ledger",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "results-ledger root for this invocation (default: the "
-            "REPRO_LEDGER environment variable, else ~/.cache/repro-ledger)"
-        ),
+    protocol.add_argument(
+        "--verification",
+        choices=["optimal", "greedy", "global"],
+        default="optimal",
     )
-    group.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help=(
-            "bypass the results ledger: recompute every tally, record "
-            "nothing (results are bit-identical with or without it)"
-        ),
-    )
+    engine_backed = [engine, shard, noise, trace, store]
 
-
-def _apply_ledger_flags(args) -> None:
-    """Fold ``--ledger`` / ``--no-ledger`` into ``REPRO_LEDGER``
-    (mirrors :func:`_apply_store_flags` — children inherit it too)."""
-    if getattr(args, "no_ledger", False):
-        os.environ["REPRO_LEDGER"] = "off"
-    elif getattr(args, "ledger", None):
-        os.environ["REPRO_LEDGER"] = str(args.ledger)
-
-
-def build_parser() -> argparse.ArgumentParser:
+    # -- commands --------------------------------------------------------------
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -226,52 +228,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    codes = sub.add_parser("codes", help="list catalog codes")
+    sub.add_parser("codes", help="list catalog codes")
 
     synthesize = sub.add_parser(
-        "synthesize", help="synthesize a deterministic FT protocol"
+        "synthesize",
+        help="synthesize a deterministic FT protocol",
+        parents=[protocol, store],
     )
     synthesize.add_argument("code", help="catalog code key (see 'codes')")
-    synthesize.add_argument(
-        "--prep", choices=["heuristic", "optimal"], default="heuristic"
-    )
-    synthesize.add_argument(
-        "--verification",
-        choices=["optimal", "greedy", "global"],
-        default="optimal",
-    )
     synthesize.add_argument(
         "-o", "--output", type=Path, help="write protocol JSON here"
     )
     synthesize.add_argument(
         "--qasm", type=Path, help="write OpenQASM segments into this directory"
     )
-    _add_store_flags(synthesize)
-
-    check = sub.add_parser(
-        "check", help="exhaustive single-fault FT certificate"
-    )
-    check.add_argument("code", nargs="?", help="catalog code key")
-    check.add_argument(
-        "--load", type=Path, help="check a protocol JSON instead"
-    )
-    _add_shard_flags(check)
-    _add_trace_flags(check)
-    _add_store_flags(check)
 
     ftcheck = sub.add_parser(
         "ftcheck",
+        aliases=["check"],
         help=(
-            "batched FT certificate: exhaustive single-fault check plus an "
+            "FT certificate: exhaustive single-fault check plus an "
             "optional t=2 fault-pair survey"
         ),
+        parents=engine_backed,
     )
     ftcheck.add_argument("code", nargs="?", help="catalog code key")
     ftcheck.add_argument(
         "--load", type=Path, help="check a protocol JSON instead"
-    )
-    _add_engine_flag(
-        ftcheck, "evaluation engine (identical verdicts; batched is ~10x+ faster)"
     )
     ftcheck.add_argument(
         "--max-violations",
@@ -289,12 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     ftcheck.add_argument(
         "--seed", type=int, default=2025, help="survey sampling seed"
     )
-    _add_shard_flags(ftcheck)
-    _add_trace_flags(ftcheck)
-    _add_store_flags(ftcheck)
 
     simulate = sub.add_parser(
-        "simulate", help="circuit-level noise simulation (Fig. 4 pipeline)"
+        "simulate",
+        help="circuit-level noise simulation (Fig. 4 pipeline)",
+        parents=[*engine_backed, ledger],
     )
     simulate.add_argument("code", help="catalog code key")
     simulate.add_argument("--shots", type=int, default=4000)
@@ -307,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[1e-4, 1e-3, 1e-2, 1e-1],
         help="physical error rates to report",
     )
-    _add_engine_flag(
-        simulate,
-        "execution engine: bit-packed batched sampler (default) or the "
-        "per-shot reference runner (identical results, slower)",
-    )
     simulate.add_argument(
         "--direct",
         action="store_true",
@@ -320,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
             "batched engine (consistency check of the subset estimator)"
         ),
     )
-    _add_shard_flags(simulate)
-    _add_trace_flags(simulate)
-    _add_store_flags(simulate)
-    _add_ledger_flags(simulate)
 
-    table1 = sub.add_parser("table1", help="regenerate the paper's Table I")
+    table1 = sub.add_parser(
+        "table1",
+        help="regenerate the paper's Table I",
+        parents=[shard, noise, trace, store],
+    )
     table1.add_argument(
         "--fast",
         action="store_true",
@@ -342,23 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the batched FT certificate per row (adds an FT column)",
     )
-    _add_shard_flags(table1)
-    _add_trace_flags(table1)
-    _add_store_flags(table1)
 
-    figure4 = sub.add_parser("figure4", help="regenerate the paper's Fig. 4")
+    figure4 = sub.add_parser(
+        "figure4",
+        help="regenerate the paper's Fig. 4",
+        parents=[*engine_backed, ledger],
+    )
     figure4.add_argument("--codes", nargs="+", default=None)
     figure4.add_argument("--shots", type=int, default=8000)
     figure4.add_argument("--seed", type=int, default=2025)
-    _add_engine_flag(figure4, "execution engine for the subset sampling")
-    _add_shard_flags(figure4)
-    _add_trace_flags(figure4)
-    _add_store_flags(figure4)
-    _add_ledger_flags(figure4)
 
     budget = sub.add_parser(
         "budget",
         help="exact two-fault error budget (quadratic coefficient of Fig. 4)",
+        parents=engine_backed,
     )
     budget.add_argument("code", help="catalog code key")
     budget.add_argument(
@@ -367,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2_000_000,
         help="guard on the enumeration size (runs grow ~N^2 in locations)",
     )
-    _add_engine_flag(
-        budget, "evaluation engine (bit-identical budgets; batched is faster)"
-    )
-    _add_shard_flags(budget)
-    _add_trace_flags(budget)
-    _add_store_flags(budget)
 
     cluster = sub.add_parser(
         "cluster",
@@ -385,28 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             "serve chunk execution over TCP; point any engine-backed "
             "subcommand at it with --cluster HOST:PORT[,...]"
         ),
-    )
-    worker.add_argument(
-        "--listen",
-        required=True,
-        metavar="ENDPOINT",
-        help=(
-            "listen endpoint: HOST:PORT[?tls=1&certfile=...&keyfile=..."
-            "&token=...] (PORT 0 binds an ephemeral port and prints it; "
-            "':PORT' binds all interfaces; REPRO_NET_TOKEN supplies an "
-            "ambient token — see docs/net.md)"
-        ),
-    )
-    worker.add_argument(
-        "--allow",
-        action="append",
-        default=None,
-        metavar="CIDR|HOST",
-        help=(
-            "allowlist of peer addresses (repeatable; CIDR blocks, IPs, "
-            "or hostnames); connections from anywhere else are dropped "
-            "before any handshake byte"
-        ),
+        parents=[listen],
     )
     worker.add_argument(
         "--max-chunks",
@@ -419,50 +366,52 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    store_cmd = sub.add_parser(
-        "store",
-        help="inspect and maintain the artifact store (repro.store)",
-    )
-    store_cmd.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "store root to operate on (default: REPRO_STORE, else "
-            "~/.cache/repro-store)"
-        ),
-    )
-    store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
-    store_ls = store_sub.add_parser(
-        "ls", help="list every entry: kind, key, size, age"
-    )
-    store_ls.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit one JSON object of entries instead of the table",
-    )
-    store_sub.add_parser(
-        "verify",
-        help=(
-            "re-hash every entry against its recorded digest; corrupt "
-            "entries are quarantined (never deleted, never served)"
-        ),
-    )
-    gc = store_sub.add_parser(
-        "gc", help="evict least-recently-used entries down to a size budget"
-    )
-    gc.add_argument(
-        "--max-bytes",
-        type=parse_bytes,
-        required=True,
-        metavar="BYTES",
-        help=(
-            "target total payload size (accepts K/M/G suffixes, e.g. "
-            "512M); least-recently-read entries are removed first"
-        ),
-    )
+    for name, (env, what, noun, _) in _CACHES.items():
+        command = sub.add_parser(
+            name, help=f"inspect and maintain the {what} (repro --{name})"
+        )
+        command.add_argument(
+            f"--{name}",
+            type=Path,
+            default=None,
+            metavar="PATH",
+            help=f"root to operate on (default: {env}, else ~/.cache/repro-{name})",
+        )
+        maintenance = command.add_subparsers(
+            dest=f"{name}_command", required=True
+        )
+        ls = maintenance.add_parser(
+            "ls", help=f"list all {noun}: kind, key, size, age"
+        )
+        ls.add_argument(
+            "--json",
+            action="store_true",
+            dest="as_json",
+            help=f"emit one JSON object of {noun} instead of the table",
+        )
+        maintenance.add_parser(
+            "verify",
+            help=(
+                f"re-hash all {noun} against their recorded digests; corrupt "
+                "ones are quarantined (never deleted, never served)"
+            ),
+        )
+        gc = maintenance.add_parser(
+            "gc", help=f"evict the stalest {noun} down to a size budget"
+        )
+        gc.add_argument(
+            "--max-bytes",
+            type=parse_bytes,
+            required=True,
+            metavar="BYTES",
+            help="target total size (accepts K/M/G suffixes, e.g. 512M)",
+        )
+        if name == "ledger":
+            show = maintenance.add_parser(
+                "show", help="print one record's JSON payload"
+            )
+            show.add_argument("kind", help="record kind (see 'ls')")
+            show.add_argument("key", help="record key (see 'ls')")
 
     serve = sub.add_parser(
         "serve",
@@ -471,28 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
             "dedups repeated queries through the results ledger "
             "(repro.serve; query it with 'repro query')"
         ),
-    )
-    serve.add_argument(
-        "--listen",
-        required=True,
-        metavar="ENDPOINT",
-        help=(
-            "listen endpoint: HOST:PORT[?tls=1&certfile=...&keyfile=..."
-            "&token=...] (PORT 0 binds an ephemeral port and prints it; "
-            "':PORT' binds all interfaces; REPRO_NET_TOKEN supplies an "
-            "ambient token — see docs/net.md)"
-        ),
-    )
-    serve.add_argument(
-        "--allow",
-        action="append",
-        default=None,
-        metavar="CIDR|HOST",
-        help=(
-            "allowlist of client addresses (repeatable; CIDR blocks, "
-            "IPs, or hostnames); connections from anywhere else are "
-            "dropped before the greeting"
-        ),
+        parents=[listen, shard, trace, store, ledger],
     )
     serve.add_argument(
         "--engine-slots",
@@ -511,10 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
             "blocks protocol resolution for other clients)"
         ),
     )
-    _add_shard_flags(serve)
-    _add_trace_flags(serve)
-    _add_store_flags(serve)
-    _add_ledger_flags(serve)
 
     query = sub.add_parser(
         "query",
@@ -554,31 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the raw result line as JSON instead of rendering it",
     )
     query_sub = query.add_subparsers(dest="query_command", required=True)
-
-    def _add_query_protocol_flags(p: argparse.ArgumentParser) -> None:
-        _add_trace_flags(p)
-        p.add_argument("code", help="catalog code key")
-        p.add_argument(
-            "--prep", choices=["heuristic", "optimal"], default="heuristic"
-        )
-        p.add_argument(
-            "--verification",
-            choices=["optimal", "greedy", "global"],
-            default="optimal",
-        )
-        _add_engine_flag(p, "server-side execution engine (identical results)")
-        p.add_argument(
-            "--noise",
-            type=str,
-            default=None,
-            metavar="SPEC",
-            help="noise model spec (see 'repro simulate --help')",
-        )
+    compute = _flag_group()  # the compute ops: a protocol on an engine
+    compute.add_argument("code", help="catalog code key")
+    compute_ops = [trace, protocol, engine, noise, compute]
 
     q_sweep = query_sub.add_parser(
-        "sweep", help="subset-sampled logical error curve (simulate/figure4)"
+        "sweep",
+        help="subset-sampled logical error curve (simulate/figure4)",
+        parents=compute_ops,
     )
-    _add_query_protocol_flags(q_sweep)
     q_sweep.add_argument("--shots", type=int, default=4000)
     q_sweep.add_argument("--k-max", type=int, default=3)
     q_sweep.add_argument("--seed", type=int, default=2025)
@@ -598,19 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q_sweep.add_argument("--direct-shots", type=int, default=4000)
     q_ftcheck = query_sub.add_parser(
-        "ftcheck", help="exhaustive single-fault FT certificate"
+        "ftcheck", help="exhaustive single-fault FT certificate", parents=compute_ops
     )
-    _add_query_protocol_flags(q_ftcheck)
     q_ftcheck.add_argument("--max-violations", type=int, default=10)
     q_budget = query_sub.add_parser(
-        "budget", help="exact two-fault error budget"
+        "budget", help="exact two-fault error budget", parents=compute_ops
     )
-    _add_query_protocol_flags(q_budget)
     q_budget.add_argument("--max-runs", type=int, default=2_000_000)
     q_direct = query_sub.add_parser(
-        "direct", help="plain Bernoulli Monte-Carlo at one rate"
+        "direct", help="plain Bernoulli Monte-Carlo at one rate", parents=compute_ops
     )
-    _add_query_protocol_flags(q_direct)
     q_direct.add_argument("p", type=float, help="physical error rate")
     q_direct.add_argument("--shots", type=int, default=4000)
     q_direct.add_argument("--seed", type=int, default=2025)
@@ -623,57 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         ("shutdown", "ask the daemon to exit"),
     ):
-        _add_trace_flags(query_sub.add_parser(control_op, help=control_help))
-
-    ledger_cmd = sub.add_parser(
-        "ledger",
-        help="inspect and maintain the results ledger (repro.serve.ledger)",
-    )
-    ledger_cmd.add_argument(
-        "--ledger",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "ledger root to operate on (default: REPRO_LEDGER, else "
-            "~/.cache/repro-ledger)"
-        ),
-    )
-    ledger_sub = ledger_cmd.add_subparsers(dest="ledger_command", required=True)
-    ledger_ls = ledger_sub.add_parser(
-        "ls", help="list every record: kind, key, size, age"
-    )
-    ledger_ls.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit one JSON object of records instead of the table",
-    )
-    show = ledger_sub.add_parser(
-        "show", help="print one record's JSON payload"
-    )
-    show.add_argument("kind", help="record kind (see 'ls')")
-    show.add_argument("key", help="record key (see 'ls')")
-    ledger_sub.add_parser(
-        "verify",
-        help=(
-            "re-hash every line against its recorded digest; corrupt "
-            "lines are quarantined (never deleted, never served)"
-        ),
-    )
-    ledger_gc = ledger_sub.add_parser(
-        "gc", help="compact segments and evict oldest records to a budget"
-    )
-    ledger_gc.add_argument(
-        "--max-bytes",
-        type=parse_bytes,
-        required=True,
-        metavar="BYTES",
-        help=(
-            "target total segment size (accepts K/M/G suffixes, e.g. "
-            "64M); oldest records are evicted first after compaction"
-        ),
-    )
+        query_sub.add_parser(control_op, help=control_help, parents=[trace])
 
     trace_cmd = sub.add_parser(
         "trace",
@@ -709,6 +564,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fold_cache_flags(args) -> None:
+    """Fold ``--store``/``--no-store`` and ``--ledger``/``--no-ledger``
+    into ``REPRO_STORE``/``REPRO_LEDGER``.
+
+    Each cache is resolved per call from its environment variable, so
+    setting it here threads the choice through every layer —
+    experiments, child processes (they inherit the environment), and
+    cluster coordinators — without a parameter relay.
+    """
+    for name, (env, *_) in _CACHES.items():
+        if getattr(args, f"no_{name}", False):
+            os.environ[env] = "off"
+        elif getattr(args, name, None):
+            os.environ[env] = str(getattr(args, name))
+
+
+def _listen_endpoint(spec: str) -> str:
+    """``--listen`` as an endpoint spec: ``:PORT`` binds all interfaces
+    (``parse_endpoint`` alone would read a bare ``:PORT`` as loopback)."""
+    return "0.0.0.0" + spec if spec.startswith(":") else spec
+
+
 def _shard_kwargs(args) -> dict:
     """Resolve the sharding flags into consumer kwargs.
 
@@ -716,14 +593,14 @@ def _shard_kwargs(args) -> dict:
     ``repro.sim.shard.resolve_evaluator`` seam.
     """
     executor = None
-    if getattr(args, "cluster", None):
+    if args.cluster:
         from .sim.cluster import ClusterExecutorFactory
 
         # The factory parses the endpoint grammar itself, so TLS/token
         # fields on each --cluster endpoint survive into worker links.
         executor = ClusterExecutorFactory(
             args.cluster,
-            pipeline_depth=getattr(args, "pipeline_depth", None),
+            pipeline_depth=args.pipeline_depth,
         )
     return {
         "workers": args.workers,
@@ -734,12 +611,11 @@ def _shard_kwargs(args) -> dict:
 
 def _noise_model(args):
     """``--noise SPEC`` into a model instance (None = historical E1_1)."""
-    spec = getattr(args, "noise", None)
-    if not spec:
+    if not args.noise:
         return None
     from .sim.noisemodels import parse_noise_spec
 
-    return parse_noise_spec(spec)
+    return parse_noise_spec(args.noise)
 
 
 def _cmd_codes(_args) -> int:
@@ -799,86 +675,58 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _load_or_synthesize(args):
-    """Shared protocol resolution for the certificate commands."""
+def _cmd_ftcheck(args) -> int:
+    from .core.ftcheck import check_fault_tolerance, second_order_survey
+    from .sim.shard import shared_executor
+
     if args.load:
         from .core.serialize import load_protocol
 
-        return load_protocol(args.load)
-    if args.code:
+        protocol = load_protocol(args.load)
+    elif args.code:
         from .codes.catalog import get_code
         from .core.protocol import synthesize_protocol
 
-        return synthesize_protocol(get_code(args.code))
-    return None
-
-
-def _cmd_check(args) -> int:
-    from .core.ftcheck import check_fault_tolerance
-
-    protocol = _load_or_synthesize(args)
-    if protocol is None:
-        print("error: give a code key or --load", file=sys.stderr)
-        return 2
-    violations = check_fault_tolerance(
-        protocol, model=_noise_model(args), **_shard_kwargs(args)
-    )
-    if violations:
-        print(f"NOT fault tolerant — {len(violations)} violations:")
-        for violation in violations:
-            print(f"  {violation}")
-        return 1
-    print(
-        f"{protocol.code.name}: fault tolerant (every single fault leaves "
-        "wt_S <= 1)"
-    )
-    return 0
-
-
-def _cmd_ftcheck(args) -> int:
-    import time
-
-    from .core.ftcheck import check_fault_tolerance, second_order_survey
-
-    protocol = _load_or_synthesize(args)
-    if protocol is None:
-        print("error: give a code key or --load", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    violations = check_fault_tolerance(
-        protocol,
-        engine=args.engine,
-        max_violations=args.max_violations,
-        model=_noise_model(args),
-        **_shard_kwargs(args),
-    )
-    seconds = time.perf_counter() - start
-    if violations:
-        print(
-            f"{protocol.code.name}: NOT fault tolerant — "
-            f"{len(violations)} violations ({args.engine} engine, "
-            f"{seconds:.3f}s):"
-        )
-        for violation in violations:
-            print(f"  {violation}")
+        protocol = synthesize_protocol(get_code(args.code))
     else:
-        print(
-            f"{protocol.code.name}: fault tolerant — every single fault "
-            f"leaves wt_S <= 1 ({args.engine} engine, {seconds:.3f}s)"
-        )
-    if args.survey:
-        survey = second_order_survey(
+        print("error: give a code key or --load", file=sys.stderr)
+        return 2
+    shard = _shard_kwargs(args)
+    # The certificate and the survey share one executor (one worker set).
+    with shared_executor(args.workers, shard["executor"]) as executor:
+        shard["executor"] = executor
+        violations = check_fault_tolerance(
             protocol,
-            samples=args.survey,
-            rng=np.random.default_rng(args.seed),
             engine=args.engine,
-            **_shard_kwargs(args),
+            max_violations=args.max_violations,
+            model=_noise_model(args),
+            **shard,
         )
-        print(
-            f"  t=2 survey: {survey['violations']}/"
-            f"{survey['pairs_checked']} sampled fault pairs exceed wt_S = 2 "
-            f"({survey['violation_fraction']:.2%})"
-        )
+        if violations:
+            print(
+                f"{protocol.code.name}: NOT fault tolerant — "
+                f"{len(violations)} violations ({args.engine} engine):"
+            )
+            for violation in violations:
+                print(f"  {violation}")
+        else:
+            print(
+                f"{protocol.code.name}: fault tolerant — every single fault "
+                f"leaves wt_S <= 1 ({args.engine} engine)"
+            )
+        if args.survey:
+            survey = second_order_survey(
+                protocol,
+                samples=args.survey,
+                rng=np.random.default_rng(args.seed),
+                engine=args.engine,
+                **shard,
+            )
+            print(
+                f"  t=2 survey: {survey['violations']}/"
+                f"{survey['pairs_checked']} sampled fault pairs exceed "
+                f"wt_S = 2 ({survey['violation_fraction']:.2%})"
+            )
     return 1 if violations else 0
 
 
@@ -990,14 +838,11 @@ def _cmd_cluster(args) -> int:
     from .net.tls import NetTLSError
     from .sim.cluster import ClusterWorker
 
-    # ":0" / ":7781" bind all interfaces, the conventional listen form
-    # (parse_endpoint alone would read a bare ":PORT" as loopback).
-    spec = args.listen
-    if isinstance(spec, str) and spec.startswith(":"):
-        spec = "0.0.0.0" + spec
     try:
         worker = ClusterWorker.from_endpoint(
-            spec, max_chunks=args.max_chunks, allow=args.allow
+            _listen_endpoint(args.listen),
+            max_chunks=args.max_chunks,
+            allow=args.allow,
         )
     except (ValueError, NetTLSError, OSError) as exc:
         print(f"error: --listen {args.listen!r}: {exc}", file=sys.stderr)
@@ -1054,106 +899,22 @@ def parse_bytes(text: str | int) -> int:
     return count
 
 
-def _cmd_store(args) -> int:
-    import time
-
-    from .store import resolve_store
-
-    store = resolve_store(None)
-    if store is None:
-        print(
-            "error: the artifact store is disabled (REPRO_STORE is set to "
-            "'off'); pass --store PATH or unset REPRO_STORE",
-            file=sys.stderr,
-        )
-        return 2
-    if args.store_command == "ls":
-        now = time.time()
-        entries = list(store.entries())
-        total = sum(entry.size for entry in entries)
-        if getattr(args, "as_json", False):
-            import json
-
-            print(
-                json.dumps(
-                    {
-                        "root": str(store.root),
-                        "entries": [
-                            {
-                                "kind": entry.kind,
-                                "key": entry.key,
-                                "bytes": entry.size,
-                                "atime": entry.atime,
-                            }
-                            for entry in entries
-                        ],
-                        "total_bytes": total,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return 0
-        if entries:
-            print(f"{'kind':<9} {'key':<64} {'bytes':>12} {'age':>6}")
-            for entry in entries:
-                print(
-                    f"{entry.kind:<9} {entry.key:<64} {entry.size:>12} "
-                    f"{_format_age(now - entry.atime):>6}"
-                )
-        print(f"{len(entries)} entries, {total} bytes in {store.root}")
-        return 0
-    if args.store_command == "verify":
-        report = store.verify()
-        for kind, key, reason in report["quarantined"]:
-            print(f"quarantined {kind}/{key}: {reason}")
-        print(
-            f"{report['ok']} ok, {report['unreadable_codec']} unreadable "
-            f"(missing codec), {len(report['quarantined'])} quarantined"
-        )
-        return 1 if report["quarantined"] else 0
-    # gc
-    result = store.gc(args.max_bytes)
-    print(
-        f"evicted {result['evicted']} entries "
-        f"({result['evicted_bytes']} bytes); "
-        f"{result['remaining_bytes']} bytes remain"
-    )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from .net.endpoint import parse_endpoint
     from .net.tls import NetTLSError
     from .serve.server import ReproServer
 
-    if getattr(args, "noise", None):
-        # Noise is a per-request parameter on the wire; a daemon-wide
-        # default would silently change what clients asked for.
-        print(
-            "error: 'repro serve' takes no --noise; pass it per query "
-            "('repro query sweep CODE --noise SPEC')",
-            file=sys.stderr,
-        )
-        return 2
-    kwargs = _shard_kwargs(args)
-    # ":0" / ":7790" bind all interfaces, the conventional listen form
-    # (parse_endpoint alone would read a bare ":PORT" as loopback).
-    spec = args.listen
-    if isinstance(spec, str) and spec.startswith(":"):
-        spec = "0.0.0.0" + spec
+    shard = _shard_kwargs(args)
     try:
         # A listen flag must name its port explicitly — from_endpoint's
         # client-side default (7790) would let 'nonsense' bind later
         # instead of failing loudly here.
         server = ReproServer.from_endpoint(
-            parse_endpoint(spec),
+            parse_endpoint(_listen_endpoint(args.listen)),
             engine_slots=args.engine_slots,
             compute_threads=args.compute_threads,
-            workers=kwargs["workers"],
-            max_slab=kwargs["max_slab"],
-            executor=kwargs["executor"],
             allow=args.allow,
+            **shard,
         )
     except (ValueError, NetTLSError, OSError) as exc:
         print(f"error: --listen {args.listen!r}: {exc}", file=sys.stderr)
@@ -1302,56 +1063,59 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_ledger(args) -> int:
+def _cmd_cache(args) -> int:
+    """``repro store|ledger ls|verify|gc`` and ``repro ledger show``."""
     import json
     import time
 
-    from .serve.ledger import resolve_ledger
-
-    ledger = resolve_ledger(args.ledger if args.ledger else None)
-    if ledger is None:
+    name = args.command
+    env, what, noun, stamp = _CACHES[name]
+    if name == "store":
+        from .store import resolve_store as resolve
+    else:
+        from .serve.ledger import resolve_ledger as resolve
+    cache = resolve(None)  # --store/--ledger PATH is folded into env
+    if cache is None:
         print(
-            "error: the results ledger is disabled (REPRO_LEDGER is set to "
-            "'off'); pass --ledger PATH or unset REPRO_LEDGER",
+            f"error: the {what} is disabled ({env} is set to 'off'); "
+            f"pass --{name} PATH or unset {env}",
             file=sys.stderr,
         )
         return 2
-    if args.ledger_command == "ls":
-        now = time.time()
-        entries = list(ledger.entries())
+    op = getattr(args, f"{name}_command")
+    if op == "ls":
+        entries = list(cache.entries())
         total = sum(entry.size for entry in entries)
-        if getattr(args, "as_json", False):
+        if args.as_json:
+            rows = [
+                {
+                    "kind": entry.kind,
+                    "key": entry.key,
+                    "bytes": entry.size,
+                    stamp: getattr(entry, stamp),
+                }
+                for entry in entries
+            ]
             print(
                 json.dumps(
-                    {
-                        "root": str(ledger.root),
-                        "records": [
-                            {
-                                "kind": entry.kind,
-                                "key": entry.key,
-                                "bytes": entry.size,
-                                "ts": entry.ts,
-                            }
-                            for entry in entries
-                        ],
-                        "total_bytes": total,
-                    },
+                    {"root": str(cache.root), noun: rows, "total_bytes": total},
                     indent=2,
                     sort_keys=True,
                 )
             )
             return 0
+        now = time.time()
         if entries:
             print(f"{'kind':<9} {'key':<64} {'bytes':>12} {'age':>6}")
             for entry in entries:
                 print(
                     f"{entry.kind:<9} {entry.key:<64} {entry.size:>12} "
-                    f"{_format_age(now - entry.ts):>6}"
+                    f"{_format_age(now - getattr(entry, stamp)):>6}"
                 )
-        print(f"{len(entries)} records, {total} bytes in {ledger.root}")
+        print(f"{len(entries)} {noun}, {total} bytes in {cache.root}")
         return 0
-    if args.ledger_command == "show":
-        record = ledger.get(args.kind, args.key)
+    if op == "show":
+        record = cache.get(args.kind, args.key)
         if record is None:
             print(
                 f"error: no {args.kind!r} record under that key",
@@ -1360,20 +1124,35 @@ def _cmd_ledger(args) -> int:
             return 1
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
-    if args.ledger_command == "verify":
-        report = ledger.verify()
-        print(
-            f"{report['records']} records ok across {report['kinds']} kinds "
-            f"({report['bytes']} bytes), {report['quarantined']} bad lines "
-            f"quarantined under {ledger.root / 'quarantine'}"
-        )
+    if op == "verify":
+        report = cache.verify()
+        if name == "store":
+            for kind, key, reason in report["quarantined"]:
+                print(f"quarantined {kind}/{key}: {reason}")
+            print(
+                f"{report['ok']} ok, {report['unreadable_codec']} unreadable "
+                f"(missing codec), {len(report['quarantined'])} quarantined"
+            )
+        else:
+            print(
+                f"{report['records']} records ok across {report['kinds']} "
+                f"kinds ({report['bytes']} bytes), {report['quarantined']} "
+                f"bad lines quarantined under {cache.root / 'quarantine'}"
+            )
         return 1 if report["quarantined"] else 0
     # gc
-    result = ledger.gc(args.max_bytes)
-    print(
-        f"evicted {result['evicted']} records; {result['records']} records "
-        f"({result['bytes']} bytes) remain"
-    )
+    result = cache.gc(args.max_bytes)
+    if name == "store":
+        print(
+            f"evicted {result['evicted']} entries "
+            f"({result['evicted_bytes']} bytes); "
+            f"{result['remaining_bytes']} bytes remain"
+        )
+    else:
+        print(
+            f"evicted {result['evicted']} records; {result['records']} "
+            f"records ({result['bytes']} bytes) remain"
+        )
     return 0
 
 
@@ -1409,25 +1188,24 @@ def _cmd_trace(args) -> int:
 _COMMANDS = {
     "codes": _cmd_codes,
     "synthesize": _cmd_synthesize,
-    "check": _cmd_check,
     "ftcheck": _cmd_ftcheck,
+    "check": _cmd_ftcheck,
     "simulate": _cmd_simulate,
     "table1": _cmd_table1,
     "figure4": _cmd_figure4,
     "budget": _cmd_budget,
     "cluster": _cmd_cluster,
-    "store": _cmd_store,
+    "store": _cmd_cache,
     "serve": _cmd_serve,
     "query": _cmd_query,
-    "ledger": _cmd_ledger,
+    "ledger": _cmd_cache,
     "trace": _cmd_trace,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_store_flags(args)
-    _apply_ledger_flags(args)
+    _fold_cache_flags(args)
     # --trace (or ambient REPRO_TRACE) wraps the whole invocation in the
     # trace's root span; every descendant — figure4's code pool via the
     # environment, cluster workers and the serve daemon via their wires

@@ -170,11 +170,11 @@ def run_table1(
     """Regenerate Table I (all rows by default)."""
     rows = TABLE1_ROWS if rows is None else rows
     with contextlib.ExitStack() as stack:
-        if verify_ft and workers > 1 and executor is None:
-            from ..sim.cluster import LocalWorkers
+        if verify_ft:
+            from ..sim.shard import shared_executor
 
             # One worker set certifies every row, not one launch per row.
-            executor = stack.enter_context(LocalWorkers(workers))
+            executor = stack.enter_context(shared_executor(workers, executor))
         return [
             run_row(
                 code,

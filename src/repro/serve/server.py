@@ -77,7 +77,7 @@ from ..sim import sampler as sim_sampler
 from ..sim.frame import protocol_locations
 from ..sim.noise import E1_1
 from ..sim.noisemodels import parse_noise_spec
-from ..sim.shard import resolve_evaluator
+from ..sim.shard import resolve_evaluator, shared_executor
 from ..sim.subset import SubsetSampler, direct_mc
 from ..store import keys as store_keys
 from .ledger import LedgerEvaluator, ResultsLedger, resolve_ledger
@@ -204,9 +204,9 @@ class ReproServer:
         self._server: asyncio.base_events.Server | None = None
         self._stop_event: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
-        #: The ``LocalWorkers`` of ``workers > 1`` without ``executor``,
-        #: alive while listening.
-        self._local_workers = None
+        #: The executor computes use: while listening, the
+        #: :func:`~repro.sim.shard.shared_executor` of the two above.
+        self._executor = executor
 
     @classmethod
     def from_endpoint(cls, endpoint, **kwargs) -> "ReproServer":
@@ -236,24 +236,20 @@ class ReproServer:
             # Loaded before listening: a lookup on the loop reads no disk.
             for kind in ("series", "ftcheck", "budget", "direct"):
                 self.ledger.load(kind)
-        if self.executor is None and self.workers > 1:
-            from ..sim.cluster import LocalWorkers
-
-            # One worker set for every compute: a request never forks.
-            self._local_workers = LocalWorkers(self.workers)
-        try:
-            self._server = await asyncio.start_server(
-                self._accept, self.host, self.port, ssl=self._ssl_context
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-            if ready is not None:
-                ready.set()
-            async with self._server:
-                await self._stop_event.wait()
-        finally:
-            if self._local_workers is not None:
-                self._local_workers.close()
-                self._local_workers = None
+        # One executor for every compute (at workers > 1, one loopback
+        # worker set): a request never forks.
+        with shared_executor(self.workers, self.executor) as self._executor:
+            try:
+                self._server = await asyncio.start_server(
+                    self._accept, self.host, self.port, ssl=self._ssl_context
+                )
+                self.port = self._server.sockets[0].getsockname()[1]
+                if ready is not None:
+                    ready.set()
+                async with self._server:
+                    await self._stop_event.wait()
+            finally:
+                self._executor = self.executor
 
     def serve_forever(self) -> None:
         """Run the listener on this thread until interrupted."""
@@ -360,9 +356,8 @@ class ReproServer:
         """
 
         def factory(engine, max_slab: int, model):
-            executor = self.executor or self._local_workers  # None: inline
             inner = resolve_evaluator(
-                engine, max_slab=max_slab, model=model, executor=executor
+                engine, max_slab=max_slab, model=model, executor=self._executor
             )
             return LedgerEvaluator(
                 inner, self.ledger, digest, model, on_partial=progress

@@ -45,6 +45,7 @@ integration suite.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import time
@@ -84,6 +85,7 @@ __all__ = [
     "engine_payload",
     "engine_from_payload",
     "resolve_evaluator",
+    "shared_executor",
 ]
 
 _DEFAULT_SLAB = 8192
@@ -1027,3 +1029,23 @@ def resolve_evaluator(
     if workers < 1:
         raise ValueError("workers must be positive")
     return ShardedEvaluator(engine, max_slab=int(max_slab), model=model)
+
+
+@contextlib.contextmanager
+def shared_executor(workers: int = 1, executor=None):
+    """The ``executor=`` that several evaluations share.
+
+    ``executor`` itself when given; else, at ``workers > 1``, one
+    :class:`~repro.sim.cluster.LocalWorkers` set, stopped on exit, so a
+    caller that evaluates many times launches workers once; else
+    ``None`` (inline). Pass the result as ``executor=`` beside the same
+    ``workers`` to every :func:`resolve_evaluator` consumer. The cluster
+    module (and its socket/TLS imports) loads only for a launch.
+    """
+    if executor is not None or workers <= 1:
+        yield executor
+        return
+    from .cluster import LocalWorkers
+
+    with LocalWorkers(workers) as launched:
+        yield launched

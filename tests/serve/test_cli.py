@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _apply_ledger_flags, build_parser, main
+from repro.cli import _fold_cache_flags, build_parser, main
 from repro.serve.ledger import ENV_VAR, ResultsLedger
 
 
@@ -77,7 +77,7 @@ class TestLedgerFlagFold:
     def test_no_ledger_folds_to_off(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         args = build_parser().parse_args(["figure4", "--no-ledger"])
-        _apply_ledger_flags(args)
+        _fold_cache_flags(args)
         assert os.environ[ENV_VAR] == "off"
 
     def test_ledger_path_folds_to_env(self, monkeypatch, tmp_path):
@@ -85,13 +85,13 @@ class TestLedgerFlagFold:
         args = build_parser().parse_args(
             ["figure4", "--ledger", str(tmp_path / "led")]
         )
-        _apply_ledger_flags(args)
+        _fold_cache_flags(args)
         assert os.environ[ENV_VAR] == str(tmp_path / "led")
 
     def test_unflagged_leaves_environment_alone(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "keep-me")
         args = build_parser().parse_args(["figure4"])
-        _apply_ledger_flags(args)
+        _fold_cache_flags(args)
         assert os.environ[ENV_VAR] == "keep-me"
 
 
@@ -160,8 +160,8 @@ class TestServeCommand:
         assert "failed to start: [Errno 20] Not a directory" in capsys.readouterr().err
 
     def test_noise_flag_rejected(self, capsys):
-        assert (
+        # Noise is per query; serve does not declare --noise at all.
+        with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--listen", "127.0.0.1:0", "--noise", "biased:eta=10,p=1e-3"])
-            == 2
-        )
-        assert "per query" in capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --noise" in capsys.readouterr().err

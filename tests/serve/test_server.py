@@ -497,7 +497,7 @@ def test_workers_daemon_never_forks(tmp_path, monkeypatch):
             )
             server.start_background()
             try:
-                launched = server._local_workers
+                launched = server._executor
                 assert (launched is not None) == (workers > 1)
                 processes = list(launched._processes) if launched else []
                 assert len(processes) == (workers if workers > 1 else 0)
@@ -509,5 +509,5 @@ def test_workers_daemon_never_forks(tmp_path, monkeypatch):
             finally:
                 server.stop()
         assert all(process.returncode is not None for process in processes)
-        assert server._local_workers is None
+        assert server._executor is None
     assert answers[2] == answers[1]

@@ -206,3 +206,21 @@ def test_table1_certifies_every_row_on_one_worker_set(monkeypatch):
     inline = run_table1(rows, verify_ft=True)
     assert [row.ft_certified for row in sharded] == [True, True]
     assert [row.ft_certified for row in inline] == [True, True]
+
+
+def test_ftcheck_survey_shares_one_worker_set(monkeypatch, capsys):
+    """``ftcheck --survey N --workers 2`` runs the certificate and the
+    survey on one worker set: one launch, not one per evaluation."""
+    from repro.cli import main
+
+    launches = []
+    launch = LocalWorkers.__init__
+
+    def counted(self, count):
+        launches.append(count)
+        launch(self, count)
+
+    monkeypatch.setattr(LocalWorkers, "__init__", counted)
+    assert main(["ftcheck", "steane", "--survey", "50", "--workers", "2"]) == 0
+    assert launches == [2]
+    assert "t=2 survey" in capsys.readouterr().out

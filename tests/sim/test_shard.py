@@ -207,6 +207,21 @@ class TestWorkerCountDeterminism:
         ]
         assert results[0].failures == results[1].failures
 
+    def test_tesseract_stratum_identical_across_workers(self):
+        """``benchmarks/bench_shard.py``'s tally gate at tier-1 size: one
+        sampled k = 3 stratum of the largest catalog code, planned once,
+        merges to the same tallies inline and on two loopback workers."""
+        from repro.sim.shard import resolve_evaluator
+
+        engine = make_sampler(cached_protocol("tesseract"))
+        tallies = {}
+        for w in (1, 2):
+            with resolve_evaluator(engine, workers=w, max_slab=512) as ev:
+                merged = merge_partials(ev.map(ev.planner.plan_stratum(3, 3000, 2025)))
+            tallies[w] = (merged.trials, merged.failures)
+        assert tallies[1] == tallies[2]
+        assert tallies[1][0] == 3000 and tallies[1][1] > 0
+
     def test_exact_enumerations_identical_any_worker_count(self):
         protocol = cached_protocol("steane")
         masses = {}

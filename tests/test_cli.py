@@ -149,6 +149,11 @@ class TestCommands:
     def test_check_without_target_errors(self, capsys):
         assert main(["check"]) == 2
 
+    def test_check_takes_the_ftcheck_flags(self, capsys):
+        assert main(["check", "steane", "--survey", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "fault tolerant" in out and "t=2 survey" in out
+
     def test_simulate(self, capsys):
         assert (
             main(
